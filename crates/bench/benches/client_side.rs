@@ -1,7 +1,7 @@
 //! Client-side processing cost per rekey message (the Table 6 trade-off):
 //! group-oriented is best for the server but hands every client the
 //! biggest message; user-oriented gives clients the smallest message.
-//! This bench measures a client's `process_rekey` on the message it would
+//! This bench measures a client's `apply` on the message it would
 //! actually receive under each strategy, with and without signature
 //! verification.
 
@@ -34,7 +34,7 @@ fn setup(strategy: Strategy, auth: AuthPolicy) -> (Client, Vec<u8>) {
         }
         if let Some(c) = client.as_mut() {
             for bytes in &op.encoded {
-                let _ = c.process_rekey(bytes);
+                let _ = c.apply(bytes);
             }
         }
     }
@@ -44,7 +44,7 @@ fn setup(strategy: Strategy, auth: AuthPolicy) -> (Client, Vec<u8>) {
     let op = server.handle_leave(UserId(200)).unwrap();
     let mut the_packet = None;
     for (p, bytes) in op.packets.iter().zip(&op.encoded) {
-        let mine = match &p.message.recipients {
+        let mine = match &p.recipients {
             Recipients::Group => true,
             Recipients::User(u) => *u == observer,
             Recipients::Subgroup(l) => server.tree().userset(*l).contains(&observer),
@@ -61,7 +61,7 @@ fn setup(strategy: Strategy, auth: AuthPolicy) -> (Client, Vec<u8>) {
     // Warm the client past this packet? No — benchmark re-processing the
     // same packet; installs become no-ops after the first run but decode,
     // verification, and decryption still execute, which is what we time.
-    let _ = client.process_rekey(&packet);
+    let _ = client.apply(&packet);
     (client, packet)
 }
 
@@ -69,12 +69,12 @@ fn bench_client(c: &mut Criterion) {
     let mut g = c.benchmark_group("client/process-leave-rekey");
     for strategy in Strategy::ALL {
         let (mut client, packet) = setup(strategy, AuthPolicy::None);
-        g.bench_with_input(BenchmarkId::new("enc-only", strategy.name()), &(), |b, _| {
-            b.iter(|| client.process_rekey(&packet).unwrap())
+        g.bench_with_input(BenchmarkId::new("enc-only", strategy.as_str()), &(), |b, _| {
+            b.iter(|| client.apply(&packet).unwrap())
         });
         let (mut client, packet) = setup(strategy, AuthPolicy::SignBatch);
-        g.bench_with_input(BenchmarkId::new("batch-signed", strategy.name()), &(), |b, _| {
-            b.iter(|| client.process_rekey(&packet).unwrap())
+        g.bench_with_input(BenchmarkId::new("batch-signed", strategy.as_str()), &(), |b, _| {
+            b.iter(|| client.apply(&packet).unwrap())
         });
     }
     g.finish();

@@ -20,7 +20,7 @@ fn bench_strategies(c: &mut Criterion) {
             server.handle_join(UserId(i)).unwrap();
         }
         let mut next = 1_000_000u64;
-        g.bench_with_input(BenchmarkId::from_parameter(strategy.name()), &(), |b, _| {
+        g.bench_with_input(BenchmarkId::from_parameter(strategy.as_str()), &(), |b, _| {
             b.iter(|| {
                 let u = UserId(next);
                 next += 1;

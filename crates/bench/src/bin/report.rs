@@ -3,15 +3,16 @@
 //! ```text
 //! report [--quick] <artifact>...
 //! artifacts: table1 table2 table3 table4 table5 table6
-//!            fig10 fig11 fig12 iolus hybrid batch persist obs par
+//!            fig10 fig11 fig12 iolus hybrid batch persist obs
 //!            cluster trace derived all
 //! ```
 //!
-//! The `batch`, `persist`, `obs`, `par`, `cluster`, `trace`, and
-//! `derived` artifacts also write machine-readable `BENCH_batch.json`,
-//! `BENCH_persist.json`, `BENCH_obs.json`, `BENCH_par.json`,
-//! `BENCH_cluster.json`, `BENCH_trace.json`, and `BENCH_derived.json`
-//! to the working directory.
+//! An unknown artifact name is an error (exit code 2), not a silent no-op.
+//!
+//! The `batch`, `persist`, `obs`, `cluster`, `trace`, and `derived`
+//! artifacts also write machine-readable `BENCH_batch.json`,
+//! `BENCH_persist.json`, `BENCH_obs.json`, `BENCH_cluster.json`,
+//! `BENCH_trace.json`, and `BENCH_derived.json` to the working directory.
 //!
 //! `--quick` shrinks group sizes / request counts for a fast smoke run,
 //! and writes its artifacts as `BENCH_<name>.quick.json` so a smoke run
@@ -23,8 +24,8 @@
 
 use kg_bench::{
     run, run_batch_comparison, run_derived_costs, run_obs_overhead, run_obs_reconcile,
-    run_par_speedup, run_persist_overhead, run_recovery_curve, run_trace_plane, BatchConfig,
-    ExperimentConfig, ParConfig, TextTable, TraceBenchConfig, SEEDS,
+    run_persist_overhead, run_recovery_curve, run_trace_plane, BatchConfig, ExperimentConfig,
+    TextTable, TraceBenchConfig, SEEDS,
 };
 use kg_core::cost::{self, GraphClass};
 use kg_core::ids::UserId;
@@ -39,6 +40,35 @@ struct Opts {
     artifacts: Vec<String>,
 }
 
+/// An artifact's name and the function printing it.
+type Artifact = (&'static str, fn(&Opts));
+
+/// Every artifact, in the order `all` prints them.
+const ARTIFACTS: [Artifact; 17] = [
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("table4", table4),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("table5", table5),
+    ("table6", table6),
+    ("fig12", fig12),
+    ("iolus", iolus),
+    ("hybrid", hybrid),
+    ("batch", batch),
+    ("persist", persist),
+    ("obs", obs),
+    ("cluster", cluster),
+    ("trace", trace),
+    ("derived", derived),
+];
+
+fn usage() -> String {
+    let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+    format!("usage: report [--quick] <artifact>...\nartifacts: {} all", names.join(" "))
+}
+
 fn parse_args() -> Opts {
     let mut quick = false;
     let mut artifacts = Vec::new();
@@ -46,15 +76,16 @@ fn parse_args() -> Opts {
         match a.as_str() {
             "--quick" => quick = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: report [--quick] <artifact>...\n\
-                     artifacts: table1 table2 table3 table4 table5 table6 \
-                     fig10 fig11 fig12 iolus hybrid batch persist obs par cluster trace \
-                     derived all"
-                );
+                println!("{}", usage());
                 std::process::exit(0);
             }
-            other => artifacts.push(other.to_string()),
+            name if name == "all" || ARTIFACTS.iter().any(|(known, _)| *known == name) => {
+                artifacts.push(name.to_string())
+            }
+            unknown => {
+                eprintln!("report: unknown artifact {unknown:?}\n{}", usage());
+                std::process::exit(2);
+            }
         }
     }
     if artifacts.is_empty() {
@@ -66,7 +97,6 @@ fn parse_args() -> Opts {
 fn main() {
     let opts = parse_args();
     let all = opts.artifacts.iter().any(|a| a == "all");
-    let want = |name: &str| all || opts.artifacts.iter().any(|a| a == name);
 
     println!("# Key-graphs reproduction report");
     println!(
@@ -74,59 +104,10 @@ fn main() {
         if opts.quick { "quick" } else { "full" }
     );
 
-    if want("table1") {
-        table1(&opts);
-    }
-    if want("table2") {
-        table2(&opts);
-    }
-    if want("table3") {
-        table3(&opts);
-    }
-    if want("table4") {
-        table4(&opts);
-    }
-    if want("fig10") {
-        fig10(&opts);
-    }
-    if want("fig11") {
-        fig11(&opts);
-    }
-    if want("table5") {
-        table5(&opts);
-    }
-    if want("table6") {
-        table6(&opts);
-    }
-    if want("fig12") {
-        fig12(&opts);
-    }
-    if want("iolus") {
-        iolus(&opts);
-    }
-    if want("hybrid") {
-        hybrid(&opts);
-    }
-    if want("batch") {
-        batch(&opts);
-    }
-    if want("persist") {
-        persist(&opts);
-    }
-    if want("obs") {
-        obs(&opts);
-    }
-    if want("par") {
-        par(&opts);
-    }
-    if want("cluster") {
-        cluster(&opts);
-    }
-    if want("trace") {
-        trace(&opts);
-    }
-    if want("derived") {
-        derived(&opts);
+    for (name, artifact) in ARTIFACTS {
+        if all || opts.artifacts.iter().any(|a| a == name) {
+            artifact(&opts);
+        }
     }
 }
 
@@ -324,7 +305,7 @@ fn table4(opts: &Opts) {
             let r =
                 run(&ExperimentConfig { n, degree: 4, strategy, auth, ops, seeds: seeds.clone() });
             t.row(vec![
-                strategy.name().into(),
+                strategy.as_str().into(),
                 name.into(),
                 f(r.join.msg_size_ave),
                 f(r.leave.msg_size_ave),
@@ -436,7 +417,7 @@ fn table5(opts: &Opts) {
                 seeds: seeds.clone(),
             });
             t.row(vec![
-                strategy.name().into(),
+                strategy.as_str().into(),
                 f(r.join.msg_size_ave),
                 r.join.msg_size_min.to_string(),
                 r.join.msg_size_max.to_string(),
@@ -474,7 +455,7 @@ fn table6(opts: &Opts) {
                 seeds: seeds.clone(),
             });
             t.row(vec![
-                strategy.name().into(),
+                strategy.as_str().into(),
                 f(r.client_join.msg_size_ave),
                 f(r.client_leave.msg_size_ave),
                 f(r.client_all.msgs_per_request),
@@ -589,8 +570,8 @@ fn hybrid(opts: &Opts) {
     println!("(hybrid keeps group-oriented's O(1) message count and encryption cost while only flooding the affected top-level subtree with the large message)\n");
 }
 
-/// Periodic batch rekeying (the `kg-batch` subsystem) vs the paper's
-/// per-operation protocol, over the same Poisson churn workload.
+/// Periodic batch rekeying vs the paper's per-operation protocol, over
+/// the same Poisson churn workload.
 fn batch(opts: &Opts) {
     println!("## Batch rekeying — periodic intervals vs per-operation (d=4, group-oriented, 1:1 join/leave Poisson churn)\n");
     let sizes: Vec<usize> =
@@ -872,131 +853,6 @@ fn iolus(opts: &Opts) {
     ]);
     println!("{}", t.render());
     println!("(the paper's point: both are O(log n)-ish at membership time, but Iolus moves the '1 affects n' work onto every data message and multiplies the trust surface)\n");
-}
-
-/// Parallel rekey pipeline: speedup curve vs worker count and cache hit
-/// rates, with byte-identity vs the sequential path asserted inside the
-/// harness (a divergence panics the report).
-fn par(opts: &Opts) {
-    println!("## Parallel pipeline — rekey-construction speedup and encryption cache (d=4, group-oriented interval)\n");
-    let sizes: &[usize] = if opts.quick { &[256] } else { &[4096, 8192] };
-    let worker_counts: Vec<usize> = if opts.quick { vec![1, 2] } else { vec![1, 2, 4, 8] };
-    let requests = if opts.quick { 64 } else { 256 };
-    let reps = if opts.quick { 3 } else { 11 };
-
-    let mut results = Vec::new();
-    for &n in sizes {
-        let r = run_par_speedup(&ParConfig {
-            n,
-            degree: 4,
-            requests,
-            worker_counts: worker_counts.clone(),
-            reps,
-            seed: SEEDS[0],
-        });
-        println!(
-            "### n={n}: one interval of {requests} requests, {} key encryptions, {} reps (output byte-identical at every worker count)\n",
-            r.encryptions_per_interval, reps
-        );
-        println!(
-            "phase split: plan {} ms + encrypt {} ms per interval -> {:.0}% parallelizable (Amdahl bound {:.2}x at 4 workers)",
-            f(r.plan_ms),
-            f(r.encrypt_ms),
-            100.0 * r.parallel_fraction(),
-            r.amdahl_bound(4),
-        );
-        println!("hardware threads on this host: {}\n", r.hardware_threads);
-        let mut t = TextTable::new(&["workers", "elapsed ms", "requests/sec", "speedup", "note"]);
-        for p in &r.points {
-            let note = if p.workers > r.hardware_threads {
-                "hardware-capped (workers > cores)"
-            } else {
-                ""
-            };
-            t.row(vec![
-                p.workers.to_string(),
-                f(p.elapsed_ms),
-                format!("{:.0}", p.throughput),
-                format!("{:.2}x", p.speedup),
-                note.into(),
-            ]);
-        }
-        println!("{}", t.render());
-        if r.hardware_threads < 2 {
-            println!("(single hardware thread: worker threads time-slice one core, so no wall-clock speedup is measurable on this host — the Amdahl bound above is what the measured phase split supports on a multi-core host)\n");
-        }
-        results.push(r);
-    }
-
-    println!("### Encryption cache over the measured interval (per strategy, sequential path)\n");
-    let r0 = &results[0];
-    let mut t = TextTable::new(&[
-        "strategy",
-        "cache hits",
-        "misses (ciphertexts)",
-        "hit rate",
-        "key encryptions",
-    ]);
-    for c in &r0.cache {
-        t.row(vec![
-            c.strategy.into(),
-            c.hits.to_string(),
-            c.misses.to_string(),
-            format!("{:.1}%", c.hit_rate_pct()),
-            c.key_encryptions.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    println!("(hits are the stored-ciphertext reuses of Figures 6/8 — the key-oriented chain links; group-oriented covers have no repeats by construction, so its hit rate is honestly 0)\n");
-
-    let mut json = String::from("{\n  \"curves\": [");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "\n    {{\"n\": {}, \"degree\": 4, \"requests\": {}, \"reps\": {}, \"encryptions_per_interval\": {}, \"identical_output\": true, \"hardware_threads\": {}, \"plan_ms\": {}, \"encrypt_ms\": {}, \"parallel_fraction\": {}, \"amdahl_bound_4_workers\": {}, \"points\": [",
-            r.config.n,
-            r.config.requests,
-            r.config.reps,
-            r.encryptions_per_interval,
-            r.hardware_threads,
-            jf(r.plan_ms),
-            jf(r.encrypt_ms),
-            jf(r.parallel_fraction()),
-            jf(r.amdahl_bound(4)),
-        ));
-        for (k, p) in r.points.iter().enumerate() {
-            if k > 0 {
-                json.push(',');
-            }
-            json.push_str(&format!(
-                "\n      {{\"workers\": {}, \"elapsed_ms\": {}, \"throughput\": {}, \"speedup\": {}, \"hardware_capped\": {}}}",
-                p.workers,
-                jf(p.elapsed_ms),
-                jf(p.throughput),
-                jf(p.speedup),
-                p.workers > r.hardware_threads,
-            ));
-        }
-        json.push_str("\n    ]}");
-    }
-    json.push_str("\n  ],\n  \"cache\": [");
-    for (i, c) in r0.cache.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "\n    {{\"strategy\": \"{}\", \"hits\": {}, \"misses\": {}, \"hit_rate_pct\": {}, \"key_encryptions\": {}}}",
-            c.strategy,
-            c.hits,
-            c.misses,
-            jf(c.hit_rate_pct()),
-            c.key_encryptions
-        ));
-    }
-    json.push_str("\n  ]\n}\n");
-    write_artifact(&artifact_name(opts, "BENCH_par.json"), &json);
 }
 
 /// Cluster: a sharded deployment driven to seven-figure membership on

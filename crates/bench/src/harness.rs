@@ -144,7 +144,7 @@ fn run_once(
         a.requests += 1.0;
         a.members += members;
         for (p, bytes) in op.packets.iter().zip(&op.encoded) {
-            let recipients = match &p.message.recipients {
+            let recipients = match &p.recipients {
                 Recipients::User(u) => usize::from(server.is_member(*u)),
                 Recipients::Subgroup(l) => server.tree().userset(*l).len(),
                 Recipients::SubgroupExcept { include, exclude } => {
@@ -160,7 +160,7 @@ fn run_once(
         // targets of the op's bundles; dedupe and count usersets.
         let mut labels = std::collections::BTreeSet::new();
         for p in &op.packets {
-            for b in &p.message.bundles {
+            for b in &p.bundles {
                 for t in &b.targets {
                     labels.insert(t.label);
                 }
@@ -391,9 +391,8 @@ fn per_op_costs(
             Request::Join(u) => server.handle_join(u).expect("join"),
             Request::Leave(u) => server.handle_leave(u).expect("leave"),
         };
-        costs.add_packets(
-            op.packets.iter().zip(&op.encoded).map(|(p, e)| (&p.message.recipients, e.len())),
-        );
+        costs
+            .add_packets(op.packets.iter().zip(&op.encoded).map(|(p, e)| (&p.recipients, e.len())));
         costs.flushes += 1.0;
     }
     costs.encryptions = server.stats().records().iter().map(|r| r.encryptions as f64).sum();
@@ -426,7 +425,7 @@ fn batched_costs(
     let mut costs = RekeyCosts::default();
     let absorb = |costs: &mut RekeyCosts, batch: kg_server::ProcessedBatch| {
         costs.add_packets(
-            batch.packets.iter().zip(&batch.encoded).map(|(p, e)| (&p.message.recipients, e.len())),
+            batch.packets.iter().zip(&batch.encoded).map(|(p, e)| (&p.recipients, e.len())),
         );
         costs.flushes += 1.0;
     };

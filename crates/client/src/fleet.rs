@@ -16,7 +16,7 @@ use kg_crypto::hmac::hmac;
 use kg_crypto::md5::Md5;
 use kg_crypto::SymmetricKey;
 use kg_net::{EndpointId, Transport};
-use kg_wire::ControlMessage;
+use kg_wire::{ControlMessage, RekeyPacket};
 use std::collections::BTreeMap;
 
 /// Events a fleet observes while pumping inboxes.
@@ -148,36 +148,31 @@ impl ClientFleet {
         let mut events = Vec::new();
         for (&user, m) in self.members.iter_mut() {
             while let Some(dg) = net.recv(m.endpoint) {
-                if kg_wire::BatchRekeyPacket::sniff(&dg.payload)
-                    || kg_wire::DerivedRekeyPacket::sniff(&dg.payload)
-                {
-                    match m.client.process_packet(&dg.payload) {
-                        Ok(s) => events.push(FleetEvent::Rekeyed(user, s)),
-                        Err(e) => events.push(FleetEvent::RekeyFailed(user, e)),
-                    }
+                // The first byte says which plane a datagram belongs to:
+                // the rekey magic, or a control tag.
+                if RekeyPacket::sniff(&dg.payload) {
+                    events.push(match m.client.apply(&dg.payload) {
+                        Ok(s) => FleetEvent::Rekeyed(user, s),
+                        Err(e) => FleetEvent::RekeyFailed(user, e),
+                    });
                     continue;
                 }
-                if let Ok(ctrl) = ControlMessage::decode(&dg.payload) {
-                    match ctrl {
-                        ControlMessage::JoinGranted { user: u, .. } => {
-                            events.push(FleetEvent::JoinAcked(u))
-                        }
-                        ControlMessage::JoinDenied { user: u } => {
-                            events.push(FleetEvent::JoinDenied(u))
-                        }
-                        ControlMessage::LeaveGranted { user: u } => {
-                            events.push(FleetEvent::LeaveAcked(u))
-                        }
-                        ControlMessage::LeaveDenied { user: u } => {
-                            events.push(FleetEvent::LeaveDenied(u))
-                        }
-                        _ => {}
+                match ControlMessage::decode(&dg.payload) {
+                    Ok(ControlMessage::JoinGranted { user: u, .. }) => {
+                        events.push(FleetEvent::JoinAcked(u))
                     }
-                    continue;
-                }
-                match m.client.process_rekey(&dg.payload) {
-                    Ok(s) => events.push(FleetEvent::Rekeyed(user, s)),
-                    Err(e) => events.push(FleetEvent::RekeyFailed(user, e)),
+                    Ok(ControlMessage::JoinDenied { user: u }) => {
+                        events.push(FleetEvent::JoinDenied(u))
+                    }
+                    Ok(ControlMessage::LeaveGranted { user: u }) => {
+                        events.push(FleetEvent::LeaveAcked(u))
+                    }
+                    Ok(ControlMessage::LeaveDenied { user: u }) => {
+                        events.push(FleetEvent::LeaveDenied(u))
+                    }
+                    // Requests echoed back and undecodable strays are
+                    // dropped, as a UDP client must.
+                    Ok(_) | Err(_) => {}
                 }
             }
         }

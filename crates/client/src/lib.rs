@@ -2,8 +2,8 @@
 //!
 //! Each group member runs this state machine: it holds the member's keyset
 //! (individual key, subgroup keys, group key — the keys on its key-tree
-//! path), processes rekey packets from the server under any of the three
-//! strategies, verifies digests / signatures / Merkle authentication paths,
+//! path), applies rekey packets from the server under any strategy,
+//! verifies digests / signatures / Merkle authentication paths,
 //! and counts the client-side quantities of the paper's evaluation
 //! (Table 6 message sizes, Figure 12 key changes per request).
 //!
@@ -24,7 +24,7 @@
 //! let mut client = Client::new(UserId(1), server.config().cipher, VerifyPolicy::Opportunistic);
 //! client.install_grant(grant.individual_key, grant.leaf_label, &grant.path_labels);
 //! for bytes in &op.encoded {
-//!     client.process_rekey(bytes).unwrap();
+//!     client.apply(bytes).unwrap();
 //! }
 //! assert_eq!(client.group_key().unwrap().1, server.tree().group_key().1);
 //! ```
@@ -40,7 +40,7 @@ use kg_core::rekey::KeyCipher;
 use kg_crypto::rsa::{HashAlg, RsaPublicKey};
 use kg_crypto::SymmetricKey;
 use kg_obs::{Counter, Histogram, Obs, ObsEvent};
-use kg_wire::{AuthTag, BatchRekeyPacket, DerivedRekeyPacket, RekeyPacket, WireError};
+use kg_wire::{AuthTag, RekeyPacket, WireError};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -73,8 +73,8 @@ pub enum ClientError {
     /// A bundle addressed to us failed to decrypt (stale keyset — should
     /// not happen under reliable delivery).
     DecryptFailed(KeyRef),
-    /// A batch or derived rekey packet from an interval older than one
-    /// already applied; applying it would roll keys back.
+    /// A rekey packet from an interval older than one already applied;
+    /// applying it would roll keys back.
     StaleInterval {
         /// The interval the packet carries.
         packet: u64,
@@ -90,7 +90,7 @@ impl std::fmt::Display for ClientError {
             ClientError::AuthFailed => write!(f, "rekey message failed authenticity check"),
             ClientError::DecryptFailed(r) => write!(f, "could not decrypt bundle under {r:?}"),
             ClientError::StaleInterval { packet, current } => {
-                write!(f, "stale batch interval {packet} (already at {current})")
+                write!(f, "stale rekey interval {packet} (already at {current})")
             }
         }
     }
@@ -141,7 +141,7 @@ pub struct Client {
     root_label: Option<KeyLabel>,
     /// Our individual-key leaf label.
     leaf_label: Option<KeyLabel>,
-    /// Newest batch rekey interval applied (0 = none yet).
+    /// Newest rekey interval applied (0 = none yet).
     last_interval: u64,
     stats: ClientStats,
     /// Observability (disabled by default): apply-latency histogram,
@@ -227,84 +227,35 @@ impl Client {
         self.stats
     }
 
-    /// Process one encoded rekey packet.
-    pub fn process_rekey(&mut self, bytes: &[u8]) -> Result<ProcessSummary, ClientError> {
-        let t0 = self.obs.is_enabled().then(Instant::now);
-        let (packet, body_len) = RekeyPacket::decode(bytes)?;
-        self.verify_auth(&packet.auth, &bytes[..body_len])?;
-        self.stats.rekey_msgs += 1;
-        self.stats.rekey_bytes += bytes.len() as u64;
-
-        let mut summary = ProcessSummary::default();
-        let mut done = vec![false; packet.message.bundles.len()];
-        // Fixed point: a bundle may be decryptable only after another
-        // installs the key it is encrypted under (group-oriented leave).
-        loop {
-            let mut progress = false;
-            for (i, bundle) in packet.message.bundles.iter().enumerate() {
-                if done[i] {
-                    continue;
-                }
-                let Some((version, key)) = self.keys.get(&bundle.encrypted_with.label) else {
-                    continue;
-                };
-                if *version != bundle.encrypted_with.version {
-                    continue;
-                }
-                let key = key.clone();
-                let plain = self
-                    .cipher
-                    .decrypt(&key, &bundle.iv, &bundle.ciphertext)
-                    .map_err(|_| ClientError::DecryptFailed(bundle.encrypted_with))?;
-                let key_len = self.cipher.key_len();
-                if plain.len() != bundle.targets.len() * key_len {
-                    return Err(ClientError::DecryptFailed(bundle.encrypted_with));
-                }
-                for (j, target) in bundle.targets.iter().enumerate() {
-                    let material = &plain[j * key_len..(j + 1) * key_len];
-                    let newer =
-                        self.keys.get(&target.label).is_none_or(|(v, _)| target.version > *v);
-                    if newer {
-                        self.keys.insert(
-                            target.label,
-                            (target.version, SymmetricKey::from_bytes(material)),
-                        );
-                        summary.keys_installed += 1;
-                    }
-                }
-                summary.bundles_decrypted += 1;
-                done[i] = true;
-                progress = true;
-            }
-            if !progress {
-                break;
-            }
-        }
-        summary.bundles_skipped = done.iter().filter(|&&d| !d).count() as u64;
-        self.stats.key_changes += summary.keys_installed;
-        if let Some(t0) = t0 {
-            self.apply_us.record(t0.elapsed().as_micros() as u64);
-        }
-        Ok(summary)
-    }
-
-    /// Newest batch rekey interval applied (0 before any batch).
+    /// Newest rekey interval applied (0 before any rekey).
     pub fn last_interval(&self) -> u64 {
         self.last_interval
     }
 
-    /// Process one encoded **batch** rekey packet, atomically.
+    /// Apply one encoded rekey packet, atomically.
     ///
-    /// The whole packet is applied all-or-nothing: new keys are staged in
-    /// a side map while decrypting to a fixed point, and only merged into
-    /// the key store once every reachable bundle decrypted cleanly. A
-    /// decryption failure (or bad authenticity tag, or a stale interval —
-    /// older than one already applied) leaves the client's keyset and
-    /// rekey counters untouched. Bundles not addressed to this client are
-    /// skipped, as in [`Self::process_rekey`].
-    pub fn process_batch_rekey(&mut self, bytes: &[u8]) -> Result<ProcessSummary, ClientError> {
+    /// A packet may carry a derivation code and a work list of
+    /// `(new_ref, from)` links (`Strategy::Derived` joins and refreshes):
+    /// for every link whose `from` key this client holds (exact label
+    /// *and* version — the derivation chains from the committed
+    /// pre-interval keyset, never from a key staged this interval), the
+    /// replacement is recomputed locally via
+    /// [`kg_core::derive::derive_key`]. Its shipped bundles are then
+    /// decrypted to a fixed point against the staged view: a bundle may be
+    /// decryptable only under a key another bundle (or a derivation) of
+    /// this packet delivers, as in a group-oriented leave. Bundles not
+    /// addressed to this client are skipped.
+    ///
+    /// Application is all-or-nothing: new keys are staged in a side map
+    /// and only merged into the key store once every reachable bundle
+    /// decrypted cleanly. A decryption failure, a bad authenticity tag, or
+    /// a stale interval (older than one already applied) leaves the
+    /// keyset and the rekey counters untouched. An equal interval is
+    /// accepted — an operation may span several packets, and a redelivery
+    /// finds nothing newer to install.
+    pub fn apply(&mut self, bytes: &[u8]) -> Result<ProcessSummary, ClientError> {
         let t0 = self.obs.is_enabled().then(Instant::now);
-        let (packet, body_len) = BatchRekeyPacket::decode(bytes)?;
+        let (packet, body_len) = RekeyPacket::decode(bytes)?;
         self.verify_auth(&packet.auth, &bytes[..body_len])?;
         if packet.interval < self.last_interval {
             self.stale_rejections.inc();
@@ -320,12 +271,34 @@ impl Client {
 
         let mut staged: BTreeMap<KeyLabel, (KeyVersion, SymmetricKey)> = BTreeMap::new();
         let mut summary = ProcessSummary::default();
-        let mut done = vec![false; packet.message.bundles.len()];
-        // Fixed point over the staged view: a bundle may be decryptable
-        // only under a key another bundle of this interval delivers.
+        let key_len = self.cipher.key_len();
+
+        // Pass 1 — derivation. Links only ever chain from pre-interval
+        // keys (a split-created node derives from the displaced member's
+        // individual key, not from anything new), so the lookup goes to
+        // the committed keyset, not the staged view.
+        for link in &packet.changed {
+            let Some((version, key)) = self.keys.get(&link.from.label) else { continue };
+            if *version != link.from.version || !self.is_newer(&staged, link.new_ref) {
+                continue;
+            }
+            let new_key = kg_core::derive::derive_key(
+                key,
+                &packet.code,
+                link.new_ref.label,
+                link.new_ref.version,
+                key_len,
+            );
+            staged.insert(link.new_ref.label, (link.new_ref.version, new_key));
+            summary.keys_installed += 1;
+        }
+
+        // Pass 2 — shipped bundles, decrypted to a fixed point against
+        // staged ∪ committed.
+        let mut done = vec![false; packet.bundles.len()];
         loop {
             let mut progress = false;
-            for (i, bundle) in packet.message.bundles.iter().enumerate() {
+            for (i, bundle) in packet.bundles.iter().enumerate() {
                 if done[i] {
                     continue;
                 }
@@ -340,17 +313,11 @@ impl Client {
                     .cipher
                     .decrypt(key, &bundle.iv, &bundle.ciphertext)
                     .map_err(|_| ClientError::DecryptFailed(bundle.encrypted_with))?;
-                let key_len = self.cipher.key_len();
                 if plain.len() != bundle.targets.len() * key_len {
                     return Err(ClientError::DecryptFailed(bundle.encrypted_with));
                 }
-                for (j, target) in bundle.targets.iter().enumerate() {
-                    let material = &plain[j * key_len..(j + 1) * key_len];
-                    let newer = staged
-                        .get(&target.label)
-                        .or_else(|| self.keys.get(&target.label))
-                        .is_none_or(|(v, _)| target.version > *v);
-                    if newer {
+                for (target, material) in bundle.targets.iter().zip(plain.chunks(key_len)) {
+                    if self.is_newer(&staged, *target) {
                         staged.insert(
                             target.label,
                             (target.version, SymmetricKey::from_bytes(material)),
@@ -368,9 +335,7 @@ impl Client {
         }
 
         // Commit: every bundle we could reach decrypted cleanly.
-        for (label, entry) in staged {
-            self.keys.insert(label, entry);
-        }
+        self.keys.extend(staged);
         self.last_interval = packet.interval;
         summary.bundles_skipped = done.iter().filter(|&&d| !d).count() as u64;
         self.stats.rekey_msgs += 1;
@@ -382,146 +347,13 @@ impl Client {
         Ok(summary)
     }
 
-    /// Process one encoded **derived** rekey packet, atomically.
-    ///
-    /// A `Strategy::Derived` server ships no ciphertext to current members
-    /// on joins and refreshes; instead the packet carries a derivation
-    /// code and a work list of `(new_ref, from)` links. For every link
-    /// whose `from` key this client holds (exact label *and* version —
-    /// the derivation chains from the committed pre-interval keyset, never
-    /// from a key staged this interval), the replacement is recomputed
-    /// locally via [`kg_core::derive::derive_key`]. Any shipped bundles —
-    /// the joiner's own path, or the group-oriented fallback of a leave —
-    /// are then decrypted to a fixed point against the staged view, as in
-    /// [`Self::process_batch_rekey`].
-    ///
-    /// Application is all-or-nothing with the same staleness rule as
-    /// batches: a packet older than `last_interval` is refused untouched,
-    /// an equal interval is an idempotent no-op redelivery.
-    pub fn apply_derived(&mut self, bytes: &[u8]) -> Result<ProcessSummary, ClientError> {
-        let t0 = self.obs.is_enabled().then(Instant::now);
-        let (packet, body_len) = DerivedRekeyPacket::decode(bytes)?;
-        self.verify_auth(&packet.auth, &bytes[..body_len])?;
-        if packet.interval < self.last_interval {
-            self.stale_rejections.inc();
-            self.obs.event(ObsEvent::StaleInterval {
-                packet: packet.interval,
-                current: self.last_interval,
-            });
-            return Err(ClientError::StaleInterval {
-                packet: packet.interval,
-                current: self.last_interval,
-            });
-        }
-
-        let mut staged: BTreeMap<KeyLabel, (KeyVersion, SymmetricKey)> = BTreeMap::new();
-        let mut summary = ProcessSummary::default();
-
-        // Pass 1 — derivation. Links only ever chain from pre-interval
-        // keys (a split-created node derives from the displaced member's
-        // individual key, not from anything new), so the lookup goes to
-        // the committed keyset, not the staged view.
-        for link in &packet.changed {
-            let Some((version, key)) = self.keys.get(&link.from.label) else {
-                continue;
-            };
-            if *version != link.from.version {
-                continue;
-            }
-            let newer = staged
-                .get(&link.new_ref.label)
-                .or_else(|| self.keys.get(&link.new_ref.label))
-                .is_none_or(|(v, _)| link.new_ref.version > *v);
-            if newer {
-                let new_key = kg_core::derive::derive_key(
-                    key,
-                    &packet.code,
-                    link.new_ref.label,
-                    link.new_ref.version,
-                    self.cipher.key_len(),
-                );
-                staged.insert(link.new_ref.label, (link.new_ref.version, new_key));
-                summary.keys_installed += 1;
-            }
-        }
-
-        // Pass 2 — shipped bundles, decrypted to a fixed point against
-        // staged ∪ committed (a joiner's path bundle may sit alongside
-        // leave-fallback bundles chaining under this interval's keys).
-        let bundles: Vec<&kg_core::rekey::KeyBundle> =
-            packet.messages.iter().flat_map(|m| m.bundles.iter()).collect();
-        let mut done = vec![false; bundles.len()];
-        loop {
-            let mut progress = false;
-            for (i, bundle) in bundles.iter().enumerate() {
-                if done[i] {
-                    continue;
-                }
-                let holder = staged
-                    .get(&bundle.encrypted_with.label)
-                    .or_else(|| self.keys.get(&bundle.encrypted_with.label));
-                let Some((version, key)) = holder else { continue };
-                if *version != bundle.encrypted_with.version {
-                    continue;
-                }
-                let plain = self
-                    .cipher
-                    .decrypt(key, &bundle.iv, &bundle.ciphertext)
-                    .map_err(|_| ClientError::DecryptFailed(bundle.encrypted_with))?;
-                let key_len = self.cipher.key_len();
-                if plain.len() != bundle.targets.len() * key_len {
-                    return Err(ClientError::DecryptFailed(bundle.encrypted_with));
-                }
-                for (j, target) in bundle.targets.iter().enumerate() {
-                    let material = &plain[j * key_len..(j + 1) * key_len];
-                    let newer = staged
-                        .get(&target.label)
-                        .or_else(|| self.keys.get(&target.label))
-                        .is_none_or(|(v, _)| target.version > *v);
-                    if newer {
-                        staged.insert(
-                            target.label,
-                            (target.version, SymmetricKey::from_bytes(material)),
-                        );
-                        summary.keys_installed += 1;
-                    }
-                }
-                summary.bundles_decrypted += 1;
-                done[i] = true;
-                progress = true;
-            }
-            if !progress {
-                break;
-            }
-        }
-
-        // Commit.
-        for (label, entry) in staged {
-            self.keys.insert(label, entry);
-        }
-        self.last_interval = packet.interval;
-        summary.bundles_skipped = done.iter().filter(|&&d| !d).count() as u64;
-        self.stats.rekey_msgs += 1;
-        self.stats.rekey_bytes += bytes.len() as u64;
-        self.stats.key_changes += summary.keys_installed;
-        if let Some(t0) = t0 {
-            self.apply_us.record(t0.elapsed().as_micros() as u64);
-        }
-        Ok(summary)
-    }
-
-    /// Process any rekey packet, dispatching on its leading magic byte:
-    /// derived (`0xD6`) → [`Self::apply_derived`], batch (`0xB5`) →
-    /// [`Self::process_batch_rekey`], anything else → the legacy
-    /// per-operation [`Self::process_rekey`].
-    pub fn process_packet(&mut self, bytes: &[u8]) -> Result<ProcessSummary, ClientError> {
-        if DerivedRekeyPacket::sniff(bytes) {
-            self.apply_derived(bytes)
-        } else if BatchRekeyPacket::sniff(bytes) {
-            self.process_batch_rekey(bytes)
-        } else {
-            self.process_rekey(bytes)
-        }
+    /// Whether `r` is newer than what this client holds at `r.label`,
+    /// counting keys staged by the packet being applied.
+    fn is_newer(&self, staged: &BTreeMap<KeyLabel, (KeyVersion, SymmetricKey)>, r: KeyRef) -> bool {
+        staged
+            .get(&r.label)
+            .or_else(|| self.keys.get(&r.label))
+            .is_none_or(|(held, _)| r.version > *held)
     }
 
     fn verify_auth(&mut self, auth: &AuthTag, body: &[u8]) -> Result<(), ClientError> {
@@ -604,7 +436,7 @@ mod tests {
         let mut installed = 0;
         for bytes in encoded {
             for c in clients.iter_mut() {
-                installed += c.process_rekey(bytes).unwrap().keys_installed;
+                installed += c.apply(bytes).unwrap().keys_installed;
             }
         }
         installed
@@ -653,7 +485,7 @@ mod tests {
             // new keys: every bundle is under a key it lacks or a replaced
             // version.
             for bytes in &op.encoded {
-                let s = leaver.process_rekey(bytes).unwrap();
+                let s = leaver.apply(bytes).unwrap();
                 assert_eq!(s.keys_installed, 0, "strategy {strategy:?}");
             }
         }
@@ -677,10 +509,15 @@ mod tests {
         for (_, k) in newcomer.keyset() {
             assert_ne!(k, old_gk);
         }
+        // The interval check refuses the replay outright; re-stamped to
+        // the newcomer's own interval (the packets are unauthenticated
+        // here) it is applied, and still installs nothing.
         let mut replayer = newcomer.clone();
         for bytes in &old_op.encoded {
-            let s = replayer.process_rekey(bytes).unwrap();
-            assert_eq!(s.keys_installed, 0);
+            assert!(matches!(replayer.apply(bytes), Err(ClientError::StaleInterval { .. })));
+            let (mut pkt, _) = RekeyPacket::decode(bytes).unwrap();
+            pkt.interval = replayer.last_interval();
+            assert_eq!(replayer.apply(&pkt.encode()).unwrap().keys_installed, 0);
         }
     }
 
@@ -723,13 +560,13 @@ mod tests {
         // Valid packets process fine.
         for bytes in &op.encoded {
             for c in clients.iter_mut() {
-                c.process_rekey(bytes).unwrap();
+                c.apply(bytes).unwrap();
             }
         }
         // A tampered body fails verification.
         let mut bad = op.encoded[0].clone();
         bad[10] ^= 1;
-        assert_eq!(clients[0].process_rekey(&bad).unwrap_err(), ClientError::AuthFailed);
+        assert_eq!(clients[0].apply(&bad).unwrap_err(), ClientError::AuthFailed);
     }
 
     #[test]
@@ -744,17 +581,8 @@ mod tests {
             },
         );
         // Forge an unsigned packet.
-        let pkt = kg_wire::RekeyPacket {
-            seq: 0,
-            op: kg_wire::OpKind::Join,
-            timestamp_ms: 0,
-            message: kg_core::rekey::RekeyMessage {
-                recipients: kg_core::rekey::Recipients::Group,
-                bundles: vec![],
-            },
-            auth: AuthTag::None,
-        };
-        assert_eq!(strict.process_rekey(&pkt.encode()).unwrap_err(), ClientError::AuthFailed);
+        let pkt = packet(1, &[], vec![], vec![]);
+        assert_eq!(strict.apply(&pkt).unwrap_err(), ClientError::AuthFailed);
     }
 
     #[test]
@@ -763,7 +591,7 @@ mod tests {
         let op = server.handle_join(UserId(99)).unwrap();
         let mut bytes = op.encoded[0].clone();
         bytes[9] ^= 0x80; // flip a body bit; digest no longer matches
-        assert_eq!(clients[0].process_rekey(&bytes).unwrap_err(), ClientError::AuthFailed);
+        assert_eq!(clients[0].apply(&bytes).unwrap_err(), ClientError::AuthFailed);
     }
 
     #[test]
@@ -780,8 +608,77 @@ mod tests {
     #[test]
     fn garbage_packet_is_wire_error() {
         let mut c = Client::new(UserId(1), KeyCipher::des_cbc(), VerifyPolicy::Opportunistic);
-        assert!(matches!(c.process_rekey(&[1, 2, 3]), Err(ClientError::Wire(_))));
-        assert!(matches!(c.process_batch_rekey(&[0xB5, 0, 1]), Err(ClientError::Wire(_))));
+        assert!(matches!(c.apply(&[1, 2, 3]), Err(ClientError::Wire(_))));
+        assert!(matches!(c.apply(&[kg_wire::REKEY_MAGIC, 0, 1]), Err(ClientError::Wire(_))));
+    }
+
+    /// A per-operation packet is applied all-or-nothing, like an interval:
+    /// a bundle that fails to decrypt leaves the keyset *and* the rekey
+    /// counters exactly as they were, even when an earlier bundle of the
+    /// same packet had already decrypted.
+    #[test]
+    fn corrupt_per_op_packet_rejected_atomically() {
+        let (mut server, mut clients) = build(Strategy::GroupOriented, AuthPolicy::None, 9);
+        let op = server.handle_leave(UserId(4)).unwrap();
+        clients.remove(4);
+        let (pkt, _) = RekeyPacket::decode(&op.encoded[0]).unwrap();
+        // Pick a survivor that opens at least two bundles: it sits under the
+        // changed path, so it reaches the new group key last, through keys
+        // this same packet delivered. Corrupting every bundle that carries
+        // the group key makes its failure come mid-packet.
+        let (victim_idx, opened) = clients
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (i, c.clone().apply(&op.encoded[0]).unwrap().bundles_decrypted))
+            .max_by_key(|&(_, opened)| opened)
+            .expect("survivors exist");
+        assert!(opened >= 2, "a group-oriented leave chains bundles for some survivor");
+        let victim = &mut clients[victim_idx];
+        let root = victim.group_key().unwrap().0.label;
+        let mut bad = pkt;
+        for b in bad.bundles.iter_mut().filter(|b| b.targets[0].label == root) {
+            b.ciphertext.push(0xEE); // no longer whole cipher blocks
+        }
+        let (before_keys, before_stats) = (victim.keyset(), victim.stats());
+        let err = victim.apply(&bad.encode()).unwrap_err();
+        assert!(matches!(err, ClientError::DecryptFailed(_)));
+        assert_eq!(victim.keyset(), before_keys);
+        assert_eq!(victim.stats(), before_stats);
+        // The intact packet still applies cleanly afterwards.
+        assert!(victim.apply(&op.encoded[0]).unwrap().keys_installed >= 2);
+        assert_eq!(victim.group_key().unwrap().1, server.tree().group_key().1);
+    }
+
+    #[test]
+    fn stale_per_op_packet_refused_and_redelivery_installs_nothing() {
+        let (mut server, mut clients) = build(Strategy::KeyOriented, AuthPolicy::None, 9);
+        let first = server.handle_leave(UserId(4)).unwrap();
+        clients.remove(4);
+        deliver_all(&server, &mut clients, &first.encoded);
+        let second = server.handle_leave(UserId(5)).unwrap();
+        clients.remove(4);
+        deliver_all(&server, &mut clients, &second.encoded);
+        let c = &mut clients[0];
+        let current = c.last_interval();
+        let (before_keys, before_stats) = (c.keyset(), c.stats());
+        // Every packet of the older operation is refused untouched.
+        for bytes in &first.encoded {
+            let stale = RekeyPacket::decode(bytes).unwrap().0.interval;
+            assert!(stale < current);
+            assert_eq!(
+                c.apply(bytes).unwrap_err(),
+                ClientError::StaleInterval { packet: stale, current }
+            );
+        }
+        assert_eq!(c.keyset(), before_keys);
+        assert_eq!(c.stats(), before_stats);
+        // Redelivery of the current operation's packets is accepted (they
+        // share one interval) and finds nothing newer to install.
+        for bytes in &second.encoded {
+            assert_eq!(c.apply(bytes).unwrap().keys_installed, 0);
+        }
+        assert_eq!(c.keyset(), before_keys);
+        assert_eq!(c.last_interval(), current);
     }
 
     /// Build a *batched* server with `n` members admitted in one seed
@@ -810,7 +707,7 @@ mod tests {
         }
         for bytes in &batch.encoded {
             for c in clients.iter_mut() {
-                c.process_batch_rekey(bytes).unwrap();
+                c.apply(bytes).unwrap();
             }
         }
         (server, clients, batch.encoded)
@@ -847,7 +744,7 @@ mod tests {
             // they cannot open).
             for bytes in &batch.encoded {
                 for c in clients.iter_mut() {
-                    c.process_batch_rekey(bytes).unwrap();
+                    c.apply(bytes).unwrap();
                 }
             }
             let (gk_ref, gk) = server.tree().group_key();
@@ -861,7 +758,7 @@ mod tests {
             // nothing and never learn the new group key.
             for d in departed.iter_mut() {
                 for bytes in &batch.encoded {
-                    let s = d.process_batch_rekey(bytes).unwrap();
+                    let s = d.apply(bytes).unwrap();
                     assert_eq!(s.keys_installed, 0, "{strategy:?}");
                 }
                 for (_, k) in d.keyset() {
@@ -880,17 +777,17 @@ mod tests {
         clients.retain(|c| c.user() != UserId(0));
         for bytes in &batch.encoded {
             for c in clients.iter_mut() {
-                c.process_batch_rekey(bytes).unwrap();
+                c.apply(bytes).unwrap();
             }
         }
         assert_eq!(clients[0].last_interval(), 2);
         let before = clients[0].keyset();
         // Replaying the seed interval (1 < 2) must be refused untouched.
-        let err = clients[0].process_batch_rekey(&seed_encoded[0]).unwrap_err();
+        let err = clients[0].apply(&seed_encoded[0]).unwrap_err();
         assert_eq!(err, ClientError::StaleInterval { packet: 1, current: 2 });
         assert_eq!(clients[0].keyset(), before);
         // Re-delivery of the *current* interval is an idempotent no-op.
-        let s = clients[0].process_batch_rekey(&batch.encoded[0]).unwrap();
+        let s = clients[0].apply(&batch.encoded[0]).unwrap();
         assert_eq!(s.keys_installed, 0);
     }
 
@@ -905,9 +802,8 @@ mod tests {
         // other *new* keys would just be skipped) so its ciphertext is no
         // longer a whole number of cipher blocks: decryption fails
         // mid-interval.
-        let (mut pkt, _) = kg_wire::BatchRekeyPacket::decode(&batch.encoded[0]).unwrap();
+        let (mut pkt, _) = RekeyPacket::decode(&batch.encoded[0]).unwrap();
         let (bundle_idx, victim_idx) = pkt
-            .message
             .bundles
             .iter()
             .enumerate()
@@ -918,19 +814,19 @@ mod tests {
                     .map(|ci| (bi, ci))
             })
             .expect("some survivor holds some encrypting key");
-        pkt.message.bundles[bundle_idx].ciphertext.push(0xEE);
+        pkt.bundles[bundle_idx].ciphertext.push(0xEE);
         let bad = pkt.encode();
         let victim = &mut clients[victim_idx];
         let before_keys = victim.keyset();
         let before_stats = victim.stats();
-        let err = victim.process_batch_rekey(&bad).unwrap_err();
+        let err = victim.apply(&bad).unwrap_err();
         assert!(matches!(err, ClientError::DecryptFailed(_)));
         // All-or-nothing: nothing was committed, counters unchanged.
         assert_eq!(victim.keyset(), before_keys);
         assert_eq!(victim.stats(), before_stats);
         assert_eq!(victim.last_interval(), 1);
         // The intact packet still applies cleanly afterwards.
-        victim.process_batch_rekey(&batch.encoded[0]).unwrap();
+        victim.apply(&batch.encoded[0]).unwrap();
         assert_eq!(victim.last_interval(), 2);
     }
 
@@ -943,20 +839,20 @@ mod tests {
         (c, ik)
     }
 
-    fn derived_packet(
+    fn packet(
         interval: u64,
         code: &[u8],
         changed: Vec<kg_core::derive::DerivedLink>,
-        messages: Vec<kg_core::rekey::RekeyMessage>,
+        bundles: Vec<kg_core::rekey::KeyBundle>,
     ) -> Vec<u8> {
-        kg_wire::DerivedRekeyPacket {
-            seq: interval,
+        RekeyPacket {
             interval,
             op: kg_wire::OpKind::Join,
             timestamp_ms: 0,
+            recipients: kg_core::rekey::Recipients::Group,
             code: code.to_vec(),
             changed,
-            messages,
+            bundles,
             auth: AuthTag::None,
         }
         .encode()
@@ -978,7 +874,7 @@ mod tests {
                 from: KeyRef::new(KeyLabel(9), KeyVersion(2)),
             },
         ];
-        let s = c.apply_derived(&derived_packet(1, &code, links, vec![])).unwrap();
+        let s = c.apply(&packet(1, &code, links, vec![])).unwrap();
         assert_eq!(s.keys_installed, 1);
         let want = kg_core::derive::derive_key(&ik, &code, KeyLabel(0), KeyVersion(1), 8);
         let (gk_ref, gk) = c.group_key().expect("derived the group key");
@@ -996,7 +892,7 @@ mod tests {
             new_ref: KeyRef::new(KeyLabel(0), KeyVersion(2)),
             from: KeyRef::new(KeyLabel(5), KeyVersion(7)),
         }];
-        let s = c.apply_derived(&derived_packet(1, &[0xC0; 16], links, vec![])).unwrap();
+        let s = c.apply(&packet(1, &[0xC0; 16], links, vec![])).unwrap();
         assert_eq!(s.keys_installed, 0);
         assert!(c.group_key().is_none());
         assert_eq!(c.last_interval(), 1);
@@ -1011,13 +907,13 @@ mod tests {
                 from: KeyRef::new(KeyLabel(5), KeyVersion(0)),
             }]
         };
-        c.apply_derived(&derived_packet(3, &[1; 16], link(1), vec![])).unwrap();
+        c.apply(&packet(3, &[1; 16], link(1), vec![])).unwrap();
         let before = c.keyset();
-        let err = c.apply_derived(&derived_packet(2, &[2; 16], link(2), vec![])).unwrap_err();
+        let err = c.apply(&packet(2, &[2; 16], link(2), vec![])).unwrap_err();
         assert_eq!(err, ClientError::StaleInterval { packet: 2, current: 3 });
         assert_eq!(c.keyset(), before);
         // Redelivery of the same interval: accepted, nothing newer to do.
-        let s = c.apply_derived(&derived_packet(3, &[1; 16], link(1), vec![])).unwrap();
+        let s = c.apply(&packet(3, &[1; 16], link(1), vec![])).unwrap();
         assert_eq!(s.keys_installed, 0);
         assert_eq!(c.keyset(), before);
     }
@@ -1031,17 +927,14 @@ mod tests {
         }];
         // A bundle under our individual key whose ciphertext is not a
         // whole number of blocks: decryption fails mid-apply.
-        let bad = kg_core::rekey::RekeyMessage {
-            recipients: kg_core::rekey::Recipients::User(UserId(1)),
-            bundles: vec![kg_core::rekey::KeyBundle {
-                targets: vec![KeyRef::new(KeyLabel(2), KeyVersion(1))],
-                encrypted_with: KeyRef::new(KeyLabel(5), KeyVersion(0)),
-                iv: vec![0; 8],
-                ciphertext: vec![0xEE; 9],
-            }],
+        let bad = kg_core::rekey::KeyBundle {
+            targets: vec![KeyRef::new(KeyLabel(2), KeyVersion(1))],
+            encrypted_with: KeyRef::new(KeyLabel(5), KeyVersion(0)),
+            iv: vec![0; 8],
+            ciphertext: vec![0xEE; 9],
         };
         let before = c.keyset();
-        let err = c.apply_derived(&derived_packet(1, &[7; 16], links, vec![bad])).unwrap_err();
+        let err = c.apply(&packet(1, &[7; 16], links, vec![bad])).unwrap_err();
         assert!(matches!(err, ClientError::DecryptFailed(_)));
         // All-or-nothing: the derivation above was rolled back with it.
         assert_eq!(c.keyset(), before);
@@ -1059,37 +952,23 @@ mod tests {
         let payload = SymmetricKey::from_bytes(&[0x77; 8]);
         let iv = vec![3u8; 8];
         let ct = cipher.encrypt(&root1, &iv, payload.material());
-        let msg = kg_core::rekey::RekeyMessage {
-            recipients: kg_core::rekey::Recipients::Group,
-            bundles: vec![kg_core::rekey::KeyBundle {
-                targets: vec![KeyRef::new(KeyLabel(3), KeyVersion(1))],
-                encrypted_with: KeyRef::new(KeyLabel(0), KeyVersion(1)),
-                iv,
-                ciphertext: ct,
-            }],
+        let msg = kg_core::rekey::KeyBundle {
+            targets: vec![KeyRef::new(KeyLabel(3), KeyVersion(1))],
+            encrypted_with: KeyRef::new(KeyLabel(0), KeyVersion(1)),
+            iv,
+            ciphertext: ct,
         };
         let links = vec![kg_core::derive::DerivedLink {
             new_ref: KeyRef::new(KeyLabel(0), KeyVersion(1)),
             from: KeyRef::new(KeyLabel(5), KeyVersion(0)),
         }];
-        let s = c.apply_derived(&derived_packet(1, &code, links, vec![msg])).unwrap();
+        let s = c.apply(&packet(1, &code, links, vec![msg])).unwrap();
         assert_eq!(s.keys_installed, 2);
         assert_eq!(s.bundles_decrypted, 1);
         let keyset = c.keyset();
         assert!(keyset
             .iter()
             .any(|(r, k)| { *r == KeyRef::new(KeyLabel(3), KeyVersion(1)) && *k == payload }));
-    }
-
-    #[test]
-    fn process_packet_dispatches_on_magic() {
-        let (mut c, _) = derived_fixture();
-        // Derived magic routes to apply_derived (interval commits).
-        c.process_packet(&derived_packet(4, &[1; 16], vec![], vec![])).unwrap();
-        assert_eq!(c.last_interval(), 4);
-        // Garbage still surfaces as a wire error through the dispatcher.
-        assert!(matches!(c.process_packet(&[0xB5, 1, 2]), Err(ClientError::Wire(_))));
-        assert!(matches!(c.process_packet(&[1, 2, 3]), Err(ClientError::Wire(_))));
     }
 
     #[test]
@@ -1101,13 +980,13 @@ mod tests {
         clients.retain(|c| c.user() != UserId(2));
         for bytes in &batch.encoded {
             for c in clients.iter_mut() {
-                c.process_batch_rekey(bytes).unwrap();
+                c.apply(bytes).unwrap();
             }
         }
         assert_eq!(clients[0].group_key().unwrap().1, server.tree().group_key().1);
         // Tampering with the body breaks the Merkle-signed tag.
         let mut bad = batch.encoded[0].clone();
         bad[12] ^= 1;
-        assert_eq!(clients[0].process_batch_rekey(&bad).unwrap_err(), ClientError::AuthFailed);
+        assert_eq!(clients[0].apply(&bad).unwrap_err(), ClientError::AuthFailed);
     }
 }

@@ -25,7 +25,8 @@
 //!
 //! The returned [`BatchEvent`] carries, for every marked node, its new key
 //! and the post-batch keys of all its children — precisely what the
-//! consolidated rekey-message constructions in `kg-batch` need: the new
+//! consolidated rekey-message construction
+//! ([`Rekeyer::batch`](crate::rekey::Rekeyer::batch)) needs: the new
 //! key of a marked node is encrypted under each child's current key
 //! (the child's *new* key if the child is itself marked), and joiners
 //! receive their whole path in one unicast under their individual key.
@@ -121,9 +122,9 @@ impl BatchEvent {
     ///
     /// The rekey builders consume the cover in exactly this order, so
     /// the order fixes the IV stream: each edge's first sealing draws
-    /// the next IV. The parallel pipeline's deterministic merge and the
-    /// sequential-vs-parallel equivalence tests both depend on this
-    /// being a total order, not an implementation accident.
+    /// the next IV. Crash-recovery replay and the pinned bundle-digest
+    /// test both depend on this being a total order, not an
+    /// implementation accident.
     pub fn key_cover(&self) -> impl Iterator<Item = (&MarkedNode, &BatchChild)> {
         self.marked.iter().flat_map(|m| m.children.iter().map(move |c| (m, c)))
     }

@@ -11,8 +11,9 @@
 //!   joins and leaves return the changed-path events the strategies need.
 //! * [`complete`] — the 2^n−1-key extreme, for bracketing the design space.
 //! * [`rekey`] — the three rekeying strategies (user-, key-,
-//!   group-oriented) materializing real DES-CBC-encrypted rekey messages,
-//!   with the paper's cost accounting.
+//!   group-oriented) materializing real DES-CBC-encrypted rekey messages
+//!   for a join, a leave, a refresh or a whole batch interval, with the
+//!   paper's cost accounting.
 //! * [`merkle`] — signing a batch of rekey messages with one RSA operation
 //!   (Section 4).
 //! * [`cost`] — the analytical model behind Tables 1–3.
@@ -67,9 +68,7 @@ pub mod prelude {
     pub use crate::ids::{KeyLabel, KeyRef, KeyVersion, UserId};
     pub use crate::keygraph::KeyGraph;
     pub use crate::rekey::{
-        build_derived_join, build_join, build_leave, build_refresh, BundleCache, BundleSink,
-        IvStream, KeyBundle, KeyCipher, OpCounts, Recipients, RekeyMessage, RekeyOutput, Rekeyer,
-        SealingSink, Strategy,
+        KeyBundle, KeyCipher, OpCounts, Recipients, RekeyMessage, RekeyOutput, Rekeyer, Strategy,
     };
     pub use crate::star::StarGroup;
     pub use crate::tree::{

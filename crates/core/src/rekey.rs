@@ -23,6 +23,7 @@
 //! [`OpCounts`] tally is returned so tests can check the Table 2 formulas
 //! against reality.
 
+use crate::batch::BatchEvent;
 use crate::ids::{KeyLabel, KeyRef, UserId};
 use crate::tree::{JoinEvent, LeaveEvent, PathNode};
 use kg_crypto::cbc::CbcCipher;
@@ -68,11 +69,6 @@ impl Strategy {
             Strategy::GroupOriented => "group",
             Strategy::Derived => "derived",
         }
-    }
-
-    /// Alias of [`Strategy::as_str`] (the historical accessor name).
-    pub fn name(self) -> &'static str {
-        self.as_str()
     }
 
     /// The strategy rekey *messages* are constructed under: derived mode
@@ -176,7 +172,7 @@ pub struct OpCounts {
 }
 
 /// Output of a rekey operation: the messages to send and the cost tally.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RekeyOutput {
     /// Messages to deliver (the joiner's unicast, when present, is the one
     /// with `Recipients::User`).
@@ -286,60 +282,22 @@ impl KeyCipher {
     }
 }
 
-/// Where a rekey construction obtains its ciphertext bundles.
-///
-/// The construction functions ([`build_join`], [`build_leave`],
-/// [`build_refresh`], and `kg-batch`'s interval builder) describe *which*
-/// bundles a rekey operation needs and in *what order*; the sink decides
-/// *how* they are produced. [`SealingSink`] encrypts inline (the
-/// sequential path); a planning sink can instead record the encryption as
-/// a deferred job and patch the ciphertext in later (the parallel path).
-///
-/// # Contract
-///
-/// * Requesting the same `(encrypting_ref, targets, payload)` triple
-///   twice within one sink's lifetime returns the *same* bundle — same
-///   IV, same ciphertext — without drawing from the IV stream or
-///   re-encrypting, and counts a cache hit instead of new
-///   `key_encryptions`. Constructions rely on this for the paper's
-///   stored-ciphertext reuse (Figures 6/8), so a sink must memoize.
-/// * A first-time request draws exactly one IV from the sink's
-///   [`IvStream`] (which prefetches from the underlying source in a
-///   fixed chunk schedule). Because construction order is deterministic
-///   (see
-///   [`crate::batch::BatchEvent::key_cover`]), the IV assignment — and
-///   therefore every output byte — is identical across sink
-///   implementations.
-pub trait BundleSink {
-    /// Return the bundle carrying `targets` sealed under
-    /// `encrypting_key`, counting the work performed into `ops`.
-    fn bundle(
-        &mut self,
-        ops: &mut OpCounts,
-        encrypting_ref: KeyRef,
-        encrypting_key: &SymmetricKey,
-        targets: &[(KeyRef, &SymmetricKey)],
-    ) -> KeyBundle;
-}
-
-/// Buffered IV drawing shared by every [`BundleSink`].
+/// Buffered IV drawing for the [`Sealer`].
 ///
 /// An HMAC-DRBG pays a fixed ~3-HMAC overhead per `generate` call
 /// regardless of output length, which made the per-bundle 8-byte IV
-/// draw the single largest *sequential* cost of rekey construction —
-/// and the stream must advance in construction order, so it can never
-/// be parallelized away. Drawing IVs in geometrically growing chunks
-/// ([`IV_CHUNK_START`](Self::IV_CHUNK_START) →
-/// [`IV_CHUNK_MAX`](Self::IV_CHUNK_MAX) IVs per call) amortizes that
+/// draw the single largest cost of rekey construction. Drawing IVs in
+/// geometrically growing chunks ([`IV_CHUNK_START`](Self::IV_CHUNK_START)
+/// → [`IV_CHUNK_MAX`](Self::IV_CHUNK_MAX) IVs per call) amortizes that
 /// overhead roughly tenfold on batch intervals while staying cheap for
-/// single-bundle operations. Every sink draws through this type with
-/// the same chunk schedule, so the inline and planning paths consume
-/// the identical DRBG stream and outputs remain byte-identical.
+/// single-bundle operations. The chunk schedule is part of the wire
+/// contract: it fixes how far the IV DRBG advances per operation, so
+/// recovery replay reproduces every ciphertext byte for byte.
 ///
-/// Unused buffered IVs are discarded when the sink (and with it the
+/// Unused buffered IVs are discarded when the sealer (and with it the
 /// stream) is dropped at the end of the operation; the underlying
 /// source has simply advanced by whole chunks, deterministically.
-pub struct IvStream<'a> {
+struct IvStream<'a> {
     source: &'a mut dyn KeySource,
     iv_len: usize,
     buf: Vec<u8>,
@@ -349,18 +307,16 @@ pub struct IvStream<'a> {
 
 impl<'a> IvStream<'a> {
     /// IVs prefetched by the first draw.
-    pub const IV_CHUNK_START: usize = 8;
+    const IV_CHUNK_START: usize = 8;
     /// Largest prefetch chunk, in IVs; each refill quadruples the
     /// chunk until it reaches this.
-    pub const IV_CHUNK_MAX: usize = 128;
+    const IV_CHUNK_MAX: usize = 128;
 
-    /// Create a stream of `iv_len`-byte IVs drawn from `source`.
-    pub fn new(source: &'a mut dyn KeySource, iv_len: usize) -> Self {
+    fn new(source: &'a mut dyn KeySource, iv_len: usize) -> Self {
         IvStream { source, iv_len, buf: Vec::new(), pos: 0, chunk: Self::IV_CHUNK_START }
     }
 
-    /// The next IV in the stream.
-    pub fn next_iv(&mut self) -> Vec<u8> {
+    fn next_iv(&mut self) -> Vec<u8> {
         if self.pos == self.buf.len() {
             self.buf = self.source.generate(self.iv_len * self.chunk);
             self.pos = 0;
@@ -372,71 +328,43 @@ impl<'a> IvStream<'a> {
     }
 }
 
-/// Per-operation encryption cache shared by [`BundleSink`] impls.
-///
-/// Keyed by `(encrypting key ref, target refs, payload bytes)`. The
-/// encrypting ref includes the key *version*, so a key change is an
-/// automatic invalidation: once any key on a path is replaced, requests
-/// under it form new cache keys. The cache's scope is one rekey
+/// Per-operation encryption cache, keyed by `(encrypting key ref, target
+/// refs, payload bytes)`. The encrypting ref includes the key *version*,
+/// so a key change is an automatic invalidation. Its scope is one rekey
 /// operation (one join/leave/refresh, or one whole batch interval), so
 /// overlapping key-covers within an interval never seal the same
 /// (encrypting-key, payload) pair twice.
-#[derive(Debug, Default)]
-pub struct BundleCache {
-    map: BTreeMap<(KeyRef, Vec<KeyRef>, Vec<u8>), KeyBundle>,
-}
+type BundleCache = BTreeMap<(KeyRef, Vec<KeyRef>, Vec<u8>), KeyBundle>;
 
-impl BundleCache {
-    /// Create an empty cache.
-    pub fn new() -> Self {
-        BundleCache::default()
-    }
-
-    /// Look up the bundle for this request, sealing (and memoizing) it
-    /// via `seal` on a miss. Counts the hit or miss — and, on a miss,
-    /// `targets.len()` key encryptions — into `ops`.
-    pub fn request(
-        &mut self,
-        ops: &mut OpCounts,
-        encrypting_ref: KeyRef,
-        targets: &[KeyRef],
-        payload: Vec<u8>,
-        seal: impl FnOnce(&[u8]) -> KeyBundle,
-    ) -> KeyBundle {
-        use std::collections::btree_map::Entry;
-        match self.map.entry((encrypting_ref, targets.to_vec(), payload)) {
-            Entry::Occupied(e) => {
-                ops.cache_hits += 1;
-                e.get().clone()
-            }
-            Entry::Vacant(e) => {
-                ops.cache_misses += 1;
-                ops.key_encryptions += targets.len() as u64;
-                let b = seal(&e.key().2);
-                e.insert(b).clone()
-            }
-        }
-    }
-}
-
-/// The inline [`BundleSink`]: draws an IV and encrypts immediately.
-/// This is the sequential pipeline — and the reference the parallel one
-/// must match byte for byte.
-pub struct SealingSink<'a> {
+/// Produces the ciphertext bundles of one rekey operation.
+///
+/// The construction functions below describe *which* bundles an operation
+/// needs and in *what order*; the sealer draws the IV and encrypts.
+///
+/// * Requesting the same `(encrypting_ref, targets, payload)` triple twice
+///   within one sealer's lifetime returns the *same* bundle — same IV,
+///   same ciphertext — without drawing from the IV stream or
+///   re-encrypting, and counts a cache hit instead of new
+///   `key_encryptions`. Constructions rely on this for the paper's
+///   stored-ciphertext reuse (Figures 6/8).
+/// * A first-time request draws exactly one IV from the [`IvStream`].
+///   Construction order is deterministic (see
+///   [`crate::batch::BatchEvent::key_cover`]), so the IV assignment — and
+///   therefore every output byte — is a function of the event alone.
+struct Sealer<'a> {
     cipher: KeyCipher,
     ivs: IvStream<'a>,
     cache: BundleCache,
 }
 
-impl<'a> SealingSink<'a> {
-    /// Create a sink with a fresh (empty) cache.
-    pub fn new(cipher: KeyCipher, ivs: &'a mut dyn KeySource) -> Self {
+impl<'a> Sealer<'a> {
+    fn new(cipher: KeyCipher, ivs: &'a mut dyn KeySource) -> Self {
         let ivs = IvStream::new(ivs, cipher.block_len());
-        SealingSink { cipher, ivs, cache: BundleCache::new() }
+        Sealer { cipher, ivs, cache: BundleCache::new() }
     }
-}
 
-impl BundleSink for SealingSink<'_> {
+    /// The bundle carrying `targets` sealed under `encrypting_key`,
+    /// counting the work performed (or the cache hit) into `ops`.
     fn bundle(
         &mut self,
         ops: &mut OpCounts,
@@ -444,22 +372,32 @@ impl BundleSink for SealingSink<'_> {
         encrypting_key: &SymmetricKey,
         targets: &[(KeyRef, &SymmetricKey)],
     ) -> KeyBundle {
-        let SealingSink { cipher, ivs, cache } = self;
+        use std::collections::btree_map::Entry;
         let mut payload = Vec::with_capacity(targets.len() * 8);
         for (_, key) in targets {
             payload.extend_from_slice(key.material());
         }
         let target_refs: Vec<KeyRef> = targets.iter().map(|(r, _)| *r).collect();
-        cache.request(ops, encrypting_ref, &target_refs, payload, |plain| {
-            let iv = ivs.next_iv();
-            let ciphertext = cipher.encrypt(encrypting_key, &iv, plain);
-            KeyBundle {
-                targets: target_refs.clone(),
-                encrypted_with: encrypting_ref,
-                iv,
-                ciphertext,
+        match self.cache.entry((encrypting_ref, target_refs, payload)) {
+            Entry::Occupied(e) => {
+                ops.cache_hits += 1;
+                e.get().clone()
             }
-        })
+            Entry::Vacant(e) => {
+                ops.cache_misses += 1;
+                ops.key_encryptions += targets.len() as u64;
+                let (_, target_refs, plain) = e.key();
+                let iv = self.ivs.next_iv();
+                let ciphertext = self.cipher.encrypt(encrypting_key, &iv, plain);
+                let bundle = KeyBundle {
+                    targets: target_refs.clone(),
+                    encrypted_with: encrypting_ref,
+                    iv,
+                    ciphertext,
+                };
+                e.insert(bundle).clone()
+            }
+        }
     }
 }
 
@@ -467,7 +405,7 @@ impl BundleSink for SealingSink<'_> {
 ///
 /// Bundle-request order (hence IV-draw order) is deterministic: per-path
 /// bundles root-first, then the joiner unicast last.
-pub fn build_join(sink: &mut dyn BundleSink, ev: &JoinEvent, strategy: Strategy) -> RekeyOutput {
+fn build_join(sealer: &mut Sealer<'_>, ev: &JoinEvent, strategy: Strategy) -> RekeyOutput {
     let mut ops = OpCounts { keys_generated: ev.path.len() as u64, ..OpCounts::default() };
     let mut messages = Vec::new();
     let path = &ev.path; // root-first: x_0 … x_j
@@ -480,7 +418,7 @@ pub fn build_join(sink: &mut dyn BundleSink, ev: &JoinEvent, strategy: Strategy)
             for i in 0..=j {
                 let targets: Vec<(KeyRef, &SymmetricKey)> =
                     path[..=i].iter().map(|p| (p.new_ref, &p.new_key)).collect();
-                let b = sink.bundle(&mut ops, path[i].old_ref, &path[i].old_key, &targets);
+                let b = sealer.bundle(&mut ops, path[i].old_ref, &path[i].old_key, &targets);
                 messages.push(RekeyMessage {
                     recipients: Recipients::SubgroupExcept {
                         include: path[i].label,
@@ -500,7 +438,7 @@ pub fn build_join(sink: &mut dyn BundleSink, ev: &JoinEvent, strategy: Strategy)
                 let bundles: Vec<KeyBundle> = (0..=i)
                     .map(|l| {
                         let t = [(path[l].new_ref, &path[l].new_key)];
-                        sink.bundle(&mut ops, path[l].old_ref, &path[l].old_key, &t)
+                        sealer.bundle(&mut ops, path[l].old_ref, &path[l].old_key, &t)
                     })
                     .collect();
                 messages.push(RekeyMessage {
@@ -521,7 +459,7 @@ pub fn build_join(sink: &mut dyn BundleSink, ev: &JoinEvent, strategy: Strategy)
                 .iter()
                 .map(|p| {
                     let t = [(p.new_ref, &p.new_key)];
-                    sink.bundle(&mut ops, p.old_ref, &p.old_key, &t)
+                    sealer.bundle(&mut ops, p.old_ref, &p.old_key, &t)
                 })
                 .collect();
             messages.push(RekeyMessage { recipients: Recipients::Group, bundles });
@@ -532,7 +470,7 @@ pub fn build_join(sink: &mut dyn BundleSink, ev: &JoinEvent, strategy: Strategy)
     // individual key.
     let joiner_targets: Vec<(KeyRef, &SymmetricKey)> =
         path.iter().map(|p| (p.new_ref, &p.new_key)).collect();
-    let b = sink.bundle(&mut ops, ev.leaf_ref, &ev.leaf_key, &joiner_targets);
+    let b = sealer.bundle(&mut ops, ev.leaf_ref, &ev.leaf_key, &joiner_targets);
     messages.push(RekeyMessage { recipients: Recipients::User(ev.user), bundles: vec![b] });
 
     RekeyOutput { messages, ops }
@@ -542,10 +480,10 @@ pub fn build_join(sink: &mut dyn BundleSink, ev: &JoinEvent, strategy: Strategy)
 /// with no membership change): the new root key encrypted under the old
 /// one, multicast to the whole group. Every strategy degrades to this
 /// single message when only the root changes.
-pub fn build_refresh(sink: &mut dyn BundleSink, path: &PathNode) -> RekeyOutput {
+fn build_refresh(sealer: &mut Sealer<'_>, path: &PathNode) -> RekeyOutput {
     let mut ops = OpCounts { keys_generated: 1, ..OpCounts::default() };
     let t = [(path.new_ref, &path.new_key)];
-    let b = sink.bundle(&mut ops, path.old_ref, &path.old_key, &t);
+    let b = sealer.bundle(&mut ops, path.old_ref, &path.old_key, &t);
     RekeyOutput {
         messages: vec![RekeyMessage { recipients: Recipients::Group, bundles: vec![b] }],
         ops,
@@ -561,11 +499,11 @@ pub fn build_refresh(sink: &mut dyn BundleSink, path: &PathNode) -> RekeyOutput 
 ///
 /// `keys_generated` counts 0: the path keys were derived, not drawn from
 /// the DRBG (the joiner's individual key is accounted by the caller).
-pub fn build_derived_join(sink: &mut dyn BundleSink, ev: &JoinEvent) -> RekeyOutput {
+fn build_derived_join(sealer: &mut Sealer<'_>, ev: &JoinEvent) -> RekeyOutput {
     let mut ops = OpCounts::default();
     let joiner_targets: Vec<(KeyRef, &SymmetricKey)> =
         ev.path.iter().map(|p| (p.new_ref, &p.new_key)).collect();
-    let b = sink.bundle(&mut ops, ev.leaf_ref, &ev.leaf_key, &joiner_targets);
+    let b = sealer.bundle(&mut ops, ev.leaf_ref, &ev.leaf_key, &joiner_targets);
     RekeyOutput {
         messages: vec![RekeyMessage { recipients: Recipients::User(ev.user), bundles: vec![b] }],
         ops,
@@ -581,7 +519,7 @@ pub fn build_derived_join(sink: &mut dyn BundleSink, ev: &JoinEvent) -> RekeyOut
 /// fixing their IVs exactly as the stored-ciphertext optimization of
 /// Figure 8 does), then per-level head bundles in (level, sibling) order;
 /// chain links inside each message are cache hits.
-pub fn build_leave(sink: &mut dyn BundleSink, ev: &LeaveEvent, strategy: Strategy) -> RekeyOutput {
+fn build_leave(sealer: &mut Sealer<'_>, ev: &LeaveEvent, strategy: Strategy) -> RekeyOutput {
     let mut ops = OpCounts { keys_generated: ev.path.len() as u64, ..OpCounts::default() };
     let mut messages = Vec::new();
     if ev.path.is_empty() {
@@ -599,7 +537,7 @@ pub fn build_leave(sink: &mut dyn BundleSink, ev: &LeaveEvent, strategy: Strateg
                 let targets: Vec<(KeyRef, &SymmetricKey)> =
                     (0..=i).rev().map(|l| (path[l].new_ref, &path[l].new_key)).collect();
                 for sib in &ev.siblings[i] {
-                    let b = sink.bundle(&mut ops, sib.key_ref, &sib.key, &targets);
+                    let b = sealer.bundle(&mut ops, sib.key_ref, &sib.key, &targets);
                     messages.push(RekeyMessage {
                         recipients: Recipients::Subgroup(sib.label),
                         bundles: vec![b],
@@ -613,18 +551,18 @@ pub fn build_leave(sink: &mut dyn BundleSink, ev: &LeaveEvent, strategy: Strateg
             // hits, so each is encrypted (and counted) exactly once.
             for i in 1..=j {
                 let t = [(path[i - 1].new_ref, &path[i - 1].new_key)];
-                let _ = sink.bundle(&mut ops, path[i].new_ref, &path[i].new_key, &t);
+                let _ = sealer.bundle(&mut ops, path[i].new_ref, &path[i].new_key, &t);
             }
             // For each x_i, each unchanged child y: M = {K'_i}_K,
             // {K'_{i-1}}_{K'_i}, …, {K'_0}_{K'_1}.
             for (i, sibs) in ev.siblings.iter().enumerate().take(j + 1) {
                 for sib in sibs {
                     let t = [(path[i].new_ref, &path[i].new_key)];
-                    let head = sink.bundle(&mut ops, sib.key_ref, &sib.key, &t);
+                    let head = sealer.bundle(&mut ops, sib.key_ref, &sib.key, &t);
                     let mut bundles = vec![head];
                     for l in (0..i).rev() {
                         let t = [(path[l].new_ref, &path[l].new_key)];
-                        bundles.push(sink.bundle(
+                        bundles.push(sealer.bundle(
                             &mut ops,
                             path[l + 1].new_ref,
                             &path[l + 1].new_key,
@@ -648,12 +586,12 @@ pub fn build_leave(sink: &mut dyn BundleSink, ev: &LeaveEvent, strategy: Strateg
             for (i, sibs) in ev.siblings.iter().enumerate().take(j + 1) {
                 for sib in sibs {
                     let t = [(path[i].new_ref, &path[i].new_key)];
-                    bundles.push(sink.bundle(&mut ops, sib.key_ref, &sib.key, &t));
+                    bundles.push(sealer.bundle(&mut ops, sib.key_ref, &sib.key, &t));
                 }
                 if i < j {
                     // The path child x_{i+1} holds its fresh key K'_{i+1}.
                     let t = [(path[i].new_ref, &path[i].new_key)];
-                    bundles.push(sink.bundle(
+                    bundles.push(sealer.bundle(
                         &mut ops,
                         path[i + 1].new_ref,
                         &path[i + 1].new_key,
@@ -667,10 +605,152 @@ pub fn build_leave(sink: &mut dyn BundleSink, ev: &LeaveEvent, strategy: Strateg
     RekeyOutput { messages, ops }
 }
 
+/// Construct one batch interval's consolidated rekey messages: the natural
+/// batched generalization of the paper's leave protocol. For every marked
+/// node `x` and every child `y` that is not a freshly joined leaf, the new
+/// key `K'_x` is distributed encrypted under `y`'s post-batch key (`y`'s
+/// *new* key when `y` is itself marked — clients resolve the resulting
+/// decryption order with their usual fixed-point pass).
+///
+/// Every current member learns exactly the new keys on its path;
+/// departed members can decrypt none of them (each ciphertext is keyed
+/// by a surviving child's key); joiners learn only post-batch keys, via
+/// their unicast.
+///
+/// Bundle-request order follows [`BatchEvent::key_cover`]: marked nodes
+/// root-first (BFS), children in the recorded child order. For the
+/// key-oriented strategy the marked-child chain ciphertexts are sealed
+/// first in that cover order (fixing their IVs once, as the
+/// stored-ciphertext optimization requires); the per-subgroup messages
+/// then re-request them as cache hits. Joiner unicasts come last, in
+/// event order.
+fn build_batch(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> RekeyOutput {
+    let mut ops = OpCounts { keys_generated: ev.marked.len() as u64, ..OpCounts::default() };
+    let mut messages = Vec::new();
+    if ev.marked.is_empty() {
+        // Group emptied (or nothing happened): nothing to distribute.
+        return RekeyOutput { messages, ops };
+    }
+
+    // Parent links among marked nodes, from the children lists:
+    // `parent_of[y] = x` iff marked y is a child of marked x. Walking
+    // parent_of from any marked node reaches the root (index 0).
+    let by_label: BTreeMap<KeyLabel, usize> =
+        ev.marked.iter().enumerate().map(|(i, m)| (m.label, i)).collect();
+    let mut parent_of: BTreeMap<KeyLabel, KeyLabel> = BTreeMap::new();
+    for m in &ev.marked {
+        for c in &m.children {
+            if c.marked {
+                parent_of.insert(c.label, m.label);
+            }
+        }
+    }
+
+    match strategy {
+        Strategy::GroupOriented => {
+            // One multicast carrying {K'_x}_{K_y} for every marked x
+            // and every non-joiner child y (new K_y when y is marked).
+            let mut bundles = Vec::new();
+            for (m, c) in ev.key_cover() {
+                if c.joiner.is_none() {
+                    bundles.push(sealer.bundle(
+                        &mut ops,
+                        c.key_ref,
+                        &c.key,
+                        &[(m.new_ref, &m.new_key)],
+                    ));
+                }
+            }
+            messages.push(RekeyMessage { recipients: Recipients::Group, bundles });
+        }
+        Strategy::KeyOriented => {
+            // Seal the chain ciphertexts {K'_x}_{K'_y} (marked child y
+            // of marked x) first, in cover order; the per-subgroup
+            // messages below re-request them as cache hits, so each is
+            // encrypted (and counted) exactly once — the batched
+            // analogue of Figure 8's stored-ciphertext optimization.
+            // `chain_src[y]` remembers the request triple so the walk
+            // re-issues it identically.
+            let mut chain_src: BTreeMap<KeyLabel, (KeyRef, &SymmetricKey)> = BTreeMap::new();
+            for (m, c) in ev.key_cover() {
+                if c.marked {
+                    let _ = sealer.bundle(&mut ops, c.key_ref, &c.key, &[(m.new_ref, &m.new_key)]);
+                    chain_src.insert(c.label, (c.key_ref, &c.key));
+                }
+            }
+            // For each unmarked, non-joiner child y of marked x:
+            // M = {K'_x}_{K_y}, {K'_p(x)}_{K'_x}, … up to the root.
+            for (m, c) in ev.key_cover() {
+                if c.marked || c.joiner.is_some() {
+                    continue;
+                }
+                let head = sealer.bundle(&mut ops, c.key_ref, &c.key, &[(m.new_ref, &m.new_key)]);
+                let mut bundles = vec![head];
+                let mut cur = m.label;
+                while let Some(&(link_ref, link_key)) = chain_src.get(&cur) {
+                    let parent = &ev.marked[by_label[&parent_of[&cur]]];
+                    bundles.push(sealer.bundle(
+                        &mut ops,
+                        link_ref,
+                        link_key,
+                        &[(parent.new_ref, &parent.new_key)],
+                    ));
+                    cur = parent.label;
+                }
+                messages.push(RekeyMessage { recipients: Recipients::Subgroup(c.label), bundles });
+            }
+        }
+        Strategy::Derived => {
+            // Client-derived interval: the event must come from
+            // `KeyTree::apply_batch_derived` (pure joins), whose marked
+            // keys every current member recomputes locally from the
+            // published derivation code. Nothing is shipped to them —
+            // the server's keys came from the KDF, not the generator —
+            // so only the joiner unicasts below are sealed. Intervals
+            // containing leaves use `Strategy::shipped_fallback()`
+            // instead (forward secrecy: departed members could run the
+            // public derivation too).
+            ops.keys_generated = 0;
+        }
+        Strategy::UserOriented => {
+            // For each unmarked, non-joiner child y of marked x: one
+            // tailored message carrying every new key on x's path to
+            // the root in a single bundle under K_y — smallest
+            // per-client payload, most server encryptions.
+            for (m, c) in ev.key_cover() {
+                if c.marked || c.joiner.is_some() {
+                    continue;
+                }
+                let mut targets: Vec<(KeyRef, &SymmetricKey)> = Vec::new();
+                let mut cur = Some(m.label);
+                while let Some(label) = cur {
+                    let node = &ev.marked[by_label[&label]];
+                    targets.push((node.new_ref, &node.new_key));
+                    cur = parent_of.get(&label).copied();
+                }
+                let b = sealer.bundle(&mut ops, c.key_ref, &c.key, &targets);
+                messages.push(RekeyMessage {
+                    recipients: Recipients::Subgroup(c.label),
+                    bundles: vec![b],
+                });
+            }
+        }
+    }
+
+    // All strategies: each joiner gets its full new path in one
+    // unicast under its individual key.
+    for j in &ev.joins {
+        let targets: Vec<(KeyRef, &SymmetricKey)> = j.path.iter().map(|(r, k)| (*r, k)).collect();
+        let b = sealer.bundle(&mut ops, j.leaf_ref, &j.leaf_key, &targets);
+        messages.push(RekeyMessage { recipients: Recipients::User(j.user), bundles: vec![b] });
+    }
+
+    RekeyOutput { messages, ops }
+}
+
 /// Context for materializing rekey messages: cipher choice plus the IV
-/// source. Thin wrapper over [`build_join`]/[`build_leave`]/
-/// [`build_refresh`] with an inline [`SealingSink`] (fresh cache per
-/// operation).
+/// source. Every operation runs its construction function against a fresh
+/// `Sealer` (one IV stream and one encryption cache per operation).
 pub struct Rekeyer<'a> {
     cipher: KeyCipher,
     ivs: &'a mut dyn KeySource,
@@ -687,36 +767,43 @@ impl<'a> Rekeyer<'a> {
         self.cipher
     }
 
+    fn sealer(&mut self) -> Sealer<'_> {
+        Sealer::new(self.cipher, &mut *self.ivs)
+    }
+
     /// Construct the rekey messages for a join under `strategy`.
     pub fn join(&mut self, ev: &JoinEvent, strategy: Strategy) -> RekeyOutput {
-        let mut sink = SealingSink::new(self.cipher, &mut *self.ivs);
-        build_join(&mut sink, ev, strategy)
+        build_join(&mut self.sealer(), ev, strategy)
     }
 
     /// Construct the rekey messages for a leave under `strategy`.
     ///
     /// Returns an empty output when the group became empty.
     pub fn leave(&mut self, ev: &LeaveEvent, strategy: Strategy) -> RekeyOutput {
-        let mut sink = SealingSink::new(self.cipher, &mut *self.ivs);
-        build_leave(&mut sink, ev, strategy)
+        build_leave(&mut self.sealer(), ev, strategy)
     }
 
     /// Construct the rekey message for a group-key refresh.
     pub fn refresh(&mut self, path: &PathNode) -> RekeyOutput {
-        let mut sink = SealingSink::new(self.cipher, &mut *self.ivs);
-        build_refresh(&mut sink, path)
+        build_refresh(&mut self.sealer(), path)
     }
 
     /// Construct the rekey messages for a derived join: only the joiner's
     /// unicast is sealed (members derive from the published code).
     pub fn join_derived(&mut self, ev: &JoinEvent) -> RekeyOutput {
-        let mut sink = SealingSink::new(self.cipher, &mut *self.ivs);
-        build_derived_join(&mut sink, ev)
+        build_derived_join(&mut self.sealer(), ev)
+    }
+
+    /// Construct one batch interval's consolidated rekey messages under
+    /// `strategy`, with the same cost accounting as the per-operation
+    /// constructions.
+    pub fn batch(&mut self, ev: &BatchEvent, strategy: Strategy) -> RekeyOutput {
+        build_batch(&mut self.sealer(), ev, strategy)
     }
 
     /// Crate-internal bundle constructor for strategy extensions (the §7
     /// hybrid in [`crate::hybrid`]). Each call seals a fresh bundle (a
-    /// transient sink: no cross-call reuse).
+    /// transient sealer: no cross-call reuse).
     pub(crate) fn bundle_for(
         &mut self,
         ops: &mut OpCounts,
@@ -724,8 +811,7 @@ impl<'a> Rekeyer<'a> {
         encrypting_key: &SymmetricKey,
         targets: &[(KeyRef, &SymmetricKey)],
     ) -> KeyBundle {
-        let mut sink = SealingSink::new(self.cipher, &mut *self.ivs);
-        sink.bundle(ops, encrypting_ref, encrypting_key, targets)
+        self.sealer().bundle(ops, encrypting_ref, encrypting_key, targets)
     }
 }
 
@@ -996,7 +1082,7 @@ mod tests {
         assert_eq!("key-oriented".parse::<Strategy>().unwrap(), Strategy::KeyOriented);
         assert_eq!("group".parse::<Strategy>().unwrap(), Strategy::GroupOriented);
         assert!("bogus".parse::<Strategy>().is_err());
-        assert_eq!(Strategy::GroupOriented.name(), "group");
+        assert_eq!(Strategy::GroupOriented.as_str(), "group");
     }
 
     #[test]
@@ -1017,5 +1103,284 @@ mod tests {
         let b = &joiner_msg.bundles[0];
         let plain = KeyCipher::TripleDesCbc.decrypt(&ik, &b.iv, &b.ciphertext).unwrap();
         assert_eq!(plain.len(), ev.path.len() * 24);
+    }
+
+    /// Batch-interval construction ([`Rekeyer::batch`]).
+    mod batch {
+        use super::*;
+        use crate::ids::KeyVersion;
+        use std::collections::BTreeMap as Map;
+
+        fn setup(degree: usize, n: u64) -> (KeyTree, HmacDrbg) {
+            let mut src = HmacDrbg::from_seed(0xBEE5);
+            let mut tree = KeyTree::new(degree, 8, &mut src);
+            for i in 0..n {
+                let ik = src.generate_key(8);
+                tree.join(UserId(i), ik, &mut src).unwrap();
+            }
+            (tree, src)
+        }
+
+        /// A minimal client model: a key store driven to fixed point over the
+        /// interval's messages, mirroring what `kg-client` does on the wire.
+        struct MiniClient {
+            keys: Map<KeyLabel, (KeyVersion, SymmetricKey)>,
+        }
+
+        impl MiniClient {
+            fn from_keyset(ks: Vec<(KeyRef, SymmetricKey)>) -> Self {
+                MiniClient {
+                    keys: ks.into_iter().map(|(r, k)| (r.label, (r.version, k))).collect(),
+                }
+            }
+
+            fn holds(&self, r: KeyRef) -> Option<&SymmetricKey> {
+                self.keys.get(&r.label).and_then(|(v, k)| (*v == r.version).then_some(k))
+            }
+
+            /// Decrypt every reachable bundle until no progress.
+            fn absorb(&mut self, cipher: KeyCipher, messages: &[&RekeyMessage]) {
+                loop {
+                    let mut progressed = false;
+                    for msg in messages {
+                        for b in &msg.bundles {
+                            let Some(key) = self.holds(b.encrypted_with) else { continue };
+                            let plain = cipher.decrypt(key, &b.iv, &b.ciphertext).unwrap();
+                            for (i, t) in b.targets.iter().enumerate() {
+                                let material = plain[i * 8..(i + 1) * 8].to_vec();
+                                let cur = self.keys.get(&t.label);
+                                if cur.is_none_or(|(v, _)| *v < t.version) {
+                                    self.keys
+                                        .insert(t.label, (t.version, SymmetricKey::new(material)));
+                                    progressed = true;
+                                }
+                            }
+                        }
+                    }
+                    if !progressed {
+                        break;
+                    }
+                }
+            }
+        }
+
+        /// Deliverability check for one batch under one strategy: survivors
+        /// recover exactly their new keysets, departed users recover none of
+        /// the new keys, joiners recover exactly their unicast path.
+        fn check_batch(
+            tree: &KeyTree,
+            degree_note: &str,
+            joins: &[(UserId, SymmetricKey)],
+            leaves: &[UserId],
+            strategy: Strategy,
+            src: &mut HmacDrbg,
+        ) {
+            let mut tree = tree.clone();
+            let pre_keysets: Map<UserId, Vec<(KeyRef, SymmetricKey)>> =
+                tree.members().map(|u| (u, tree.keyset(u).unwrap())).collect();
+            let ev = tree.apply_batch(joins, leaves, src).unwrap();
+            let mut ivs = HmacDrbg::from_seed(0x1117);
+            let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+            let out = rk.batch(&ev, strategy);
+            let joiner_set: std::collections::BTreeSet<UserId> =
+                joins.iter().map(|&(u, _)| u).collect();
+
+            // Map each user to the messages addressed to it (post-batch tree).
+            let deliverable = |u: UserId, include_multicast: bool| -> Vec<&RekeyMessage> {
+                out.messages
+                    .iter()
+                    .filter(|m| match &m.recipients {
+                        Recipients::User(t) => *t == u,
+                        Recipients::Subgroup(l) => {
+                            include_multicast && tree.userset(*l).contains(&u)
+                        }
+                        Recipients::SubgroupExcept { include, exclude } => {
+                            include_multicast
+                                && tree.userset(*include).contains(&u)
+                                && !tree.userset(*exclude).contains(&u)
+                        }
+                        Recipients::Group => include_multicast,
+                    })
+                    .collect()
+            };
+
+            // Survivors (and joiners) end up with exactly their new keysets.
+            for u in tree.members().collect::<Vec<_>>() {
+                let mut client = if joiner_set.contains(&u) {
+                    MiniClient { keys: Map::new() }
+                } else {
+                    MiniClient::from_keyset(pre_keysets[&u].clone())
+                };
+                if let Some((_, ik)) = joins.iter().find(|&&(ju, _)| ju == u) {
+                    let leaf = tree.keyset(u).unwrap()[0].clone();
+                    client.keys.insert(leaf.0.label, (leaf.0.version, ik.clone()));
+                }
+                client.absorb(KeyCipher::des_cbc(), &deliverable(u, true));
+                for (r, k) in tree.keyset(u).unwrap() {
+                    assert_eq!(
+                        client.holds(r),
+                        Some(&k),
+                        "{degree_note} {strategy:?}: member {u:?} missing {r:?}"
+                    );
+                }
+            }
+
+            // Departed users, replaying *all* multicast traffic with their old
+            // keys, must recover no marked key.
+            for &u in leaves {
+                if tree.is_member(u) {
+                    continue; // left and rejoined in the same interval
+                }
+                let mut ghost = MiniClient::from_keyset(pre_keysets[&u].clone());
+                let all: Vec<&RekeyMessage> = out.messages.iter().collect();
+                ghost.absorb(KeyCipher::des_cbc(), &all);
+                for m in &ev.marked {
+                    assert!(
+                        ghost.holds(m.new_ref).is_none(),
+                        "{degree_note} {strategy:?}: departed {u:?} decrypted {:?}",
+                        m.new_ref
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn pure_join_batches_deliver_for_all_strategies() {
+            for degree in [2usize, 3, 4] {
+                let (tree, mut src) = setup(degree, 14);
+                let joins: Vec<(UserId, SymmetricKey)> =
+                    (100..106).map(|i| (UserId(i), src.generate_key(8))).collect();
+                for strategy in Strategy::ALL {
+                    check_batch(&tree, "pure-join", &joins, &[], strategy, &mut src);
+                }
+            }
+        }
+
+        #[test]
+        fn pure_leave_batches_deliver_for_all_strategies() {
+            for degree in [2usize, 3, 4] {
+                let (tree, mut src) = setup(degree, 27);
+                let leaves: Vec<UserId> = [1u64, 7, 13, 25].map(UserId).to_vec();
+                for strategy in Strategy::ALL {
+                    check_batch(&tree, "pure-leave", &[], &leaves, strategy, &mut src);
+                }
+            }
+        }
+
+        #[test]
+        fn mixed_batches_deliver_for_all_strategies() {
+            for degree in [2usize, 3, 4] {
+                let (tree, mut src) = setup(degree, 20);
+                let joins: Vec<(UserId, SymmetricKey)> =
+                    (200..205).map(|i| (UserId(i), src.generate_key(8))).collect();
+                let leaves: Vec<UserId> = [0u64, 4, 9, 19].map(UserId).to_vec();
+                for strategy in Strategy::ALL {
+                    check_batch(&tree, "mixed", &joins, &leaves, strategy, &mut src);
+                }
+            }
+        }
+
+        #[test]
+        fn rejoin_within_interval_delivers() {
+            let (tree, mut src) = setup(3, 9);
+            let joins = vec![(UserId(4), src.generate_key(8))];
+            let leaves = vec![UserId(4)];
+            for strategy in Strategy::ALL {
+                check_batch(&tree, "rejoin", &joins, &leaves, strategy, &mut src);
+            }
+        }
+
+        #[test]
+        fn empty_event_produces_no_messages() {
+            let (mut tree, mut src) = setup(3, 4);
+            let leaves: Vec<UserId> = (0..4).map(UserId).collect();
+            let ev = tree.apply_batch(&[], &leaves, &mut src).unwrap();
+            for strategy in Strategy::ALL {
+                let mut ivs = HmacDrbg::from_seed(1);
+                let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+                let out = rk.batch(&ev, strategy);
+                assert!(out.messages.is_empty());
+                assert_eq!(out.ops.key_encryptions, 0);
+            }
+        }
+
+        #[test]
+        fn group_oriented_sends_exactly_one_multicast() {
+            let (tree, mut src) = setup(4, 64);
+            let mut t = tree.clone();
+            let joins: Vec<(UserId, SymmetricKey)> =
+                (100..104).map(|i| (UserId(i), src.generate_key(8))).collect();
+            let leaves: Vec<UserId> = [3u64, 30, 60].map(UserId).to_vec();
+            let ev = t.apply_batch(&joins, &leaves, &mut src).unwrap();
+            let mut ivs = HmacDrbg::from_seed(2);
+            let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+            let out = rk.batch(&ev, Strategy::GroupOriented);
+            let multicasts = out
+                .messages
+                .iter()
+                .filter(|m| !matches!(m.recipients, Recipients::User(_)))
+                .count();
+            assert_eq!(multicasts, 1);
+            let unicasts = out.messages.len() - multicasts;
+            assert_eq!(unicasts, joins.len());
+        }
+
+        #[test]
+        fn batched_costs_less_than_per_op_for_mixed_interval() {
+            // The headline claim: one batched interval beats replaying the
+            // same requests one at a time, in both encryptions and multicasts.
+            let (tree, mut src) = setup(4, 256);
+            let joins: Vec<(UserId, SymmetricKey)> =
+                (1000..1016).map(|i| (UserId(i), src.generate_key(8))).collect();
+            let leaves: Vec<UserId> = (0..16).map(|i| UserId(i * 13)).collect();
+            for strategy in Strategy::ALL {
+                let mut per_op_tree = tree.clone();
+                let mut per_op_enc = 0u64;
+                let mut per_op_multi = 0usize;
+                let mut ivs = HmacDrbg::from_seed(3);
+                for &u in &leaves {
+                    let ev = per_op_tree.leave(u, &mut src).unwrap();
+                    let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+                    let out = rk.leave(&ev, strategy);
+                    per_op_enc += out.ops.key_encryptions;
+                    per_op_multi += out
+                        .messages
+                        .iter()
+                        .filter(|m| !matches!(m.recipients, Recipients::User(_)))
+                        .count();
+                }
+                for (u, ik) in &joins {
+                    let ev = per_op_tree.join(*u, ik.clone(), &mut src).unwrap();
+                    let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+                    let out = rk.join(&ev, strategy);
+                    per_op_enc += out.ops.key_encryptions;
+                    per_op_multi += out
+                        .messages
+                        .iter()
+                        .filter(|m| !matches!(m.recipients, Recipients::User(_)))
+                        .count();
+                }
+
+                let mut batch_tree = tree.clone();
+                let ev = batch_tree.apply_batch(&joins, &leaves, &mut src).unwrap();
+                let mut ivs = HmacDrbg::from_seed(4);
+                let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+                let out = rk.batch(&ev, strategy);
+                let batch_multi = out
+                    .messages
+                    .iter()
+                    .filter(|m| !matches!(m.recipients, Recipients::User(_)))
+                    .count();
+                assert!(
+                    out.ops.key_encryptions < per_op_enc,
+                    "{strategy:?}: batched {} vs per-op {per_op_enc} encryptions",
+                    out.ops.key_encryptions
+                );
+                assert!(
+                    batch_multi < per_op_multi,
+                    "{strategy:?}: batched {batch_multi} vs per-op {per_op_multi} multicasts"
+                );
+            }
+        }
     }
 }

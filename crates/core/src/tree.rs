@@ -109,8 +109,8 @@ pub struct SiblingChild {
 /// (children are `Vec`s, the user index is a `BTreeMap`), so two equal
 /// trees given the same operation yield identical event sequences on
 /// every platform and run. The rekey builders consume events in this
-/// order, which fixes the server's IV-stream assignment; the parallel
-/// pipeline's byte-identity guarantee (`kg-par`) and the batch cover
+/// order, which fixes the server's IV-stream assignment; byte-identical
+/// crash-recovery replay and the batch cover
 /// ([`crate::batch::BatchEvent::key_cover`]) both build on it.
 #[derive(Debug, Clone)]
 pub struct JoinEvent {
@@ -335,8 +335,7 @@ impl KeyTree {
     /// semantics).
     pub fn to_key_graph(&self) -> crate::keygraph::KeyGraph {
         let mut g = crate::keygraph::KeyGraph::new();
-        for (id, node) in self.nodes.iter().enumerate() {
-            let Some(node) = node else { continue };
+        for node in self.nodes.iter().flatten() {
             g.add_key(node.label);
             if let Some(p) = node.parent {
                 g.add_key_edge(node.label, self.node(p).label);
@@ -344,7 +343,6 @@ impl KeyTree {
             if let Some(u) = node.user {
                 g.add_user_edge(u, node.label);
             }
-            let _ = id;
         }
         g
     }

@@ -6,7 +6,7 @@
 //! signature algorithm, etc." (§5). [`ServerConfig::from_spec`] parses a
 //! simple `key = value` format with exactly those knobs.
 
-use kg_batch::BatchPolicy;
+use crate::scheduler::BatchPolicy;
 use kg_core::rekey::{KeyCipher, Strategy};
 use kg_crypto::rsa::HashAlg;
 use std::fmt;
@@ -69,55 +69,6 @@ impl std::str::FromStr for RekeyPolicy {
             }
             other => Err(ConfigError::BadValue { key: "rekey", value: other.to_string() }),
         }
-    }
-}
-
-/// Parallel rekey-construction settings.
-///
-/// Orthogonal to [`RekeyPolicy`]: immediate and batched rekeying both
-/// route their encryptions (and, under `auth = sign-each`/`digest`,
-/// their per-packet authentication) through the same pipeline. The
-/// output is byte-identical at every worker count — parallelism is
-/// purely a throughput knob, never a protocol change — so WAL replay
-/// and recovery work regardless of the worker count the writing server
-/// used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Total worker threads constructing rekey messages, including the
-    /// request thread itself. `1` (the default) is the sequential path:
-    /// no pool, no spawned threads. Values ≥ 2 spawn `workers − 1`
-    /// background threads.
-    pub workers: usize,
-    /// Cap `workers` at the hardware's available parallelism (default
-    /// `true`). Oversubscribing a host buys nothing — the threads just
-    /// time-slice the same cores and pay scheduling overhead — so a
-    /// production server clamps. Benchmarks and equivalence tests
-    /// disable the clamp to exercise the threaded path even on small
-    /// machines (where output must still be byte-identical).
-    pub clamp_to_hardware: bool,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig { workers: 1, clamp_to_hardware: true }
-    }
-}
-
-impl ParallelConfig {
-    /// The worker count actually used: `workers`, clamped to the
-    /// hardware's available parallelism unless the clamp is disabled.
-    pub fn effective_workers(self) -> usize {
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        if self.clamp_to_hardware {
-            self.workers.min(hw)
-        } else {
-            self.workers
-        }
-    }
-
-    /// Whether this configuration wants a worker pool.
-    pub fn wants_pool(self) -> bool {
-        self.effective_workers() >= 2
     }
 }
 
@@ -192,8 +143,6 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Immediate (per-operation) or batched (periodic) rekeying.
     pub rekey: RekeyPolicy,
-    /// Parallel rekey-construction settings (default: sequential).
-    pub parallel: ParallelConfig,
     /// Cap on retained per-op stat records (`None` = keep all, the
     /// evaluation default). A capped server evicts the oldest records
     /// FIFO; aggregates still cover everything since the last reset.
@@ -213,7 +162,6 @@ impl Default for ServerConfig {
             rsa_bits: 512,
             seed: 0,
             rekey: RekeyPolicy::Immediate,
-            parallel: ParallelConfig::default(),
             stats_record_cap: None,
         }
     }
@@ -270,7 +218,6 @@ impl ServerConfig {
     /// rekey    = batched      # immediate | batched
     /// batch-interval-ms  = 1000
     /// batch-max-pending  = 64
-    /// workers  = 4            # rekey-construction threads (default 1 = sequential)
     /// stats-record-cap   = 4096   # retained per-op records (default: all)
     /// ```
     ///
@@ -322,10 +269,6 @@ impl ServerConfig {
                         return Err(ConfigError::bad("batch-interval-ms", value));
                     }
                 }
-                "workers" => {
-                    cfg.parallel.workers =
-                        value.parse().map_err(|_| ConfigError::bad("workers", value))?;
-                }
                 "stats-record-cap" => {
                     cfg.stats_record_cap = Some(
                         value.parse().map_err(|_| ConfigError::bad("stats-record-cap", value))?,
@@ -354,16 +297,12 @@ impl ServerConfig {
     /// Check the range invariants every construction path shares
     /// ([`Self::from_spec`] and [`ServerConfigBuilder::build`]):
     /// `degree >= 2` (a degree-1 "tree" is a chain with no fanout),
-    /// `workers >= 1` (0 would mean no thread runs the rekey at all),
     /// `rsa-bits >= 512` and even (the modulus is built from two
     /// half-size primes; odd or tiny sizes cannot), and batched-mode
     /// knobs `>= 1` (a zero interval or depth would flush every tick).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.degree < 2 {
             return Err(ConfigError::bad("degree", self.degree));
-        }
-        if self.parallel.workers == 0 {
-            return Err(ConfigError::bad("workers", self.parallel.workers));
         }
         if self.rsa_bits < 512 || !self.rsa_bits.is_multiple_of(2) {
             return Err(ConfigError::bad("rsa-bits", self.rsa_bits));
@@ -388,8 +327,6 @@ impl ServerConfig {
     /// back to an equal value. Every spec-representable knob is written
     /// out explicitly (defaults included), so the emitted text is also a
     /// complete record of the run's configuration for experiment logs.
-    /// `parallel.clamp_to_hardware` has no spec key and is not emitted;
-    /// it only departs from its default in-process (benchmarks).
     pub fn to_spec(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
@@ -405,7 +342,6 @@ impl ServerConfig {
             let _ = writeln!(s, "batch-interval-ms = {interval_ms}");
             let _ = writeln!(s, "batch-max-pending = {max_pending}");
         }
-        let _ = writeln!(s, "workers  = {}", self.parallel.workers);
         if let Some(cap) = self.stats_record_cap {
             let _ = writeln!(s, "stats-record-cap  = {cap}");
         }
@@ -491,18 +427,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Rekey-construction worker threads (1 = sequential).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.cfg.parallel.workers = workers;
-        self
-    }
-
-    /// Whether to clamp `workers` to the hardware's parallelism.
-    pub fn clamp_to_hardware(mut self, clamp: bool) -> Self {
-        self.cfg.parallel.clamp_to_hardware = clamp;
-        self
-    }
-
     /// Cap on retained per-op stat records (`None` = keep all).
     pub fn stats_record_cap(mut self, cap: Option<usize>) -> Self {
         self.cfg.stats_record_cap = cap;
@@ -583,33 +507,14 @@ mod tests {
         ));
     }
 
+    /// The worker pool and its `workers` key are gone; a leftover key in
+    /// an old spec file fails loudly instead of being ignored.
     #[test]
-    fn workers_spec_parses_and_rejects_zero() {
-        assert_eq!(ServerConfig::default().parallel, ParallelConfig::default());
-        assert_eq!(ServerConfig::default().parallel.workers, 1);
-        assert!(!ServerConfig::default().parallel.wants_pool());
-
-        let c = ServerConfig::from_spec("workers = 4").unwrap();
-        assert_eq!(c.parallel.workers, 4);
-        // Clamped to hardware: never more than the cores present, never
-        // fewer than 1, and exactly 4 when the clamp is off.
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        assert_eq!(c.parallel.effective_workers(), 4.min(hw));
-        let unclamped = ParallelConfig { clamp_to_hardware: false, ..c.parallel };
-        assert_eq!(unclamped.effective_workers(), 4);
-        assert!(unclamped.wants_pool());
-
-        let c = ServerConfig::from_spec("workers = 1").unwrap();
-        assert!(!c.parallel.wants_pool());
-
-        assert!(matches!(
-            ServerConfig::from_spec("workers = 0"),
-            Err(ConfigError::BadValue { key: "workers", .. })
-        ));
-        assert!(matches!(
-            ServerConfig::from_spec("workers = many"),
-            Err(ConfigError::BadValue { key: "workers", .. })
-        ));
+    fn removed_workers_key_is_unknown() {
+        assert_eq!(
+            ServerConfig::from_spec("workers = 4"),
+            Err(ConfigError::UnknownKey("workers".into()))
+        );
     }
 
     #[test]
@@ -684,7 +589,6 @@ mod tests {
             .rsa_bits(1024)
             .seed(99)
             .batched(250, 16)
-            .workers(4)
             .stats_record_cap(Some(128))
             .build()
             .unwrap();
@@ -700,10 +604,6 @@ mod tests {
         assert!(matches!(
             ServerConfig::builder().degree(1).build(),
             Err(ConfigError::BadValue { key: "degree", .. })
-        ));
-        assert!(matches!(
-            ServerConfig::builder().workers(0).build(),
-            Err(ConfigError::BadValue { key: "workers", .. })
         ));
         assert!(matches!(
             ServerConfig::builder().batched(0, 16).build(),
@@ -766,7 +666,6 @@ mod tests {
                 .rsa_bits(768)
                 .seed(123)
                 .batched(50, 9)
-                .workers(3)
                 .stats_record_cap(Some(7))
                 .build()
                 .unwrap(),
@@ -807,7 +706,6 @@ mod tests {
                 batched in any::<bool>(),
                 interval_ms in 1u64..100_000,
                 max_pending in 1usize..10_000,
-                workers in 1usize..64,
                 cap_set in any::<bool>(),
                 cap_val in 0usize..100_000,
             ) {
@@ -829,7 +727,6 @@ mod tests {
                     .auth(auth)
                     .rsa_bits(rsa_halfwords * 2)
                     .seed(seed)
-                    .workers(workers)
                     .stats_record_cap(cap);
                 b = if batched { b.batched(interval_ms, max_pending) } else { b.immediate() };
                 let cfg = b.build().unwrap();

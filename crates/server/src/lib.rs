@@ -34,29 +34,29 @@
 pub mod acl;
 pub mod config;
 pub mod net;
+pub mod scheduler;
 pub mod stats;
 
 pub use acl::{AccessControl, AclError};
-pub use config::{AuthPolicy, ConfigError, ParallelConfig, RekeyPolicy, ServerConfig};
+pub use config::{AuthPolicy, ConfigError, RekeyPolicy, ServerConfig};
+pub use scheduler::{BatchPolicy, BatchScheduler, PendingBatch};
 pub use stats::{Aggregate, OpRecord, ServerStats};
 
-use kg_batch::BatchScheduler;
 use kg_core::derive::{links_from_path, DerivedLink, DERIVATION_CODE_LEN};
 use kg_core::ids::{KeyLabel, UserId};
 use kg_core::merkle;
-use kg_core::rekey::{Recipients, RekeyMessage, Strategy};
+use kg_core::rekey::{OpCounts, Recipients, RekeyOutput, Rekeyer, Strategy};
 use kg_core::serial;
 use kg_core::tree::{KeyTree, TreeError};
 use kg_crypto::drbg::HmacDrbg;
 use kg_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use kg_crypto::{KeySource, SymmetricKey};
 use kg_obs::{Counter, Obs, ObsEvent};
-use kg_par::{ParRekeyer, WorkerPool};
 use kg_persist::{
     AclSnapshot, PersistConfig, PersistError, Persistence, SchedulerSnapshot, Snapshot, StatRecord,
     WalOp,
 };
-use kg_wire::{AuthTag, BatchRekeyPacket, DerivedRekeyPacket, OpKind, RekeyPacket};
+use kg_wire::{AuthTag, OpKind, RekeyPacket};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -166,43 +166,19 @@ impl From<PersistError> for RecoverError {
     }
 }
 
-/// `OpKind` as the stable byte used in snapshots (same values as the
-/// wire encoding).
-fn op_kind_tag(kind: OpKind) -> u8 {
-    match kind {
-        OpKind::Join => 0,
-        OpKind::Leave => 1,
-        OpKind::Batch => 2,
-        OpKind::Refresh => 3,
-    }
-}
-
-fn op_kind_from_tag(tag: u8) -> Option<OpKind> {
-    match tag {
-        0 => Some(OpKind::Join),
-        1 => Some(OpKind::Leave),
-        2 => Some(OpKind::Batch),
-        3 => Some(OpKind::Refresh),
-        _ => None,
-    }
-}
-
-/// Result of processing one join or leave.
+/// Result of processing one join, leave or refresh.
 #[derive(Debug, Clone)]
 pub struct ProcessedOp {
     /// Sequence number assigned to this operation.
     pub seq: u64,
-    /// Fully authenticated rekey packets, ready to encode and send.
-    /// Empty under `strategy = derived` (see [`ProcessedOp::derived`]).
+    /// Fully authenticated rekey packets, ready to send: one per recipient
+    /// class under the shipped strategies, at most one group multicast
+    /// under `strategy = derived` (the derivation code, the changed-key
+    /// worklist, and any shipped bundles — the joiner's path; a leave's
+    /// whole payload).
     pub packets: Vec<RekeyPacket>,
-    /// Derived-mode packets: at most one [`DerivedRekeyPacket`] carrying
-    /// the interval's derivation code, the changed-key worklist, and any
-    /// shipped bundles (the joiner unicast; whole leave payloads). Empty
-    /// under the shipped strategies.
-    pub derived: Vec<DerivedRekeyPacket>,
     /// Encoded form of each packet (computed inside the timed section, as
-    /// the paper's processing time includes message construction). Aligns
-    /// with whichever of `packets`/`derived` is populated.
+    /// the paper's processing time includes message construction).
     pub encoded: Vec<Vec<u8>>,
     /// For joins: the individual key handed to the new member by the
     /// authentication exchange, plus its leaf label and the path labels
@@ -211,21 +187,16 @@ pub struct ProcessedOp {
 }
 
 impl ProcessedOp {
-    /// Every frame to send, paired with its recipients. Shipped packets
-    /// go to their message's recipients; a derived packet is one group
-    /// multicast (its sealed bundles are only decryptable by their
-    /// intended holders, so widening delivery leaks nothing).
+    /// Every frame to send, paired with its recipients. (A derived packet
+    /// is one group multicast: its sealed bundles are only decryptable by
+    /// their intended holders, so widening delivery leaks nothing.)
     pub fn frames(&self) -> Vec<(Recipients, &[u8])> {
-        if self.derived.is_empty() {
-            self.packets
-                .iter()
-                .zip(&self.encoded)
-                .map(|(p, bytes)| (p.message.recipients.clone(), bytes.as_slice()))
-                .collect()
-        } else {
-            self.encoded.iter().map(|bytes| (Recipients::Group, bytes.as_slice())).collect()
-        }
+        frames(&self.packets, &self.encoded)
     }
+}
+
+fn frames<'a>(packets: &[RekeyPacket], encoded: &'a [Vec<u8>]) -> Vec<(Recipients, &'a [u8])> {
+    packets.iter().zip(encoded).map(|(p, bytes)| (p.recipients.clone(), bytes.as_slice())).collect()
 }
 
 /// The data a joining member receives out-of-band (via the authenticated
@@ -245,18 +216,14 @@ pub struct JoinGrant {
 /// Result of flushing one batched rekey interval.
 #[derive(Debug, Clone)]
 pub struct ProcessedBatch {
-    /// Interval sequence number carried by every packet.
+    /// The scheduler's interval number (1-based count of flushed
+    /// intervals).
     pub interval: u64,
-    /// Fully authenticated batch rekey packets, ready to send. Empty
-    /// under `strategy = derived` (see [`ProcessedBatch::derived`]).
-    pub packets: Vec<BatchRekeyPacket>,
-    /// Derived-mode packets: at most one [`DerivedRekeyPacket`] for the
-    /// interval (code + worklist + joiner unicasts for a pure-join
-    /// interval; shipped bundles with an empty worklist when the
-    /// interval contained leaves). Empty under the shipped strategies.
-    pub derived: Vec<DerivedRekeyPacket>,
-    /// Encoded form of each packet. Aligns with whichever of
-    /// `packets`/`derived` is populated.
+    /// Fully authenticated rekey packets, ready to send (see
+    /// [`ProcessedOp::packets`]; a derived pure-join interval publishes a
+    /// code, any interval containing a leave ships).
+    pub packets: Vec<RekeyPacket>,
+    /// Encoded form of each packet.
     pub encoded: Vec<Vec<u8>>,
     /// One grant per user admitted this interval (the out-of-band
     /// authentication-exchange payload, as for immediate joins).
@@ -266,18 +233,9 @@ pub struct ProcessedBatch {
 }
 
 impl ProcessedBatch {
-    /// Every frame to send, paired with its recipients (see
-    /// [`ProcessedOp::frames`]).
+    /// Every frame to send, paired with its recipients.
     pub fn frames(&self) -> Vec<(Recipients, &[u8])> {
-        if self.derived.is_empty() {
-            self.packets
-                .iter()
-                .zip(&self.encoded)
-                .map(|(p, bytes)| (p.message.recipients.clone(), bytes.as_slice()))
-                .collect()
-        } else {
-            self.encoded.iter().map(|bytes| (Recipients::Group, bytes.as_slice())).collect()
-        }
+        frames(&self.packets, &self.encoded)
     }
 }
 
@@ -302,21 +260,17 @@ pub struct GroupKeyServer {
     metrics: ServerMetrics,
     /// Per-op rekey-cost ledger rows, same lifecycle as `metrics`.
     ledger: Ledger,
-    /// Worker pool for parallel rekey construction; present iff
-    /// `config.parallel.workers >= 2`. Output is byte-identical with or
-    /// without it (see `kg-par`), so the pool never appears in
-    /// snapshots and recovery may use a different worker count.
-    pool: Option<WorkerPool>,
 }
+
+/// Label of each [`OpKind`], indexed by [`OpKind::tag`].
+const KIND_NAMES: [&str; 4] = ["join", "leave", "batch", "refresh"];
 
 /// Pre-resolved counter handles for the per-request hot path. Detached
 /// (no-op) until an enabled handle is attached.
 #[derive(Debug, Default)]
 struct ServerMetrics {
-    req_join: Counter,
-    req_leave: Counter,
-    req_refresh: Counter,
-    req_batch: Counter,
+    /// `kg_requests_total{kind=…}`, indexed by [`OpKind::tag`].
+    requests: [Counter; 4],
     encryptions: Counter,
     signatures: Counter,
     cache_hits: Counter,
@@ -326,12 +280,11 @@ struct ServerMetrics {
 impl ServerMetrics {
     fn resolve(obs: &Obs) -> Self {
         ServerMetrics {
-            req_join: obs.counter_with("kg_requests_total", "kind", "join"),
-            req_leave: obs.counter_with("kg_requests_total", "kind", "leave"),
-            req_refresh: obs.counter_with("kg_requests_total", "kind", "refresh"),
-            req_batch: obs.counter_with("kg_requests_total", "kind", "batch"),
+            requests: KIND_NAMES.map(|kind| obs.counter_with("kg_requests_total", "kind", kind)),
             encryptions: obs.counter("kg_encryptions_total"),
             signatures: obs.counter("kg_signatures_total"),
+            // The sealer's encryption cache. The `kg_par_` prefix is
+            // historical; the canonical benchmark reads this name.
             cache_hits: obs.counter_with("kg_par_cache_total", "result", "hit"),
             cache_misses: obs.counter_with("kg_par_cache_total", "result", "miss"),
         }
@@ -380,25 +333,9 @@ impl LedgerCell {
 }
 
 /// The four ledger rows a server can write (its strategy is fixed at
-/// construction, so one row per op kind suffices).
-#[derive(Debug, Default)]
-struct Ledger {
-    join: LedgerCell,
-    leave: LedgerCell,
-    refresh: LedgerCell,
-    batch: LedgerCell,
-}
-
-impl Ledger {
-    fn resolve(obs: &Obs, strategy: &str) -> Self {
-        Ledger {
-            join: LedgerCell::resolve(obs, strategy, "join"),
-            leave: LedgerCell::resolve(obs, strategy, "leave"),
-            refresh: LedgerCell::resolve(obs, strategy, "refresh"),
-            batch: LedgerCell::resolve(obs, strategy, "batch"),
-        }
-    }
-}
+/// construction, so one row per op kind suffices), indexed by
+/// [`OpKind::tag`].
+type Ledger = [LedgerCell; 4];
 
 impl GroupKeyServer {
     /// Create a server. Generates an RSA keypair when the auth policy
@@ -414,7 +351,6 @@ impl GroupKeyServer {
         let tree = KeyTree::new(config.degree, config.key_len(), &mut keygen);
         let scheduler = config.rekey.batch_policy().map(|p| BatchScheduler::new(p, 0));
         let stats = Self::stats_sink(&config);
-        let pool = Self::make_pool(&config);
         GroupKeyServer {
             config,
             acl,
@@ -429,7 +365,6 @@ impl GroupKeyServer {
             obs: Obs::disabled(),
             metrics: ServerMetrics::default(),
             ledger: Ledger::default(),
-            pool,
         }
     }
 
@@ -439,15 +374,6 @@ impl GroupKeyServer {
             Some(cap) => ServerStats::with_record_cap(cap),
             None => ServerStats::default(),
         }
-    }
-
-    /// Spawn the rekey-construction worker pool when configured. The
-    /// worker count is clamped to the hardware's available parallelism
-    /// unless [`ParallelConfig::clamp_to_hardware`] is disabled, so a
-    /// spec asking for more threads than the host has cores falls back
-    /// gracefully (down to the sequential path on a single-core host).
-    fn make_pool(config: &ServerConfig) -> Option<WorkerPool> {
-        config.parallel.wants_pool().then(|| WorkerPool::new(config.parallel.effective_workers()))
     }
 
     /// Attach an observability handle. Spans, counters, and timeline
@@ -462,11 +388,9 @@ impl GroupKeyServer {
         if let Some(p) = self.persist.as_mut() {
             p.attach_obs(obs.clone());
         }
-        if let Some(pool) = self.pool.as_ref() {
-            pool.attach_obs(&obs);
-        }
         self.metrics = ServerMetrics::resolve(&obs);
-        self.ledger = Ledger::resolve(&obs, self.config.strategy.name());
+        self.ledger =
+            KIND_NAMES.map(|kind| LedgerCell::resolve(&obs, self.config.strategy.as_str(), kind));
         self.obs = obs;
     }
 
@@ -589,7 +513,7 @@ impl GroupKeyServer {
             .iter()
             .map(|r| {
                 Ok(OpRecord {
-                    kind: op_kind_from_tag(r.kind)
+                    kind: OpKind::from_tag(r.kind)
                         .ok_or(RecoverError::Corrupt("snapshot stats op kind"))?,
                     requests: r.requests,
                     msg_sizes: r.msg_sizes.clone(),
@@ -614,7 +538,6 @@ impl GroupKeyServer {
             )),
             _ => return Err(RecoverError::Corrupt("snapshot batching mode does not match config")),
         };
-        let pool = Self::make_pool(&config);
         Ok(GroupKeyServer {
             config,
             acl,
@@ -629,7 +552,6 @@ impl GroupKeyServer {
             obs: Obs::disabled(),
             metrics: ServerMetrics::default(),
             ledger: Ledger::default(),
-            pool,
         })
     }
 
@@ -678,7 +600,7 @@ impl GroupKeyServer {
                 .records()
                 .iter()
                 .map(|r| StatRecord {
-                    kind: op_kind_tag(r.kind),
+                    kind: r.kind.tag(),
                     requests: r.requests,
                     msg_sizes: r.msg_sizes.clone(),
                     proc_ns: r.proc_ns,
@@ -802,6 +724,15 @@ impl GroupKeyServer {
     /// key) happens *before* the timer starts: "the processing time for a
     /// join request does not include any time used to authenticate the
     /// requesting user" (§5).
+    ///
+    /// Under `strategy = derived` the server draws a derivation code,
+    /// rotates the joiner's path by *deriving* each changed key from its
+    /// predecessor (`HMAC(old, code ‖ ref)`), and publishes the code, the
+    /// changed-key worklist, and the joiner's sealed unicast. Current
+    /// members recompute the new keys locally; the only ciphertext the
+    /// server seals is the joiner's bundle, so the per-join sealing cost
+    /// is O(1) in the group size (the paper's O(log n) encryption work
+    /// moves to the members as one HMAC per held-and-changed key).
     pub fn handle_join(&mut self, user: UserId) -> Result<ProcessedOp, RequestError> {
         if !self.acl.permits(user) {
             return Err(RequestError::JoinDenied(user));
@@ -810,124 +741,36 @@ impl GroupKeyServer {
             return Err(RequestError::Tree(TreeError::AlreadyMember(user)));
         }
         let individual_key = self.keygen.generate_key(self.config.key_len());
-        if self.config.strategy == Strategy::Derived {
-            return self.handle_join_derived(user, individual_key);
-        }
+        let derived = self.config.strategy == Strategy::Derived;
 
         let _op_span = self.obs.span("op.join");
-        let start = Instant::now();
+        let started = Instant::now();
+        // Drawn after the individual key, so replay under the same seed
+        // reproduces the identical code stream.
+        let code = if derived { self.keygen.generate(DERIVATION_CODE_LEN) } else { Vec::new() };
         let event = {
             let _s = self.obs.span("tree");
-            self.tree.join(user, individual_key.clone(), &mut self.keygen)?
+            if derived {
+                self.tree.join_derived(user, individual_key.clone(), &mut self.keygen, &code)?
+            } else {
+                self.tree.join(user, individual_key.clone(), &mut self.keygen)?
+            }
         };
-        let out = {
+        let (out, changed) = {
             let _s = self.obs.span("encrypt");
-            let mut rekeyer =
-                ParRekeyer::new(self.config.cipher, &mut self.ivs, self.pool.as_ref());
-            rekeyer.join(&event, self.config.strategy)
+            let mut rekeyer = Rekeyer::new(self.config.cipher, &mut self.ivs);
+            if derived {
+                (rekeyer.join_derived(&event), links_from_path(&event.path))
+            } else {
+                (rekeyer.join(&event, self.config.strategy), Vec::new())
+            }
         };
-        let seq = self.next_seq();
-        let (packets, encoded, signatures) =
-            self.authenticate_and_encode(seq, OpKind::Join, out.messages);
-        let proc_ns = start.elapsed().as_nanos() as u64;
-        self.metrics.req_join.inc();
-        self.metrics.encryptions.add(out.ops.key_encryptions);
-        self.metrics.signatures.add(signatures);
-        self.metrics.cache_hits.add(out.ops.cache_hits);
-        self.metrics.cache_misses.add(out.ops.cache_misses);
-        self.ledger.join.record(
-            out.ops.key_encryptions,
-            encoded.len() as u64,
-            encoded.iter().map(|e| e.len() as u64).sum(),
-            out.ops.keys_generated,
-            out.ops.cache_hits,
-        );
+        let (seq, packets, encoded) = self.finish(OpKind::Join, 1, started, out, (code, changed));
         self.obs.event(ObsEvent::Join { user: user.0 });
-
-        self.stats.push(OpRecord {
-            kind: OpKind::Join,
-            requests: 1,
-            msg_sizes: encoded.iter().map(|e| e.len() as u32).collect(),
-            proc_ns,
-            encryptions: out.ops.key_encryptions,
-            signatures,
-        });
-        self.log_op(WalOp::Join(user))?;
+        self.log_op(if derived { WalOp::DerivedJoin(user) } else { WalOp::Join(user) })?;
         Ok(ProcessedOp {
             seq,
             packets,
-            derived: Vec::new(),
-            encoded,
-            join_grant: Some(JoinGrant {
-                user,
-                individual_key,
-                leaf_label: event.leaf_label,
-                path_labels: event.path.iter().map(|p| p.label).collect(),
-            }),
-        })
-    }
-
-    /// [`Self::handle_join`] under `strategy = derived`: the server draws
-    /// a derivation code, rotates the joiner's path by *deriving* each
-    /// changed key from its predecessor (`HMAC(old, code ‖ ref)`), and
-    /// publishes one [`DerivedRekeyPacket`] — the code, the changed-key
-    /// worklist, and the joiner's sealed unicast. Current members
-    /// recompute the new keys locally; the only ciphertext the server
-    /// seals is the joiner's bundle, so the per-join sealing cost is O(1)
-    /// in the group size (the paper's O(log n) encryption work moves to
-    /// the members as one HMAC per held-and-changed key).
-    fn handle_join_derived(
-        &mut self,
-        user: UserId,
-        individual_key: SymmetricKey,
-    ) -> Result<ProcessedOp, RequestError> {
-        let _op_span = self.obs.span("op.join");
-        let start = Instant::now();
-        // Drawn after the individual key, so replay under the same seed
-        // reproduces the identical code stream.
-        let code = self.keygen.generate(DERIVATION_CODE_LEN);
-        let event = {
-            let _s = self.obs.span("tree");
-            self.tree.join_derived(user, individual_key.clone(), &mut self.keygen, &code)?
-        };
-        let out = {
-            let _s = self.obs.span("encrypt");
-            let mut rekeyer =
-                ParRekeyer::new(self.config.cipher, &mut self.ivs, self.pool.as_ref());
-            rekeyer.join_derived(&event)
-        };
-        let changed = links_from_path(&event.path);
-        let seq = self.next_seq();
-        let (derived, encoded, signatures) =
-            self.authenticate_and_encode_derived(seq, OpKind::Join, code, changed, out.messages);
-        let proc_ns = start.elapsed().as_nanos() as u64;
-        self.metrics.req_join.inc();
-        self.metrics.encryptions.add(out.ops.key_encryptions);
-        self.metrics.signatures.add(signatures);
-        self.metrics.cache_hits.add(out.ops.cache_hits);
-        self.metrics.cache_misses.add(out.ops.cache_misses);
-        self.ledger.join.record(
-            out.ops.key_encryptions,
-            encoded.len() as u64,
-            encoded.iter().map(|e| e.len() as u64).sum(),
-            out.ops.keys_generated,
-            out.ops.cache_hits,
-        );
-        self.obs.event(ObsEvent::Join { user: user.0 });
-
-        self.stats.push(OpRecord {
-            kind: OpKind::Join,
-            requests: 1,
-            msg_sizes: encoded.iter().map(|e| e.len() as u32).collect(),
-            proc_ns,
-            encryptions: out.ops.key_encryptions,
-            signatures,
-        });
-        self.log_op(WalOp::DerivedJoin(user))?;
-        Ok(ProcessedOp {
-            seq,
-            packets: Vec::new(),
-            derived,
             encoded,
             join_grant: Some(JoinGrant {
                 user,
@@ -944,62 +787,24 @@ impl GroupKeyServer {
             return Err(RequestError::Tree(TreeError::NotAMember(user)));
         }
         let _op_span = self.obs.span("op.leave");
-        let start = Instant::now();
+        let started = Instant::now();
         let event = {
             let _s = self.obs.span("tree");
             self.tree.leave(user, &mut self.keygen)?
         };
         let out = {
             let _s = self.obs.span("encrypt");
-            let mut rekeyer =
-                ParRekeyer::new(self.config.cipher, &mut self.ivs, self.pool.as_ref());
             // Forward secrecy forbids deriving post-leave keys from
             // pre-leave ones, so derived mode ships a leave's fresh keys
-            // exactly like its shipped fallback — wrapped in a derived
-            // packet (empty code/worklist) so clients see one format and
-            // one monotonic interval counter.
-            rekeyer.leave(&event, self.config.strategy.shipped_fallback())
+            // exactly like its shipped fallback (no code, no worklist).
+            Rekeyer::new(self.config.cipher, &mut self.ivs)
+                .leave(&event, self.config.strategy.shipped_fallback())
         };
-        let seq = self.next_seq();
-        let (packets, derived, encoded, signatures) = if self.config.strategy == Strategy::Derived {
-            let (derived, encoded, signatures) = self.authenticate_and_encode_derived(
-                seq,
-                OpKind::Leave,
-                Vec::new(),
-                Vec::new(),
-                out.messages,
-            );
-            (Vec::new(), derived, encoded, signatures)
-        } else {
-            let (packets, encoded, signatures) =
-                self.authenticate_and_encode(seq, OpKind::Leave, out.messages);
-            (packets, Vec::new(), encoded, signatures)
-        };
-        let proc_ns = start.elapsed().as_nanos() as u64;
-        self.metrics.req_leave.inc();
-        self.metrics.encryptions.add(out.ops.key_encryptions);
-        self.metrics.signatures.add(signatures);
-        self.metrics.cache_hits.add(out.ops.cache_hits);
-        self.metrics.cache_misses.add(out.ops.cache_misses);
-        self.ledger.leave.record(
-            out.ops.key_encryptions,
-            encoded.len() as u64,
-            encoded.iter().map(|e| e.len() as u64).sum(),
-            out.ops.keys_generated,
-            out.ops.cache_hits,
-        );
+        let (seq, packets, encoded) =
+            self.finish(OpKind::Leave, 1, started, out, Default::default());
         self.obs.event(ObsEvent::Leave { user: user.0 });
-
-        self.stats.push(OpRecord {
-            kind: OpKind::Leave,
-            requests: 1,
-            msg_sizes: encoded.iter().map(|e| e.len() as u32).collect(),
-            proc_ns,
-            encryptions: out.ops.key_encryptions,
-            signatures,
-        });
         self.log_op(WalOp::Leave(user))?;
-        Ok(ProcessedOp { seq, packets, derived, encoded, join_grant: None })
+        Ok(ProcessedOp { seq, packets, encoded, join_grant: None })
     }
 
     /// Rotate the group key without any membership change: bump the root
@@ -1007,98 +812,47 @@ impl GroupKeyServer {
     /// the old one. Used for periodic rotation, and after crash recovery
     /// to fence off any group key that may have leaked with the dead
     /// process.
+    ///
+    /// Under `strategy = derived` the new root key is derived from the old
+    /// one and a published code, so the packet carries zero ciphertext —
+    /// just the code and a one-entry worklist. Members pay one HMAC each;
+    /// the server seals nothing.
     pub fn refresh_group_key(&mut self) -> Result<ProcessedOp, RequestError> {
-        if self.config.strategy == Strategy::Derived {
-            return self.refresh_group_key_derived();
-        }
+        let derived = self.config.strategy == Strategy::Derived;
         let _op_span = self.obs.span("op.refresh");
-        let start = Instant::now();
-        let path = self.tree.refresh_group_key(&mut self.keygen);
-        let messages = if self.tree.user_count() == 0 {
-            // Nobody to tell; the rotation still happened (and consumed
-            // one keygen output), but no rekey message is emitted and no
-            // IV stream is consumed.
-            Vec::new()
+        let started = Instant::now();
+        // The rotation happens (and consumes its keygen output, keeping
+        // replay deterministic) even when there is nobody to tell; an
+        // empty group gets no packet and consumes no IVs.
+        let listening = self.tree.user_count() > 0;
+        let (out, derive) = if derived {
+            let code = self.keygen.generate(DERIVATION_CODE_LEN);
+            let path = {
+                let _s = self.obs.span("tree");
+                self.tree.refresh_group_key_derived(&code)
+            };
+            // Nothing sealed, nothing drawn from the key DRBG: the root
+            // was derived, and the group recomputes it from the code.
+            let derive = if listening {
+                (code, links_from_path(std::slice::from_ref(&path)))
+            } else {
+                Default::default()
+            };
+            (RekeyOutput::default(), derive)
         } else {
-            let mut rekeyer =
-                ParRekeyer::new(self.config.cipher, &mut self.ivs, self.pool.as_ref());
-            rekeyer.refresh(&path).messages
+            let path = self.tree.refresh_group_key(&mut self.keygen);
+            let out = if listening {
+                Rekeyer::new(self.config.cipher, &mut self.ivs).refresh(&path)
+            } else {
+                let ops = OpCounts { keys_generated: 1, ..OpCounts::default() };
+                RekeyOutput { ops, ..RekeyOutput::default() }
+            };
+            (out, Default::default())
         };
-        let seq = self.next_seq();
-        let (packets, encoded, signatures) =
-            self.authenticate_and_encode(seq, OpKind::Refresh, messages);
-        let proc_ns = start.elapsed().as_nanos() as u64;
-        self.metrics.req_refresh.inc();
-        self.metrics.signatures.add(signatures);
-        // A refresh regenerates exactly the root key and (when anyone is
-        // listening) seals it once under the old group key.
-        self.ledger.refresh.record(
-            if encoded.is_empty() { 0 } else { 1 },
-            encoded.len() as u64,
-            encoded.iter().map(|e| e.len() as u64).sum(),
-            1,
-            0,
-        );
+        let (seq, packets, encoded) = self.finish(OpKind::Refresh, 0, started, out, derive);
         self.obs.event(ObsEvent::Refresh);
-
-        self.stats.push(OpRecord {
-            kind: OpKind::Refresh,
-            requests: 0,
-            msg_sizes: encoded.iter().map(|e| e.len() as u32).collect(),
-            proc_ns,
-            encryptions: if encoded.is_empty() { 0 } else { 1 },
-            signatures,
-        });
-        self.log_op(WalOp::Refresh)?;
-        Ok(ProcessedOp { seq, packets, derived: Vec::new(), encoded, join_grant: None })
-    }
-
-    /// [`Self::refresh_group_key`] under `strategy = derived`: the new
-    /// root key is derived from the old one and a published code, so the
-    /// packet carries zero ciphertext — just the code and a one-entry
-    /// worklist. Members pay one HMAC each; the server seals nothing.
-    fn refresh_group_key_derived(&mut self) -> Result<ProcessedOp, RequestError> {
-        let _op_span = self.obs.span("op.refresh");
-        let start = Instant::now();
-        let code = self.keygen.generate(DERIVATION_CODE_LEN);
-        let path = {
-            let _s = self.obs.span("tree");
-            self.tree.refresh_group_key_derived(&code)
-        };
-        let (code, changed) = if self.tree.user_count() == 0 {
-            // The rotation happened (and consumed one code draw, keeping
-            // replay deterministic), but there is nobody to tell.
-            (Vec::new(), Vec::new())
-        } else {
-            (code, links_from_path(std::slice::from_ref(&path)))
-        };
-        let seq = self.next_seq();
-        let (derived, encoded, signatures) =
-            self.authenticate_and_encode_derived(seq, OpKind::Refresh, code, changed, Vec::new());
-        let proc_ns = start.elapsed().as_nanos() as u64;
-        self.metrics.req_refresh.inc();
-        self.metrics.signatures.add(signatures);
-        // Nothing sealed, nothing drawn from the key DRBG: the root was
-        // derived, and the group recomputes it from the code.
-        self.ledger.refresh.record(
-            0,
-            encoded.len() as u64,
-            encoded.iter().map(|e| e.len() as u64).sum(),
-            0,
-            0,
-        );
-        self.obs.event(ObsEvent::Refresh);
-
-        self.stats.push(OpRecord {
-            kind: OpKind::Refresh,
-            requests: 0,
-            msg_sizes: encoded.iter().map(|e| e.len() as u32).collect(),
-            proc_ns,
-            encryptions: 0,
-            signatures,
-        });
-        self.log_op(WalOp::DerivedRefresh)?;
-        Ok(ProcessedOp { seq, packets: Vec::new(), derived, encoded, join_grant: None })
+        self.log_op(if derived { WalOp::DerivedRefresh } else { WalOp::Refresh })?;
+        Ok(ProcessedOp { seq, packets, encoded, join_grant: None })
     }
 
     /// Whether this server batches rekeys.
@@ -1209,86 +963,37 @@ impl GroupKeyServer {
     /// Apply one interval's queued requests: mark + replace the union of
     /// the changed paths once, build the consolidated rekey messages,
     /// authenticate, encode, and record one per-interval stats record.
-    fn process_batch(
-        &mut self,
-        pending: kg_batch::PendingBatch,
-    ) -> Result<ProcessedBatch, RequestError> {
-        let n_joins = pending.joins.len() as u32;
-        let n_leaves = pending.leaves.len() as u32;
-        let derived_mode = self.config.strategy == Strategy::Derived;
+    fn process_batch(&mut self, pending: PendingBatch) -> Result<ProcessedBatch, RequestError> {
+        let requests = (pending.joins.len() + pending.leaves.len()) as u32;
         // Forward secrecy: only a leave-free interval may derive its new
         // keys from the old ones. Any interval containing a leave ships
         // fresh keys via the shipped fallback strategy instead.
         let pure_join = pending.leaves.is_empty();
         let _op_span = self.obs.span("op.batch");
-        let start = Instant::now();
-        let (ev, changed, code) = {
+        let started = Instant::now();
+        let (ev, derive) = {
             let _s = self.obs.span("tree");
-            if derived_mode && pure_join {
+            if self.config.strategy == Strategy::Derived && pure_join {
                 let code = self.keygen.generate(DERIVATION_CODE_LEN);
                 let (ev, links) =
                     self.tree.apply_batch_derived(&pending.joins, &mut self.keygen, &code)?;
-                (ev, links, code)
+                (ev, (code, links))
             } else {
                 let ev =
                     self.tree.apply_batch(&pending.joins, &pending.leaves, &mut self.keygen)?;
-                (ev, Vec::new(), Vec::new())
+                (ev, Default::default())
             }
         };
         let out = {
             let _s = self.obs.span("encrypt");
-            let mut rekeyer =
-                ParRekeyer::new(self.config.cipher, &mut self.ivs, self.pool.as_ref());
             let strategy = if pure_join {
                 self.config.strategy
             } else {
                 self.config.strategy.shipped_fallback()
             };
-            rekeyer.batch(&ev, strategy)
+            Rekeyer::new(self.config.cipher, &mut self.ivs).batch(&ev, strategy)
         };
-        let timestamp_ms = self.next_seq(); // keep the logical clock shared
-        let (packets, derived, encoded, signatures) = if derived_mode {
-            let (derived, encoded, signatures) = self.authenticate_and_encode_derived_at(
-                timestamp_ms,
-                pending.interval,
-                OpKind::Batch,
-                code,
-                changed,
-                out.messages,
-            );
-            (Vec::new(), derived, encoded, signatures)
-        } else {
-            let (packets, encoded, signatures) = self.authenticate_and_encode_batch(
-                pending.interval,
-                timestamp_ms,
-                n_joins,
-                n_leaves,
-                out.messages,
-            );
-            (packets, Vec::new(), encoded, signatures)
-        };
-        let proc_ns = start.elapsed().as_nanos() as u64;
-        self.metrics.req_batch.inc();
-        self.metrics.encryptions.add(out.ops.key_encryptions);
-        self.metrics.signatures.add(signatures);
-        self.metrics.cache_hits.add(out.ops.cache_hits);
-        self.metrics.cache_misses.add(out.ops.cache_misses);
-        self.ledger.batch.record(
-            out.ops.key_encryptions,
-            encoded.len() as u64,
-            encoded.iter().map(|e| e.len() as u64).sum(),
-            out.ops.keys_generated,
-            out.ops.cache_hits,
-        );
-
-        self.stats.push(OpRecord {
-            kind: OpKind::Batch,
-            requests: n_joins + n_leaves,
-            msg_sizes: encoded.iter().map(|e| e.len() as u32).collect(),
-            proc_ns,
-            encryptions: out.ops.key_encryptions,
-            signatures,
-        });
+        let (_, packets, encoded) = self.finish(OpKind::Batch, requests, started, out, derive);
         let grants = ev
             .joins
             .iter()
@@ -1303,14 +1008,102 @@ impl GroupKeyServer {
         // rejoined in the same interval; the server view keeps only true
         // departures (a rejoiner keeps its endpoint and gets a new grant).
         let departed = ev.departed.into_iter().filter(|&u| !self.tree.is_member(u)).collect();
-        Ok(ProcessedBatch {
-            interval: pending.interval,
-            packets,
-            derived,
-            encoded,
-            grants,
-            departed,
-        })
+        Ok(ProcessedBatch { interval: pending.interval, packets, encoded, grants, departed })
+    }
+
+    /// The common tail of every operation — join, leave, refresh, batch
+    /// interval: number it, put its messages into packets, authenticate
+    /// and encode them, and account its cost (metrics, ledger, stats
+    /// record). `derive` is the published `(code, worklist)` of a derived
+    /// join, refresh or pure-join interval; empty otherwise.
+    ///
+    /// The shipped strategies send one packet per message (recipient
+    /// class). `strategy = derived` sends one group multicast carrying the
+    /// code, the worklist and every bundle, so clients see one monotonic
+    /// stream; an operation with nothing to say (the last member leaving)
+    /// sends nothing, like the shipped strategies.
+    ///
+    /// Returns the operation's sequence number, packets and encodings.
+    fn finish(
+        &mut self,
+        kind: OpKind,
+        requests: u32,
+        started: Instant,
+        out: RekeyOutput,
+        (code, changed): (Vec<u8>, Vec<DerivedLink>),
+    ) -> (u64, Vec<RekeyPacket>, Vec<Vec<u8>>) {
+        let seq = self.next_seq();
+        // `interval` starts at 1: clients treat an equal interval as
+        // redelivery, so 0 would alias their initial state. The timestamp
+        // is the deterministic logical clock.
+        let packet = |recipients, code, changed, bundles| RekeyPacket {
+            interval: seq + 1,
+            op: kind,
+            timestamp_ms: seq,
+            recipients,
+            code,
+            changed,
+            bundles,
+            auth: AuthTag::None,
+        };
+        let mut packets: Vec<RekeyPacket> = if self.config.strategy != Strategy::Derived {
+            out.messages
+                .into_iter()
+                .map(|m| packet(m.recipients, Vec::new(), Vec::new(), m.bundles))
+                .collect()
+        } else if code.is_empty() && changed.is_empty() && out.messages.is_empty() {
+            Vec::new()
+        } else {
+            let bundles = out.messages.into_iter().flat_map(|m| m.bundles).collect();
+            vec![packet(Recipients::Group, code, changed, bundles)]
+        };
+        let signatures = {
+            let _s = self.obs.span("sign");
+            if matches!(self.config.auth, AuthPolicy::None) {
+                0 // skip body encoding entirely on the unauthenticated path
+            } else {
+                let bodies: Vec<Vec<u8>> = packets.iter().map(|p| p.encode_body()).collect();
+                let (tags, signatures) = self.compute_auth_tags(&bodies);
+                for (p, tag) in packets.iter_mut().zip(tags) {
+                    p.auth = tag;
+                }
+                signatures
+            }
+        };
+        let encoded: Vec<Vec<u8>> = {
+            let _s = self.obs.span("encode");
+            packets.iter().map(|p| p.encode()).collect()
+        };
+        let proc_ns = started.elapsed().as_nanos() as u64;
+
+        let ops = out.ops;
+        let at = kind.tag() as usize;
+        self.metrics.requests[at].inc();
+        self.metrics.signatures.add(signatures);
+        // A refresh's single seal is accounted in the ledger and the stats
+        // record only; the generic counters have never included it, and
+        // `report derived` and the cluster stats report read them.
+        if kind != OpKind::Refresh {
+            self.metrics.encryptions.add(ops.key_encryptions);
+            self.metrics.cache_hits.add(ops.cache_hits);
+            self.metrics.cache_misses.add(ops.cache_misses);
+        }
+        self.ledger[at].record(
+            ops.key_encryptions,
+            encoded.len() as u64,
+            encoded.iter().map(|e| e.len() as u64).sum(),
+            ops.keys_generated,
+            ops.cache_hits,
+        );
+        self.stats.push(OpRecord {
+            kind,
+            requests,
+            msg_sizes: encoded.iter().map(|e| e.len() as u32).collect(),
+            proc_ns,
+            encryptions: ops.key_encryptions,
+            signatures,
+        });
+        (seq, packets, encoded)
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -1321,62 +1114,32 @@ impl GroupKeyServer {
 
     /// Compute per-packet authentication tags for the given encoded
     /// bodies. Returns the tags (one per body, in body order) and the
-    /// number of RSA signing operations performed.
-    ///
-    /// The per-packet policies fan out across the worker pool when one
-    /// is configured and there are enough packets to pay for the trip:
-    /// each MD5/RSA computation depends only on its own body bytes, and
-    /// PKCS#1 v1.5 signing is deterministic, so the tags are identical
-    /// to the sequential ones. `SignBatch` stays sequential by design —
-    /// it performs a *single* RSA operation over the digest-tree root
-    /// (that is its whole point, §4), so there is nothing to fan out;
-    /// the interior digest tree is cheap relative to that one RSA op.
+    /// number of RSA signing operations performed. `SignBatch` performs a
+    /// *single* RSA operation over the digest-tree root (that is its whole
+    /// point, §4).
     fn compute_auth_tags(&self, bodies: &[Vec<u8>]) -> (Vec<AuthTag>, u64) {
-        /// Digests are ~µs-cheap; only fan out with real packet counts.
-        const PAR_DIGEST_MIN: usize = 4;
-        /// RSA signing is ~ms-expensive; fan out as soon as two packets
-        /// can sign concurrently.
-        const PAR_SIGN_MIN: usize = 2;
+        let digest = self.config.digest;
+        let key = || &self.rsa.as_ref().expect("policy requires key").private;
         match self.config.auth {
             AuthPolicy::None => (vec![AuthTag::None; bodies.len()], 0),
             AuthPolicy::Digest => {
-                let digest = self.config.digest;
-                let tags = match &self.pool {
-                    Some(pool) if bodies.len() >= PAR_DIGEST_MIN => pool
-                        .scatter(bodies.to_vec(), move |_, body| {
-                            AuthTag::Digest(digest.hash(&body))
-                        }),
-                    _ => bodies.iter().map(|b| AuthTag::Digest(digest.hash(b))).collect(),
-                };
-                (tags, 0)
+                (bodies.iter().map(|b| AuthTag::Digest(digest.hash(b))).collect(), 0)
             }
             AuthPolicy::SignEach => {
-                let key = self.rsa.as_ref().expect("policy requires key").private.clone();
-                let digest = self.config.digest;
-                let n = bodies.len() as u64;
-                let tags = match &self.pool {
-                    Some(pool) if bodies.len() >= PAR_SIGN_MIN => {
-                        pool.scatter(bodies.to_vec(), move |_, body| AuthTag::Signed {
-                            signature: key.sign(digest, &body).expect("signing"),
-                        })
-                    }
-                    _ => bodies
-                        .iter()
-                        .map(|body| AuthTag::Signed {
-                            signature: key.sign(digest, body).expect("signing"),
-                        })
-                        .collect(),
-                };
-                (tags, n)
+                let tags = bodies
+                    .iter()
+                    .map(|body| AuthTag::Signed {
+                        signature: key().sign(digest, body).expect("signing"),
+                    })
+                    .collect();
+                (tags, bodies.len() as u64)
             }
             AuthPolicy::SignBatch => {
                 if bodies.is_empty() {
                     return (Vec::new(), 0);
                 }
-                let key = self.rsa.as_ref().expect("policy requires key").private.clone();
                 let refs: Vec<&[u8]> = bodies.iter().map(|b| b.as_slice()).collect();
-                let batch =
-                    merkle::sign_batch(&key, self.config.digest, &refs).expect("batch signing");
+                let batch = merkle::sign_batch(key(), digest, &refs).expect("batch signing");
                 let tags = batch
                     .paths
                     .into_iter()
@@ -1388,130 +1151,6 @@ impl GroupKeyServer {
                 (tags, 1)
             }
         }
-    }
-
-    /// Attach the configured authenticity tag to every message and encode.
-    /// Returns (packets, encodings, signature-op count).
-    fn authenticate_and_encode(
-        &mut self,
-        seq: u64,
-        op: OpKind,
-        messages: Vec<RekeyMessage>,
-    ) -> (Vec<RekeyPacket>, Vec<Vec<u8>>, u64) {
-        let timestamp_ms = seq; // deterministic logical timestamp
-        let mut packets: Vec<RekeyPacket> = messages
-            .into_iter()
-            .map(|message| RekeyPacket { seq, op, timestamp_ms, message, auth: AuthTag::None })
-            .collect();
-        let sign_span = self.obs.span("sign");
-        let signatures = if matches!(self.config.auth, AuthPolicy::None) {
-            0 // skip body encoding entirely on the unauthenticated path
-        } else {
-            let bodies: Vec<Vec<u8>> = packets.iter().map(|p| p.encode_body()).collect();
-            let (tags, signatures) = self.compute_auth_tags(&bodies);
-            for (p, tag) in packets.iter_mut().zip(tags) {
-                p.auth = tag;
-            }
-            signatures
-        };
-        drop(sign_span);
-        let _encode_span = self.obs.span("encode");
-        let encoded: Vec<Vec<u8>> = packets.iter().map(|p| p.encode()).collect();
-        (packets, encoded, signatures)
-    }
-
-    /// [`Self::authenticate_and_encode`] for an interval's batch packets.
-    fn authenticate_and_encode_batch(
-        &mut self,
-        interval: u64,
-        timestamp_ms: u64,
-        joins: u32,
-        leaves: u32,
-        messages: Vec<RekeyMessage>,
-    ) -> (Vec<BatchRekeyPacket>, Vec<Vec<u8>>, u64) {
-        let mut packets: Vec<BatchRekeyPacket> = messages
-            .into_iter()
-            .map(|message| BatchRekeyPacket {
-                interval,
-                timestamp_ms,
-                joins,
-                leaves,
-                message,
-                auth: AuthTag::None,
-            })
-            .collect();
-        let sign_span = self.obs.span("sign");
-        let signatures = if matches!(self.config.auth, AuthPolicy::None) {
-            0
-        } else {
-            let bodies: Vec<Vec<u8>> = packets.iter().map(|p| p.encode_body()).collect();
-            let (tags, signatures) = self.compute_auth_tags(&bodies);
-            for (p, tag) in packets.iter_mut().zip(tags) {
-                p.auth = tag;
-            }
-            signatures
-        };
-        drop(sign_span);
-        let _encode_span = self.obs.span("encode");
-        let encoded: Vec<Vec<u8>> = packets.iter().map(|p| p.encode()).collect();
-        (packets, encoded, signatures)
-    }
-
-    /// [`Self::authenticate_and_encode`] for an immediate derived op: the
-    /// interval counter is the shared logical clock, offset so that it
-    /// starts at 1 like batch interval numbering (clients treat an equal
-    /// interval as idempotent redelivery, so 0 would alias their initial
-    /// state).
-    fn authenticate_and_encode_derived(
-        &mut self,
-        seq: u64,
-        op: OpKind,
-        code: Vec<u8>,
-        changed: Vec<DerivedLink>,
-        messages: Vec<RekeyMessage>,
-    ) -> (Vec<DerivedRekeyPacket>, Vec<Vec<u8>>, u64) {
-        self.authenticate_and_encode_derived_at(seq, seq + 1, op, code, changed, messages)
-    }
-
-    /// Build, authenticate, and encode the operation's single
-    /// [`DerivedRekeyPacket`]. An operation with nothing to say (no code,
-    /// no worklist, no bundles — e.g. the last member leaving) emits no
-    /// packet at all, matching the shipped strategies.
-    fn authenticate_and_encode_derived_at(
-        &mut self,
-        seq: u64,
-        interval: u64,
-        op: OpKind,
-        code: Vec<u8>,
-        changed: Vec<DerivedLink>,
-        messages: Vec<RekeyMessage>,
-    ) -> (Vec<DerivedRekeyPacket>, Vec<Vec<u8>>, u64) {
-        if code.is_empty() && changed.is_empty() && messages.is_empty() {
-            return (Vec::new(), Vec::new(), 0);
-        }
-        let mut packet = DerivedRekeyPacket {
-            seq,
-            interval,
-            op,
-            timestamp_ms: seq, // deterministic logical timestamp
-            code,
-            changed,
-            messages,
-            auth: AuthTag::None,
-        };
-        let sign_span = self.obs.span("sign");
-        let signatures = if matches!(self.config.auth, AuthPolicy::None) {
-            0
-        } else {
-            let bodies = vec![packet.encode_body()];
-            let (tags, signatures) = self.compute_auth_tags(&bodies);
-            packet.auth = tags.into_iter().next().expect("one body, one tag");
-            signatures
-        };
-        drop(sign_span);
-        let _encode_span = self.obs.span("encode");
-        let encoded = vec![packet.encode()];
-        (vec![packet], encoded, signatures)
     }
 }
 
@@ -1529,78 +1168,6 @@ mod tests {
         for i in 0..n {
             s.handle_join(UserId(i)).unwrap();
         }
-    }
-
-    /// A server at any worker count emits exactly the bytes of the
-    /// sequential server: same encoded packets, same stats, same
-    /// signatures. Exercises every auth policy (the sign/digest fan-out
-    /// paths included) and both immediate ops, on the same op schedule.
-    #[test]
-    fn worker_count_never_changes_output_bytes() {
-        for auth in
-            [AuthPolicy::None, AuthPolicy::Digest, AuthPolicy::SignEach, AuthPolicy::SignBatch]
-        {
-            let config =
-                ServerConfig { auth, strategy: Strategy::KeyOriented, ..ServerConfig::default() };
-            let par_config = ServerConfig {
-                // Clamp off: the byte-identity guarantee must hold with
-                // real pool threads even on a single-core test host.
-                parallel: ParallelConfig { workers: 4, clamp_to_hardware: false },
-                ..config.clone()
-            };
-            let mut seq_srv = GroupKeyServer::new(config, AccessControl::AllowAll);
-            let mut par_srv = GroupKeyServer::new(par_config, AccessControl::AllowAll);
-            for i in 0..20 {
-                let a = seq_srv.handle_join(UserId(i)).unwrap();
-                let b = par_srv.handle_join(UserId(i)).unwrap();
-                assert_eq!(a.encoded, b.encoded, "join bytes diverged ({auth:?})");
-            }
-            let a = seq_srv.handle_leave(UserId(7)).unwrap();
-            let b = par_srv.handle_leave(UserId(7)).unwrap();
-            assert_eq!(a.encoded, b.encoded, "leave bytes diverged ({auth:?})");
-            let a = seq_srv.refresh_group_key().unwrap();
-            let b = par_srv.refresh_group_key().unwrap();
-            assert_eq!(a.encoded, b.encoded, "refresh bytes diverged ({auth:?})");
-            let sa = seq_srv.stats().records().last().unwrap();
-            let sb = par_srv.stats().records().last().unwrap();
-            assert_eq!(sa.signatures, sb.signatures);
-            assert_eq!(sa.encryptions, sb.encryptions);
-        }
-    }
-
-    /// Batched-mode flushes, too, are byte-identical across worker
-    /// counts — the interval pipeline is where most fan-out happens.
-    #[test]
-    fn worker_count_never_changes_batch_output_bytes() {
-        let config = ServerConfig {
-            rekey: RekeyPolicy::Batched { interval_ms: 100, max_pending: 1024 },
-            ..ServerConfig::default()
-        };
-        let par_config = ServerConfig {
-            parallel: ParallelConfig { workers: 3, clamp_to_hardware: false },
-            ..config.clone()
-        };
-        let mut seq_srv = GroupKeyServer::new(config, AccessControl::AllowAll);
-        let mut par_srv = GroupKeyServer::new(par_config, AccessControl::AllowAll);
-        for s in [&mut seq_srv, &mut par_srv] {
-            for i in 0..64 {
-                s.enqueue_join(UserId(i)).unwrap();
-            }
-        }
-        let a = seq_srv.flush(100).unwrap().unwrap();
-        let b = par_srv.flush(100).unwrap().unwrap();
-        assert_eq!(a.encoded, b.encoded);
-        for s in [&mut seq_srv, &mut par_srv] {
-            for i in 0..32 {
-                s.enqueue_leave(UserId(i * 2)).unwrap();
-            }
-            s.enqueue_join(UserId(100)).unwrap();
-        }
-        let a = seq_srv.flush(200).unwrap().unwrap();
-        let b = par_srv.flush(200).unwrap().unwrap();
-        assert_eq!(a.encoded, b.encoded);
-        assert_eq!(a.grants.len(), b.grants.len());
-        assert_eq!(a.departed, b.departed);
     }
 
     #[test]
@@ -1860,7 +1427,7 @@ mod tests {
             s.enqueue_leave(UserId(5)).unwrap();
             let batch = s.flush(10).unwrap().unwrap();
             for (p, enc) in batch.packets.iter().zip(&batch.encoded) {
-                let (decoded, body_len) = kg_wire::BatchRekeyPacket::decode(enc).unwrap();
+                let (decoded, body_len) = RekeyPacket::decode(enc).unwrap();
                 assert_eq!(&decoded, p);
                 match (&p.auth, auth) {
                     (AuthTag::Digest(d), AuthPolicy::Digest) => {
@@ -1898,7 +1465,7 @@ mod tests {
             // membership.
             let mut covered = std::collections::BTreeSet::new();
             for p in &op.packets {
-                let users: Vec<UserId> = match &p.message.recipients {
+                let users: Vec<UserId> = match &p.recipients {
                     Recipients::User(u) => vec![*u],
                     Recipients::Subgroup(l) => s.tree().userset(*l),
                     Recipients::SubgroupExcept { include, exclude } => {
@@ -1921,13 +1488,12 @@ mod tests {
         populate(&mut s, 64);
         let before = s.stats().records().len();
         let op = s.handle_join(UserId(100)).unwrap();
-        assert!(op.packets.is_empty(), "derived ops never ship RekeyPackets");
-        assert_eq!(op.derived.len(), 1);
-        let p = &op.derived[0];
+        assert_eq!(op.packets.len(), 1, "a derived op is one group multicast");
+        let p = &op.packets[0];
         assert_eq!(p.op, kg_wire::OpKind::Join);
         assert_eq!(p.code.len(), kg_core::derive::DERIVATION_CODE_LEN);
         assert!(!p.changed.is_empty(), "join must publish derivation links");
-        assert_eq!(p.messages.len(), 1, "only the joiner's unicast is sealed");
+        assert_eq!(p.bundles.len(), 1, "only the joiner's unicast is sealed");
         assert!(op.join_grant.is_some());
         // O(1) bundles sealed: only the joiner's unicast, whose cost is the
         // path keys it packs. A shipped group-oriented join additionally
@@ -1947,15 +1513,14 @@ mod tests {
         let mut s = server(AuthPolicy::None, Strategy::Derived);
         populate(&mut s, 16);
         let op = s.handle_leave(UserId(5)).unwrap();
-        assert!(op.packets.is_empty());
-        assert_eq!(op.derived.len(), 1);
-        let p = &op.derived[0];
+        assert_eq!(op.packets.len(), 1);
+        let p = &op.packets[0];
         assert_eq!(p.op, kg_wire::OpKind::Leave);
         // Derivation from keys the departed member held would leak the new
         // keys to them; a leave publishes no code and ships everything.
         assert!(p.code.is_empty());
         assert!(p.changed.is_empty());
-        assert!(!p.messages.is_empty(), "replacement keys must be shipped");
+        assert!(!p.bundles.is_empty(), "replacement keys must be shipped");
         assert!(!s.is_member(UserId(5)));
     }
 
@@ -1965,12 +1530,12 @@ mod tests {
         populate(&mut s, 16);
         let before = s.stats().records().len();
         let op = s.refresh_group_key().unwrap();
-        assert_eq!(op.derived.len(), 1);
-        let p = &op.derived[0];
+        assert_eq!(op.packets.len(), 1);
+        let p = &op.packets[0];
         assert_eq!(p.op, kg_wire::OpKind::Refresh);
         assert_eq!(p.code.len(), kg_core::derive::DERIVATION_CODE_LEN);
         assert_eq!(p.changed.len(), 1, "refresh rotates only the group key");
-        assert!(p.messages.is_empty(), "no ciphertext: every member derives");
+        assert!(p.bundles.is_empty(), "no ciphertext: every member derives");
         assert_eq!(s.stats().records()[before].encryptions, 0);
     }
 
@@ -1980,12 +1545,12 @@ mod tests {
         let mut last = 0;
         for i in 0..8 {
             let op = s.handle_join(UserId(i)).unwrap();
-            let p = &op.derived[0];
+            let p = &op.packets[0];
             assert!(p.interval > last, "intervals must advance past {last}");
             last = p.interval;
         }
         let op = s.refresh_group_key().unwrap();
-        assert!(op.derived[0].interval > last);
+        assert!(op.packets[0].interval > last);
     }
 
     #[test]
@@ -1993,11 +1558,11 @@ mod tests {
         let mut s = server(AuthPolicy::Digest, Strategy::Derived);
         populate(&mut s, 4);
         let op = s.handle_join(UserId(50)).unwrap();
-        assert!(!matches!(op.derived[0].auth, kg_wire::AuthTag::None));
+        assert!(!matches!(op.packets[0].auth, kg_wire::AuthTag::None));
         let mut s = server(AuthPolicy::SignEach, Strategy::Derived);
         populate(&mut s, 4);
         let op = s.refresh_group_key().unwrap();
-        assert!(matches!(op.derived[0].auth, kg_wire::AuthTag::Signed { .. }));
+        assert!(matches!(op.packets[0].auth, kg_wire::AuthTag::Signed { .. }));
     }
 
     #[test]
@@ -2013,13 +1578,12 @@ mod tests {
             s.enqueue_join(UserId(i)).unwrap();
         }
         let batch = s.flush(100).unwrap().unwrap();
-        assert!(batch.packets.is_empty());
-        assert_eq!(batch.derived.len(), 1);
-        let p = &batch.derived[0];
+        assert_eq!(batch.packets.len(), 1);
+        let p = &batch.packets[0];
         assert_eq!(p.op, kg_wire::OpKind::Batch);
         assert!(!p.code.is_empty());
         assert!(!p.changed.is_empty());
-        assert_eq!(p.messages.len(), 8, "one sealed unicast per joiner");
+        assert_eq!(p.bundles.len(), 8, "one sealed unicast per joiner");
         for (to, _) in batch.frames() {
             assert_eq!(to, Recipients::Group);
         }
@@ -2028,11 +1592,11 @@ mod tests {
         s.enqueue_join(UserId(100)).unwrap();
         s.enqueue_leave(UserId(3)).unwrap();
         let batch = s.flush(200).unwrap().unwrap();
-        assert_eq!(batch.derived.len(), 1);
-        let p = &batch.derived[0];
+        assert_eq!(batch.packets.len(), 1);
+        let p = &batch.packets[0];
         assert!(p.code.is_empty(), "leave intervals must not publish a code");
         assert!(p.changed.is_empty());
-        assert!(!p.messages.is_empty());
+        assert!(!p.bundles.is_empty());
     }
 
     // ---- crash recovery -------------------------------------------------
@@ -2178,7 +1742,7 @@ mod tests {
         let a = r.handle_join(UserId(100)).unwrap();
         let b = control.handle_join(UserId(100)).unwrap();
         assert_eq!(a.encoded, b.encoded);
-        assert_eq!(a.derived[0].code, b.derived[0].code);
+        assert_eq!(a.packets[0].code, b.packets[0].code);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2317,7 +1881,7 @@ mod tests {
         assert_ne!(serial::root_digest(s.tree()), before);
         assert_eq!(op.packets.len(), 1);
         assert_eq!(op.packets[0].op, OpKind::Refresh);
-        assert!(matches!(op.packets[0].message.recipients, Recipients::Group));
+        assert!(matches!(op.packets[0].recipients, Recipients::Group));
         let rec = s.stats().records().last().unwrap();
         assert_eq!(rec.kind, OpKind::Refresh);
         assert_eq!(rec.requests, 0);

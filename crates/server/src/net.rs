@@ -245,14 +245,7 @@ impl NetServer {
         from: EndpointId,
         auth: &[u8],
     ) -> ServerEvent {
-        let authentic = self
-            .inner
-            .tree()
-            .keyset(user)
-            .and_then(|ks| ks.first().cloned())
-            .map(|(_, ik)| verify_mac(&hmac::<Md5>(ik.material(), &user.0.to_be_bytes()), auth))
-            .unwrap_or(false);
-        let result = if authentic {
+        let result = if self.leave_is_authentic(user, auth) {
             self.inner.enqueue_leave(user)
         } else {
             Err(RequestError::Tree(kg_core::tree::TreeError::NotAMember(user)))
@@ -265,6 +258,16 @@ impl NetServer {
             }
             Ok(()) => ServerEvent::Queued(user),
         }
+    }
+
+    /// Verify `{leave-request}_{k_u}`: HMAC-MD5 of the user id under the
+    /// member's individual key (the leaf key in the tree).
+    fn leave_is_authentic(&self, user: UserId, auth: &[u8]) -> bool {
+        self.inner
+            .tree()
+            .keyset(user)
+            .and_then(|ks| ks.first().cloned())
+            .is_some_and(|(_, ik)| verify_mac(&leave_authenticator(user, ik.material()), auth))
     }
 
     /// Deliver one flushed interval: admit joiners, evict the departed,
@@ -356,16 +359,7 @@ impl NetServer {
         from: EndpointId,
         auth: &[u8],
     ) -> ServerEvent {
-        // Verify {leave-request}_{k_u}: HMAC-MD5 of the user id under the
-        // member's individual key (the leaf key in the tree).
-        let authentic = self
-            .inner
-            .tree()
-            .keyset(user)
-            .and_then(|ks| ks.first().cloned())
-            .map(|(_, ik)| verify_mac(&hmac::<Md5>(ik.material(), &user.0.to_be_bytes()), auth))
-            .unwrap_or(false);
-        if !authentic {
+        if !self.leave_is_authentic(user, auth) {
             let deny = ControlMessage::LeaveDenied { user }.encode();
             net.send_unicast(self.endpoint, from, Bytes::from(deny));
             return ServerEvent::Rejected(

@@ -147,15 +147,6 @@ impl Totals {
 
 const KINDS: usize = 4;
 
-fn kind_index(kind: OpKind) -> usize {
-    match kind {
-        OpKind::Join => 0,
-        OpKind::Leave => 1,
-        OpKind::Batch => 2,
-        OpKind::Refresh => 3,
-    }
-}
-
 /// Statistics sink held by the server.
 ///
 /// By default every [`OpRecord`] is retained (snapshots checkpoint
@@ -197,7 +188,7 @@ impl ServerStats {
 
     /// Append a record.
     pub fn push(&mut self, rec: OpRecord) {
-        self.by_kind[kind_index(rec.kind)].fold(&rec);
+        self.by_kind[rec.kind.tag() as usize].fold(&rec);
         self.overall.fold(&rec);
         self.records.push(rec);
         if let Some(cap) = self.record_cap {
@@ -234,7 +225,7 @@ impl ServerStats {
     pub fn aggregate(&self, kind: Option<OpKind>) -> Option<Aggregate> {
         match kind {
             None => self.overall.aggregate(),
-            Some(k) => self.by_kind[kind_index(k)].aggregate(),
+            Some(k) => self.by_kind[k.tag() as usize].aggregate(),
         }
     }
 }

@@ -8,8 +8,8 @@
 //! administrators. Every envelope carries:
 //!
 //! * a **magic** byte ([`CLUSTER_MAGIC`]) so envelopes can never be
-//!   confused with client-plane traffic (control tags are ≤ 5, the batch
-//!   rekey magic is `0xB5`),
+//!   confused with client-plane traffic (control tags are ≤ 5, the rekey
+//!   magic is `0xB5`),
 //! * a **version** byte ([`CLUSTER_VERSION`]) so heterogeneous nodes fail
 //!   closed with a typed error instead of misparsing,
 //! * the **shard id** the message concerns and the **group id** it applies
@@ -78,7 +78,7 @@ pub enum ClusterBody {
     /// Shard → router: relay an encoded rekey packet to this shard
     /// subtree's entire membership (subgroup multicast). The payload is
     /// the trailing bytes of the datagram — opaque here, decoded by
-    /// members as a `RekeyPacket`/`BatchRekeyPacket`.
+    /// members as a `RekeyPacket`.
     RekeyGroup {
         /// Encoded client-plane rekey packet.
         payload: Vec<u8>,

@@ -22,10 +22,7 @@ pub mod telemetry;
 pub use cluster::{
     ClusterBody, ClusterEnvelope, GroupId, ShardId, CLUSTER_MAGIC, CLUSTER_VERSION, ROUTER_SHARD,
 };
-pub use message::{
-    AuthTag, BatchRekeyPacket, ControlMessage, DerivedRekeyPacket, OpKind, RekeyPacket,
-    BATCH_MAGIC, DERIVED_MAGIC, DERIVED_VERSION,
-};
+pub use message::{AuthTag, ControlMessage, OpKind, RekeyPacket, REKEY_MAGIC, REKEY_VERSION};
 pub use telemetry::TelemetrySnapshot;
 
 use std::fmt;

@@ -10,12 +10,13 @@
 use crate::codec::{get_bytes, get_count, get_u32, get_u64, get_u8, put_bytes};
 use crate::WireError;
 use bytes::BufMut;
+use kg_core::derive::DerivedLink;
 use kg_core::ids::{KeyLabel, KeyRef, KeyVersion, UserId};
 use kg_core::merkle::{AuthPath, Side};
-use kg_core::rekey::{KeyBundle, Recipients, RekeyMessage};
+use kg_core::rekey::{KeyBundle, Recipients};
 
-/// Whether a rekey was triggered by a join or a leave (carried for client
-/// statistics; the decryption logic does not depend on it).
+/// What triggered a rekey (carried for client statistics; the decryption
+/// logic does not depend on it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// Triggered by a join.
@@ -27,6 +28,30 @@ pub enum OpKind {
     /// A group-key refresh (key-version bump) with no membership change —
     /// periodic rotation, or rotation forced after recovering from a crash.
     Refresh,
+}
+
+impl OpKind {
+    /// The stable byte this kind is encoded as, on the wire and in
+    /// server snapshots.
+    pub fn tag(self) -> u8 {
+        match self {
+            OpKind::Join => 0,
+            OpKind::Leave => 1,
+            OpKind::Batch => 2,
+            OpKind::Refresh => 3,
+        }
+    }
+
+    /// Inverse of [`OpKind::tag`]; `None` for an unassigned byte.
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        match tag {
+            0 => Some(OpKind::Join),
+            1 => Some(OpKind::Leave),
+            2 => Some(OpKind::Batch),
+            3 => Some(OpKind::Refresh),
+            _ => None,
+        }
+    }
 }
 
 /// Authentication attached to a rekey message.
@@ -53,37 +78,95 @@ pub enum AuthTag {
     },
 }
 
-/// A rekey packet as delivered to clients.
+/// First byte of every encoded [`RekeyPacket`]. Distinct from every
+/// [`ControlMessage`] tag (≤ 5) and from the cluster envelope magic
+/// (`0xC7`), so a datagram's first byte says which plane it belongs to.
+pub const REKEY_MAGIC: u8 = 0xB5;
+
+/// Version byte following [`REKEY_MAGIC`]. Decoding fails closed on any
+/// other value, so the format can evolve without silent misparses.
+pub const REKEY_VERSION: u8 = 1;
+
+/// The one rekey packet, as delivered to clients: what a join, a leave, a
+/// refresh or a batched interval sends to one recipient class.
+///
+/// It carries up to two things:
+///
+/// * `code` + `changed` — a derivation work list (`Strategy::Derived`
+///   joins and refreshes): members holding the key at `changed[i].from`
+///   recompute the key at `changed[i].new_ref` via
+///   `derive_key(held, code, label, new_version)`. Both empty in a
+///   packet that only ships ciphertext.
+/// * `bundles` — shipped ciphertext for whoever cannot derive: every
+///   recipient under the paper's three strategies; under
+///   `Strategy::Derived` the joiner's path under its individual key and
+///   the whole group-oriented payload of a leave (forward secrecy — a
+///   departed member could run the public derivation too).
+///
+/// An operation may produce several packets (one per subgroup under the
+/// user- and key-oriented strategies); they all carry the same `interval`.
+/// `interval` totally orders a server's operations: clients apply each
+/// packet atomically and reject anything older than what they already
+/// applied.
+///
+/// # Layout
+///
+/// ```text
+/// magic u8 | version u8 | interval u64 | op u8 | timestamp_ms u64
+/// | recipients | derive u8 (0 | 1) [ code | changed ] | bundles ‖ auth
+/// ```
+///
+/// Everything before `auth` is the *body* the digest/signature covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RekeyPacket {
-    /// Server-assigned sequence number of the triggering operation.
-    pub seq: u64,
-    /// Join or leave.
+    /// Position of the triggering operation in the server's total order
+    /// (monotonically increasing, 1-based).
+    pub interval: u64,
+    /// What triggered the rekey.
     pub op: OpKind,
     /// Server timestamp (milliseconds since an arbitrary epoch; the paper's
     /// format reserves a timestamp field for replay detection).
     pub timestamp_ms: u64,
-    /// The rekey content (recipients + encrypted key bundles).
-    pub message: RekeyMessage,
+    /// Delivery scope.
+    pub recipients: Recipients,
+    /// Derivation code for this operation (empty when nothing is derived).
+    pub code: Vec<u8>,
+    /// Derivation work list, root-first.
+    pub changed: Vec<DerivedLink>,
+    /// Shipped bundles for recipients that cannot derive.
+    pub bundles: Vec<KeyBundle>,
     /// Integrity/authenticity tag.
     pub auth: AuthTag,
 }
 
 impl RekeyPacket {
+    /// Whether `bytes` belongs to the rekey plane (leading magic byte).
+    pub fn sniff(bytes: &[u8]) -> bool {
+        bytes.first() == Some(&REKEY_MAGIC)
+    }
+
     /// Serialize the *body* (everything the digest/signature covers).
     pub fn encode_body(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
-        out.put_u64(self.seq);
-        out.put_u8(match self.op {
-            OpKind::Join => 0,
-            OpKind::Leave => 1,
-            OpKind::Batch => 2,
-            OpKind::Refresh => 3,
-        });
+        out.put_u8(REKEY_MAGIC);
+        out.put_u8(REKEY_VERSION);
+        out.put_u64(self.interval);
+        out.put_u8(self.op.tag());
         out.put_u64(self.timestamp_ms);
-        encode_recipients(&mut out, &self.message.recipients);
-        out.put_u32(self.message.bundles.len() as u32);
-        for b in &self.message.bundles {
+        encode_recipients(&mut out, &self.recipients);
+        if self.code.is_empty() && self.changed.is_empty() {
+            out.put_u8(0);
+        } else {
+            out.put_u8(1);
+            put_bytes(&mut out, &self.code);
+            out.put_u32(self.changed.len() as u32);
+            for link in &self.changed {
+                encode_keyref(&mut out, &link.new_ref);
+                encode_keyref(&mut out, &link.from);
+            }
+        }
+        out.put_u32(self.bundles.len() as u32);
+        for b in &self.bundles {
             encode_bundle(&mut out, b);
         }
         out
@@ -94,27 +177,45 @@ impl RekeyPacket {
         let mut out = self.encode_body();
         encode_auth(&mut out, &self.auth);
         out
-    }
-
-    /// Total wire length.
-    pub fn wire_len(&self) -> usize {
-        self.encode().len()
     }
 
     /// Decode a packet, returning it together with the length of its body
     /// prefix (callers re-digest `bytes[..body_len]` to verify the tag).
     pub fn decode(bytes: &[u8]) -> Result<(Self, usize), WireError> {
         let mut buf = bytes;
-        let seq = get_u64(&mut buf)?;
-        let op = match get_u8(&mut buf)? {
-            0 => OpKind::Join,
-            1 => OpKind::Leave,
-            2 => OpKind::Batch,
-            3 => OpKind::Refresh,
-            t => return Err(WireError::BadTag { context: "op kind", tag: t }),
-        };
+        match get_u8(&mut buf)? {
+            REKEY_MAGIC => {}
+            t => return Err(WireError::BadTag { context: "rekey magic", tag: t }),
+        }
+        match get_u8(&mut buf)? {
+            REKEY_VERSION => {}
+            t => return Err(WireError::BadTag { context: "rekey version", tag: t }),
+        }
+        let interval = get_u64(&mut buf)?;
+        let op = get_u8(&mut buf)?;
+        let op = OpKind::from_tag(op).ok_or(WireError::BadTag { context: "op kind", tag: op })?;
         let timestamp_ms = get_u64(&mut buf)?;
         let recipients = decode_recipients(&mut buf)?;
+        let (code, changed) = match get_u8(&mut buf)? {
+            0 => (Vec::new(), Vec::new()),
+            1 => {
+                let code = get_bytes(&mut buf)?;
+                let n = get_count(&mut buf)?;
+                let mut changed = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let new_ref = decode_keyref(&mut buf)?;
+                    let from = decode_keyref(&mut buf)?;
+                    changed.push(DerivedLink { new_ref, from });
+                }
+                if code.is_empty() && changed.is_empty() {
+                    // Not what `encode` writes for an empty work list;
+                    // accepting it would give one packet two encodings.
+                    return Err(WireError::BadTag { context: "empty derive section", tag: 1 });
+                }
+                (code, changed)
+            }
+            t => return Err(WireError::BadTag { context: "derive flag", tag: t }),
+        };
         let n = get_count(&mut buf)?;
         let mut bundles = Vec::with_capacity(n);
         for _ in 0..n {
@@ -126,260 +227,7 @@ impl RekeyPacket {
             return Err(WireError::TrailingBytes(buf.len()));
         }
         Ok((
-            RekeyPacket {
-                seq,
-                op,
-                timestamp_ms,
-                message: RekeyMessage { recipients, bundles },
-                auth,
-            },
-            body_len,
-        ))
-    }
-}
-
-/// First byte of every encoded [`BatchRekeyPacket`], distinguishing batch
-/// rekeys from legacy per-operation [`RekeyPacket`]s (whose leading byte is
-/// the high byte of a realistic sequence number, hence never `0xB5`) and
-/// from [`ControlMessage`]s (whose tag byte is ≤ 5).
-pub const BATCH_MAGIC: u8 = 0xB5;
-
-/// One rekey message of a batched interval, as delivered to clients.
-///
-/// A batch interval may produce several of these (one per subgroup under
-/// the user- and key-oriented strategies); they all carry the same
-/// `interval` so clients can reject stale traffic after a newer interval
-/// has been applied.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchRekeyPacket {
-    /// Interval sequence number (monotonically increasing, 1-based).
-    pub interval: u64,
-    /// Server timestamp (logical, as in [`RekeyPacket`]).
-    pub timestamp_ms: u64,
-    /// Number of joins aggregated into this interval.
-    pub joins: u32,
-    /// Number of leaves aggregated into this interval.
-    pub leaves: u32,
-    /// The rekey content (recipients + encrypted multi-key bundles).
-    pub message: RekeyMessage,
-    /// Integrity/authenticity tag.
-    pub auth: AuthTag,
-}
-
-impl BatchRekeyPacket {
-    /// Whether `bytes` looks like an encoded batch rekey packet.
-    pub fn sniff(bytes: &[u8]) -> bool {
-        bytes.first() == Some(&BATCH_MAGIC)
-    }
-
-    /// Serialize the *body* (everything the digest/signature covers).
-    pub fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.put_u8(BATCH_MAGIC);
-        out.put_u64(self.interval);
-        out.put_u64(self.timestamp_ms);
-        out.put_u32(self.joins);
-        out.put_u32(self.leaves);
-        encode_recipients(&mut out, &self.message.recipients);
-        out.put_u32(self.message.bundles.len() as u32);
-        for b in &self.message.bundles {
-            encode_bundle(&mut out, b);
-        }
-        out
-    }
-
-    /// Serialize body + auth tag (the full datagram payload).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = self.encode_body();
-        encode_auth(&mut out, &self.auth);
-        out
-    }
-
-    /// Total wire length.
-    pub fn wire_len(&self) -> usize {
-        self.encode().len()
-    }
-
-    /// Decode a packet, returning it with the length of its body prefix.
-    pub fn decode(bytes: &[u8]) -> Result<(Self, usize), WireError> {
-        let mut buf = bytes;
-        match get_u8(&mut buf)? {
-            BATCH_MAGIC => {}
-            t => return Err(WireError::BadTag { context: "batch magic", tag: t }),
-        }
-        let interval = get_u64(&mut buf)?;
-        let timestamp_ms = get_u64(&mut buf)?;
-        let joins = get_u32(&mut buf)?;
-        let leaves = get_u32(&mut buf)?;
-        let recipients = decode_recipients(&mut buf)?;
-        let n = get_count(&mut buf)?;
-        let mut bundles = Vec::with_capacity(n);
-        for _ in 0..n {
-            bundles.push(decode_bundle(&mut buf)?);
-        }
-        let body_len = bytes.len() - buf.len();
-        let auth = decode_auth(&mut buf)?;
-        if !buf.is_empty() {
-            return Err(WireError::TrailingBytes(buf.len()));
-        }
-        Ok((
-            BatchRekeyPacket {
-                interval,
-                timestamp_ms,
-                joins,
-                leaves,
-                message: RekeyMessage { recipients, bundles },
-                auth,
-            },
-            body_len,
-        ))
-    }
-}
-
-/// First byte of every encoded [`DerivedRekeyPacket`]. Distinct from
-/// [`BATCH_MAGIC`] (`0xB5`), the cluster envelope magic (`0xC7`), every
-/// [`ControlMessage`] tag (≤ 5), and the leading byte of any realistic
-/// legacy [`RekeyPacket`] (the high byte of its `u64` sequence number).
-pub const DERIVED_MAGIC: u8 = 0xD6;
-
-/// Version byte following [`DERIVED_MAGIC`]. Decoding fails closed on any
-/// other value, so the format can evolve without silent misparses.
-pub const DERIVED_VERSION: u8 = 1;
-
-/// A `Strategy::Derived` rekey operation, as delivered to clients.
-///
-/// One packet per operation (join / leave / refresh / batched interval),
-/// multicast to the whole group. It carries up to three things:
-///
-/// * `code` + `changed` — the derivation work list: members holding the
-///   key at `changed[i].from` recompute the key at `changed[i].new_ref`
-///   via `derive_key(held, code, label, new_version)`. Empty for leaves.
-/// * `messages` — shipped ciphertext bundles for whoever *cannot* derive:
-///   the joiner's path unicast under its individual key and, for leaves,
-///   the group-oriented fallback bundles (forward secrecy — a departed
-///   member could run the public derivation too, so evicted-path keys
-///   must be fresh and shipped).
-///
-/// `interval` totally orders derived operations; clients apply each
-/// packet atomically and reject anything older than what they already
-/// applied, mirroring [`BatchRekeyPacket`]'s staleness rule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DerivedRekeyPacket {
-    /// Server-assigned sequence number of the triggering operation.
-    pub seq: u64,
-    /// Derivation interval (monotonically increasing, 1-based; equals
-    /// `seq` in immediate mode, the batch interval in batched mode).
-    pub interval: u64,
-    /// What triggered the rekey.
-    pub op: OpKind,
-    /// Server timestamp (logical, as in [`RekeyPacket`]).
-    pub timestamp_ms: u64,
-    /// Derivation code for this operation (empty when nothing is derived).
-    pub code: Vec<u8>,
-    /// Derivation work list, root-first.
-    pub changed: Vec<kg_core::derive::DerivedLink>,
-    /// Shipped bundles for recipients that cannot derive.
-    pub messages: Vec<RekeyMessage>,
-    /// Integrity/authenticity tag.
-    pub auth: AuthTag,
-}
-
-impl DerivedRekeyPacket {
-    /// Whether `bytes` looks like an encoded derived rekey packet.
-    pub fn sniff(bytes: &[u8]) -> bool {
-        bytes.first() == Some(&DERIVED_MAGIC)
-    }
-
-    /// Serialize the *body* (everything the digest/signature covers).
-    pub fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.put_u8(DERIVED_MAGIC);
-        out.put_u8(DERIVED_VERSION);
-        out.put_u64(self.seq);
-        out.put_u64(self.interval);
-        out.put_u8(match self.op {
-            OpKind::Join => 0,
-            OpKind::Leave => 1,
-            OpKind::Batch => 2,
-            OpKind::Refresh => 3,
-        });
-        out.put_u64(self.timestamp_ms);
-        put_bytes(&mut out, &self.code);
-        out.put_u32(self.changed.len() as u32);
-        for link in &self.changed {
-            encode_keyref(&mut out, &link.new_ref);
-            encode_keyref(&mut out, &link.from);
-        }
-        out.put_u32(self.messages.len() as u32);
-        for m in &self.messages {
-            encode_recipients(&mut out, &m.recipients);
-            out.put_u32(m.bundles.len() as u32);
-            for b in &m.bundles {
-                encode_bundle(&mut out, b);
-            }
-        }
-        out
-    }
-
-    /// Serialize body + auth tag (the full datagram payload).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = self.encode_body();
-        encode_auth(&mut out, &self.auth);
-        out
-    }
-
-    /// Total wire length.
-    pub fn wire_len(&self) -> usize {
-        self.encode().len()
-    }
-
-    /// Decode a packet, returning it with the length of its body prefix.
-    pub fn decode(bytes: &[u8]) -> Result<(Self, usize), WireError> {
-        let mut buf = bytes;
-        match get_u8(&mut buf)? {
-            DERIVED_MAGIC => {}
-            t => return Err(WireError::BadTag { context: "derived magic", tag: t }),
-        }
-        match get_u8(&mut buf)? {
-            DERIVED_VERSION => {}
-            t => return Err(WireError::BadTag { context: "derived version", tag: t }),
-        }
-        let seq = get_u64(&mut buf)?;
-        let interval = get_u64(&mut buf)?;
-        let op = match get_u8(&mut buf)? {
-            0 => OpKind::Join,
-            1 => OpKind::Leave,
-            2 => OpKind::Batch,
-            3 => OpKind::Refresh,
-            t => return Err(WireError::BadTag { context: "op kind", tag: t }),
-        };
-        let timestamp_ms = get_u64(&mut buf)?;
-        let code = get_bytes(&mut buf)?;
-        let n = get_count(&mut buf)?;
-        let mut changed = Vec::with_capacity(n);
-        for _ in 0..n {
-            let new_ref = decode_keyref(&mut buf)?;
-            let from = decode_keyref(&mut buf)?;
-            changed.push(kg_core::derive::DerivedLink { new_ref, from });
-        }
-        let nm = get_count(&mut buf)?;
-        let mut messages = Vec::with_capacity(nm);
-        for _ in 0..nm {
-            let recipients = decode_recipients(&mut buf)?;
-            let nb = get_count(&mut buf)?;
-            let mut bundles = Vec::with_capacity(nb);
-            for _ in 0..nb {
-                bundles.push(decode_bundle(&mut buf)?);
-            }
-            messages.push(RekeyMessage { recipients, bundles });
-        }
-        let body_len = bytes.len() - buf.len();
-        let auth = decode_auth(&mut buf)?;
-        if !buf.is_empty() {
-            return Err(WireError::TrailingBytes(buf.len()));
-        }
-        Ok((
-            DerivedRekeyPacket { seq, interval, op, timestamp_ms, code, changed, messages, auth },
+            RekeyPacket { interval, op, timestamp_ms, recipients, code, changed, bundles, auth },
             body_len,
         ))
     }
@@ -630,25 +478,45 @@ mod tests {
         }
     }
 
-    fn sample_packet(auth: AuthTag) -> RekeyPacket {
+    /// A shipped packet: ciphertext only, no derivation section.
+    fn shipped_packet(auth: AuthTag) -> RekeyPacket {
         RekeyPacket {
-            seq: 42,
+            interval: 42,
             op: OpKind::Leave,
             timestamp_ms: 1_000_000,
-            message: RekeyMessage {
-                recipients: Recipients::SubgroupExcept {
-                    include: KeyLabel(5),
-                    exclude: KeyLabel(6),
-                },
-                bundles: vec![sample_bundle(), sample_bundle()],
-            },
+            recipients: Recipients::SubgroupExcept { include: KeyLabel(5), exclude: KeyLabel(6) },
+            code: Vec::new(),
+            changed: Vec::new(),
+            bundles: vec![sample_bundle(), sample_bundle()],
             auth,
         }
     }
 
-    #[test]
-    fn rekey_roundtrip_all_auth_variants() {
-        let variants = [
+    /// A derived packet: code, work list, and the joiner's bundle.
+    fn derived_packet(auth: AuthTag) -> RekeyPacket {
+        RekeyPacket {
+            interval: 12,
+            op: OpKind::Join,
+            timestamp_ms: 555,
+            recipients: Recipients::Group,
+            code: vec![0xC0; 16],
+            changed: vec![
+                DerivedLink {
+                    new_ref: KeyRef::new(KeyLabel(0), KeyVersion(4)),
+                    from: KeyRef::new(KeyLabel(0), KeyVersion(3)),
+                },
+                DerivedLink {
+                    new_ref: KeyRef::new(KeyLabel(3), KeyVersion(1)),
+                    from: KeyRef::new(KeyLabel(17), KeyVersion(0)),
+                },
+            ],
+            bundles: vec![sample_bundle()],
+            auth,
+        }
+    }
+
+    fn auth_variants() -> [AuthTag; 4] {
+        [
             AuthTag::None,
             AuthTag::Digest(vec![0x11; 16]),
             AuthTag::Signed { signature: vec![0x22; 64] },
@@ -659,174 +527,39 @@ mod tests {
                     siblings: vec![(Side::Left, vec![0x44; 16]), (Side::Right, vec![0x55; 16])],
                 },
             },
-        ];
-        for auth in variants {
-            let pkt = sample_packet(auth);
-            let bytes = pkt.encode();
-            let (decoded, body_len) = RekeyPacket::decode(&bytes).unwrap();
-            assert_eq!(decoded, pkt);
-            assert_eq!(&bytes[..body_len], pkt.encode_body().as_slice());
-        }
+        ]
     }
 
-    fn sample_batch_packet(auth: AuthTag) -> BatchRekeyPacket {
-        BatchRekeyPacket {
-            interval: 9,
-            timestamp_ms: 77,
-            joins: 3,
-            leaves: 2,
-            message: RekeyMessage {
-                recipients: Recipients::Group,
-                bundles: vec![sample_bundle(), sample_bundle(), sample_bundle()],
-            },
-            auth,
+    #[test]
+    fn rekey_roundtrip_all_auth_variants() {
+        for auth in auth_variants() {
+            for pkt in [shipped_packet(auth.clone()), derived_packet(auth.clone())] {
+                let bytes = pkt.encode();
+                assert!(RekeyPacket::sniff(&bytes));
+                let (decoded, body_len) = RekeyPacket::decode(&bytes).unwrap();
+                assert_eq!(decoded, pkt);
+                assert_eq!(&bytes[..body_len], pkt.encode_body().as_slice());
+            }
         }
     }
 
     #[test]
-    fn batch_roundtrip_all_auth_variants() {
-        let variants = [
-            AuthTag::None,
-            AuthTag::Digest(vec![0x11; 16]),
-            AuthTag::Signed { signature: vec![0x22; 64] },
-            AuthTag::MerkleSigned {
-                root_signature: vec![0x33; 64],
-                path: AuthPath { index: 0, siblings: vec![(Side::Right, vec![0x44; 16])] },
-            },
-        ];
-        for auth in variants {
-            let pkt = sample_batch_packet(auth);
-            let bytes = pkt.encode();
-            assert!(BatchRekeyPacket::sniff(&bytes));
-            let (decoded, body_len) = BatchRekeyPacket::decode(&bytes).unwrap();
-            assert_eq!(decoded, pkt);
-            assert_eq!(&bytes[..body_len], pkt.encode_body().as_slice());
-            assert_eq!(pkt.wire_len(), bytes.len());
-        }
-    }
-
-    #[test]
-    fn batch_magic_is_checked() {
-        let mut bytes = sample_batch_packet(AuthTag::None).encode();
+    fn magic_and_version_are_checked() {
+        let mut bytes = shipped_packet(AuthTag::None).encode();
         bytes[0] = 0x00;
-        assert!(!BatchRekeyPacket::sniff(&bytes));
+        assert!(!RekeyPacket::sniff(&bytes));
         assert!(matches!(
-            BatchRekeyPacket::decode(&bytes),
-            Err(WireError::BadTag { context: "batch magic", .. })
+            RekeyPacket::decode(&bytes),
+            Err(WireError::BadTag { context: "rekey magic", .. })
         ));
-    }
-
-    #[test]
-    fn batch_packets_are_not_control_messages() {
-        let bytes = sample_batch_packet(AuthTag::None).encode();
-        assert!(ControlMessage::decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn batch_truncation_and_trailing_rejected() {
-        let bytes = sample_batch_packet(AuthTag::Digest(vec![0; 16])).encode();
-        for cut in 0..bytes.len() {
-            assert!(BatchRekeyPacket::decode(&bytes[..cut]).is_err());
-        }
-        let mut extended = bytes.clone();
-        extended.push(0);
-        assert!(matches!(BatchRekeyPacket::decode(&extended), Err(WireError::TrailingBytes(1))));
-    }
-
-    fn sample_derived_packet(auth: AuthTag) -> DerivedRekeyPacket {
-        DerivedRekeyPacket {
-            seq: 31,
-            interval: 12,
-            op: OpKind::Join,
-            timestamp_ms: 555,
-            code: vec![0xC0; 16],
-            changed: vec![
-                kg_core::derive::DerivedLink {
-                    new_ref: KeyRef::new(KeyLabel(0), KeyVersion(4)),
-                    from: KeyRef::new(KeyLabel(0), KeyVersion(3)),
-                },
-                kg_core::derive::DerivedLink {
-                    new_ref: KeyRef::new(KeyLabel(3), KeyVersion(1)),
-                    from: KeyRef::new(KeyLabel(17), KeyVersion(0)),
-                },
-            ],
-            messages: vec![
-                RekeyMessage {
-                    recipients: Recipients::User(UserId(7)),
-                    bundles: vec![sample_bundle()],
-                },
-                RekeyMessage {
-                    recipients: Recipients::Group,
-                    bundles: vec![sample_bundle(), sample_bundle()],
-                },
-            ],
-            auth,
-        }
-    }
-
-    #[test]
-    fn derived_roundtrip_all_auth_variants() {
-        let variants = [
-            AuthTag::None,
-            AuthTag::Digest(vec![0x11; 16]),
-            AuthTag::Signed { signature: vec![0x22; 64] },
-            AuthTag::MerkleSigned {
-                root_signature: vec![0x33; 64],
-                path: AuthPath { index: 1, siblings: vec![(Side::Left, vec![0x44; 16])] },
-            },
-        ];
-        for auth in variants {
-            let pkt = sample_derived_packet(auth);
-            let bytes = pkt.encode();
-            assert!(DerivedRekeyPacket::sniff(&bytes));
-            let (decoded, body_len) = DerivedRekeyPacket::decode(&bytes).unwrap();
-            assert_eq!(decoded, pkt);
-            assert_eq!(&bytes[..body_len], pkt.encode_body().as_slice());
-            assert_eq!(pkt.wire_len(), bytes.len());
-        }
-    }
-
-    #[test]
-    fn derived_empty_worklist_roundtrips() {
-        // A derived-mode leave: no code, no links, only shipped bundles.
-        let pkt = DerivedRekeyPacket {
-            seq: 8,
-            interval: 8,
-            op: OpKind::Leave,
-            timestamp_ms: 1,
-            code: Vec::new(),
-            changed: Vec::new(),
-            messages: vec![RekeyMessage {
-                recipients: Recipients::Group,
-                bundles: vec![sample_bundle()],
-            }],
-            auth: AuthTag::None,
-        };
-        let (decoded, _) = DerivedRekeyPacket::decode(&pkt.encode()).unwrap();
-        assert_eq!(decoded, pkt);
-    }
-
-    #[test]
-    fn derived_magic_is_checked() {
-        let mut bytes = sample_derived_packet(AuthTag::None).encode();
-        bytes[0] = 0x00;
-        assert!(!DerivedRekeyPacket::sniff(&bytes));
-        assert!(matches!(
-            DerivedRekeyPacket::decode(&bytes),
-            Err(WireError::BadTag { context: "derived magic", .. })
-        ));
-    }
-
-    #[test]
-    fn derived_unknown_version_fails_closed() {
-        let mut bytes = sample_derived_packet(AuthTag::None).encode();
-        assert_eq!(bytes[1], DERIVED_VERSION);
+        bytes[0] = REKEY_MAGIC;
+        assert_eq!(bytes[1], REKEY_VERSION);
         for v in [0u8, 2, 7, 255] {
             bytes[1] = v;
             assert!(
                 matches!(
-                    DerivedRekeyPacket::decode(&bytes),
-                    Err(WireError::BadTag { context: "derived version", tag }) if tag == v
+                    RekeyPacket::decode(&bytes),
+                    Err(WireError::BadTag { context: "rekey version", tag }) if tag == v
                 ),
                 "version {v} must be rejected"
             );
@@ -834,43 +567,44 @@ mod tests {
     }
 
     #[test]
-    fn derived_packets_are_not_other_formats() {
-        let bytes = sample_derived_packet(AuthTag::None).encode();
-        assert!(ControlMessage::decode(&bytes).is_err());
-        assert!(!BatchRekeyPacket::sniff(&bytes));
-        assert!(BatchRekeyPacket::decode(&bytes).is_err());
-        // And the other magics don't sniff as derived.
-        assert!(!DerivedRekeyPacket::sniff(&sample_batch_packet(AuthTag::None).encode()));
+    fn derive_section_has_one_encoding() {
+        // The flag byte follows the fixed header and a Group recipient.
+        let mut pkt = derived_packet(AuthTag::None);
+        pkt.bundles.clear();
+        let flag_at = 2 + 8 + 1 + 8 + 1;
+        let bytes = pkt.encode();
+        assert_eq!(bytes[flag_at], 1);
+        // Flag set, but an empty code and an empty work list.
+        let mut empty = bytes[..=flag_at].to_vec();
+        empty.extend_from_slice(&[0; 4 + 4 + 4 + 1]);
+        assert!(matches!(
+            RekeyPacket::decode(&empty),
+            Err(WireError::BadTag { context: "empty derive section", .. })
+        ));
+        let mut bad = bytes;
+        bad[flag_at] = 2;
+        assert!(matches!(
+            RekeyPacket::decode(&bad),
+            Err(WireError::BadTag { context: "derive flag", tag: 2 })
+        ));
     }
 
     #[test]
-    fn derived_truncation_and_trailing_rejected() {
-        let bytes = sample_derived_packet(AuthTag::Digest(vec![0; 16])).encode();
-        for cut in 0..bytes.len() {
-            assert!(
-                DerivedRekeyPacket::decode(&bytes[..cut]).is_err(),
-                "decode of {cut}-byte prefix should fail"
-            );
+    fn rekey_packets_are_not_control_messages() {
+        for pkt in [shipped_packet(AuthTag::None), derived_packet(AuthTag::None)] {
+            assert!(ControlMessage::decode(&pkt.encode()).is_err());
         }
-        let mut extended = bytes.clone();
-        extended.push(0);
-        assert!(matches!(DerivedRekeyPacket::decode(&extended), Err(WireError::TrailingBytes(1))));
     }
 
     #[test]
-    fn derived_body_excludes_auth() {
-        let p1 = sample_derived_packet(AuthTag::None);
-        let p2 = sample_derived_packet(AuthTag::Signed { signature: vec![9; 64] });
-        assert_eq!(p1.encode_body(), p2.encode_body());
-        assert_ne!(p1.encode(), p2.encode());
-    }
-
-    #[test]
-    fn op_kind_batch_roundtrips_in_legacy_packet() {
-        let mut pkt = sample_packet(AuthTag::None);
-        pkt.op = OpKind::Batch;
-        let (decoded, _) = RekeyPacket::decode(&pkt.encode()).unwrap();
-        assert_eq!(decoded.op, OpKind::Batch);
+    fn every_op_kind_roundtrips_through_its_tag() {
+        for op in [OpKind::Join, OpKind::Leave, OpKind::Batch, OpKind::Refresh] {
+            assert_eq!(OpKind::from_tag(op.tag()), Some(op));
+            let mut pkt = shipped_packet(AuthTag::None);
+            pkt.op = op;
+            assert_eq!(RekeyPacket::decode(&pkt.encode()).unwrap().0.op, op);
+        }
+        assert_eq!(OpKind::from_tag(4), None);
     }
 
     #[test]
@@ -894,7 +628,7 @@ mod tests {
 
     #[test]
     fn bad_tags_rejected() {
-        let mut bytes = sample_packet(AuthTag::None).encode();
+        let mut bytes = shipped_packet(AuthTag::None).encode();
         let last = bytes.len() - 1;
         bytes[last] = 99; // auth tag byte
         assert!(matches!(
@@ -908,36 +642,31 @@ mod tests {
     }
 
     #[test]
-    fn truncation_rejected_everywhere() {
-        let bytes = sample_packet(AuthTag::Digest(vec![0; 16])).encode();
-        for cut in 0..bytes.len() {
-            assert!(
-                RekeyPacket::decode(&bytes[..cut]).is_err(),
-                "decode of {cut}-byte prefix should fail"
-            );
+    fn truncation_and_trailing_bytes_rejected() {
+        for pkt in [
+            shipped_packet(AuthTag::Digest(vec![0; 16])),
+            derived_packet(AuthTag::Digest(vec![0; 16])),
+        ] {
+            let bytes = pkt.encode();
+            for cut in 0..bytes.len() {
+                assert!(
+                    RekeyPacket::decode(&bytes[..cut]).is_err(),
+                    "decode of {cut}-byte prefix should fail"
+                );
+            }
+            let mut extended = bytes;
+            extended.push(0);
+            assert!(matches!(RekeyPacket::decode(&extended), Err(WireError::TrailingBytes(1))));
         }
-    }
-
-    #[test]
-    fn trailing_bytes_rejected() {
-        let mut bytes = sample_packet(AuthTag::None).encode();
-        bytes.push(0);
-        assert!(matches!(RekeyPacket::decode(&bytes), Err(WireError::TrailingBytes(1))));
         let mut c = ControlMessage::JoinRequest { user: UserId(1) }.encode();
         c.push(7);
         assert!(matches!(ControlMessage::decode(&c), Err(WireError::TrailingBytes(1))));
     }
 
     #[test]
-    fn wire_len_matches_encoding() {
-        let pkt = sample_packet(AuthTag::Signed { signature: vec![0; 64] });
-        assert_eq!(pkt.wire_len(), pkt.encode().len());
-    }
-
-    #[test]
     fn body_excludes_auth() {
-        let p1 = sample_packet(AuthTag::None);
-        let p2 = sample_packet(AuthTag::Signed { signature: vec![9; 64] });
+        let p1 = derived_packet(AuthTag::None);
+        let p2 = derived_packet(AuthTag::Signed { signature: vec![9; 64] });
         assert_eq!(p1.encode_body(), p2.encode_body());
         assert_ne!(p1.encode(), p2.encode());
     }
@@ -945,24 +674,35 @@ mod tests {
     proptest::proptest! {
         #[test]
         fn rekey_roundtrip_random(
-            seq: u64,
+            interval: u64,
             ts: u64,
+            codelen in 0usize..32,
+            nlinks in 0usize..6,
             nbundles in 0usize..5,
             ctlen in 1usize..64,
         ) {
+            let changed: Vec<DerivedLink> = (0..nlinks)
+                .map(|i| DerivedLink {
+                    new_ref: KeyRef::new(KeyLabel(i as u64), KeyVersion(interval % 7 + 1)),
+                    from: KeyRef::new(KeyLabel(i as u64), KeyVersion(interval % 7)),
+                })
+                .collect();
             let bundles: Vec<KeyBundle> = (0..nbundles)
                 .map(|i| KeyBundle {
-                    targets: vec![KeyRef::new(KeyLabel(i as u64), KeyVersion(seq % 5))],
+                    targets: vec![KeyRef::new(KeyLabel(i as u64), KeyVersion(interval % 5))],
                     encrypted_with: KeyRef::new(KeyLabel(100 + i as u64), KeyVersion(0)),
                     iv: vec![i as u8; 8],
                     ciphertext: vec![0x5A; ctlen],
                 })
                 .collect();
             let pkt = RekeyPacket {
-                seq,
-                op: if seq.is_multiple_of(2) { OpKind::Join } else { OpKind::Leave },
+                interval,
+                op: OpKind::from_tag((interval % 4) as u8).expect("tags 0..4 are assigned"),
                 timestamp_ms: ts,
-                message: RekeyMessage { recipients: Recipients::Group, bundles },
+                recipients: Recipients::User(UserId(ts)),
+                code: vec![0xEE; codelen],
+                changed,
+                bundles,
                 auth: AuthTag::None,
             };
             let (decoded, _) = RekeyPacket::decode(&pkt.encode()).unwrap();
@@ -974,48 +714,6 @@ mod tests {
         #[test]
         fn garbage_never_misparses(data in proptest::collection::vec(0u8.., 0..128)) {
             if let Ok((pkt, _)) = RekeyPacket::decode(&data) {
-                proptest::prop_assert_eq!(pkt.encode(), data);
-            }
-        }
-
-        #[test]
-        fn derived_roundtrip_random(
-            seq: u64,
-            interval: u64,
-            codelen in 0usize..32,
-            nlinks in 0usize..6,
-            nmsgs in 0usize..3,
-        ) {
-            let changed: Vec<kg_core::derive::DerivedLink> = (0..nlinks)
-                .map(|i| kg_core::derive::DerivedLink {
-                    new_ref: KeyRef::new(KeyLabel(i as u64), KeyVersion(interval % 7 + 1)),
-                    from: KeyRef::new(KeyLabel(i as u64), KeyVersion(interval % 7)),
-                })
-                .collect();
-            let messages: Vec<RekeyMessage> = (0..nmsgs)
-                .map(|i| RekeyMessage {
-                    recipients: Recipients::User(UserId(i as u64)),
-                    bundles: vec![sample_bundle()],
-                })
-                .collect();
-            let pkt = DerivedRekeyPacket {
-                seq,
-                interval,
-                op: OpKind::Refresh,
-                timestamp_ms: seq ^ interval,
-                code: vec![0xEE; codelen],
-                changed,
-                messages,
-                auth: AuthTag::None,
-            };
-            let (decoded, _) = DerivedRekeyPacket::decode(&pkt.encode()).unwrap();
-            proptest::prop_assert_eq!(decoded, pkt);
-        }
-
-        /// Garbage bytes never misparse as a derived packet either.
-        #[test]
-        fn derived_garbage_never_misparses(data in proptest::collection::vec(0u8.., 0..128)) {
-            if let Ok((pkt, _)) = DerivedRekeyPacket::decode(&data) {
                 proptest::prop_assert_eq!(pkt.encode(), data);
             }
         }

@@ -4,18 +4,18 @@
 //! through encode/decode unchanged, and (b) reject — never panic on —
 //! truncated or bit-flipped frames. The unit tests inside `kg-wire` spot
 //! check individual variants; this suite enumerates the full cross
-//! product: every `OpKind` × every `Recipients` × every `AuthTag` for
-//! [`RekeyPacket`], every `AuthTag` for [`BatchRekeyPacket`], and every
+//! product: every `OpKind` × every `Recipients` × every `AuthTag` × every
+//! shape of the derivation section for [`RekeyPacket`], and every
 //! [`ControlMessage`] variant.
 
 use kg_core::derive::DerivedLink;
 use kg_core::ids::{KeyLabel, KeyRef, KeyVersion, UserId};
 use kg_core::merkle::{AuthPath, Side};
-use kg_core::rekey::{KeyBundle, Recipients, RekeyMessage};
+use kg_core::rekey::{KeyBundle, Recipients};
 use kg_obs::{HistogramSnapshot, TraceContext, TraceSpan};
 use kg_wire::{
-    AuthTag, BatchRekeyPacket, ClusterBody, ClusterEnvelope, ControlMessage, DerivedRekeyPacket,
-    GroupId, OpKind, RekeyPacket, ShardId, TelemetrySnapshot,
+    AuthTag, ClusterBody, ClusterEnvelope, ControlMessage, GroupId, OpKind, RekeyPacket, ShardId,
+    TelemetrySnapshot, WireError, REKEY_VERSION,
 };
 
 const ALL_OPS: [OpKind; 4] = [OpKind::Join, OpKind::Leave, OpKind::Batch, OpKind::Refresh];
@@ -57,76 +57,34 @@ fn bundle(n: u64) -> KeyBundle {
 }
 
 /// Every distinct rekey packet shape: 4 ops × 4 recipients × 4 auths,
-/// with bundle counts varying 0..=2 so the empty case is covered too.
+/// with bundle counts varying 0..=2 and the derivation section cycling
+/// through absent / code + links / code only / links only, so a shipped
+/// packet, a derived join, a ciphertext-free refresh and the empty cases
+/// are all covered.
 fn all_rekey_packets() -> Vec<RekeyPacket> {
     let mut packets = Vec::new();
     for (i, op) in ALL_OPS.into_iter().enumerate() {
         for (j, recipients) in all_recipients().into_iter().enumerate() {
             for (k, auth) in all_auth_tags().into_iter().enumerate() {
                 let nbundles = (i + j + k) % 3;
+                let derive = (i + 2 * j + k) % 4;
+                let nlinks = if derive == 1 || derive == 3 { 1 + k % 2 } else { 0 };
                 packets.push(RekeyPacket {
-                    seq: (i * 100 + j * 10 + k) as u64,
+                    interval: (i * 100 + j * 10 + k) as u64,
                     op,
                     timestamp_ms: 1_000 + k as u64,
-                    message: RekeyMessage {
-                        recipients: recipients.clone(),
-                        bundles: (0..nbundles).map(|b| bundle(b as u64)).collect(),
-                    },
+                    recipients: recipients.clone(),
+                    code: if derive == 1 || derive == 2 { vec![0xD7; 16] } else { Vec::new() },
+                    changed: (0..nlinks)
+                        .map(|l| DerivedLink {
+                            new_ref: KeyRef::new(KeyLabel(l as u64), KeyVersion(2)),
+                            from: KeyRef::new(KeyLabel(l as u64), KeyVersion(1)),
+                        })
+                        .collect(),
+                    bundles: (0..nbundles).map(|b| bundle(b as u64)).collect(),
                     auth,
                 });
             }
-        }
-    }
-    packets
-}
-
-fn all_batch_packets() -> Vec<BatchRekeyPacket> {
-    all_auth_tags()
-        .into_iter()
-        .enumerate()
-        .map(|(k, auth)| BatchRekeyPacket {
-            interval: 40 + k as u64,
-            timestamp_ms: 9_000 + k as u64,
-            joins: k as u32,
-            leaves: 5 - k as u32,
-            message: RekeyMessage {
-                recipients: Recipients::Group,
-                bundles: (0..k).map(|b| bundle(b as u64)).collect(),
-            },
-            auth,
-        })
-        .collect()
-}
-
-/// Every derived-packet shape: 4 ops × 4 auths, with the derivation work
-/// list and shipped-message list sizes varying so the empty cases (a pure
-/// leave with no code, a pure refresh with no bundles) are covered.
-fn all_derived_packets() -> Vec<DerivedRekeyPacket> {
-    let mut packets = Vec::new();
-    for (i, op) in ALL_OPS.into_iter().enumerate() {
-        for (k, auth) in all_auth_tags().into_iter().enumerate() {
-            let nlinks = (i + k) % 3;
-            let nmsgs = (i + k + 1) % 3;
-            packets.push(DerivedRekeyPacket {
-                seq: (i * 10 + k) as u64,
-                interval: 1 + k as u64,
-                op,
-                timestamp_ms: 2_000 + i as u64,
-                code: if nlinks == 0 { Vec::new() } else { vec![0xD7; 16] },
-                changed: (0..nlinks)
-                    .map(|l| DerivedLink {
-                        new_ref: KeyRef::new(KeyLabel(l as u64), KeyVersion(2)),
-                        from: KeyRef::new(KeyLabel(l as u64), KeyVersion(1)),
-                    })
-                    .collect(),
-                messages: (0..nmsgs)
-                    .map(|m| RekeyMessage {
-                        recipients: all_recipients()[m].clone(),
-                        bundles: (0..m).map(|b| bundle(b as u64)).collect(),
-                    })
-                    .collect(),
-                auth,
-            });
         }
     }
     packets
@@ -151,40 +109,106 @@ fn all_control_messages() -> Vec<ControlMessage> {
 fn every_rekey_packet_variant_roundtrips() {
     let packets = all_rekey_packets();
     assert_eq!(packets.len(), 64, "4 ops x 4 recipients x 4 auths");
+    for derive in [(true, true), (true, false), (false, true), (false, false)] {
+        assert!(
+            packets.iter().any(|p| (p.code.is_empty(), p.changed.is_empty()) == derive),
+            "derivation-section shape {derive:?} is enumerated"
+        );
+    }
     for pkt in packets {
         let bytes = pkt.encode();
-        assert_eq!(bytes.len(), pkt.wire_len(), "{pkt:?}");
+        assert!(RekeyPacket::sniff(&bytes));
         let (decoded, body_len) = RekeyPacket::decode(&bytes).expect("valid encoding");
         assert_eq!(decoded, pkt);
         assert_eq!(&bytes[..body_len], pkt.encode_body().as_slice());
     }
 }
 
+/// The version byte fails closed: every value but the current one is a
+/// typed error, for every packet shape.
 #[test]
-fn every_batch_packet_variant_roundtrips() {
-    for pkt in all_batch_packets() {
-        let bytes = pkt.encode();
-        assert!(BatchRekeyPacket::sniff(&bytes));
-        assert_eq!(bytes.len(), pkt.wire_len(), "{pkt:?}");
-        let (decoded, body_len) = BatchRekeyPacket::decode(&bytes).expect("valid encoding");
-        assert_eq!(decoded, pkt);
-        assert_eq!(&bytes[..body_len], pkt.encode_body().as_slice());
+fn unknown_rekey_version_fails_closed() {
+    for pkt in all_rekey_packets() {
+        let mut bytes = pkt.encode();
+        assert_eq!(bytes[1], REKEY_VERSION);
+        for v in (0..=u8::MAX).filter(|&v| v != REKEY_VERSION) {
+            bytes[1] = v;
+            assert!(
+                matches!(
+                    RekeyPacket::decode(&bytes),
+                    Err(WireError::BadTag { context: "rekey version", tag }) if tag == v
+                ),
+                "version {v} of {pkt:?}"
+            );
+        }
     }
 }
 
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The wire format, byte for byte: one shipped packet (a key-oriented
+/// leave message to a subgroup, digest-tagged) and one derived packet (a
+/// join: code, two links, the joiner's bundle, unauthenticated). A change
+/// to either string is a protocol change and needs a version bump.
 #[test]
-fn every_derived_packet_variant_roundtrips() {
-    let packets = all_derived_packets();
-    assert_eq!(packets.len(), 16, "4 ops x 4 auths");
-    for pkt in packets {
-        let bytes = pkt.encode();
-        assert!(DerivedRekeyPacket::sniff(&bytes));
-        assert_eq!(bytes.len(), pkt.wire_len(), "{pkt:?}");
-        let (decoded, body_len) = DerivedRekeyPacket::decode(&bytes).expect("valid encoding");
-        assert_eq!(decoded, pkt);
-        assert_eq!(&bytes[..body_len], pkt.encode_body().as_slice());
+fn golden_encodings_are_stable() {
+    let shipped = RekeyPacket {
+        interval: 0x0102,
+        op: OpKind::Leave,
+        timestamp_ms: 0x0101,
+        recipients: Recipients::Subgroup(KeyLabel(9)),
+        code: Vec::new(),
+        changed: Vec::new(),
+        bundles: vec![KeyBundle {
+            targets: vec![KeyRef::new(KeyLabel(3), KeyVersion(2))],
+            encrypted_with: KeyRef::new(KeyLabel(9), KeyVersion(1)),
+            iv: vec![0xA0, 0xA1, 0xA2, 0xA3, 0xA4, 0xA5, 0xA6, 0xA7],
+            ciphertext: vec![0xC0; 16],
+        }],
+        auth: AuthTag::Digest(vec![0xDD; 16]),
+    };
+    assert_eq!(hex(&shipped.encode()), GOLDEN_SHIPPED);
+    let derived = RekeyPacket {
+        interval: 7,
+        op: OpKind::Join,
+        timestamp_ms: 6,
+        recipients: Recipients::Group,
+        code: (0u8..16).collect(),
+        changed: vec![
+            DerivedLink {
+                new_ref: KeyRef::new(KeyLabel(0), KeyVersion(5)),
+                from: KeyRef::new(KeyLabel(0), KeyVersion(4)),
+            },
+            DerivedLink {
+                new_ref: KeyRef::new(KeyLabel(2), KeyVersion(1)),
+                from: KeyRef::new(KeyLabel(11), KeyVersion(0)),
+            },
+        ],
+        bundles: vec![KeyBundle {
+            targets: vec![
+                KeyRef::new(KeyLabel(0), KeyVersion(5)),
+                KeyRef::new(KeyLabel(2), KeyVersion(1)),
+            ],
+            encrypted_with: KeyRef::new(KeyLabel(12), KeyVersion(0)),
+            iv: vec![0xB0; 8],
+            ciphertext: vec![0xC1; 24],
+        }],
+        auth: AuthTag::None,
+    };
+    assert_eq!(hex(&derived.encode()), GOLDEN_DERIVED);
+    for (golden, pkt) in [(GOLDEN_SHIPPED, shipped), (GOLDEN_DERIVED, derived)] {
+        let bytes: Vec<u8> = (0..golden.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&golden[i..i + 2], 16).expect("hex"))
+            .collect();
+        assert_eq!(RekeyPacket::decode(&bytes).expect("golden frame decodes").0, pkt);
     }
 }
+
+const GOLDEN_SHIPPED: &str = "b5010000000000000102010000000000000101010000000000000009000000000100000001000000000000000300000000000000020000000000000009000000000000000100000008a0a1a2a3a4a5a6a700000010c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c00100000010dddddddddddddddddddddddddddddddd";
+const GOLDEN_DERIVED: &str = "b5010000000000000007000000000000000006030100000010000102030405060708090a0b0c0d0e0f00000002000000000000000000000000000000050000000000000000000000000000000400000000000000020000000000000001000000000000000b000000000000000000000001000000020000000000000000000000000000000500000000000000020000000000000001000000000000000c000000000000000000000008b0b0b0b0b0b0b0b000000018c1c1c1c1c1c1c1c1c1c1c1c1c1c1c1c1c1c1c1c1c1c1c1c100";
 
 #[test]
 fn every_control_message_variant_roundtrips() {
@@ -206,7 +230,7 @@ fn all_cluster_envelopes() -> Vec<ClusterEnvelope> {
             leaf_label: KeyLabel(21),
             path_labels: vec![KeyLabel(0), KeyLabel(2), KeyLabel(10)],
         },
-        ClusterBody::RekeyGroup { payload: all_batch_packets()[0].encode() },
+        ClusterBody::RekeyGroup { payload: all_rekey_packets()[3].encode() },
         ClusterBody::RekeyUsers {
             users: vec![UserId(3), UserId(4)],
             payload: all_rekey_packets()[0].encode(),
@@ -309,18 +333,6 @@ fn truncation_always_errors_never_panics() {
             assert!(RekeyPacket::decode(&bytes[..cut]).is_err(), "cut {cut} of {pkt:?}");
         }
     }
-    for pkt in all_batch_packets() {
-        let bytes = pkt.encode();
-        for cut in 0..bytes.len() {
-            assert!(BatchRekeyPacket::decode(&bytes[..cut]).is_err(), "cut {cut} of {pkt:?}");
-        }
-    }
-    for pkt in all_derived_packets() {
-        let bytes = pkt.encode();
-        for cut in 0..bytes.len() {
-            assert!(DerivedRekeyPacket::decode(&bytes[..cut]).is_err(), "cut {cut} of {pkt:?}");
-        }
-    }
     for msg in all_control_messages() {
         let bytes = msg.encode();
         for cut in 0..bytes.len() {
@@ -353,26 +365,6 @@ fn bit_flips_never_misparse_or_panic() {
             let mut flipped = bytes.clone();
             flipped[pos / 8] ^= 1 << (pos % 8);
             if let Ok((decoded, _)) = RekeyPacket::decode(&flipped) {
-                assert_eq!(decoded.encode(), flipped, "bit {pos} of {pkt:?}");
-            }
-        }
-    }
-    for pkt in all_batch_packets() {
-        let bytes = pkt.encode();
-        for pos in 0..bytes.len() * 8 {
-            let mut flipped = bytes.clone();
-            flipped[pos / 8] ^= 1 << (pos % 8);
-            if let Ok((decoded, _)) = BatchRekeyPacket::decode(&flipped) {
-                assert_eq!(decoded.encode(), flipped, "bit {pos} of {pkt:?}");
-            }
-        }
-    }
-    for pkt in all_derived_packets() {
-        let bytes = pkt.encode();
-        for pos in 0..bytes.len() * 8 {
-            let mut flipped = bytes.clone();
-            flipped[pos / 8] ^= 1 << (pos % 8);
-            if let Ok((decoded, _)) = DerivedRekeyPacket::decode(&flipped) {
                 assert_eq!(decoded.encode(), flipped, "bit {pos} of {pkt:?}");
             }
         }
@@ -496,45 +488,17 @@ fn fuzz_auth(f: &mut Fuzz) -> AuthTag {
     }
 }
 
-fn fuzz_message(f: &mut Fuzz) -> RekeyMessage {
-    RekeyMessage {
-        recipients: fuzz_recipients(f),
-        bundles: (0..f.below(8)).map(|_| fuzz_bundle(f)).collect(),
-    }
-}
-
 fn fuzz_rekey_packet(f: &mut Fuzz) -> RekeyPacket {
     RekeyPacket {
-        seq: f.value(),
-        op: ALL_OPS[f.below(4) as usize],
-        timestamp_ms: f.value(),
-        message: fuzz_message(f),
-        auth: fuzz_auth(f),
-    }
-}
-
-fn fuzz_batch_packet(f: &mut Fuzz) -> BatchRekeyPacket {
-    BatchRekeyPacket {
-        interval: f.value(),
-        timestamp_ms: f.value(),
-        joins: f.value() as u32,
-        leaves: f.value() as u32,
-        message: fuzz_message(f),
-        auth: fuzz_auth(f),
-    }
-}
-
-fn fuzz_derived_packet(f: &mut Fuzz) -> DerivedRekeyPacket {
-    DerivedRekeyPacket {
-        seq: f.value(),
         interval: f.value(),
         op: ALL_OPS[f.below(4) as usize],
         timestamp_ms: f.value(),
+        recipients: fuzz_recipients(f),
         code: f.bytes(32),
         changed: (0..f.below(8))
             .map(|_| DerivedLink { new_ref: fuzz_key_ref(f), from: fuzz_key_ref(f) })
             .collect(),
-        messages: (0..f.below(4)).map(|_| fuzz_message(f)).collect(),
+        bundles: (0..f.below(8)).map(|_| fuzz_bundle(f)).collect(),
         auth: fuzz_auth(f),
     }
 }
@@ -652,16 +616,6 @@ proptest::proptest! {
             let (again, _) = RekeyPacket::decode(&pkt.encode()).expect("re-decode");
             proptest::prop_assert_eq!(again, pkt);
         }
-        if let Ok((pkt, _)) = BatchRekeyPacket::decode(&data) {
-            proptest::prop_assert_eq!(pkt.encode(), data.clone());
-            let (again, _) = BatchRekeyPacket::decode(&pkt.encode()).expect("re-decode");
-            proptest::prop_assert_eq!(again, pkt);
-        }
-        if let Ok((pkt, _)) = DerivedRekeyPacket::decode(&data) {
-            proptest::prop_assert_eq!(pkt.encode(), data.clone());
-            let (again, _) = DerivedRekeyPacket::decode(&pkt.encode()).expect("re-decode");
-            proptest::prop_assert_eq!(again, pkt);
-        }
         if let Ok(msg) = ControlMessage::decode(&data) {
             proptest::prop_assert_eq!(msg.encode(), data.clone());
             let again = ControlMessage::decode(&msg.encode()).expect("re-decode");
@@ -683,25 +637,8 @@ proptest::proptest! {
 
         let pkt = fuzz_rekey_packet(f);
         let bytes = pkt.encode();
-        proptest::prop_assert_eq!(bytes.len(), pkt.wire_len());
+        proptest::prop_assert!(RekeyPacket::sniff(&bytes));
         let (decoded, body_len) = RekeyPacket::decode(&bytes).expect("valid rekey encoding");
-        proptest::prop_assert_eq!(decoded, pkt.clone());
-        proptest::prop_assert_eq!(&bytes[..body_len], pkt.encode_body().as_slice());
-
-        let pkt = fuzz_batch_packet(f);
-        let bytes = pkt.encode();
-        proptest::prop_assert!(BatchRekeyPacket::sniff(&bytes));
-        proptest::prop_assert_eq!(bytes.len(), pkt.wire_len());
-        let (decoded, body_len) = BatchRekeyPacket::decode(&bytes).expect("valid batch encoding");
-        proptest::prop_assert_eq!(decoded, pkt.clone());
-        proptest::prop_assert_eq!(&bytes[..body_len], pkt.encode_body().as_slice());
-
-        let pkt = fuzz_derived_packet(f);
-        let bytes = pkt.encode();
-        proptest::prop_assert!(DerivedRekeyPacket::sniff(&bytes));
-        proptest::prop_assert_eq!(bytes.len(), pkt.wire_len());
-        let (decoded, body_len) =
-            DerivedRekeyPacket::decode(&bytes).expect("valid derived encoding");
         proptest::prop_assert_eq!(decoded, pkt.clone());
         proptest::prop_assert_eq!(&bytes[..body_len], pkt.encode_body().as_slice());
 
@@ -716,6 +653,23 @@ proptest::proptest! {
         proptest::prop_assert_eq!(decoded, env);
     }
 
+    /// The three planes never alias: a rekey packet is not a control
+    /// message and does not sniff as a cluster envelope, and neither of
+    /// those sniffs (or decodes) as a rekey packet. `ClientFleet::pump`
+    /// and the router dispatch on exactly this.
+    #[test]
+    fn planes_never_alias(seed in 0u64..) {
+        let f = &mut Fuzz::new(seed);
+        let rekey = fuzz_rekey_packet(f).encode();
+        proptest::prop_assert!(ControlMessage::decode(&rekey).is_err());
+        proptest::prop_assert!(!ClusterEnvelope::sniff(&rekey));
+        proptest::prop_assert!(ClusterEnvelope::decode(&rekey).is_err());
+        for other in [fuzz_control_message(f).encode(), fuzz_cluster_envelope(f).encode()] {
+            proptest::prop_assert!(!RekeyPacket::sniff(&other));
+            proptest::prop_assert!(RekeyPacket::decode(&other).is_err());
+        }
+    }
+
     /// Mutations of *valid* frames — spliced garbage windows, random
     /// truncation, appended tails — never panic a decoder and never
     /// silently misparse: whatever still decodes re-encodes to exactly
@@ -724,8 +678,7 @@ proptest::proptest! {
     #[test]
     fn mutated_valid_frames_never_misparse(seed in 0u64..) {
         let f = &mut Fuzz::new(seed);
-        let mut frames = vec![fuzz_rekey_packet(f).encode(), fuzz_batch_packet(f).encode(),
-            fuzz_derived_packet(f).encode(), fuzz_control_message(f).encode(),
+        let mut frames = vec![fuzz_rekey_packet(f).encode(), fuzz_control_message(f).encode(),
             fuzz_cluster_envelope(f).encode()];
         for bytes in &mut frames {
             match f.below(3) {
@@ -753,12 +706,6 @@ proptest::proptest! {
         }
         for bytes in &frames {
             if let Ok((pkt, _)) = RekeyPacket::decode(bytes) {
-                proptest::prop_assert_eq!(pkt.encode(), bytes.clone());
-            }
-            if let Ok((pkt, _)) = BatchRekeyPacket::decode(bytes) {
-                proptest::prop_assert_eq!(pkt.encode(), bytes.clone());
-            }
-            if let Ok((pkt, _)) = DerivedRekeyPacket::decode(bytes) {
                 proptest::prop_assert_eq!(pkt.encode(), bytes.clone());
             }
             if let Ok(msg) = ControlMessage::decode(bytes) {

@@ -13,7 +13,7 @@ fn main() {
     println!("== Secure Group Communications Using Key Graphs: quickstart ==\n");
 
     for strategy in Strategy::ALL {
-        println!("--- strategy: {} ---", strategy.name());
+        println!("--- strategy: {} ---", strategy.as_str());
         let config = ServerConfig::builder().strategy(strategy).build().unwrap();
         let mut server = GroupKeyServer::new(config, AccessControl::AllowAll);
 

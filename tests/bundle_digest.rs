@@ -64,19 +64,13 @@ impl Stream {
 
     fn op(&mut self, op: &ProcessedOp) {
         for p in &op.packets {
-            self.payload(&[], p.message.bundles.iter());
-        }
-        for p in &op.derived {
-            self.payload(&p.code, p.messages.iter().flat_map(|m| m.bundles.iter()));
+            self.payload(&p.code, p.bundles.iter());
         }
     }
 
     fn batch(&mut self, batch: &ProcessedBatch) {
         for p in &batch.packets {
-            self.payload(&[], p.message.bundles.iter());
-        }
-        for p in &batch.derived {
-            self.payload(&p.code, p.messages.iter().flat_map(|m| m.bundles.iter()));
+            self.payload(&p.code, p.bundles.iter());
         }
     }
 

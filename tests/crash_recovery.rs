@@ -19,7 +19,7 @@ use keygraphs::net::{NetConfig, SimNetwork};
 use keygraphs::persist::{FsyncPolicy, PersistConfig};
 use keygraphs::server::net::{leave_authenticator, NetServer, ServerEvent};
 use keygraphs::server::{AccessControl, AuthPolicy, GroupKeyServer, RekeyPolicy, ServerConfig};
-use keygraphs::wire::{BatchRekeyPacket, ControlMessage};
+use keygraphs::wire::{ControlMessage, RekeyPacket};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -113,7 +113,7 @@ impl PersistWorld {
         }
         for bytes in &batch.encoded {
             for c in self.clients.values_mut() {
-                c.process_batch_rekey(bytes).expect("client applies batch");
+                c.apply(bytes).expect("client applies batch");
             }
         }
     }
@@ -380,9 +380,9 @@ struct NetMember {
 
 fn drain_client(net: &mut SimNetwork, m: &mut NetMember) {
     while let Some(dg) = net.recv(m.ep) {
-        if BatchRekeyPacket::sniff(&dg.payload) {
+        if RekeyPacket::sniff(&dg.payload) {
             if let Some(c) = m.client.as_mut() {
-                c.process_batch_rekey(&dg.payload).expect("client applies batch packet");
+                c.apply(&dg.payload).expect("client applies batch packet");
             }
         }
         // Control acks (JoinGranted / LeaveGranted) need no client action

@@ -81,7 +81,7 @@ impl ReliableWorld {
             for (c, mb) in self.clients.values_mut() {
                 mb.poll(&mut self.net);
                 while let Some((_, payload)) = mb.recv() {
-                    c.process_rekey(&payload).unwrap();
+                    c.apply(&payload).unwrap();
                 }
             }
             if self.server_mb.unacked() == 0 && self.net.pending_total() == 0 {
@@ -155,7 +155,7 @@ fn duplicates_do_not_corrupt_state() {
         server_mb.poll(&mut net);
         client_mb.poll(&mut net);
         while let Some((_, payload)) = client_mb.recv() {
-            client.process_rekey(&payload).unwrap();
+            client.apply(&payload).unwrap();
             processed += 1;
         }
         if server_mb.unacked() == 0 {

@@ -118,5 +118,5 @@ fn op_kind_on_the_wire_matches_request() {
     let (lp, _) = RekeyPacket::decode(&l.encoded[0]).unwrap();
     assert_eq!(jp.op, OpKind::Join);
     assert_eq!(lp.op, OpKind::Leave);
-    assert!(lp.seq > jp.seq, "sequence numbers increase");
+    assert!(lp.interval > jp.interval, "intervals increase");
 }
