@@ -36,7 +36,7 @@ use crate::ids::KeyLabel;
 use crate::ids::{KeyRef, UserId};
 use crate::tree::{JoinSlot, KeyTree, NewKeyMode, NodeId, TreeError};
 use kg_crypto::{KeySource, SymmetricKey};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One child of a marked node, as seen *after* the batch was applied.
 #[derive(Debug, Clone)]
@@ -208,9 +208,7 @@ impl KeyTree {
                 self.node(parent).children.iter().position(|&c| c == leaf).expect("child link");
             self.node_mut(parent).children.remove(pos);
             self.dealloc(leaf);
-            for anc in self.ancestors_inclusive(parent) {
-                self.node_mut(anc).size -= 1;
-            }
+            self.refresh_summaries(parent);
             touched.insert(parent);
             vacated.push(parent);
         }
@@ -223,7 +221,7 @@ impl KeyTree {
                 .filter(|&id| {
                     self.nodes[id].is_some() && self.node(id).children.len() < self.degree
                 })
-                .min_by_key(|&id| (self.depth_knodes(id), self.node(id).size, id));
+                .min_by_key(|&id| (self.depth_knodes(id), self.node(id).sum.size, id));
             let joining_point = match refill {
                 Some(id) => id,
                 None => match self.find_join_slot() {
@@ -247,8 +245,6 @@ impl KeyTree {
                         self.node_mut(parent).children[pos] = fresh;
                         self.node_mut(fresh).children.push(leaf_id);
                         self.node_mut(leaf_id).parent = Some(fresh);
-                        let displaced_size = self.node(leaf_id).size;
-                        self.node_mut(fresh).size = displaced_size;
                         fresh_from.insert(fresh, (displaced_ref, displaced_key));
                         fresh
                     }
@@ -258,9 +254,7 @@ impl KeyTree {
             self.node_mut(leaf).key = individual_key.clone();
             self.node_mut(joining_point).children.push(leaf);
             self.users.insert(u, leaf);
-            for anc in self.ancestors_inclusive(joining_point) {
-                self.node_mut(anc).size += 1;
-            }
+            self.refresh_summaries(joining_point);
             touched.insert(joining_point);
         }
 
@@ -269,14 +263,19 @@ impl KeyTree {
         // interiors are spliced into the grandparent (the survivors below
         // keep their keys — the departed never held them). Each action
         // moves the "touched" obligation up to the surviving parent.
-        loop {
-            let degenerate = (0..self.nodes.len()).find(|&id| {
-                id != self.root
-                    && self.nodes[id]
-                        .as_ref()
-                        .is_some_and(|n| n.user.is_none() && n.children.len() < 2)
-            });
-            let Some(id) = degenerate else { break };
+        //
+        // Only a node that lost a child can be degenerate: the vacated
+        // parents now, a removed node's parent later. Lowest id first: the
+        // order nodes are freed in is the order later joins reuse them.
+        let mut candidates: BTreeSet<NodeId> = vacated.iter().copied().collect();
+        while let Some(id) = candidates.pop_first() {
+            let degenerate = id != self.root
+                && self.nodes[id]
+                    .as_ref()
+                    .is_some_and(|n| n.user.is_none() && n.children.len() < 2);
+            if !degenerate {
+                continue;
+            }
             let parent = self.node(id).parent.expect("non-root");
             let pos = self.node(parent).children.iter().position(|&c| c == id).expect("child link");
             if let Some(&only_child) = self.node(id).children.first() {
@@ -284,8 +283,10 @@ impl KeyTree {
                 self.node_mut(only_child).parent = Some(parent);
             } else {
                 self.node_mut(parent).children.remove(pos);
+                candidates.insert(parent);
             }
             self.dealloc(id);
+            self.refresh_summaries(parent);
             touched.remove(&id);
             touched.insert(parent);
         }
@@ -316,14 +317,15 @@ impl KeyTree {
             }
         }
 
-        // Replace each marked key once, root-first (deterministic order).
-        let mut order: Vec<NodeId> = Vec::new();
-        let mut queue = VecDeque::from([self.root]);
-        while let Some(id) = queue.pop_front() {
-            if marked_set.contains(&id) {
-                order.push(id);
-            }
-            queue.extend(self.node(id).children.iter().copied());
+        // Replace each marked key once, root-first in breadth-first order.
+        // The marked set is ancestor-closed, so walking only marked
+        // children visits it in the order a walk of the whole tree would.
+        let mut order: Vec<NodeId> = Vec::with_capacity(marked_set.len());
+        order.extend(marked_set.get(&self.root));
+        let mut next = 0;
+        while let Some(&id) = order.get(next) {
+            next += 1;
+            order.extend(self.node(id).children.iter().filter(|&c| marked_set.contains(c)));
         }
         debug_assert_eq!(order.len(), marked_set.len());
         let mut new_keys: BTreeMap<NodeId, (KeyRef, SymmetricKey)> = BTreeMap::new();
@@ -386,11 +388,8 @@ impl KeyTree {
                 let leaf_label = leaf_node.label;
                 let leaf_ref = KeyRef::new(leaf_node.label, leaf_node.version);
                 let parent = leaf_node.parent.expect("user leaf has a parent");
-                let mut path: Vec<(KeyRef, SymmetricKey)> = self
-                    .ancestors_inclusive(parent)
-                    .into_iter()
-                    .map(|anc| new_keys[&anc].clone())
-                    .collect();
+                let mut path: Vec<(KeyRef, SymmetricKey)> =
+                    self.ancestors_inclusive(parent).map(|anc| new_keys[&anc].clone()).collect();
                 path.reverse(); // root-first
                 BatchJoin { user: u, leaf_label, leaf_ref, leaf_key: individual_key.clone(), path }
             })

@@ -12,7 +12,7 @@
 //! converged on the same root key the pre-crash server held.
 
 use crate::ids::{KeyLabel, KeyVersion, UserId};
-use crate::tree::{JoinPolicy, KeyTree, Node};
+use crate::tree::{JoinPolicy, KeyTree, Node, Summary};
 use kg_crypto::sha256::Sha256;
 use kg_crypto::{Digest, SymmetricKey};
 use std::collections::BTreeMap;
@@ -133,7 +133,7 @@ pub fn encode_tree(tree: &KeyTree) -> Vec<u8> {
                     put_u64(&mut out, c as u64);
                 }
                 put_opt_index(&mut out, node.user.map(|u| u.0 as usize));
-                put_u64(&mut out, node.size as u64);
+                put_u64(&mut out, u64::from(node.sum.size));
             }
         }
     }
@@ -190,8 +190,11 @@ pub fn decode_tree(bytes: &[u8]) -> Result<KeyTree, SerialError> {
                     children.push(get_u64(&mut buf)? as usize);
                 }
                 let user = get_opt_index(&mut buf)?.map(|u| UserId(u as u64));
-                let size = get_u64(&mut buf)? as usize;
-                nodes.push(Some(Node { label, version, key, parent, children, user, size }));
+                let size = u32::try_from(get_u64(&mut buf)?)
+                    .map_err(|_| SerialError::Corrupt("subtree size out of range"))?;
+                // Only `size` is stored; the rest is rebuilt below.
+                let sum = Summary { size, ..Summary::EMPTY_INTERIOR };
+                nodes.push(Some(Node { label, version, key, parent, children, user, sum }));
             }
             _ => return Err(SerialError::Corrupt("bad node slot tag")),
         }
@@ -240,7 +243,12 @@ pub fn decode_tree(bytes: &[u8]) -> Result<KeyTree, SerialError> {
             return Err(SerialError::Corrupt("user leaf dead"));
         }
     }
-    Ok(KeyTree { degree, key_len, policy, nodes, free, root, users, next_label })
+    // Indices are in range; now require them to describe one tree (a cycle
+    // or a node shared between two parents would make the first walk over
+    // the result endless) and rebuild what the encoding leaves out.
+    let mut tree = KeyTree { degree, key_len, policy, nodes, free, root, users, next_label };
+    tree.validate_and_summarize().map_err(SerialError::Corrupt)?;
+    Ok(tree)
 }
 
 /// SHA-256 digest of the current group (root) key: label, version, and
@@ -349,5 +357,77 @@ mod tests {
         clone.root = clone.nodes.len() - 1;
         let encoded = encode_tree(&clone);
         assert!(matches!(decode_tree(&encoded), Err(SerialError::Corrupt(_))));
+    }
+
+    /// Damage a valid tree's arena in place, then decode its encoding.
+    fn decode_damaged(damage: impl FnOnce(&mut KeyTree)) -> Result<KeyTree, SerialError> {
+        let (mut tree, _) = churned_tree(5, 120);
+        damage(&mut tree);
+        decode_tree(&encode_tree(&tree))
+    }
+
+    /// A non-root interior node together with one of its interior children.
+    fn interior_pair(tree: &KeyTree) -> (usize, usize) {
+        (0..tree.nodes.len())
+            .filter(|&y| tree.nodes[y].as_ref().is_some_and(|n| n.user.is_none()))
+            .find_map(|y| tree.node(y).parent.filter(|&x| x != tree.root).map(|x| (x, y)))
+            .expect("a tree of this size has interior nodes three levels deep")
+    }
+
+    fn some_leaf(tree: &KeyTree) -> usize {
+        *tree.users.values().next().expect("members")
+    }
+
+    #[test]
+    fn cycle_rejected() {
+        // x → y → x, cut loose from the rest: every child list agrees with
+        // every parent field, and walking up from x never reaches the root.
+        let got = decode_damaged(|tree| {
+            let (x, y) = interior_pair(tree);
+            let above = tree.node(x).parent.unwrap();
+            tree.node_mut(above).children.retain(|&c| c != x);
+            tree.node_mut(x).parent = Some(y);
+            tree.node_mut(y).children.push(x);
+        });
+        assert!(matches!(got, Err(SerialError::Corrupt(_))), "{got:?}");
+    }
+
+    #[test]
+    fn orphan_rejected() {
+        let got = decode_damaged(|tree| {
+            let copy = tree.nodes[some_leaf(tree)].clone();
+            tree.nodes.push(copy);
+        });
+        assert!(matches!(got, Err(SerialError::Corrupt(_))), "{got:?}");
+    }
+
+    #[test]
+    fn parent_child_mismatch_rejected() {
+        let got = decode_damaged(|tree| {
+            let (x, y) = interior_pair(tree);
+            let leaf = some_leaf(tree);
+            let elsewhere = if tree.node(leaf).parent == Some(y) { x } else { y };
+            tree.node_mut(leaf).parent = Some(elsewhere);
+        });
+        assert!(matches!(got, Err(SerialError::Corrupt(_))), "{got:?}");
+    }
+
+    #[test]
+    fn shared_child_rejected() {
+        let got = decode_damaged(|tree| {
+            let root = tree.root;
+            let first = tree.node(root).children[0];
+            tree.node_mut(root).children.push(first);
+        });
+        assert!(matches!(got, Err(SerialError::Corrupt(_))), "{got:?}");
+    }
+
+    #[test]
+    fn wrong_size_rejected() {
+        let got = decode_damaged(|tree| {
+            let root = tree.root;
+            tree.node_mut(root).sum.size += 1;
+        });
+        assert!(matches!(got, Err(SerialError::Corrupt(_))), "{got:?}");
     }
 }

@@ -11,8 +11,10 @@
 //! maintain a key tree that is full and balanced". Ours:
 //!
 //! * **Join:** attach at the shallowest interior node with fewer than `d`
-//!   children (ties broken by smaller subtree). If every interior node is
-//!   full, *split* the shallowest leaf: a fresh interior node takes the
+//!   children; among those, the one with the smaller subtree; among those,
+//!   the first in child order read from the root (which is breadth-first
+//!   order). If every interior node is full, *split* the shallowest leaf
+//!   (again the first in child order): a fresh interior node takes the
 //!   leaf's place and adopts both the displaced leaf and the newcomer.
 //! * **Leave:** remove the leaf; if the leaving point drops to a single
 //!   child (and is not the root), splice that child into the grandparent so
@@ -22,6 +24,25 @@
 //! carrying the old and new keys along the changed path — exactly the
 //! information the three rekeying strategies in [`crate::rekey`] need to
 //! construct rekey messages.
+//!
+//! # Cost of choosing the joining point
+//!
+//! Every node caches a [`Summary`] of its subtree: the member count, the
+//! best open interior node below it as `(depth, size)`, and the depth of
+//! its shallowest user leaf, depths counted from the node itself. A
+//! mutation recomputes the summaries of the one root path whose sizes it
+//! changes anyway, each from at most `d` children, and the join descends
+//! from the root taking at each level the first child whose summary is the
+//! parent's one level down: O(d·h) per join or leave, no allocation, and
+//! the slot a breadth-first search of the whole tree would return (the
+//! search survives as the test oracle). Depths being relative, a subtree
+//! that moves a level — under a split leaf, or up over a contracted unary
+//! node — keeps its summaries; only the path above it is recomputed.
+//!
+//! [`KeyTree::userset`] is still linear in the arena: it finds its label by
+//! scanning. Only subgroup-addressed sends call it, never the join/leave
+//! path, and a label → node map would cost every node memory to serve
+//! them.
 
 use crate::ids::{KeyLabel, KeyRef, KeyVersion, UserId};
 use kg_crypto::{KeySource, SymmetricKey};
@@ -59,8 +80,33 @@ pub(crate) struct Node {
     pub(crate) children: Vec<NodeId>,
     /// `Some(u)` iff this is the individual-key leaf of user `u`.
     pub(crate) user: Option<UserId>,
-    /// Number of users in this node's subtree (cached for heuristics).
-    pub(crate) size: usize,
+    /// What the join heuristic needs to know about this node's subtree.
+    pub(crate) sum: Summary,
+}
+
+/// Cached facts about one node's subtree, each a function of the node and
+/// its children's summaries ([`KeyTree::summarize`]). Depths count levels
+/// below the node itself, so moving a subtree leaves them valid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Summary {
+    /// Number of users in the subtree.
+    pub(crate) size: u32,
+    /// Least `(depth, size)` over the subtree's interior nodes with a free
+    /// child slot; [`Summary::NO_OPEN`] when all are full.
+    pub(crate) open: (u32, u32),
+    /// Depth of the subtree's shallowest user leaf; `u32::MAX` when it has
+    /// none.
+    pub(crate) leaf_depth: u32,
+}
+
+impl Summary {
+    pub(crate) const NO_OPEN: (u32, u32) = (u32::MAX, u32::MAX);
+    /// A user's individual-key leaf.
+    pub(crate) const USER_LEAF: Summary =
+        Summary { size: 1, open: Summary::NO_OPEN, leaf_depth: 0 };
+    /// An interior node that has no children yet.
+    pub(crate) const EMPTY_INTERIOR: Summary =
+        Summary { size: 0, open: (0, 0), leaf_depth: u32::MAX };
 }
 
 /// One changed k-node on the rekey path.
@@ -419,8 +465,6 @@ impl KeyTree {
                     }
                     self.node_mut(fresh).children.push(leaf_id);
                     self.node_mut(leaf_id).parent = Some(fresh);
-                    let displaced_size = self.node(leaf_id).size;
-                    self.node_mut(fresh).size = displaced_size;
                     (fresh, Some((displaced_ref, displaced_key)))
                 }
             };
@@ -434,9 +478,7 @@ impl KeyTree {
         self.node_mut(leaf).key = individual_key.clone();
         self.node_mut(joining_point).children.push(leaf);
         self.users.insert(u, leaf);
-        for anc in self.ancestors_inclusive(joining_point) {
-            self.node_mut(anc).size += 1;
-        }
+        self.refresh_summaries(joining_point);
 
         // Rekey the path joining point → root. The joining point's "old
         // key" is the displaced leaf's key when the node is fresh.
@@ -512,9 +554,6 @@ impl KeyTree {
         let pos = self.node(parent).children.iter().position(|&c| c == leaf).expect("child link");
         self.node_mut(parent).children.remove(pos);
         self.dealloc(leaf);
-        for anc in self.ancestors_inclusive(parent) {
-            self.node_mut(anc).size -= 1;
-        }
 
         // Contract a now-unary, non-root leaving point: splice its single
         // child into the grandparent. The departing user never held the
@@ -531,6 +570,7 @@ impl KeyTree {
             self.dealloc(parent);
             leaving_point = grand;
         }
+        self.refresh_summaries(leaving_point);
 
         if self.users.is_empty() {
             // Last member gone: refresh the root key (no recipients).
@@ -657,7 +697,7 @@ impl KeyTree {
             parent,
             children: Vec::new(),
             user,
-            size: user.map_or(0, |_| 1),
+            sum: if user.is_some() { Summary::USER_LEAF } else { Summary::EMPTY_INTERIOR },
         };
         self.next_label += 1;
         match self.free.pop() {
@@ -677,14 +717,42 @@ impl KeyTree {
         self.free.push(id);
     }
 
-    pub(crate) fn ancestors_inclusive(&self, from: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
+    /// `from`, its parent, … up to the root.
+    pub(crate) fn ancestors_inclusive(&self, from: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(Some(from), |&id| self.node(id).parent)
+    }
+
+    /// `id`'s summary from its children's cached ones.
+    pub(crate) fn summarize(&self, id: NodeId) -> Summary {
+        let node = self.node(id);
+        if node.user.is_some() {
+            return Summary::USER_LEAF;
+        }
+        let mut sum = Summary::EMPTY_INTERIOR;
+        // `NO_OPEN` and "no leaf" saturate to themselves a level up, and
+        // lose to any real candidate.
+        let mut open_below = Summary::NO_OPEN;
+        for &c in &node.children {
+            let child = self.node(c).sum;
+            sum.size += child.size;
+            sum.leaf_depth = sum.leaf_depth.min(child.leaf_depth.saturating_add(1));
+            open_below = open_below.min((child.open.0.saturating_add(1), child.open.1));
+        }
+        sum.open = if node.children.len() < self.degree { (0, sum.size) } else { open_below };
+        sum
+    }
+
+    /// Recompute the cached summaries of `from` and every ancestor, after a
+    /// change to `from`'s child list. Everything below `from` must already
+    /// be current; nothing off this path can have changed.
+    pub(crate) fn refresh_summaries(&mut self, from: NodeId) {
         let mut cur = Some(from);
         while let Some(id) = cur {
-            out.push(id);
-            cur = self.node(id).parent;
+            let sum = self.summarize(id);
+            let node = self.node_mut(id);
+            node.sum = sum;
+            cur = node.parent;
         }
-        out
     }
 
     fn users_below(&self, id: NodeId) -> Vec<UserId> {
@@ -706,7 +774,12 @@ impl KeyTree {
 
     pub(crate) fn find_join_slot(&self) -> JoinSlot {
         match self.policy {
-            JoinPolicy::Balanced => self.find_join_slot_balanced(),
+            JoinPolicy::Balanced => {
+                let slot = self.find_join_slot_balanced();
+                #[cfg(test)]
+                assert_eq!(slot, self.find_join_slot_bfs(), "descent disagrees with the BFS");
+                slot
+            }
             JoinPolicy::FirstFit => self.find_join_slot_first_fit(),
         }
     }
@@ -729,9 +802,46 @@ impl KeyTree {
         JoinSlot::SplitLeaf(first_leaf.expect("full tree has leaves"))
     }
 
-    /// BFS for the shallowest interior node with room; if the interior of
-    /// the tree is full, pick the shallowest user leaf to split.
+    /// The shallowest interior node with room (smaller subtree, then child
+    /// order, breaking ties); if the interior of the tree is full, the
+    /// shallowest user leaf, to split. Read off the cached summaries.
     fn find_join_slot_balanced(&self) -> JoinSlot {
+        let root = self.node(self.root).sum;
+        if root.open != Summary::NO_OPEN {
+            return JoinSlot::Interior(self.descend(|sum| sum.open));
+        }
+        assert!(root.leaf_depth != u32::MAX, "full tree has leaves");
+        JoinSlot::SplitLeaf(self.descend(|sum| (sum.leaf_depth, 0)))
+    }
+
+    /// From the root, follow the first child whose `(depth, tie-break)`
+    /// summary is its parent's one level down, to the node where the depth
+    /// reaches zero. Candidates at equal depth are in breadth-first order
+    /// exactly when their child-index paths are in lexicographic order, so
+    /// this is the first of the best candidates a breadth-first search
+    /// meets.
+    fn descend(&self, best: impl Fn(&Summary) -> (u32, u32)) -> NodeId {
+        let mut id = self.root;
+        loop {
+            let node = self.node(id);
+            let (depth, tie) = best(&node.sum);
+            if depth == 0 {
+                return id;
+            }
+            id = *node
+                .children
+                .iter()
+                .find(|&&c| best(&self.node(c).sum) == (depth - 1, tie))
+                .expect("a parent's summary comes from one of its children");
+        }
+    }
+
+    /// The placement rule stated directly — the oracle the summaries are
+    /// tested against. BFS for the shallowest interior node with room; if
+    /// the interior of the tree is full, pick the shallowest user leaf to
+    /// split.
+    #[cfg(test)]
+    pub(crate) fn find_join_slot_bfs(&self) -> JoinSlot {
         let mut queue = VecDeque::from([self.root]);
         let mut best_interior: Option<(usize, usize, NodeId)> = None; // (depth, size, id)
         let mut best_leaf: Option<(usize, NodeId)> = None;
@@ -746,8 +856,9 @@ impl KeyTree {
                 continue;
             }
             if node.children.len() < self.degree {
-                let cand = (depth, node.size, id);
-                if best_interior.is_none_or(|(d, s, _)| (depth, node.size) < (d, s)) {
+                let size = node.sum.size as usize;
+                let cand = (depth, size, id);
+                if best_interior.is_none_or(|(d, s, _)| (depth, size) < (d, s)) {
                     best_interior = Some(cand);
                 }
             }
@@ -760,6 +871,63 @@ impl KeyTree {
             Some((_, _, id)) => JoinSlot::Interior(id),
             None => JoinSlot::SplitLeaf(best_leaf.expect("full tree has leaves").1),
         }
+    }
+
+    /// Check that the arena is one tree hanging from the root — every live
+    /// node reached exactly once through child lists that agree with the
+    /// `parent` fields, `users` naming exactly the user leaves — and
+    /// rebuild every summary bottom-up, requiring the stored `size`s to
+    /// match. Deserialization builds its arena from outside bytes and has
+    /// no summaries; this is its validation and its rebuild in one pass.
+    /// Every stored index must already name a live slot.
+    pub(crate) fn validate_and_summarize(&mut self) -> Result<(), &'static str> {
+        if self.node(self.root).parent.is_some() {
+            return Err("root has a parent");
+        }
+        // Breadth-first from the root; `order` doubles as the queue.
+        let mut reached = vec![false; self.nodes.len()];
+        reached[self.root] = true;
+        let mut order = vec![self.root];
+        let mut next = 0;
+        let mut user_leaves = 0usize;
+        while let Some(&id) = order.get(next) {
+            next += 1;
+            let node = self.node(id);
+            if let Some(u) = node.user {
+                if !node.children.is_empty() {
+                    return Err("user leaf with children");
+                }
+                if self.users.get(&u) != Some(&id) {
+                    return Err("user leaf missing from the user index");
+                }
+                user_leaves += 1;
+            }
+            for &c in &node.children {
+                if self.node(c).parent != Some(id) {
+                    return Err("child list and parent field disagree");
+                }
+                if std::mem::replace(&mut reached[c], true) {
+                    return Err("node reachable twice");
+                }
+                order.push(c);
+            }
+        }
+        if order.len() != self.key_count() {
+            return Err("node not reachable from the root");
+        }
+        if user_leaves != self.users.len() {
+            return Err("user index names a non-leaf");
+        }
+        // Children come after their parent in `order`.
+        for &id in order.iter().rev() {
+            let sum = self.summarize(id);
+            let node = self.node_mut(id);
+            if node.sum.size != sum.size {
+                return Err("size cache wrong");
+            }
+            node.sum = sum;
+        }
+        Ok(())
     }
 
     /// Structural invariants, asserted by tests after every mutation.
@@ -780,7 +948,7 @@ impl KeyTree {
                 user_leaves += 1;
             }
             assert_eq!(
-                node.size,
+                node.sum.size as usize,
                 self.users_below(id).len(),
                 "size cache wrong at {:?}",
                 node.label
@@ -793,9 +961,20 @@ impl KeyTree {
         assert_eq!(user_leaves, self.users.len(), "member count mismatch");
         assert!(self.nodes[self.root].is_some(), "root freed");
         assert!(self.node(self.root).parent.is_none(), "root has a parent");
+        // Cached summaries equal the ones rebuilt from nothing.
+        let mut rebuilt = self.clone();
+        rebuilt.validate_and_summarize().expect("arena is a tree");
+        for (id, (cached, fresh)) in self.nodes.iter().zip(&rebuilt.nodes).enumerate() {
+            assert_eq!(
+                cached.as_ref().map(|n| n.sum),
+                fresh.as_ref().map(|n| n.sum),
+                "summary cache wrong at slot {id}"
+            );
+        }
     }
 }
 
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum JoinSlot {
     Interior(NodeId),
     SplitLeaf(NodeId),
@@ -1222,6 +1401,84 @@ mod tests {
         let want = crate::derive::derive_key(&old_root, &code, p.label, p.new_ref.version, 8);
         assert_eq!(p.new_key, want);
         assert_eq!(tree.group_key().1, p.new_key);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The summary descent and the whole-tree BFS name the same slot —
+        /// same kind, same node — after every operation of any kind, and
+        /// the cached summaries equal the recomputed ones throughout.
+        /// An op is `(kind, member pick, join count)`.
+        #[test]
+        fn placement_matches_bfs_oracle(
+            ops in proptest::collection::vec((0u8..16, proptest::prelude::any::<usize>(), 0usize..12), 300..360),
+            degree in 2usize..=6,
+        ) {
+            let mut src = HmacDrbg::from_seed(3);
+            let mut tree = KeyTree::new(degree, 8, &mut src);
+            let mut next_user = 0u64;
+            let code = [0xC0u8; 16];
+            let mut fresh = |n: usize, src: &mut HmacDrbg| -> Vec<(UserId, SymmetricKey)> {
+                (0..n)
+                    .map(|_| {
+                        next_user += 1;
+                        (UserId(next_user), src.generate_key(8))
+                    })
+                    .collect()
+            };
+            for (kind, pick, joins) in ops {
+                let members: Vec<UserId> = tree.members().collect();
+                let member = |i: usize| members[i % members.len()];
+                match kind {
+                    0..=3 => {
+                        let (u, ik) = fresh(1, &mut src).remove(0);
+                        tree.join(u, ik, &mut src).unwrap();
+                    }
+                    4..=5 => {
+                        let (u, ik) = fresh(1, &mut src).remove(0);
+                        tree.join_derived(u, ik, &mut src, &code).unwrap();
+                    }
+                    6..=10 if !members.is_empty() => {
+                        tree.leave(member(pick), &mut src).unwrap();
+                    }
+                    // A mixed interval: up to seven scattered leavers.
+                    11..=12 if !members.is_empty() => {
+                        let leaves: std::collections::BTreeSet<UserId> =
+                            (0..pick % 8).map(|k| member(pick / 8 + 7 * k)).collect();
+                        let leaves: Vec<UserId> = leaves.into_iter().collect();
+                        let joins = fresh(joins, &mut src);
+                        tree.apply_batch(&joins, &leaves, &mut src).unwrap();
+                    }
+                    // An interval in which everyone below one interior node
+                    // leaves, so the node empties and is contracted away,
+                    // while the joiners may outrun the vacated slots and
+                    // split leaves.
+                    13 => {
+                        let interiors: Vec<NodeId> = (0..tree.nodes.len())
+                            .filter(|&id| id != tree.root)
+                            .filter(|&id| tree.nodes[id].as_ref().is_some_and(|n| n.user.is_none()))
+                            .collect();
+                        if !interiors.is_empty() {
+                            let leaves = tree.users_below(interiors[pick % interiors.len()]);
+                            let joins = fresh(joins, &mut src);
+                            tree.apply_batch(&joins, &leaves, &mut src).unwrap();
+                        }
+                    }
+                    14 => {
+                        let joins = fresh(joins.max(1), &mut src);
+                        tree.apply_batch_derived(&joins, &mut src, &code).unwrap();
+                    }
+                    15 => {
+                        tree = crate::serial::decode_tree(&crate::serial::encode_tree(&tree))
+                            .unwrap();
+                    }
+                    _ => {}
+                }
+                proptest::prop_assert_eq!(tree.find_join_slot_balanced(), tree.find_join_slot_bfs());
+                tree.check_invariants();
+            }
+        }
     }
 
     proptest::proptest! {
