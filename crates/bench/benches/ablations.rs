@@ -134,7 +134,7 @@ fn bench_join_policy(c: &mut Criterion) {
                 let lev = tree.leave(u, &mut src).unwrap();
                 let mut rk = Rekeyer::new(KeyCipher::DesCbc, &mut ivs);
                 let a = rk.join(&jev, Strategy::GroupOriented);
-                let b2 = rk.leave(&lev, Strategy::GroupOriented);
+                let b2 = rk.batch(&lev, Strategy::GroupOriented);
                 (a.ops.key_encryptions, b2.ops.key_encryptions)
             })
         });

@@ -528,12 +528,11 @@ fn hybrid(opts: &Opts) {
     }
     // One leave measured under each packaging.
     let ev = tree.leave(UserId(n / 2), &mut src).unwrap();
-    let roots = tree.root_children();
     let mut ivs = HmacDrbg::from_seed(0x43);
     let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-    let key = rk.leave(&ev, Strategy::KeyOriented);
-    let group = rk.leave(&ev, Strategy::GroupOriented);
-    let hyb = rk.leave_hybrid(&ev, &roots);
+    let key = rk.batch(&ev, Strategy::KeyOriented);
+    let group = rk.batch(&ev, Strategy::GroupOriented);
+    let hyb = rk.leave_hybrid(&ev);
 
     let keys_of = |out: &kg_core::rekey::RekeyOutput| {
         out.messages.iter().map(|m| m.key_count()).sum::<usize>()
@@ -564,7 +563,7 @@ fn hybrid(opts: &Opts) {
         hyb.messages.len().to_string(),
         keys_of(&hyb).to_string(),
         hyb.ops.key_encryptions.to_string(),
-        format!("{} (root children)", roots.len()),
+        format!("{} (root children)", ev.marked[0].children.len()),
     ]);
     println!("{}", t.render());
     println!("(hybrid keeps group-oriented's O(1) message count and encryption cost while only flooding the affected top-level subtree with the large message)\n");

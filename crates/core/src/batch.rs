@@ -1,74 +1,92 @@
-//! Batched (periodic) rekeying — the marking algorithm.
+//! The one tree mutation — the marking algorithm over a rekey interval.
 //!
-//! The paper's protocols rekey once per join or leave, so under heavy
-//! churn a group pays O(churn × log n) encryptions and multicasts. The
-//! follow-on literature (CKCS; Chan et al.'s approximation algorithms for
-//! batched key management) aggregates all membership changes in a *rekey
-//! interval* into one tree update: departed users' leaf slots are refilled
+//! The paper's join (§3.3) and leave (§3.4) are the same tree operation:
+//! change the membership at one leaf, then *replace every key on the path
+//! from the changed node to the root*. The follow-on literature (CKCS;
+//! Chan et al.'s approximation algorithms for batched key management) makes
+//! the *rekey interval* the unit: all membership changes of an interval
+//! become one tree update in which departed users' leaf slots are refilled
 //! by joiners first, the tree then grows or shrinks, and every key on the
 //! union of the changed paths is replaced **once**, no matter how many
-//! operations touched it.
+//! operations touched it. A single request is the interval of size one,
+//! and a group-key refresh is the interval of size zero.
 //!
-//! [`KeyTree::apply_batch`] implements that marking algorithm:
+//! [`KeyTree::apply_interval`] is that update, and the only code that
+//! links or unlinks nodes of a live tree or replaces a key;
+//! [`KeyTree::join`], [`KeyTree::leave`], [`KeyTree::refresh_group_key`]
+//! and [`KeyTree::apply_batch`] are its callers:
 //!
 //! 1. **Detach** all departing leaves, remembering each vacated parent.
 //! 2. **Attach** joiners, preferring vacated interior slots (shallowest
-//!    first) before falling back to the tree's normal join heuristic
-//!    (which may split a leaf exactly as a single join would).
+//!    first) before falling back to the tree's join heuristic (which may
+//!    split a leaf: a fresh interior node takes the leaf's place and adopts
+//!    both the displaced leaf and the newcomer).
 //! 3. **Contract** degenerate structure left behind: interior nodes that
 //!    lost all users are removed; unary non-root interiors are spliced
-//!    into their grandparent (same rule as a single leave).
-//! 4. **Mark** the ancestor closure of every node touched above. The
-//!    marked set is the minimal set of keys to replace: it contains every
-//!    key a departed user held and every key on a joiner's path, and each
-//!    marked node's version is bumped exactly once for the interval.
+//!    into their grandparent.
+//! 4. **Mark** the ancestor closure of every node touched above, and of
+//!    the root. The marked set is the minimal set of keys to replace: it
+//!    contains the group key, every key a departed user held and every key
+//!    on a joiner's path, and each marked node's version is bumped exactly
+//!    once for the interval. For a single join or leave it is the paper's
+//!    path x_0 … x_j from the root to the joining or leaving point.
 //!
-//! The returned [`BatchEvent`] carries, for every marked node, its new key
-//! and the post-batch keys of all its children — precisely what the
-//! consolidated rekey-message construction
-//! ([`Rekeyer::batch`](crate::rekey::Rekeyer::batch)) needs: the new
-//! key of a marked node is encrypted under each child's current key
-//! (the child's *new* key if the child is itself marked), and joiners
-//! receive their whole path in one unicast under their individual key.
+//! The returned [`BatchEvent`] is the one event the rekey constructions
+//! read. For every marked node it carries the key it replaces (what
+//! [`Rekeyer::join`](crate::rekey::Rekeyer::join), §3.3, encrypts the new
+//! key under) and the post-interval keys of all its children (what
+//! [`Rekeyer::batch`](crate::rekey::Rekeyer::batch), §3.4 generalised to
+//! any interval, encrypts it under: the child's *new* key if the child is
+//! itself marked); joiners receive their whole path in one unicast under
+//! their individual key.
 
 use crate::derive::DerivedLink;
-use crate::ids::KeyLabel;
-use crate::ids::{KeyRef, UserId};
-use crate::tree::{JoinSlot, KeyTree, NewKeyMode, NodeId, TreeError};
+use crate::ids::{KeyLabel, KeyRef, UserId};
+use crate::tree::{JoinSlot, KeyTree, NodeId, TreeError};
 use kg_crypto::{KeySource, SymmetricKey};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One child of a marked node, as seen *after* the batch was applied.
+/// One child of a marked node, as seen *after* the interval was applied.
 #[derive(Debug, Clone)]
 pub struct BatchChild {
     /// The child k-node's label (or a user leaf's label).
     pub label: KeyLabel,
     /// Whether the child itself is marked (its `key` below is new).
     pub marked: bool,
-    /// The child's current key reference (post-batch).
+    /// The child's current key reference (post-interval).
     pub key_ref: KeyRef,
-    /// The child's current key material (post-batch).
+    /// The child's current key material (post-interval).
     pub key: SymmetricKey,
     /// `Some(u)` iff this child is the individual-key leaf of a user who
-    /// joined in this batch (such children are served by unicast, not by
+    /// joined in this interval (such children are served by unicast, not by
     /// a ciphertext under their individual key).
     pub joiner: Option<UserId>,
 }
 
-/// One key replaced by the batch, with everything needed to distribute it.
+/// One key replaced by the interval, with everything needed to distribute
+/// it.
 #[derive(Debug, Clone)]
 pub struct MarkedNode {
     /// The k-node's stable label.
     pub label: KeyLabel,
-    /// Reference of the replacement key (version bumped once per batch).
+    /// Reference of the replacement key (version bumped once per interval).
     pub new_ref: KeyRef,
     /// The replacement key material.
     pub new_key: SymmetricKey,
-    /// All children with their post-batch keys.
+    /// Reference of the key the node's previous holders know it by: the
+    /// node's own key one version earlier — or, for a node created by a
+    /// leaf split, the displaced member's individual key (its holders, just
+    /// the displaced member, are exactly the new node's previous userset).
+    /// A replacement may be encrypted under, or derived from, this key only
+    /// when nobody left in the interval.
+    pub old_ref: KeyRef,
+    /// The key material at `old_ref`.
+    pub old_key: SymmetricKey,
+    /// All children with their post-interval keys.
     pub children: Vec<BatchChild>,
 }
 
-/// A user admitted by the batch.
+/// A user admitted by the interval.
 #[derive(Debug, Clone)]
 pub struct BatchJoin {
     /// The joining user.
@@ -87,7 +105,10 @@ pub struct BatchJoin {
 /// Result of applying one interval's worth of membership changes.
 #[derive(Debug, Clone, Default)]
 pub struct BatchEvent {
-    /// Replaced keys, root-first (the root is always first when nonempty).
+    /// Replaced keys, root-first: the root is always first, and for a
+    /// single join or leave the rest is the path down to the joining or
+    /// leaving point. Empty when the interval left the group without
+    /// members: the root key is still rotated, but there is nobody to tell.
     pub marked: Vec<MarkedNode>,
     /// Users admitted this interval, with their unicast key paths.
     pub joins: Vec<BatchJoin>,
@@ -96,14 +117,16 @@ pub struct BatchEvent {
 }
 
 impl BatchEvent {
-    /// Whether the batch changed nothing.
-    pub fn is_empty(&self) -> bool {
-        self.marked.is_empty() && self.joins.is_empty() && self.departed.is_empty()
-    }
-
     /// Labels of the replaced keys (the "marked set"), root-first.
     pub fn marked_labels(&self) -> Vec<KeyLabel> {
         self.marked.iter().map(|m| m.label).collect()
+    }
+
+    /// One derivation link per replaced key, in `marked` order: what a
+    /// derived rekey packet publishes beside the code when the interval's
+    /// keys were replaced under [`NewKeyMode::Derived`].
+    pub fn derived_links(&self) -> Vec<DerivedLink> {
+        self.marked.iter().map(|m| DerivedLink { new_ref: m.new_ref, from: m.old_ref }).collect()
     }
 
     /// The interval's **key cover** as a flat work list: every
@@ -113,12 +136,13 @@ impl BatchEvent {
     /// # Iteration order (stable, documented, relied upon)
     ///
     /// Edges are yielded in *cover order*: marked nodes root-first in
-    /// the breadth-first order `apply_batch` replaced them (`marked` is
+    /// the breadth-first order `apply_interval` replaced them (`marked` is
     /// built from an explicit BFS over `BTreeMap`-backed structures —
     /// no hash-map iteration anywhere), and within each node its
-    /// children in the recorded child order. Two `BatchEvent`s with
-    /// equal contents therefore yield identical sequences, on every
-    /// platform and run.
+    /// children in the recorded child order (the order the arena stores
+    /// them — insertion order, maintained across splices). Two
+    /// `BatchEvent`s with equal contents therefore yield identical
+    /// sequences, on every platform and run.
     ///
     /// The rekey builders consume the cover in exactly this order, so
     /// the order fixes the IV stream: each edge's first sealing draws
@@ -130,54 +154,88 @@ impl BatchEvent {
     }
 }
 
+/// How an interval obtains the replacement keys of its marked nodes.
+#[derive(Debug, Clone, Copy)]
+pub enum NewKeyMode<'a> {
+    /// Drawn from the key source, root-first in `marked` order — what the
+    /// paper's strategies ship.
+    Fresh,
+    /// [`crate::derive::derive_key`]`(old_key, code, label, new_version)`
+    /// per marked node, `old_key` being [`MarkedNode::old_key`] — what
+    /// [`crate::rekey::Strategy::Derived`] publishes a code for. Only a
+    /// leave-free interval may derive: a departed member holds the old keys
+    /// and could run the public derivation too.
+    Derived(&'a [u8]),
+}
+
 impl KeyTree {
-    /// Apply one rekey interval's joins and leaves as a single batched
-    /// tree update, replacing each key on the union of the changed paths
-    /// exactly once.
-    ///
-    /// Validation is all-or-nothing: every leaver must be a current
-    /// member (listed once), every joiner must be a non-member after the
-    /// leaves are accounted for (so a user may leave and rejoin in one
-    /// interval), and on any validation error the tree is unchanged.
+    /// Admit `u` with the given individual key (from the authentication
+    /// exchange) and replace every key from the joining point to the root:
+    /// the interval of one join.
+    pub fn join(
+        &mut self,
+        u: UserId,
+        individual_key: SymmetricKey,
+        source: &mut dyn KeySource,
+    ) -> Result<BatchEvent, TreeError> {
+        self.apply_interval(&[(u, individual_key)], &[], source, NewKeyMode::Fresh)
+    }
+
+    /// Remove `u` and replace every key from the leaving point to the root:
+    /// the interval of one leave.
+    pub fn leave(
+        &mut self,
+        u: UserId,
+        source: &mut dyn KeySource,
+    ) -> Result<BatchEvent, TreeError> {
+        self.apply_interval(&[], &[u], source, NewKeyMode::Fresh)
+    }
+
+    /// Replace the group key without any membership change — periodic
+    /// rotation, or fencing off a key that may have leaked with a crashed
+    /// process: the interval of no requests, which marks the root alone.
+    pub fn refresh_group_key(&mut self, source: &mut dyn KeySource) -> BatchEvent {
+        self.apply_interval(&[], &[], source, NewKeyMode::Fresh)
+            .expect("an interval without requests has none to reject")
+    }
+
+    /// Apply one rekey interval's joins and leaves with fresh replacement
+    /// keys.
     pub fn apply_batch(
         &mut self,
         joins: &[(UserId, SymmetricKey)],
         leaves: &[UserId],
         source: &mut dyn KeySource,
     ) -> Result<BatchEvent, TreeError> {
-        self.apply_batch_inner(joins, leaves, source, NewKeyMode::Fresh).map(|(ev, _)| ev)
+        self.apply_interval(joins, leaves, source, NewKeyMode::Fresh)
     }
 
-    /// Apply a **leave-free** interval with derived key replacement
-    /// ([`crate::rekey::Strategy::Derived`]): every marked key is
-    /// recomputed as [`crate::derive::derive_key`]`(from, code, label,
-    /// new_version)`, where `from` is the node's pre-batch key — or, for a
-    /// node freshly created by a leaf split, the displaced member's
-    /// individual key. Returns the event plus one [`DerivedLink`] per
-    /// marked node (in `marked` order, root-first) for the wire packet.
+    /// Apply one rekey interval's joins and leaves as a single tree
+    /// update, replacing the group key and each key on the union of the
+    /// changed paths exactly once.
     ///
-    /// Leaves are excluded by construction: an interval containing a leave
-    /// must ship fresh keys (forward secrecy), which the server does by
-    /// falling back to the shipped batch path.
-    pub fn apply_batch_derived(
-        &mut self,
-        joins: &[(UserId, SymmetricKey)],
-        source: &mut dyn KeySource,
-        code: &[u8],
-    ) -> Result<(BatchEvent, Vec<DerivedLink>), TreeError> {
-        self.apply_batch_inner(joins, &[], source, NewKeyMode::Derived(code))
-    }
-
-    fn apply_batch_inner(
+    /// Validation is all-or-nothing: every leaver must be a current
+    /// member (listed once), every joiner must be a non-member after the
+    /// leaves are accounted for (so a user may leave and rejoin in one
+    /// interval), and on any validation error the tree is unchanged.
+    ///
+    /// `source` supplies the key every allocated node is created with and,
+    /// under [`NewKeyMode::Fresh`], the replacement keys, so shipped and
+    /// derived intervals consume it identically per node allocated.
+    ///
+    /// # Panics
+    /// Panics on a derived interval that contains a leave (forward
+    /// secrecy; the caller ships such an interval's keys instead).
+    pub fn apply_interval(
         &mut self,
         joins: &[(UserId, SymmetricKey)],
         leaves: &[UserId],
         source: &mut dyn KeySource,
         mode: NewKeyMode<'_>,
-    ) -> Result<(BatchEvent, Vec<DerivedLink>), TreeError> {
-        debug_assert!(
+    ) -> Result<BatchEvent, TreeError> {
+        assert!(
             matches!(mode, NewKeyMode::Fresh) || leaves.is_empty(),
-            "derived batches must be leave-free (forward secrecy)"
+            "derived intervals must be leave-free (forward secrecy)"
         );
         // ---- Validate up front (tree untouched on error). ----
         let mut leaving = BTreeSet::new();
@@ -193,11 +251,11 @@ impl KeyTree {
             }
         }
 
-        let mut touched: BTreeSet<NodeId> = BTreeSet::new();
+        // Every interval replaces the group key.
+        let mut touched: BTreeSet<NodeId> = BTreeSet::from([self.root]);
         let mut vacated: Vec<NodeId> = Vec::new();
         // For nodes created by leaf splits: the displaced member's
-        // individual key — the derive-from source (and in shipped mode the
-        // encrypt-under key) its one previous holder already has.
+        // individual key, the only key the node's one previous holder has.
         let mut fresh_from: BTreeMap<NodeId, (KeyRef, SymmetricKey)> = BTreeMap::new();
 
         // ---- 1. Detach departing leaves. ----
@@ -227,9 +285,8 @@ impl KeyTree {
                 None => match self.find_join_slot() {
                     JoinSlot::Interior(id) => id,
                     JoinSlot::SplitLeaf(leaf_id) => {
-                        // Split exactly as a single join would: a fresh
-                        // interior node takes the leaf's position and
-                        // adopts the displaced leaf.
+                        // A fresh interior node takes the leaf's position
+                        // and adopts the displaced leaf.
                         let (displaced_ref, displaced_key) = {
                             let l = self.node(leaf_id);
                             (KeyRef::new(l.label, l.version), l.key.clone())
@@ -291,22 +348,6 @@ impl KeyTree {
             touched.insert(parent);
         }
 
-        let departed: Vec<UserId> = leaves.to_vec();
-
-        // ---- Group emptied: rotate the root key, nothing to distribute.
-        if self.users.is_empty() {
-            if !departed.is_empty() {
-                let new_key = source.generate_key(self.key_len);
-                let root = self.node_mut(self.root);
-                root.version = root.version.next();
-                root.key = new_key;
-            }
-            return Ok((
-                BatchEvent { marked: Vec::new(), joins: Vec::new(), departed },
-                Vec::new(),
-            ));
-        }
-
         // ---- 4. Mark: ancestor closure of every touched node. ----
         let mut marked_set: BTreeSet<NodeId> = BTreeSet::new();
         for &t in &touched {
@@ -320,82 +361,97 @@ impl KeyTree {
         // Replace each marked key once, root-first in breadth-first order.
         // The marked set is ancestor-closed, so walking only marked
         // children visits it in the order a walk of the whole tree would.
-        let mut order: Vec<NodeId> = Vec::with_capacity(marked_set.len());
-        order.extend(marked_set.get(&self.root));
+        let mut order: Vec<NodeId> = vec![self.root];
         let mut next = 0;
         while let Some(&id) = order.get(next) {
             next += 1;
             order.extend(self.node(id).children.iter().filter(|&c| marked_set.contains(c)));
         }
         debug_assert_eq!(order.len(), marked_set.len());
-        let mut new_keys: BTreeMap<NodeId, (KeyRef, SymmetricKey)> = BTreeMap::new();
-        let mut links: Vec<DerivedLink> = Vec::new();
+        let mut marked: Vec<MarkedNode> = Vec::with_capacity(order.len());
         for &id in &order {
-            let new_key = match mode {
-                NewKeyMode::Fresh => source.generate_key(self.key_len),
-                NewKeyMode::Derived(code) => {
-                    let (from_ref, from_key) = fresh_from.get(&id).cloned().unwrap_or_else(|| {
-                        let n = self.node(id);
-                        (KeyRef::new(n.label, n.version), n.key.clone())
-                    });
-                    let n = self.node(id);
-                    let new_ref = KeyRef::new(n.label, n.version.next());
-                    links.push(DerivedLink { new_ref, from: from_ref });
-                    crate::derive::derive_key(
-                        &from_key,
-                        code,
-                        n.label,
-                        new_ref.version,
-                        self.key_len,
-                    )
-                }
-            };
+            let key_len = self.key_len;
+            let split_from = fresh_from.remove(&id);
             let node = self.node_mut(id);
-            node.version = node.version.next();
-            node.key = new_key.clone();
-            new_keys.insert(id, (KeyRef::new(node.label, node.version), new_key));
+            let new_ref = KeyRef::new(node.label, node.version.next());
+            let from_key = split_from.as_ref().map_or(&node.key, |(_, key)| key);
+            let new_key = match mode {
+                NewKeyMode::Fresh => source.generate_key(key_len),
+                NewKeyMode::Derived(code) => crate::derive::derive_key(
+                    from_key,
+                    code,
+                    new_ref.label,
+                    new_ref.version,
+                    key_len,
+                ),
+            };
+            let own = (
+                KeyRef::new(node.label, node.version),
+                std::mem::replace(&mut node.key, new_key.clone()),
+            );
+            node.version = new_ref.version;
+            let (old_ref, old_key) = split_from.unwrap_or(own);
+            let children = Vec::new(); // filled in once every marked child holds its new key
+            marked.push(MarkedNode {
+                label: new_ref.label,
+                new_ref,
+                new_key,
+                old_ref,
+                old_key,
+                children,
+            });
         }
 
-        // ---- Assemble the event. ----
-        let marked = order
-            .iter()
-            .map(|&id| {
-                let (new_ref, new_key) = new_keys[&id].clone();
-                let children = self
-                    .node(id)
-                    .children
-                    .iter()
-                    .map(|&c| {
-                        let n = self.node(c);
-                        BatchChild {
-                            label: n.label,
-                            marked: marked_set.contains(&c),
-                            key_ref: KeyRef::new(n.label, n.version),
-                            key: n.key.clone(),
-                            joiner: n.user.filter(|u| joining.contains(u)),
-                        }
-                    })
-                    .collect();
-                MarkedNode { label: self.node(id).label, new_ref, new_key, children }
-            })
-            .collect();
+        let departed: Vec<UserId> = leaves.to_vec();
+        if self.users.is_empty() {
+            // The root key has been rotated; there is nobody to tell.
+            return Ok(BatchEvent { marked: Vec::new(), joins: Vec::new(), departed });
+        }
+
+        // ---- Assemble the event: children carry post-interval keys. ----
+        for (m, &id) in marked.iter_mut().zip(&order) {
+            m.children = self
+                .node(id)
+                .children
+                .iter()
+                .map(|&c| {
+                    let n = self.node(c);
+                    BatchChild {
+                        label: n.label,
+                        marked: marked_set.contains(&c),
+                        key_ref: KeyRef::new(n.label, n.version),
+                        key: n.key.clone(),
+                        joiner: n.user.filter(|u| joining.contains(u)),
+                    }
+                })
+                .collect();
+        }
 
         let joins = joins
             .iter()
             .map(|&(u, ref individual_key)| {
-                let leaf = self.users[&u];
-                let leaf_node = self.node(leaf);
-                let leaf_label = leaf_node.label;
-                let leaf_ref = KeyRef::new(leaf_node.label, leaf_node.version);
+                let leaf_node = self.node(self.users[&u]);
                 let parent = leaf_node.parent.expect("user leaf has a parent");
-                let mut path: Vec<(KeyRef, SymmetricKey)> =
-                    self.ancestors_inclusive(parent).map(|anc| new_keys[&anc].clone()).collect();
+                // Every ancestor is marked, so it holds its new key by now.
+                let mut path: Vec<(KeyRef, SymmetricKey)> = self
+                    .ancestors_inclusive(parent)
+                    .map(|anc| {
+                        let n = self.node(anc);
+                        (KeyRef::new(n.label, n.version), n.key.clone())
+                    })
+                    .collect();
                 path.reverse(); // root-first
-                BatchJoin { user: u, leaf_label, leaf_ref, leaf_key: individual_key.clone(), path }
+                BatchJoin {
+                    user: u,
+                    leaf_label: leaf_node.label,
+                    leaf_ref: KeyRef::new(leaf_node.label, leaf_node.version),
+                    leaf_key: individual_key.clone(),
+                    path,
+                }
             })
             .collect();
 
-        Ok((BatchEvent { marked, joins, departed }, links))
+        Ok(BatchEvent { marked, joins, departed })
     }
 }
 
@@ -575,50 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_is_a_no_op() {
-        let (mut tree, mut src) = setup(3, 9);
-        let (gk_before, _) = tree.group_key();
-        let ev = tree.apply_batch(&[], &[], &mut src).unwrap();
-        assert!(ev.is_empty());
-        assert_eq!(tree.group_key().0, gk_before);
-    }
-
-    #[test]
-    fn batch_of_one_join_matches_per_op_marked_set() {
-        for n in [1u64, 2, 3, 7, 9, 26, 27, 64] {
-            let (tree, mut src) = setup(3, n);
-            let mut per_op = tree.clone();
-            let mut batched = tree.clone();
-            let ik = src.generate_key(8);
-            let ev = per_op.join(UserId(999), ik.clone(), &mut src).unwrap();
-            let per_op_labels: Vec<KeyLabel> = ev.path.iter().map(|p| p.label).collect();
-            let bev = batched.apply_batch(&[(UserId(999), ik)], &[], &mut src).unwrap();
-            assert_eq!(bev.marked_labels(), per_op_labels, "join marked-set mismatch at n={n}");
-            batched.check_invariants();
-        }
-    }
-
-    #[test]
-    fn batch_of_one_leave_matches_per_op_marked_set() {
-        for n in [2u64, 3, 7, 9, 26, 27, 64] {
-            for victim in [0, n / 2, n - 1] {
-                let (tree, mut src) = setup(3, n);
-                let mut per_op = tree.clone();
-                let mut batched = tree.clone();
-                let ev = per_op.leave(UserId(victim), &mut src).unwrap();
-                let per_op_labels: Vec<KeyLabel> = ev.path.iter().map(|p| p.label).collect();
-                let bev = batched.apply_batch(&[], &[UserId(victim)], &mut src).unwrap();
-                assert_eq!(
-                    bev.marked_labels(),
-                    per_op_labels,
-                    "leave marked-set mismatch at n={n} victim={victim}"
-                );
-                batched.check_invariants();
-            }
-        }
-    }
-
-    #[test]
     fn batched_marks_at_most_per_op_total() {
         // The whole point: a batch replaces no more keys than the same
         // operations applied one at a time (it replaces the union once).
@@ -630,10 +642,10 @@ mod tests {
 
         let mut per_op_replacements = 0usize;
         for u in &leaves {
-            per_op_replacements += per_op.leave(*u, &mut src).unwrap().path.len();
+            per_op_replacements += per_op.leave(*u, &mut src).unwrap().marked.len();
         }
         for (u, ik) in &joins {
-            per_op_replacements += per_op.join(*u, ik.clone(), &mut src).unwrap().path.len();
+            per_op_replacements += per_op.join(*u, ik.clone(), &mut src).unwrap().marked.len();
         }
 
         let ev = batched.apply_batch(&joins, &leaves, &mut src).unwrap();
@@ -648,8 +660,7 @@ mod tests {
     /// [`BatchEvent::key_cover`]'s order contract: marked nodes in
     /// `marked` order (root first), children in recorded order, and the
     /// same operations replayed from scratch yield the identical cover
-    /// sequence — the property the parallel pipeline's IV assignment
-    /// rests on.
+    /// sequence — the property the sealer's IV assignment rests on.
     #[test]
     fn key_cover_order_is_stable_and_exhaustive() {
         let run = || {
@@ -692,7 +703,9 @@ mod tests {
         let joins = join_reqs(&mut src, &[100, 101, 102, 103]);
         let code = [0x42u8; 16];
         let sev = shipped.apply_batch(&joins, &[], &mut src.clone()).unwrap();
-        let (dev, links) = derived.apply_batch_derived(&joins, &mut src, &code).unwrap();
+        let dev =
+            derived.apply_interval(&joins, &[], &mut src, NewKeyMode::Derived(&code)).unwrap();
+        let links = dev.derived_links();
         derived.check_invariants();
         // Same joins → same structure → same marked set.
         assert_eq!(sev.marked_labels(), dev.marked_labels());
@@ -723,7 +736,8 @@ mod tests {
             tree.members().map(|u| (u, tree.keyset(u).unwrap()[0].clone())).collect();
         let joins = join_reqs(&mut src, &[10, 11]);
         let code = [3u8; 16];
-        let (ev, links) = tree.apply_batch_derived(&joins, &mut src, &code).unwrap();
+        let ev = tree.apply_interval(&joins, &[], &mut src, NewKeyMode::Derived(&code)).unwrap();
+        let links = ev.derived_links();
         tree.check_invariants();
         assert_marking_sound(&ev, &pre, &tree);
         // At least one link's derive-from is a displaced member's
@@ -736,6 +750,127 @@ mod tests {
             let m = ev.marked.iter().find(|m| m.new_ref == l.new_ref).unwrap();
             let want = crate::derive::derive_key(ik, &code, l.new_ref.label, l.new_ref.version, 8);
             assert_eq!(m.new_key, want);
+        }
+    }
+
+    /// A tree of the given degree after `ops` of seeded churn: an op joins
+    /// a fresh user unless it is odd and there is somebody to remove.
+    fn churned(degree: usize, ops: &[(u8, usize)]) -> (KeyTree, HmacDrbg) {
+        let (mut tree, mut src) = setup(degree, 0);
+        for (i, &(kind, pick)) in ops.iter().enumerate() {
+            let members: Vec<UserId> = tree.members().collect();
+            if kind % 2 == 1 && !members.is_empty() {
+                tree.leave(members[pick % members.len()], &mut src).unwrap();
+            } else {
+                let ik = src.generate_key(8);
+                tree.join(UserId(i as u64), ik, &mut src).unwrap();
+            }
+        }
+        (tree, src)
+    }
+
+    /// Every key in the tree, by label.
+    fn all_keys(tree: &KeyTree) -> BTreeMap<KeyLabel, (KeyRef, SymmetricKey)> {
+        let (root_ref, root_key) = tree.group_key();
+        let mut keys = BTreeMap::from([(root_ref.label, (root_ref, root_key))]);
+        for u in tree.members() {
+            keys.extend(tree.keyset(u).unwrap().into_iter().map(|(r, k)| (r.label, (r, k))));
+        }
+        keys
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The interval of one join is the paper's join: `marked` is the
+        /// chain from the root down to the joining point, each node known
+        /// by its own key one version earlier — except a joining point a
+        /// leaf split created, known by the displaced member's individual
+        /// key — and the joiner's leaf hangs below the last of them.
+        #[test]
+        fn single_join_marks_the_joining_path(
+            ops in proptest::collection::vec((0u8..3, proptest::prelude::any::<usize>()), 0..60),
+            degree in 2usize..=6,
+        ) {
+            let (mut tree, mut src) = churned(degree, &ops);
+            let before = all_keys(&tree);
+            let leaves_before: BTreeMap<KeyRef, UserId> =
+                tree.members().map(|u| (tree.keyset(u).unwrap()[0].0, u)).collect();
+            let (u, ik) = (UserId(1_000_000), src.generate_key(8));
+            let ev = tree.join(u, ik.clone(), &mut src).unwrap();
+            tree.check_invariants();
+
+            // Root-first, the joiner's keys above its own leaf.
+            let mut path = tree.keyset(u).unwrap();
+            let leaf = path.remove(0);
+            path.reverse();
+            let marked: Vec<_> = ev.marked.iter().map(|m| (m.new_ref, m.new_key.clone())).collect();
+            proptest::prop_assert_eq!(&marked, &path);
+            proptest::prop_assert_eq!(&ev.joins[0].path, &path);
+            proptest::prop_assert_eq!((ev.joins[0].leaf_ref, ev.joins[0].leaf_key.clone()), leaf);
+            proptest::prop_assert_eq!(&ev.joins[0].leaf_key, &ik);
+
+            for (i, m) in ev.marked.iter().enumerate() {
+                proptest::prop_assert_eq!(m.label, m.new_ref.label);
+                match before.get(&m.label) {
+                    Some((old_ref, old_key)) => {
+                        proptest::prop_assert_eq!(m.old_ref, *old_ref);
+                        proptest::prop_assert_eq!(m.new_ref.version, old_ref.version.next());
+                        proptest::prop_assert_eq!(&m.old_key, old_key);
+                    }
+                    None => {
+                        // Created by a split: the joining point, above the
+                        // displaced member's unchanged leaf.
+                        proptest::prop_assert_eq!(i, ev.marked.len() - 1);
+                        let w = leaves_before[&m.old_ref];
+                        let w_keys = tree.keyset(w).unwrap();
+                        proptest::prop_assert_eq!(&w_keys[0], &(m.old_ref, m.old_key.clone()));
+                        proptest::prop_assert_eq!(w_keys[1].0, m.new_ref);
+                    }
+                }
+                let below: Vec<_> = m.children.iter().filter(|c| c.marked || c.joiner.is_some()).collect();
+                proptest::prop_assert_eq!(below.len(), 1);
+                match ev.marked.get(i + 1) {
+                    Some(next) => proptest::prop_assert_eq!(below[0].label, next.label),
+                    None => proptest::prop_assert_eq!(below[0].joiner, Some(u)),
+                }
+            }
+        }
+
+        /// The interval of one leave is the paper's leave: every key the
+        /// leaver held that still exists is replaced, and nothing in the
+        /// cover — so no ciphertext of any strategy — is under a key the
+        /// leaver held.
+        #[test]
+        fn single_leave_cover_avoids_every_key_the_leaver_held(
+            ops in proptest::collection::vec((0u8..3, proptest::prelude::any::<usize>()), 1..60),
+            pick in proptest::prelude::any::<usize>(),
+            degree in 2usize..=6,
+        ) {
+            let (mut tree, mut src) = churned(degree, &ops);
+            let ik = src.generate_key(8);
+            tree.join(UserId(1_000_000), ik, &mut src).unwrap(); // never empty
+            let pre = pre_keysets(&tree);
+            let members: Vec<UserId> = tree.members().collect();
+            let victim = members[pick % members.len()];
+            let held: BTreeSet<KeyRef> =
+                tree.keyset(victim).unwrap().into_iter().map(|(r, _)| r).collect();
+            let ev = tree.leave(victim, &mut src).unwrap();
+            tree.check_invariants();
+            if tree.user_count() > 0 {
+                assert_marking_sound(&ev, &pre, &tree);
+            }
+            for (_, c) in ev.key_cover() {
+                proptest::prop_assert!(!held.contains(&c.key_ref));
+            }
+            for strategy in crate::rekey::Strategy::ALL {
+                let mut ivs = HmacDrbg::from_seed(1);
+                let out = crate::rekey::Rekeyer::new(crate::rekey::KeyCipher::des_cbc(), &mut ivs)
+                    .batch(&ev, strategy);
+                for b in out.messages.iter().flat_map(|m| &m.bundles) {
+                    proptest::prop_assert!(!held.contains(&b.encrypted_with));
+                }
+            }
         }
     }
 

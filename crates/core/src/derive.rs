@@ -27,7 +27,6 @@
 //! classic way (see `DESIGN.md` §4g for the full argument).
 
 use crate::ids::{KeyLabel, KeyRef, KeyVersion};
-use crate::tree::PathNode;
 use kg_crypto::hmac::hmac;
 use kg_crypto::sha256::Sha256;
 use kg_crypto::{Digest, SymmetricKey};
@@ -45,12 +44,6 @@ pub struct DerivedLink {
     pub new_ref: KeyRef,
     /// Reference of the key the replacement is derived from.
     pub from: KeyRef,
-}
-
-/// The derivation links of an immediate-mode derived join or refresh: one
-/// per changed path node, in the path's (root-first) order.
-pub fn links_from_path(path: &[PathNode]) -> Vec<DerivedLink> {
-    path.iter().map(|p| DerivedLink { new_ref: p.new_ref, from: p.old_ref }).collect()
 }
 
 /// Bytes of derivation code published per derived rekey operation.

@@ -23,40 +23,32 @@
 //!   one per k-node (key-oriented) or one group-wide flood of full-size
 //!   messages (group-oriented).
 
+use crate::batch::BatchEvent;
 use crate::rekey::{OpCounts, Recipients, RekeyMessage, RekeyOutput, Rekeyer};
-use crate::tree::{JoinEvent, LeaveEvent, SiblingChild};
 
 impl Rekeyer<'_> {
-    /// Hybrid rekeying for a join.
-    ///
-    /// `root_children` must be the root's children *after* the join (from
-    /// [`crate::tree::KeyTree::root_children`]); the path child among them
-    /// is identified via the event.
-    pub fn join_hybrid(&mut self, ev: &JoinEvent, root_children: &[SiblingChild]) -> RekeyOutput {
-        let mut ops = OpCounts { keys_generated: ev.path.len() as u64, ..OpCounts::default() };
+    /// Hybrid rekeying for the event of a single join. The top-level
+    /// subtrees are the root's children as the event records them.
+    pub fn join_hybrid(&mut self, ev: &BatchEvent) -> RekeyOutput {
+        let mut sealer = self.sealer();
+        let path = &ev.marked; // root-first
+        let mut ops = OpCounts { keys_generated: path.len() as u64, ..OpCounts::default() };
         let mut messages = Vec::new();
-        let path = &ev.path; // root-first
 
         // One ciphertext per changed key, each under its old key (as in
         // key-oriented joins); built once, shared across messages.
         let singles: Vec<_> = path
             .iter()
-            .map(|p| {
-                let t = [(p.new_ref, &p.new_key)];
-                self.bundle_for(&mut ops, p.old_ref, &p.old_key, &t)
-            })
+            .map(|p| sealer.bundle(&mut ops, p.old_ref, &p.old_key, &[(p.new_ref, &p.new_key)]))
             .collect();
 
-        // The path's top-level subtree is path[1] when the path descends
-        // below the root; when the joining point *is* the root, the "path
-        // child" is the joiner's own leaf and every top-level subtree is
-        // off-path.
-        let path_top = path.get(1).map(|p| p.label);
-        for child in root_children {
-            if child.label == ev.leaf_label {
+        // When the joining point *is* the root, no child of the root is
+        // marked and every top-level subtree is off-path.
+        for child in &path[0].children {
+            if child.joiner.is_some() {
                 continue; // the joiner's own leaf: served by the unicast below
             }
-            let bundles = if Some(child.label) == path_top {
+            let bundles = if child.marked {
                 singles.clone() // needs every changed key on the path
             } else {
                 vec![singles[0].clone()] // needs only the new group key
@@ -65,70 +57,46 @@ impl Rekeyer<'_> {
         }
 
         // Joiner unicast with the full new path.
-        let joiner_targets: Vec<_> = path.iter().map(|p| (p.new_ref, &p.new_key)).collect();
-        let b = self.bundle_for(&mut ops, ev.leaf_ref, &ev.leaf_key, &joiner_targets);
-        messages.push(RekeyMessage { recipients: Recipients::User(ev.user), bundles: vec![b] });
+        for j in &ev.joins {
+            let targets: Vec<_> = j.path.iter().map(|(r, k)| (*r, k)).collect();
+            let b = sealer.bundle(&mut ops, j.leaf_ref, &j.leaf_key, &targets);
+            messages.push(RekeyMessage { recipients: Recipients::User(j.user), bundles: vec![b] });
+        }
         RekeyOutput { messages, ops }
     }
 
-    /// Hybrid rekeying for a leave.
-    ///
-    /// `root_children` must be the root's children *after* the leave.
-    pub fn leave_hybrid(&mut self, ev: &LeaveEvent, root_children: &[SiblingChild]) -> RekeyOutput {
-        let mut ops = OpCounts { keys_generated: ev.path.len() as u64, ..OpCounts::default() };
+    /// Hybrid rekeying for the event of a single leave.
+    pub fn leave_hybrid(&mut self, ev: &BatchEvent) -> RekeyOutput {
+        let mut sealer = self.sealer();
+        let mut ops = OpCounts { keys_generated: ev.marked.len() as u64, ..OpCounts::default() };
         let mut messages = Vec::new();
-        if ev.path.is_empty() {
-            return RekeyOutput { messages, ops };
-        }
-        let path = &ev.path; // root-first
-        let j = path.len() - 1;
+        let Some((root, below)) = ev.marked.split_first() else {
+            return RekeyOutput { messages, ops }; // the group became empty
+        };
 
-        // Group-oriented L_i levels for the path's subtree (levels ≥ 1):
-        // each new key under each child key at that level, path children
-        // using their fresh keys.
+        // Group-oriented levels for the path's subtree: each new key below
+        // the root under each of its node's child keys, the child on the
+        // path holding its fresh key.
         let mut inner = Vec::new();
-        for i in 1..=j {
-            for sib in &ev.siblings[i] {
-                inner.push(self.bundle_for(
-                    &mut ops,
-                    sib.key_ref,
-                    &sib.key,
-                    &[(path[i].new_ref, &path[i].new_key)],
-                ));
-            }
-            if i < j {
-                inner.push(self.bundle_for(
-                    &mut ops,
-                    path[i + 1].new_ref,
-                    &path[i + 1].new_key,
-                    &[(path[i].new_ref, &path[i].new_key)],
-                ));
+        for m in below {
+            for c in &m.children {
+                inner.push(sealer.bundle(&mut ops, c.key_ref, &c.key, &[(m.new_ref, &m.new_key)]));
             }
         }
 
-        let path_top = path.get(1).map(|p| p.label);
-        for child in root_children {
-            let bundles = if Some(child.label) == path_top {
-                // Affected subtree: the new group key under the subtree's
-                // *fresh* key, plus all inner levels.
-                let mut v = vec![self.bundle_for(
-                    &mut ops,
-                    path[1].new_ref,
-                    &path[1].new_key,
-                    &[(path[0].new_ref, &path[0].new_key)],
-                )];
-                v.extend(inner.iter().cloned());
-                v
-            } else {
-                // Off-path subtree: just the new group key under the
-                // subtree's unchanged key.
-                vec![self.bundle_for(
-                    &mut ops,
-                    child.key_ref,
-                    &child.key,
-                    &[(path[0].new_ref, &path[0].new_key)],
-                )]
-            };
+        // Every top-level subtree gets the new group key under its own key
+        // (fresh, for the affected subtree, which also gets all inner
+        // levels).
+        for child in &root.children {
+            let mut bundles = vec![sealer.bundle(
+                &mut ops,
+                child.key_ref,
+                &child.key,
+                &[(root.new_ref, &root.new_key)],
+            )];
+            if child.marked {
+                bundles.extend(inner.iter().cloned());
+            }
             messages.push(RekeyMessage { recipients: Recipients::Subgroup(child.label), bundles });
         }
         RekeyOutput { messages, ops }
@@ -197,10 +165,10 @@ mod tests {
     fn hybrid_leave_message_count_is_root_fanout() {
         let (mut tree, mut src, _) = tree_of(64, 4);
         let ev = tree.leave(UserId(17), &mut src).unwrap();
-        let roots = tree.root_children();
+        let roots = &ev.marked[0].children;
         let mut ivs = HmacDrbg::from_seed(1);
         let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-        let out = rk.leave_hybrid(&ev, &roots);
+        let out = rk.leave_hybrid(&ev);
         assert_eq!(out.messages.len(), roots.len());
         // Off-path messages carry exactly one key; the path message many.
         let sizes: Vec<usize> = out.messages.iter().map(|m| m.key_count()).collect();
@@ -213,10 +181,10 @@ mod tests {
         let (mut tree, mut src, _) = tree_of(64, 4);
         let ik = src.generate_key(8);
         let ev = tree.join(UserId(1000), ik, &mut src).unwrap();
-        let roots = tree.root_children();
+        let roots = &ev.marked[0].children;
         let mut ivs = HmacDrbg::from_seed(2);
         let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-        let out = rk.join_hybrid(&ev, &roots);
+        let out = rk.join_hybrid(&ev);
         // One per top-level subtree plus the joiner unicast.
         assert_eq!(out.messages.len(), roots.len() + 1);
     }
@@ -229,10 +197,9 @@ mod tests {
             tree.members().map(|u| (u, tree.keyset(u).unwrap())).collect();
         let victim = UserId(20);
         let ev = tree.leave(victim, &mut src).unwrap();
-        let roots = tree.root_children();
         let mut ivs = HmacDrbg::from_seed(3);
         let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-        let out = rk.leave_hybrid(&ev, &roots);
+        let out = rk.leave_hybrid(&ev);
         let (gk_ref, gk) = tree.group_key();
         for (u, ks) in &keysets {
             if *u == victim {
@@ -254,10 +221,9 @@ mod tests {
             tree.members().map(|u| (u, tree.keyset(u).unwrap())).collect();
         let ik = src.generate_key(8);
         let ev = tree.join(UserId(500), ik.clone(), &mut src).unwrap();
-        let roots = tree.root_children();
         let mut ivs = HmacDrbg::from_seed(4);
         let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-        let out = rk.join_hybrid(&ev, &roots);
+        let out = rk.join_hybrid(&ev);
         let (gk_ref, gk) = tree.group_key();
         for (u, ks) in &keysets {
             let got = recover_group_key(ks, &out.messages, gk_ref.label)
@@ -265,7 +231,7 @@ mod tests {
             assert_eq!(got, gk, "{u}");
         }
         // The joiner recovers from its unicast.
-        let joiner_ks = vec![(ev.leaf_ref, ik)];
+        let joiner_ks = vec![(ev.joins[0].leaf_ref, ik)];
         let got = recover_group_key(&joiner_ks, &out.messages, gk_ref.label).unwrap();
         assert_eq!(got, gk);
     }
@@ -276,11 +242,11 @@ mod tests {
         let (mut tree, mut src, _) = tree_of(2, 4);
         let ik = src.generate_key(8);
         let ev = tree.join(UserId(99), ik, &mut src).unwrap();
-        assert_eq!(ev.path.len(), 1, "only the root changed");
-        let roots = tree.root_children();
+        assert_eq!(ev.marked.len(), 1, "only the root changed");
+        let roots = &ev.marked[0].children;
         let mut ivs = HmacDrbg::from_seed(5);
         let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-        let out = rk.join_hybrid(&ev, &roots);
+        let out = rk.join_hybrid(&ev);
         // Every pre-existing leaf gets a one-key message; joiner unicast.
         assert_eq!(out.messages.len(), roots.len()); // (roots includes joiner leaf, skipped) + unicast
         let (gk_ref, gk) = tree.group_key();
@@ -306,10 +272,9 @@ mod tests {
     fn hybrid_empty_leave_is_empty() {
         let (mut tree, mut src, _) = tree_of(1, 4);
         let ev = tree.leave(UserId(0), &mut src).unwrap();
-        let roots = tree.root_children();
         let mut ivs = HmacDrbg::from_seed(6);
         let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-        let out = rk.leave_hybrid(&ev, &roots);
+        let out = rk.leave_hybrid(&ev);
         assert!(out.messages.is_empty());
     }
 
@@ -319,13 +284,12 @@ mod tests {
         // most deg(root) extra root-key wrappings.
         let (mut tree, mut src, _) = tree_of(256, 4);
         let ev = tree.leave(UserId(100), &mut src).unwrap();
-        let roots = tree.root_children();
         let d = tree.degree() as u64;
         let h = tree.height() as u64;
         let mut ivs = HmacDrbg::from_seed(7);
         let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-        let hybrid = rk.leave_hybrid(&ev, &roots).ops.key_encryptions;
-        let group = rk.leave(&ev, crate::rekey::Strategy::GroupOriented).ops.key_encryptions;
+        let hybrid = rk.leave_hybrid(&ev).ops.key_encryptions;
+        let group = rk.batch(&ev, crate::rekey::Strategy::GroupOriented).ops.key_encryptions;
         assert!(hybrid <= group + d, "hybrid {hybrid} vs group {group} (d={d}, h={h})");
         assert!(hybrid >= group.saturating_sub(d));
     }

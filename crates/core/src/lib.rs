@@ -7,13 +7,24 @@
 //!   DAGs of u-nodes and k-nodes, `keyset`/`userset`, and the NP-hard
 //!   key-covering problem (exact + greedy solvers).
 //! * [`star`] — the conventional baseline: one group key, Θ(n) leaves.
-//! * [`tree`] — key trees with the full-and-balanced maintenance heuristic;
-//!   joins and leaves return the changed-path events the strategies need.
+//! * [`tree`] — key trees with the full-and-balanced maintenance heuristic:
+//!   the structure, its queries, and the choice of joining point.
+//! * [`batch`] — the one tree mutation and the one event. A rekey interval
+//!   (any set of joins and leaves) is applied as a single update that
+//!   replaces every key on the union of the changed paths once; a join, a
+//!   leave and a group-key refresh are the intervals of one and of no
+//!   requests. Every caller gets a [`batch::BatchEvent`].
 //! * [`complete`] — the 2^n−1-key extreme, for bracketing the design space.
-//! * [`rekey`] — the three rekeying strategies (user-, key-,
-//!   group-oriented) materializing real DES-CBC-encrypted rekey messages
-//!   for a join, a leave, a refresh or a whole batch interval, with the
-//!   paper's cost accounting.
+//! * [`rekey`] — the paper's two constructions over that event, each under
+//!   the three strategies (user-, key-, group-oriented) and materializing
+//!   real DES-CBC-encrypted rekey messages with the paper's cost
+//!   accounting: [`Rekeyer::join`](rekey::Rekeyer::join) is §3.3 (a new key
+//!   under the key it replaces — joins and refreshes) and
+//!   [`Rekeyer::batch`](rekey::Rekeyer::batch) is §3.4 generalised to any
+//!   interval (a new key under each child's key — leaves and batches).
+//! * [`derive`] — client-derived rekeying: a leave-free interval publishes
+//!   a code instead of shipping keys.
+//! * [`hybrid`] — the §7 hybrid of group- and key-oriented rekeying.
 //! * [`merkle`] — signing a batch of rekey messages with one RSA operation
 //!   (Section 4).
 //! * [`cost`] — the analytical model behind Tables 1–3.
@@ -29,20 +40,29 @@
 //! let mut ivs = HmacDrbg::from_seed(2);
 //! let mut tree = KeyTree::new(4, 8, &mut keys);
 //!
-//! // Admit nine users.
+//! // Admit nine users. Each join replaces the keys from the joining point
+//! // to the root; §3.3 tells them to the group under the keys they replace
+//! // and to the joiner under its individual key.
 //! for i in 0..9 {
 //!     let individual = keys.generate_key(8);
 //!     let event = tree.join(UserId(i), individual, &mut keys).unwrap();
 //!     let mut rekeyer = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
 //!     let out = rekeyer.join(&event, Strategy::GroupOriented);
-//!     assert!(!out.messages.is_empty());
+//!     assert_eq!(out.messages.len(), 2); // one multicast, one unicast
 //! }
 //!
-//! // One leave: the whole path to the root is rekeyed.
+//! // One leave: the whole path to the root is replaced, and §3.4 tells
+//! // each new key under the keys of the node's children.
 //! let event = tree.leave(UserId(3), &mut keys).unwrap();
 //! let mut rekeyer = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-//! let out = rekeyer.leave(&event, Strategy::GroupOriented);
+//! let out = rekeyer.batch(&event, Strategy::GroupOriented);
 //! assert_eq!(out.messages.len(), 1); // single multicast
+//!
+//! // A whole interval is the same event and the same construction.
+//! let joiner = (UserId(9), keys.generate_key(8));
+//! let event = tree.apply_batch(&[joiner], &[UserId(0), UserId(5)], &mut keys).unwrap();
+//! let out = rekeyer.batch(&event, Strategy::GroupOriented);
+//! assert_eq!(out.messages.len(), 2); // one multicast, the joiner's unicast
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,17 +83,15 @@ pub mod tree;
 
 /// Convenient re-exports of the types most callers need.
 pub mod prelude {
-    pub use crate::batch::{BatchChild, BatchEvent, BatchJoin, MarkedNode};
-    pub use crate::derive::{derive_key, links_from_path, DerivedLink, DERIVATION_CODE_LEN};
+    pub use crate::batch::{BatchChild, BatchEvent, BatchJoin, MarkedNode, NewKeyMode};
+    pub use crate::derive::{derive_key, DerivedLink, DERIVATION_CODE_LEN};
     pub use crate::ids::{KeyLabel, KeyRef, KeyVersion, UserId};
     pub use crate::keygraph::KeyGraph;
     pub use crate::rekey::{
         KeyBundle, KeyCipher, OpCounts, Recipients, RekeyMessage, RekeyOutput, Rekeyer, Strategy,
     };
     pub use crate::star::StarGroup;
-    pub use crate::tree::{
-        JoinEvent, JoinPolicy, KeyTree, LeaveEvent, PathNode, SiblingChild, TreeError,
-    };
+    pub use crate::tree::{JoinPolicy, KeyTree, TreeError};
 }
 
 pub use prelude::*;

@@ -1,8 +1,20 @@
-//! Rekey message construction — the three strategies of Section 3.
+//! Rekey message construction — the two protocols and three strategies
+//! of Section 3.
 //!
-//! After a join or leave mutates the key tree, the server must deliver the
-//! new path keys to exactly the users entitled to them. The paper proposes
-//! three ways to package that delivery:
+//! After an interval of joins and leaves has mutated the key tree
+//! ([`crate::batch`]), the server must deliver the new keys to exactly the
+//! users entitled to them. The paper has two rules for what a new key may
+//! travel under, and this module has one construction for each:
+//!
+//! * **Join (§3.3), [`Rekeyer::join`]:** the new key under the key it
+//!   replaces, `{K'_x}_{K_x}`. Safe only while every holder of the old key
+//!   is entitled to the new one: a join, or a group-key refresh.
+//! * **Leave (§3.4), [`Rekeyer::batch`]:** the new key under the key of
+//!   each child of its node, `{K'_x}_{K_y}`, generalised from one leaving
+//!   path to an interval's whole key cover. Serves a single leave and every
+//!   batch interval.
+//!
+//! Either way the paper proposes three ways to package the delivery:
 //!
 //! * **User-oriented** (§3.3/§3.4): one message per user class, containing
 //!   *precisely* the new keys that class needs, all encrypted under one key
@@ -25,7 +37,6 @@
 
 use crate::batch::BatchEvent;
 use crate::ids::{KeyLabel, KeyRef, UserId};
-use crate::tree::{JoinEvent, LeaveEvent, PathNode};
 use kg_crypto::cbc::CbcCipher;
 use kg_crypto::des::{Des, TripleDes};
 use kg_crypto::{BlockCipher, CryptoError, KeySource, SymmetricKey};
@@ -351,7 +362,7 @@ type BundleCache = BTreeMap<(KeyRef, Vec<KeyRef>, Vec<u8>), KeyBundle>;
 ///   Construction order is deterministic (see
 ///   [`crate::batch::BatchEvent::key_cover`]), so the IV assignment — and
 ///   therefore every output byte — is a function of the event alone.
-struct Sealer<'a> {
+pub(crate) struct Sealer<'a> {
     cipher: KeyCipher,
     ivs: IvStream<'a>,
     cache: BundleCache,
@@ -365,7 +376,7 @@ impl<'a> Sealer<'a> {
 
     /// The bundle carrying `targets` sealed under `encrypting_key`,
     /// counting the work performed (or the cache hit) into `ops`.
-    fn bundle(
+    pub(crate) fn bundle(
         &mut self,
         ops: &mut OpCounts,
         encrypting_ref: KeyRef,
@@ -401,31 +412,60 @@ impl<'a> Sealer<'a> {
     }
 }
 
-/// Construct the rekey messages for a join under `strategy`.
+/// The paper's join protocol (§3.3, Figures 6 and 7): each new key
+/// `K'_i` encrypted under the key it replaces, `K_i`, which exactly the
+/// node's previous holders have. The event must be one whose replaced keys
+/// form a single chain x_0 … x_j from the root and in which nobody left —
+/// a single join, or a group-key refresh (the root alone, no joiner: every
+/// strategy then sends the one message `{K'_0}_{K_0}` to the group).
+///
+/// The users holding old `K_i` but not `K_{i+1}` form one recipient class,
+/// `userset(x_i) − userset(y)` where `y` is x_i's one child on the chain:
+/// x_{i+1}, or below x_j the joiner's leaf. Under [`Strategy::Derived`]
+/// current members recompute the chain from the published code
+/// ([`crate::derive::derive_key`]), so only the joiner's unicast is sealed:
+/// one seal regardless of tree height, and `keys_generated` counts 0.
 ///
 /// Bundle-request order (hence IV-draw order) is deterministic: per-path
 /// bundles root-first, then the joiner unicast last.
-fn build_join(sealer: &mut Sealer<'_>, ev: &JoinEvent, strategy: Strategy) -> RekeyOutput {
-    let mut ops = OpCounts { keys_generated: ev.path.len() as u64, ..OpCounts::default() };
+///
+/// # Panics
+/// Panics when the event has a departure (a key a departed member holds
+/// must never protect a new one) or is not a single chain.
+fn build_join(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> RekeyOutput {
+    assert!(ev.departed.is_empty(), "old keys may not protect new ones after a leave");
+    assert!(ev.joins.len() <= 1, "the join protocol serves one joiner");
+    let path = &ev.marked; // root-first: x_0 … x_j
+    let mut ops = OpCounts { keys_generated: path.len() as u64, ..OpCounts::default() };
     let mut messages = Vec::new();
-    let path = &ev.path; // root-first: x_0 … x_j
-    let j = path.len() - 1;
+    // x_i's previous holders that are not below its child on the chain.
+    let class = |i: usize| {
+        let next = path.get(i + 1).map(|p| p.label);
+        let mut on_chain = path[i].children.iter().filter(|c| c.marked || c.joiner.is_some());
+        let below = on_chain.next().map(|c| c.label);
+        assert!(
+            on_chain.next().is_none() && (next.is_none() || next == below),
+            "replaced keys do not form a single chain"
+        );
+        match below {
+            Some(exclude) => Recipients::SubgroupExcept { include: path[i].label, exclude },
+            None => Recipients::Group, // a refresh: everyone holds the old root key
+        }
+    };
+    // {K'_l}_{K_l}; requested again, it is the stored ciphertext.
+    let single = |sealer: &mut Sealer<'_>, ops: &mut OpCounts, l: usize| {
+        let t = [(path[l].new_ref, &path[l].new_key)];
+        sealer.bundle(ops, path[l].old_ref, &path[l].old_key, &t)
+    };
 
     match strategy {
         Strategy::UserOriented => {
-            // For each x_i: the users holding old K_i but not K_{i+1}
-            // get {K'_0 … K'_i} under old K_i.
-            for i in 0..=j {
+            // Class i gets {K'_0 … K'_i} under old K_i.
+            for i in 0..path.len() {
                 let targets: Vec<(KeyRef, &SymmetricKey)> =
                     path[..=i].iter().map(|p| (p.new_ref, &p.new_key)).collect();
                 let b = sealer.bundle(&mut ops, path[i].old_ref, &path[i].old_key, &targets);
-                messages.push(RekeyMessage {
-                    recipients: Recipients::SubgroupExcept {
-                        include: path[i].label,
-                        exclude: ev.path_child[i],
-                    },
-                    bundles: vec![b],
-                });
+                messages.push(RekeyMessage { recipients: class(i), bundles: vec![b] });
             }
         }
         Strategy::KeyOriented => {
@@ -434,173 +474,27 @@ fn build_join(sealer: &mut Sealer<'_>, ev: &JoinEvent, strategy: Strategy) -> Re
             // (Figure 6's combined form). Message i carries
             // {K'_0}_{K_0} … {K'_i}_{K_i}; repeats are cache hits, so
             // single l draws its IV at first occurrence — path order.
-            for i in 0..=j {
-                let bundles: Vec<KeyBundle> = (0..=i)
-                    .map(|l| {
-                        let t = [(path[l].new_ref, &path[l].new_key)];
-                        sealer.bundle(&mut ops, path[l].old_ref, &path[l].old_key, &t)
-                    })
-                    .collect();
-                messages.push(RekeyMessage {
-                    recipients: Recipients::SubgroupExcept {
-                        include: path[i].label,
-                        exclude: ev.path_child[i],
-                    },
-                    bundles,
-                });
+            for i in 0..path.len() {
+                let bundles = (0..=i).map(|l| single(sealer, &mut ops, l)).collect();
+                messages.push(RekeyMessage { recipients: class(i), bundles });
             }
         }
-        Strategy::GroupOriented | Strategy::Derived => {
-            // One multicast with every {K'_i}_{K_i}. A derived-mode server
-            // never calls this for a join (it publishes a code instead —
-            // [`build_derived_join`]); the arm is the documented shipped
-            // fallback so generic sweeps over every strategy stay total.
-            let bundles: Vec<KeyBundle> = path
-                .iter()
-                .map(|p| {
-                    let t = [(p.new_ref, &p.new_key)];
-                    sealer.bundle(&mut ops, p.old_ref, &p.old_key, &t)
-                })
-                .collect();
-            messages.push(RekeyMessage { recipients: Recipients::Group, bundles });
+        Strategy::GroupOriented => {
+            // One multicast with every {K'_i}_{K_i}.
+            if !path.is_empty() {
+                let bundles = (0..path.len()).map(|l| single(sealer, &mut ops, l)).collect();
+                messages.push(RekeyMessage { recipients: Recipients::Group, bundles });
+            }
         }
+        Strategy::Derived => ops.keys_generated = 0,
     }
 
     // All strategies unicast the full new path to the joiner under its
     // individual key.
-    let joiner_targets: Vec<(KeyRef, &SymmetricKey)> =
-        path.iter().map(|p| (p.new_ref, &p.new_key)).collect();
-    let b = sealer.bundle(&mut ops, ev.leaf_ref, &ev.leaf_key, &joiner_targets);
-    messages.push(RekeyMessage { recipients: Recipients::User(ev.user), bundles: vec![b] });
-
-    RekeyOutput { messages, ops }
-}
-
-/// Construct the rekey message for a group-key refresh (key-version bump
-/// with no membership change): the new root key encrypted under the old
-/// one, multicast to the whole group. Every strategy degrades to this
-/// single message when only the root changes.
-fn build_refresh(sealer: &mut Sealer<'_>, path: &PathNode) -> RekeyOutput {
-    let mut ops = OpCounts { keys_generated: 1, ..OpCounts::default() };
-    let t = [(path.new_ref, &path.new_key)];
-    let b = sealer.bundle(&mut ops, path.old_ref, &path.old_key, &t);
-    RekeyOutput {
-        messages: vec![RekeyMessage { recipients: Recipients::Group, bundles: vec![b] }],
-        ops,
-    }
-}
-
-/// Construct the rekey messages for a *derived* join: current members
-/// recompute the changed path keys from the published code
-/// ([`crate::derive::derive_key`]), so the only ciphertext the server
-/// seals is the joiner's unicast — its full new path under its individual
-/// key. One seal regardless of tree height; the O(log n) work moved to
-/// the members, one HMAC per held-and-changed key each.
-///
-/// `keys_generated` counts 0: the path keys were derived, not drawn from
-/// the DRBG (the joiner's individual key is accounted by the caller).
-fn build_derived_join(sealer: &mut Sealer<'_>, ev: &JoinEvent) -> RekeyOutput {
-    let mut ops = OpCounts::default();
-    let joiner_targets: Vec<(KeyRef, &SymmetricKey)> =
-        ev.path.iter().map(|p| (p.new_ref, &p.new_key)).collect();
-    let b = sealer.bundle(&mut ops, ev.leaf_ref, &ev.leaf_key, &joiner_targets);
-    RekeyOutput {
-        messages: vec![RekeyMessage { recipients: Recipients::User(ev.user), bundles: vec![b] }],
-        ops,
-    }
-}
-
-/// Construct the rekey messages for a leave under `strategy`.
-///
-/// Returns an empty output when the group became empty (no recipients).
-///
-/// Bundle-request order is deterministic: for the key-oriented strategy
-/// the chain ciphertexts {K'_{i-1}}_{K'_i} are sealed first (i = 1..=j,
-/// fixing their IVs exactly as the stored-ciphertext optimization of
-/// Figure 8 does), then per-level head bundles in (level, sibling) order;
-/// chain links inside each message are cache hits.
-fn build_leave(sealer: &mut Sealer<'_>, ev: &LeaveEvent, strategy: Strategy) -> RekeyOutput {
-    let mut ops = OpCounts { keys_generated: ev.path.len() as u64, ..OpCounts::default() };
-    let mut messages = Vec::new();
-    if ev.path.is_empty() {
-        return RekeyOutput { messages, ops };
-    }
-    let path = &ev.path; // root-first: x_0 … x_j
-    let j = path.len() - 1;
-
-    match strategy {
-        Strategy::UserOriented => {
-            // For each x_i and each unchanged child y of x_i: a message
-            // {K'_i, K'_{i-1} … K'_0} under y's key, to userset(y).
-            for i in 0..=j {
-                // New keys of x_i and all its ancestors, node-first.
-                let targets: Vec<(KeyRef, &SymmetricKey)> =
-                    (0..=i).rev().map(|l| (path[l].new_ref, &path[l].new_key)).collect();
-                for sib in &ev.siblings[i] {
-                    let b = sealer.bundle(&mut ops, sib.key_ref, &sib.key, &targets);
-                    messages.push(RekeyMessage {
-                        recipients: Recipients::Subgroup(sib.label),
-                        bundles: vec![b],
-                    });
-                }
-            }
-        }
-        Strategy::KeyOriented => {
-            // Seal the chain ciphertexts {K'_{i-1}}_{K'_i} first; the
-            // per-message chain links below re-request them as cache
-            // hits, so each is encrypted (and counted) exactly once.
-            for i in 1..=j {
-                let t = [(path[i - 1].new_ref, &path[i - 1].new_key)];
-                let _ = sealer.bundle(&mut ops, path[i].new_ref, &path[i].new_key, &t);
-            }
-            // For each x_i, each unchanged child y: M = {K'_i}_K,
-            // {K'_{i-1}}_{K'_i}, …, {K'_0}_{K'_1}.
-            for (i, sibs) in ev.siblings.iter().enumerate().take(j + 1) {
-                for sib in sibs {
-                    let t = [(path[i].new_ref, &path[i].new_key)];
-                    let head = sealer.bundle(&mut ops, sib.key_ref, &sib.key, &t);
-                    let mut bundles = vec![head];
-                    for l in (0..i).rev() {
-                        let t = [(path[l].new_ref, &path[l].new_key)];
-                        bundles.push(sealer.bundle(
-                            &mut ops,
-                            path[l + 1].new_ref,
-                            &path[l + 1].new_key,
-                            &t,
-                        ));
-                    }
-                    messages.push(RekeyMessage {
-                        recipients: Recipients::Subgroup(sib.label),
-                        bundles,
-                    });
-                }
-            }
-        }
-        Strategy::GroupOriented | Strategy::Derived => {
-            // L_i = {K'_i} under each child key of x_i; children on the
-            // path use their *new* keys. Derived mode ships its leaves
-            // exactly like this (forward secrecy: a departed member holds
-            // the old path keys, so nothing on the evicted path may be
-            // *derivable* — see `DESIGN.md` §4g), hence the shared arm.
-            let mut bundles = Vec::new();
-            for (i, sibs) in ev.siblings.iter().enumerate().take(j + 1) {
-                for sib in sibs {
-                    let t = [(path[i].new_ref, &path[i].new_key)];
-                    bundles.push(sealer.bundle(&mut ops, sib.key_ref, &sib.key, &t));
-                }
-                if i < j {
-                    // The path child x_{i+1} holds its fresh key K'_{i+1}.
-                    let t = [(path[i].new_ref, &path[i].new_key)];
-                    bundles.push(sealer.bundle(
-                        &mut ops,
-                        path[i + 1].new_ref,
-                        &path[i + 1].new_key,
-                        &t,
-                    ));
-                }
-            }
-            messages.push(RekeyMessage { recipients: Recipients::Group, bundles });
-        }
+    for j in &ev.joins {
+        let targets: Vec<(KeyRef, &SymmetricKey)> = j.path.iter().map(|(r, k)| (*r, k)).collect();
+        let b = sealer.bundle(&mut ops, j.leaf_ref, &j.leaf_key, &targets);
+        messages.push(RekeyMessage { recipients: Recipients::User(j.user), bundles: vec![b] });
     }
     RekeyOutput { messages, ops }
 }
@@ -628,7 +522,7 @@ fn build_batch(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> 
     let mut ops = OpCounts { keys_generated: ev.marked.len() as u64, ..OpCounts::default() };
     let mut messages = Vec::new();
     if ev.marked.is_empty() {
-        // Group emptied (or nothing happened): nothing to distribute.
+        // Group emptied: nothing to distribute.
         return RekeyOutput { messages, ops };
     }
 
@@ -701,8 +595,8 @@ fn build_batch(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> 
             }
         }
         Strategy::Derived => {
-            // Client-derived interval: the event must come from
-            // `KeyTree::apply_batch_derived` (pure joins), whose marked
+            // Client-derived interval: the event must come from a
+            // leave-free `NewKeyMode::Derived` interval, whose marked
             // keys every current member recomputes locally from the
             // published derivation code. Nothing is shipped to them —
             // the server's keys came from the KDF, not the generator —
@@ -767,51 +661,28 @@ impl<'a> Rekeyer<'a> {
         self.cipher
     }
 
-    fn sealer(&mut self) -> Sealer<'_> {
+    pub(crate) fn sealer(&mut self) -> Sealer<'_> {
         Sealer::new(self.cipher, &mut *self.ivs)
     }
 
-    /// Construct the rekey messages for a join under `strategy`.
-    pub fn join(&mut self, ev: &JoinEvent, strategy: Strategy) -> RekeyOutput {
+    /// The paper's join protocol (§3.3) under `strategy`: every new key
+    /// encrypted under the key it replaces. For the event of a single join
+    /// or of a group-key refresh; under [`Strategy::Derived`] only the
+    /// joiner's unicast is sealed.
+    ///
+    /// # Panics
+    /// Panics when somebody left in the event's interval, or its replaced
+    /// keys are not a single chain from the root.
+    pub fn join(&mut self, ev: &BatchEvent, strategy: Strategy) -> RekeyOutput {
         build_join(&mut self.sealer(), ev, strategy)
     }
 
-    /// Construct the rekey messages for a leave under `strategy`.
-    ///
-    /// Returns an empty output when the group became empty.
-    pub fn leave(&mut self, ev: &LeaveEvent, strategy: Strategy) -> RekeyOutput {
-        build_leave(&mut self.sealer(), ev, strategy)
-    }
-
-    /// Construct the rekey message for a group-key refresh.
-    pub fn refresh(&mut self, path: &PathNode) -> RekeyOutput {
-        build_refresh(&mut self.sealer(), path)
-    }
-
-    /// Construct the rekey messages for a derived join: only the joiner's
-    /// unicast is sealed (members derive from the published code).
-    pub fn join_derived(&mut self, ev: &JoinEvent) -> RekeyOutput {
-        build_derived_join(&mut self.sealer(), ev)
-    }
-
-    /// Construct one batch interval's consolidated rekey messages under
-    /// `strategy`, with the same cost accounting as the per-operation
-    /// constructions.
+    /// The paper's leave protocol (§3.4) generalised to any interval, under
+    /// `strategy`: every new key encrypted under each child's
+    /// post-interval key. Serves a single leave and every batch interval;
+    /// returns an empty output when the group became empty.
     pub fn batch(&mut self, ev: &BatchEvent, strategy: Strategy) -> RekeyOutput {
         build_batch(&mut self.sealer(), ev, strategy)
-    }
-
-    /// Crate-internal bundle constructor for strategy extensions (the §7
-    /// hybrid in [`crate::hybrid`]). Each call seals a fresh bundle (a
-    /// transient sealer: no cross-call reuse).
-    pub(crate) fn bundle_for(
-        &mut self,
-        ops: &mut OpCounts,
-        encrypting_ref: KeyRef,
-        encrypting_key: &SymmetricKey,
-        targets: &[(KeyRef, &SymmetricKey)],
-    ) -> KeyBundle {
-        self.sealer().bundle(ops, encrypting_ref, encrypting_key, targets)
     }
 }
 
@@ -895,7 +766,7 @@ mod tests {
         ] {
             let mut ivs = HmacDrbg::from_seed(3);
             let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-            let out = rk.leave(&ev, strategy);
+            let out = rk.batch(&ev, strategy);
             assert_eq!(out.messages.len(), expected, "strategy {strategy:?}");
         }
     }
@@ -922,7 +793,7 @@ mod tests {
         ] {
             let mut ivs = HmacDrbg::from_seed(4);
             let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-            let out = rk.leave(&ev, strategy);
+            let out = rk.batch(&ev, strategy);
             assert_eq!(out.ops.key_encryptions, expected, "strategy {strategy:?}");
         }
     }
@@ -939,12 +810,13 @@ mod tests {
 
         let mut ivs = HmacDrbg::from_seed(17);
         let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-        let out = rk.leave(&ev, Strategy::KeyOriented);
+        let out = rk.batch(&ev, Strategy::KeyOriented);
         // Key-oriented leave re-sends the chain links {K'_{l}}K'_{l+1}
-        // in every message below their level: a sibling at level i
-        // repeats i links, all served from the cache.
-        let expected_hits: u64 =
-            ev.siblings.iter().enumerate().map(|(i, s)| (s.len() * i) as u64).sum();
+        // in every message below their level: an unchanged child at level
+        // i repeats i links, all served from the cache.
+        let expected_hits: u64 = (ev.marked.iter().enumerate())
+            .map(|(i, m)| (m.children.iter().filter(|c| !c.marked).count() * i) as u64)
+            .sum();
         assert!(expected_hits > 0, "figure-5 tree must have reusable chain links");
         assert_eq!(out.ops.cache_hits, expected_hits);
         let distinct: std::collections::BTreeSet<Vec<u8>> = out
@@ -957,7 +829,7 @@ mod tests {
                                                                    // Group-oriented packs everything once: no repeats possible.
         let mut ivs = HmacDrbg::from_seed(17);
         let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-        let out = rk.leave(&ev, Strategy::GroupOriented);
+        let out = rk.batch(&ev, Strategy::GroupOriented);
         assert_eq!(out.ops.cache_hits, 0);
     }
 
@@ -975,14 +847,14 @@ mod tests {
                 .iter()
                 .find(|m| m.recipients == Recipients::User(UserId(9)))
                 .expect("joiner unicast");
-            assert_eq!(joiner_msg.key_count(), ev.path.len());
+            assert_eq!(joiner_msg.key_count(), ev.marked.len());
             // The joiner can decrypt it with its individual key.
             let bundle = &joiner_msg.bundles[0];
-            assert_eq!(bundle.encrypted_with, ev.leaf_ref);
+            assert_eq!(bundle.encrypted_with, ev.joins[0].leaf_ref);
             let plain = KeyCipher::des_cbc().decrypt(&ik, &bundle.iv, &bundle.ciphertext).unwrap();
-            assert_eq!(plain.len(), ev.path.len() * 8);
+            assert_eq!(plain.len(), ev.marked.len() * 8);
             // Each 8-byte slice is the corresponding new key.
-            for (i, p) in ev.path.iter().enumerate() {
+            for (i, p) in ev.marked.iter().enumerate() {
                 assert_eq!(&plain[i * 8..(i + 1) * 8], p.new_key.material());
             }
         }
@@ -995,21 +867,21 @@ mod tests {
         let ik9 = src.generate_key(8);
         tree.join(UserId(9), ik9, &mut src).unwrap();
         let ev = tree.leave(UserId(9), &mut src).unwrap();
-        // key-oriented: the head bundle of each message decrypts under the
-        // sibling's key, yielding that level's new key.
+        // key-oriented: the head bundle of each message decrypts under an
+        // unchanged child's key, yielding that level's new key.
         let mut ivs = HmacDrbg::from_seed(6);
         let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-        let out = rk.leave(&ev, Strategy::KeyOriented);
+        let out = rk.batch(&ev, Strategy::KeyOriented);
         let mut checked = 0;
         for msg in &out.messages {
             let head = &msg.bundles[0];
-            for level in ev.siblings.iter().flatten() {
-                if level.key_ref == head.encrypted_with {
+            for (_, child) in ev.key_cover().filter(|(_, c)| !c.marked) {
+                if child.key_ref == head.encrypted_with {
                     let plain = KeyCipher::des_cbc()
-                        .decrypt(&level.key, &head.iv, &head.ciphertext)
+                        .decrypt(&child.key, &head.iv, &head.ciphertext)
                         .unwrap();
                     let target = head.targets[0];
-                    let p = ev.path.iter().find(|p| p.new_ref == target).unwrap();
+                    let p = ev.marked.iter().find(|p| p.new_ref == target).unwrap();
                     assert_eq!(plain, p.new_key.material());
                     checked += 1;
                 }
@@ -1034,7 +906,7 @@ mod tests {
         let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
         let join_keys = rk.join(&jev, Strategy::GroupOriented).messages[0].key_count();
         let lev = tree.leave(UserId(100), &mut src).unwrap();
-        let leave_keys = rk.leave(&lev, Strategy::GroupOriented).messages[0].key_count();
+        let leave_keys = rk.batch(&lev, Strategy::GroupOriented).messages[0].key_count();
         assert!(
             leave_keys >= 3 * join_keys,
             "leave msg ({leave_keys} keys) should dwarf join msg ({join_keys} keys) at d=4"
@@ -1051,7 +923,7 @@ mod tests {
         for strategy in Strategy::ALL {
             let mut ivs = HmacDrbg::from_seed(10);
             let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-            let out = rk.leave(&ev, strategy);
+            let out = rk.batch(&ev, strategy);
             assert!(out.messages.is_empty(), "strategy {strategy:?}");
             assert_eq!(out.ops.key_encryptions, 0);
         }
@@ -1061,19 +933,54 @@ mod tests {
     fn refresh_message_decrypts_under_old_group_key() {
         let (mut tree, mut src) = figure5_tree();
         let (_, old_key) = tree.group_key();
-        let path = tree.refresh_group_key(&mut src);
+        let ev = tree.refresh_group_key(&mut src);
+        let path = &ev.marked[0];
+        // Only the root changes, so every strategy sends the same message.
+        for strategy in Strategy::ALL {
+            let mut ivs = HmacDrbg::from_seed(13);
+            let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+            let out = rk.join(&ev, strategy);
+            assert_eq!(out.messages.len(), 1);
+            assert_eq!(out.ops.key_encryptions, 1);
+            assert_eq!(out.ops.keys_generated, 1);
+            let msg = &out.messages[0];
+            assert_eq!(msg.recipients, Recipients::Group);
+            let b = &msg.bundles[0];
+            assert_eq!(b.encrypted_with, path.old_ref);
+            assert_eq!(b.targets, vec![path.new_ref]);
+            let plain = KeyCipher::des_cbc().decrypt(&old_key, &b.iv, &b.ciphertext).unwrap();
+            assert_eq!(plain, tree.group_key().1.material());
+        }
+        // Derived: the group recomputes the root; nothing is sealed.
         let mut ivs = HmacDrbg::from_seed(13);
-        let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-        let out = rk.refresh(&path);
+        let out = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs).join(&ev, Strategy::Derived);
+        assert!(out.messages.is_empty());
+        assert_eq!(out.ops, OpCounts::default());
+    }
+
+    #[test]
+    fn derived_join_seals_only_the_joiner_unicast() {
+        let (mut tree, mut src) = figure5_tree();
+        let ik = src.generate_key(8);
+        let ev = tree.join(UserId(9), ik, &mut src).unwrap();
+        let mut ivs = HmacDrbg::from_seed(14);
+        let out = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs).join(&ev, Strategy::Derived);
         assert_eq!(out.messages.len(), 1);
-        assert_eq!(out.ops.key_encryptions, 1);
-        let msg = &out.messages[0];
-        assert_eq!(msg.recipients, Recipients::Group);
-        let b = &msg.bundles[0];
-        assert_eq!(b.encrypted_with, path.old_ref);
-        assert_eq!(b.targets, vec![path.new_ref]);
-        let plain = KeyCipher::des_cbc().decrypt(&old_key, &b.iv, &b.ciphertext).unwrap();
-        assert_eq!(plain, tree.group_key().1.material());
+        assert_eq!(out.messages[0].recipients, Recipients::User(UserId(9)));
+        assert_eq!(out.ops.cache_misses, 1, "one seal regardless of tree height");
+        assert_eq!(out.ops.key_encryptions, ev.marked.len() as u64);
+        assert_eq!(out.ops.keys_generated, 0);
+    }
+
+    /// Encrypting a new key under the key it replaces is only safe while
+    /// every holder of the old key is entitled to the new one.
+    #[test]
+    #[should_panic(expected = "after a leave")]
+    fn join_construction_refuses_an_event_with_a_departure() {
+        let (mut tree, mut src) = figure5_tree();
+        let ev = tree.leave(UserId(3), &mut src).unwrap();
+        let mut ivs = HmacDrbg::from_seed(15);
+        Rekeyer::new(KeyCipher::des_cbc(), &mut ivs).join(&ev, Strategy::GroupOriented);
     }
 
     #[test]
@@ -1102,7 +1009,7 @@ mod tests {
             out.messages.iter().find(|m| matches!(m.recipients, Recipients::User(_))).unwrap();
         let b = &joiner_msg.bundles[0];
         let plain = KeyCipher::TripleDesCbc.decrypt(&ik, &b.iv, &b.ciphertext).unwrap();
-        assert_eq!(plain.len(), ev.path.len() * 24);
+        assert_eq!(plain.len(), ev.marked.len() * 24);
     }
 
     /// Batch-interval construction ([`Rekeyer::batch`]).
@@ -1341,7 +1248,7 @@ mod tests {
                 for &u in &leaves {
                     let ev = per_op_tree.leave(u, &mut src).unwrap();
                     let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-                    let out = rk.leave(&ev, strategy);
+                    let out = rk.batch(&ev, strategy);
                     per_op_enc += out.ops.key_encryptions;
                     per_op_multi += out
                         .messages

@@ -314,11 +314,11 @@ mod tests {
         let ik2 = src2.generate_key(8);
         let ev_a = tree.join(UserId(9001), ik, &mut src).unwrap();
         let ev_b = restored.join(UserId(9001), ik2, &mut src2).unwrap();
-        assert_eq!(ev_a.leaf_label, ev_b.leaf_label);
+        assert_eq!(ev_a.joins[0].leaf_label, ev_b.joins[0].leaf_label);
         assert_eq!(tree.group_key(), restored.group_key());
         let lv_a = tree.leave(UserId(9001), &mut src).unwrap();
         let lv_b = restored.leave(UserId(9001), &mut src2).unwrap();
-        assert_eq!(lv_a.removed_leaf, lv_b.removed_leaf);
+        assert_eq!(lv_a.marked_labels(), lv_b.marked_labels());
         assert_eq!(tree.group_key(), restored.group_key());
         assert_eq!(root_digest(&tree), root_digest(&restored));
     }

@@ -20,9 +20,13 @@
 //!   child (and is not the root), splice that child into the grandparent so
 //!   degenerate chains never accumulate.
 //!
-//! Every mutation returns an event ([`JoinEvent`] / [`LeaveEvent`])
-//! carrying the old and new keys along the changed path — exactly the
-//! information the three rekeying strategies in [`crate::rekey`] need to
+//! This module holds the tree, its queries and the choice of joining
+//! point. The tree is changed in one place only:
+//! [`KeyTree::apply_interval`] in [`crate::batch`], of which `join`,
+//! `leave` and `refresh_group_key` are the intervals of one and of no
+//! requests. It returns the one event ([`crate::batch::BatchEvent`]) that
+//! carries the old and new keys along the changed paths — exactly the
+//! information the rekeying strategies in [`crate::rekey`] need to
 //! construct rekey messages.
 //!
 //! # Cost of choosing the joining point
@@ -107,103 +111,6 @@ impl Summary {
     /// An interior node that has no children yet.
     pub(crate) const EMPTY_INTERIOR: Summary =
         Summary { size: 0, open: (0, 0), leaf_depth: u32::MAX };
-}
-
-/// One changed k-node on the rekey path.
-///
-/// `old` is the key the node held *before* the operation — the key under
-/// which the new key may safely be encrypted for the node's previous
-/// holders. For a node freshly created by a leaf split there is no previous
-/// key; the displaced user's individual key plays that role (its holders —
-/// just the displaced user — are exactly the node's previous userset).
-#[derive(Debug, Clone)]
-pub struct PathNode {
-    /// The k-node's stable label.
-    pub label: KeyLabel,
-    /// Reference (label + version) of the replacement key.
-    pub new_ref: KeyRef,
-    /// The replacement key material.
-    pub new_key: SymmetricKey,
-    /// Reference of the pre-operation key used to protect the new one.
-    pub old_ref: KeyRef,
-    /// The pre-operation key material.
-    pub old_key: SymmetricKey,
-}
-
-/// A sibling subtree that survives a leave unchanged: the rekey strategies
-/// encrypt the leaving path's new keys under these children's keys.
-#[derive(Debug, Clone)]
-pub struct SiblingChild {
-    /// The child k-node's label.
-    pub label: KeyLabel,
-    /// Its (unchanged) key reference.
-    pub key_ref: KeyRef,
-    /// Its key material.
-    pub key: SymmetricKey,
-}
-
-/// Result of a successful join.
-///
-/// # Key-cover iteration order (stable)
-///
-/// The event's key-cover — the set of (encrypting key, new key) pairs a
-/// rekey strategy iterates — is exposed in a **stable, documented
-/// order**: `path` is root-first (x_0 … x_j, the joining point last),
-/// and within each path node the encrypting candidates are visited in
-/// the order the fields present them (`old_ref` before `leaf_ref`).
-/// No hash-ordered container is involved anywhere in the construction
-/// (children are `Vec`s, the user index is a `BTreeMap`), so two equal
-/// trees given the same operation yield identical event sequences on
-/// every platform and run. The rekey builders consume events in this
-/// order, which fixes the server's IV-stream assignment; byte-identical
-/// crash-recovery replay and the batch cover
-/// ([`crate::batch::BatchEvent::key_cover`]) both build on it.
-#[derive(Debug, Clone)]
-pub struct JoinEvent {
-    /// The joining user.
-    pub user: UserId,
-    /// Label of the new individual-key leaf.
-    pub leaf_label: KeyLabel,
-    /// Reference of the joiner's individual key.
-    pub leaf_ref: KeyRef,
-    /// The joiner's individual key (established by the authentication
-    /// exchange; carried here so the server can encrypt the joiner's copy
-    /// of the new path keys).
-    pub leaf_key: SymmetricKey,
-    /// Changed k-nodes ordered root-first (x_0 … x_j in Figure 6); the last
-    /// entry is the joining point.
-    pub path: Vec<PathNode>,
-    /// For each path node x_i, the label of x_{i+1} — the child on the path
-    /// (for x_j this is the joiner's leaf). Used to address
-    /// "userset(K_i) − userset(K_{i+1})" rekey messages.
-    pub path_child: Vec<KeyLabel>,
-    /// `Some(w)` when the join split w's leaf (w gained an ancestor).
-    pub displaced: Option<UserId>,
-}
-
-/// Result of a successful leave.
-///
-/// # Key-cover iteration order (stable)
-///
-/// As for [`JoinEvent`]: `path` is root-first, and `siblings[i]` lists
-/// x_i's surviving children in the parent's child-slot order (the order
-/// the arena stores them — insertion order, maintained across splices),
-/// with the on-path child excluded. The order is fully deterministic —
-/// no hash maps participate — and is a documented contract: rekey
-/// builders iterate exactly this sequence, which pins the IV stream and
-/// makes the parallel pipeline's deterministic merge possible.
-#[derive(Debug, Clone)]
-pub struct LeaveEvent {
-    /// The departing user.
-    pub user: UserId,
-    /// Label of the removed individual-key leaf.
-    pub removed_leaf: KeyLabel,
-    /// Changed k-nodes ordered root-first (x_0 … x_j in Figure 8); the last
-    /// entry is the leaving point. Empty iff the group became empty.
-    pub path: Vec<PathNode>,
-    /// For each path node x_i, its children *other than* x_{i+1} (all
-    /// children, for the leaving point), with their unchanged keys.
-    pub siblings: Vec<Vec<SiblingChild>>,
 }
 
 /// Where new members are attached — the paper's server "employs a
@@ -358,24 +265,6 @@ impl KeyTree {
         self.userset(include).into_iter().filter(|u| !excluded.contains(u)).collect()
     }
 
-    /// The root's children with their current keys — the top-level
-    /// subtrees. The §7 hybrid strategy allocates one multicast address
-    /// per entry and addresses all rekey traffic at this granularity.
-    pub fn root_children(&self) -> Vec<SiblingChild> {
-        self.node(self.root)
-            .children
-            .iter()
-            .map(|&c| {
-                let n = self.node(c);
-                SiblingChild {
-                    label: n.label,
-                    key_ref: KeyRef::new(n.label, n.version),
-                    key: n.key.clone(),
-                }
-            })
-            .collect()
-    }
-
     /// Snapshot of the tree as a general [`crate::keygraph::KeyGraph`]
     /// (used by multi-group merging and by tests cross-checking the (U,K,R)
     /// semantics).
@@ -391,285 +280,6 @@ impl KeyTree {
             }
         }
         g
-    }
-
-    // ------------------------------------------------------------------
-    // Mutations
-    // ------------------------------------------------------------------
-
-    /// Admit `u` with the given individual key (from the authentication
-    /// exchange); rekey the path from the joining point to the root.
-    pub fn join(
-        &mut self,
-        u: UserId,
-        individual_key: SymmetricKey,
-        source: &mut dyn KeySource,
-    ) -> Result<JoinEvent, TreeError> {
-        self.join_inner(u, individual_key, source, NewKeyMode::Fresh)
-    }
-
-    /// Admit `u` deriving the changed path keys from `code` instead of
-    /// drawing them from `source` — the [`crate::rekey::Strategy::Derived`]
-    /// join. Each changed node's replacement is
-    /// [`crate::derive::derive_key`]`(old, code, label, new_version)`, where
-    /// `old` is the key the event reports as `old_key` (for a node freshly
-    /// created by a leaf split, the displaced member's individual key — the
-    /// one key its sole previous holder can derive from). `source` still
-    /// supplies the structural leaf allocation, so shipped and derived
-    /// joins consume the DRBG identically per node allocated.
-    pub fn join_derived(
-        &mut self,
-        u: UserId,
-        individual_key: SymmetricKey,
-        source: &mut dyn KeySource,
-        code: &[u8],
-    ) -> Result<JoinEvent, TreeError> {
-        self.join_inner(u, individual_key, source, NewKeyMode::Derived(code))
-    }
-
-    fn join_inner(
-        &mut self,
-        u: UserId,
-        individual_key: SymmetricKey,
-        source: &mut dyn KeySource,
-        mode: NewKeyMode<'_>,
-    ) -> Result<JoinEvent, TreeError> {
-        if self.users.contains_key(&u) {
-            return Err(TreeError::AlreadyMember(u));
-        }
-        // Locate the joining point, splitting a leaf if the tree is full.
-        let (joining_point, fresh_old): (NodeId, Option<(KeyRef, SymmetricKey)>) =
-            match self.find_join_slot() {
-                JoinSlot::Interior(id) => (id, None),
-                JoinSlot::SplitLeaf(leaf_id) => {
-                    let displaced_ref;
-                    let displaced_key;
-                    {
-                        let leaf = self.node(leaf_id);
-                        displaced_ref = KeyRef::new(leaf.label, leaf.version);
-                        displaced_key = leaf.key.clone();
-                    }
-                    let parent = self.node(leaf_id).parent;
-                    let fresh = self.alloc(source, parent, None);
-                    // Swap fresh into the displaced leaf's position.
-                    if let Some(p) = parent {
-                        let pos = self
-                            .node(p)
-                            .children
-                            .iter()
-                            .position(|&c| c == leaf_id)
-                            .expect("child link");
-                        self.node_mut(p).children[pos] = fresh;
-                    } else {
-                        unreachable!("a leaf always has a parent (the root is never a user leaf)");
-                    }
-                    self.node_mut(fresh).children.push(leaf_id);
-                    self.node_mut(leaf_id).parent = Some(fresh);
-                    (fresh, Some((displaced_ref, displaced_key)))
-                }
-            };
-        let displaced = fresh_old
-            .is_some()
-            .then(|| self.node(self.node(joining_point).children[0]).user)
-            .flatten();
-
-        // Attach the new individual-key leaf.
-        let leaf = self.alloc(source, Some(joining_point), Some(u));
-        self.node_mut(leaf).key = individual_key.clone();
-        self.node_mut(joining_point).children.push(leaf);
-        self.users.insert(u, leaf);
-        self.refresh_summaries(joining_point);
-
-        // Rekey the path joining point → root. The joining point's "old
-        // key" is the displaced leaf's key when the node is fresh.
-        let mut path = Vec::new();
-        let mut path_child = Vec::new();
-        let mut child_label = {
-            let n = self.node(leaf);
-            n.label
-        };
-        let mut cur = Some(joining_point);
-        let mut fresh_old = fresh_old;
-        while let Some(id) = cur {
-            let (old_ref, old_key) = match (id == joining_point, fresh_old.take()) {
-                (true, Some(old)) => old,
-                _ => {
-                    let n = self.node(id);
-                    (KeyRef::new(n.label, n.version), n.key.clone())
-                }
-            };
-            let new_key = match mode {
-                NewKeyMode::Fresh => source.generate_key(self.key_len),
-                NewKeyMode::Derived(code) => {
-                    let n = self.node(id);
-                    crate::derive::derive_key(
-                        &old_key,
-                        code,
-                        n.label,
-                        n.version.next(),
-                        self.key_len,
-                    )
-                }
-            };
-            let node = self.node_mut(id);
-            node.version = node.version.next();
-            node.key = new_key.clone();
-            path.push(PathNode {
-                label: node.label,
-                new_ref: KeyRef::new(node.label, node.version),
-                new_key,
-                old_ref,
-                old_key,
-            });
-            path_child.push(child_label);
-            child_label = self.node(id).label;
-            cur = self.node(id).parent;
-        }
-        // We built leaf-first; the protocols index root-first.
-        path.reverse();
-        path_child.reverse();
-
-        let leaf_node = self.node(leaf);
-        Ok(JoinEvent {
-            user: u,
-            leaf_label: leaf_node.label,
-            leaf_ref: KeyRef::new(leaf_node.label, leaf_node.version),
-            leaf_key: individual_key,
-            path,
-            path_child,
-            displaced,
-        })
-    }
-
-    /// Remove `u`; rekey the path from the leaving point to the root.
-    pub fn leave(
-        &mut self,
-        u: UserId,
-        source: &mut dyn KeySource,
-    ) -> Result<LeaveEvent, TreeError> {
-        let leaf = self.users.remove(&u).ok_or(TreeError::NotAMember(u))?;
-        let removed_leaf = self.node(leaf).label;
-        let parent = self.node(leaf).parent.expect("user leaf has a parent");
-        // Unlink and free the leaf.
-        let pos = self.node(parent).children.iter().position(|&c| c == leaf).expect("child link");
-        self.node_mut(parent).children.remove(pos);
-        self.dealloc(leaf);
-
-        // Contract a now-unary, non-root leaving point: splice its single
-        // child into the grandparent. The departing user never held the
-        // child's key, so the child's subtree needs no rekey; the rekey
-        // path then starts at the grandparent.
-        let mut leaving_point = parent;
-        if self.node(parent).children.len() == 1 && parent != self.root {
-            let only_child = self.node(parent).children[0];
-            let grand = self.node(parent).parent.expect("non-root");
-            let pos =
-                self.node(grand).children.iter().position(|&c| c == parent).expect("child link");
-            self.node_mut(grand).children[pos] = only_child;
-            self.node_mut(only_child).parent = Some(grand);
-            self.dealloc(parent);
-            leaving_point = grand;
-        }
-        self.refresh_summaries(leaving_point);
-
-        if self.users.is_empty() {
-            // Last member gone: refresh the root key (no recipients).
-            let new_key = source.generate_key(self.key_len);
-            let root = self.node_mut(self.root);
-            root.version = root.version.next();
-            root.key = new_key;
-            return Ok(LeaveEvent {
-                user: u,
-                removed_leaf,
-                path: Vec::new(),
-                siblings: Vec::new(),
-            });
-        }
-
-        // Rekey leaving point → root, capturing sibling children at each
-        // level. Built leaf-first, then reversed to root-first. The
-        // "sibling children" at x_i exclude x_{i+1}, i.e. exclude the node
-        // we processed in the previous iteration.
-        let mut path = Vec::new();
-        let mut siblings = Vec::new();
-        let mut prev: Option<NodeId> = None;
-        let mut cur = Some(leaving_point);
-        while let Some(id) = cur {
-            let sibs: Vec<SiblingChild> = self
-                .node(id)
-                .children
-                .iter()
-                .copied()
-                .filter(|&c| Some(c) != prev)
-                .map(|c| {
-                    let n = self.node(c);
-                    SiblingChild {
-                        label: n.label,
-                        key_ref: KeyRef::new(n.label, n.version),
-                        key: n.key.clone(),
-                    }
-                })
-                .collect();
-            let (old_ref, old_key) = {
-                let n = self.node(id);
-                (KeyRef::new(n.label, n.version), n.key.clone())
-            };
-            let new_key = source.generate_key(self.key_len);
-            let node = self.node_mut(id);
-            node.version = node.version.next();
-            node.key = new_key.clone();
-            path.push(PathNode {
-                label: node.label,
-                new_ref: KeyRef::new(node.label, node.version),
-                new_key,
-                old_ref,
-                old_key,
-            });
-            siblings.push(sibs);
-            prev = Some(id);
-            cur = self.node(id).parent;
-        }
-        path.reverse();
-        siblings.reverse();
-        Ok(LeaveEvent { user: u, removed_leaf, path, siblings })
-    }
-
-    /// Replace the group key without any membership change — a
-    /// key-version bump. Used for periodic rotation and to force a fresh
-    /// group key after crash recovery. The returned [`PathNode`] carries
-    /// the old root key (under which the new one may be encrypted for the
-    /// current membership) and the new root key.
-    pub fn refresh_group_key(&mut self, source: &mut dyn KeySource) -> PathNode {
-        let new_key = source.generate_key(self.key_len);
-        self.install_root_key(new_key)
-    }
-
-    /// Replace the group key by derivation from `code` — the
-    /// [`crate::rekey::Strategy::Derived`] refresh. Every current member
-    /// holds the old root key, so everyone (and only the current
-    /// membership) can recompute the new one; nothing is shipped.
-    pub fn refresh_group_key_derived(&mut self, code: &[u8]) -> PathNode {
-        let n = self.node(self.root);
-        let new_key =
-            crate::derive::derive_key(&n.key, code, n.label, n.version.next(), self.key_len);
-        self.install_root_key(new_key)
-    }
-
-    fn install_root_key(&mut self, new_key: SymmetricKey) -> PathNode {
-        let (old_ref, old_key) = {
-            let n = self.node(self.root);
-            (KeyRef::new(n.label, n.version), n.key.clone())
-        };
-        let root = self.node_mut(self.root);
-        root.version = root.version.next();
-        root.key = new_key.clone();
-        PathNode {
-            label: root.label,
-            new_ref: KeyRef::new(root.label, root.version),
-            new_key,
-            old_ref,
-            old_key,
-        }
     }
 
     // ------------------------------------------------------------------
@@ -980,17 +590,10 @@ pub(crate) enum JoinSlot {
     SplitLeaf(NodeId),
 }
 
-/// How a mutation obtains replacement keys for changed path nodes:
-/// drawn fresh from the DRBG (the paper's shipped strategies) or derived
-/// from each node's old key and a published code (`Strategy::Derived`).
-pub(crate) enum NewKeyMode<'a> {
-    Fresh,
-    Derived(&'a [u8]),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{BatchEvent, NewKeyMode};
     use kg_crypto::drbg::HmacDrbg;
 
     fn setup(degree: usize) -> (KeyTree, HmacDrbg) {
@@ -999,17 +602,23 @@ mod tests {
         (tree, src)
     }
 
-    fn join(tree: &mut KeyTree, src: &mut HmacDrbg, id: u64) -> JoinEvent {
+    fn join(tree: &mut KeyTree, src: &mut HmacDrbg, id: u64) -> BatchEvent {
         let ik = src.generate_key(8);
         let ev = tree.join(UserId(id), ik, src).unwrap();
         tree.check_invariants();
         ev
     }
 
+    /// The member whose leaf a single join split: the one previous holder
+    /// of the joining point, which is known by that member's individual key.
+    fn displaced_by(tree: &KeyTree, ev: &BatchEvent) -> Option<UserId> {
+        let jp = ev.marked.last()?;
+        tree.members().find(|&u| tree.keyset(u).unwrap()[0].0 == jp.old_ref)
+    }
+
     /// The documented key-cover order is stable: two trees built by the
-    /// same operation sequence yield events whose covers (path refs,
-    /// sibling refs level by level) are element-for-element identical,
-    /// and sibling order matches the parent's child-slot order.
+    /// same operation sequence yield events whose covers (path refs, child
+    /// refs level by level) are element-for-element identical.
     #[test]
     fn event_key_cover_order_is_stable() {
         let run = || {
@@ -1017,10 +626,10 @@ mod tests {
             let mut trace: Vec<(KeyRef, KeyRef)> = Vec::new();
             for i in 0..40 {
                 let ev = join(&mut tree, &mut src, i);
-                for (k, p) in ev.path.iter().enumerate() {
+                for (k, p) in ev.marked.iter().enumerate() {
                     trace.push((p.old_ref, p.new_ref));
                     assert!(
-                        k + 1 >= ev.path.len() || p.label != ev.path[k + 1].label,
+                        k + 1 >= ev.marked.len() || p.label != ev.marked[k + 1].label,
                         "path nodes distinct"
                     );
                 }
@@ -1028,11 +637,8 @@ mod tests {
             for i in (0..40).step_by(3) {
                 let ev = tree.leave(UserId(i), &mut src).unwrap();
                 tree.check_invariants();
-                assert_eq!(ev.path.len(), ev.siblings.len());
-                for (p, sibs) in ev.path.iter().zip(&ev.siblings) {
-                    for s in sibs {
-                        trace.push((s.key_ref, p.new_ref));
-                    }
+                for (m, c) in ev.key_cover() {
+                    trace.push((c.key_ref, m.new_ref));
                 }
             }
             trace
@@ -1053,8 +659,8 @@ mod tests {
         let (mut tree, mut src) = setup(3);
         let ev = join(&mut tree, &mut src, 1);
         assert_eq!(tree.user_count(), 1);
-        assert_eq!(ev.path.len(), 1); // only the root changed
-        assert_eq!(ev.displaced, None);
+        assert_eq!(ev.marked.len(), 1); // only the root changed
+        assert_eq!(ev.marked[0].old_ref.label, ev.marked[0].label, "no leaf was split");
         assert_eq!(tree.height(), 2); // u -> k_u -> root
         let ks = tree.keyset(UserId(1)).unwrap();
         assert_eq!(ks.len(), 2);
@@ -1073,9 +679,9 @@ mod tests {
         assert!(root_ref_after.version > root_ref_before.version);
         assert_ne!(root_key_after, root_key_before);
         // The path's first element is the root; old key matches pre-state.
-        assert_eq!(ev.path[0].old_ref, root_ref_before);
-        assert_eq!(ev.path[0].old_key, root_key_before);
-        assert_eq!(ev.path[0].new_key, root_key_after);
+        assert_eq!(ev.marked[0].old_ref, root_ref_before);
+        assert_eq!(ev.marked[0].old_key, root_key_before);
+        assert_eq!(ev.marked[0].new_key, root_key_after);
     }
 
     #[test]
@@ -1089,7 +695,7 @@ mod tests {
         }
         assert_eq!(tree.height(), 3);
         let ev = join(&mut tree, &mut src, 9);
-        assert_eq!(ev.path.len(), 2, "root + joining point");
+        assert_eq!(ev.marked.len(), 2, "root + joining point");
         assert_eq!(tree.height(), 3);
         // Everyone holds 3 keys now (full balanced 3-ary tree of 9).
         for i in 1..=9 {
@@ -1104,17 +710,16 @@ mod tests {
         join(&mut tree, &mut src, 1);
         join(&mut tree, &mut src, 2);
         let ev = join(&mut tree, &mut src, 3);
-        assert!(ev.displaced.is_some());
-        let w = ev.displaced.unwrap();
+        // The joining point is a fresh node, known to its one previous
+        // holder by that member's individual key.
+        let jp = ev.marked.last().unwrap();
+        let w = displaced_by(&tree, &ev).expect("a leaf was split");
         assert!(w == UserId(1) || w == UserId(2));
         // The displaced user now holds 3 keys; the other old user only 2.
         let other = if w == UserId(1) { UserId(2) } else { UserId(1) };
         assert_eq!(tree.keyset(w).unwrap().len(), 3);
         assert_eq!(tree.keyset(other).unwrap().len(), 2);
-        // The joining point (fresh node) old key = displaced individual key.
-        let jp = ev.path.last().unwrap();
-        let w_leaf = tree.keyset(w).unwrap()[0].clone();
-        assert_eq!(jp.old_ref.label, w_leaf.0.label);
+        assert_eq!((jp.old_ref, jp.old_key.clone()), tree.keyset(w).unwrap()[0]);
     }
 
     #[test]
@@ -1131,11 +736,11 @@ mod tests {
         let (gk_after, _) = tree.group_key();
         assert!(gk_after.version > gk_before.version);
         // Path root-first; last entry is the leaving point.
-        assert!(!ev.path.is_empty());
-        assert_eq!(ev.path[0].label, gk_after.label);
-        // Siblings per level are nonempty (there are survivors).
-        for level in &ev.siblings {
-            assert!(!level.is_empty());
+        assert!(!ev.marked.is_empty());
+        assert_eq!(ev.marked[0].label, gk_after.label);
+        // Children per level are nonempty (there are survivors).
+        for level in &ev.marked {
+            assert!(!level.children.is_empty());
         }
     }
 
@@ -1165,7 +770,7 @@ mod tests {
         let (gk_before, _) = tree.group_key();
         let ev = tree.leave(UserId(1), &mut src).unwrap();
         tree.check_invariants();
-        assert!(ev.path.is_empty());
+        assert!(ev.marked.is_empty());
         assert_eq!(tree.user_count(), 0);
         assert_eq!(tree.key_count(), 1);
         let (gk_after, _) = tree.group_key();
@@ -1180,13 +785,21 @@ mod tests {
         }
         let (gk_before, key_before) = tree.group_key();
         let keysets_before: Vec<_> = (1..=9).map(|i| tree.keyset(UserId(i)).unwrap()).collect();
-        let path = tree.refresh_group_key(&mut src);
+        let mut expect = src.clone();
+        let ev = tree.refresh_group_key(&mut src);
         tree.check_invariants();
         let (gk_after, key_after) = tree.group_key();
+        assert_eq!(ev.marked.len(), 1, "refresh marks the root only");
+        assert!(ev.joins.is_empty() && ev.departed.is_empty());
+        let path = &ev.marked[0];
         assert_eq!(path.old_ref, gk_before);
         assert_eq!(path.old_key, key_before);
         assert_eq!(path.new_ref, gk_after);
         assert_eq!(path.new_key, key_after);
+        assert_eq!(path.children.len(), 3);
+        // One key draw: the new root key.
+        assert_eq!(expect.generate_key(8), key_after);
+        assert_eq!(expect.generate(8), src.generate(8));
         assert_eq!(gk_after.label, gk_before.label);
         assert!(gk_after.version > gk_before.version);
         assert_ne!(key_after, key_before);
@@ -1198,6 +811,20 @@ mod tests {
                 assert_eq!(b, a);
             }
         }
+    }
+
+    #[test]
+    fn refresh_of_an_empty_group_rotates_the_root_and_tells_nobody() {
+        let (mut tree, mut src) = setup(3);
+        let (gk_before, _) = tree.group_key();
+        let mut expect = src.clone();
+        let ev = tree.refresh_group_key(&mut src);
+        tree.check_invariants();
+        assert!(ev.marked.is_empty());
+        let (gk_after, key_after) = tree.group_key();
+        assert_eq!(gk_after, KeyRef::new(gk_before.label, gk_before.version.next()));
+        assert_eq!(expect.generate_key(8), key_after);
+        assert_eq!(expect.generate(8), src.generate(8));
     }
 
     #[test]
@@ -1289,12 +916,19 @@ mod tests {
             join(&mut tree, &mut src, i);
         }
         let ev = join(&mut tree, &mut src, 9);
-        assert_eq!(ev.path.len(), ev.path_child.len());
-        // The last path_child is the joiner's leaf.
-        assert_eq!(*ev.path_child.last().unwrap(), ev.leaf_label);
-        // Each path_child[i] is the label of path[i+1] for i < last.
-        for i in 0..ev.path.len() - 1 {
-            assert_eq!(ev.path_child[i], ev.path[i + 1].label);
+        // The last marked node's child on the path is the joiner's leaf.
+        let below_last: Vec<KeyLabel> = (ev.marked.last().unwrap().children.iter())
+            .filter(|c| c.marked || c.joiner.is_some())
+            .map(|c| c.label)
+            .collect();
+        assert_eq!(below_last, vec![ev.joins[0].leaf_label]);
+        // Each earlier marked node's one marked child is the next one.
+        for pair in ev.marked.windows(2) {
+            let below: Vec<KeyLabel> = (pair[0].children.iter())
+                .filter(|c| c.marked || c.joiner.is_some())
+                .map(|c| c.label)
+                .collect();
+            assert_eq!(below, vec![pair[1].label]);
         }
     }
 
@@ -1358,16 +992,19 @@ mod tests {
         }
         let code = [0x5Au8; 16];
         let ik = src.generate_key(8);
-        let ev = tree.join_derived(UserId(9), ik, &mut src, &code).unwrap();
+        let ev = tree
+            .apply_interval(&[(UserId(9), ik)], &[], &mut src, NewKeyMode::Derived(&code))
+            .unwrap();
         tree.check_invariants();
-        for p in &ev.path {
+        assert_eq!(ev.derived_links().len(), ev.marked.len());
+        for p in &ev.marked {
             let want = crate::derive::derive_key(&p.old_key, &code, p.label, p.new_ref.version, 8);
             assert_eq!(p.new_key, want);
         }
         // And the tree really installed them.
         let (gk_ref, gk) = tree.group_key();
-        assert_eq!(gk_ref, ev.path[0].new_ref);
-        assert_eq!(gk, ev.path[0].new_key);
+        assert_eq!(gk_ref, ev.marked[0].new_ref);
+        assert_eq!(gk, ev.marked[0].new_key);
     }
 
     #[test]
@@ -1377,13 +1014,15 @@ mod tests {
         join(&mut tree, &mut src, 2);
         let code = [7u8; 16];
         let ik = src.generate_key(8);
-        let ev = tree.join_derived(UserId(3), ik, &mut src, &code).unwrap();
+        let ev = tree
+            .apply_interval(&[(UserId(3), ik)], &[], &mut src, NewKeyMode::Derived(&code))
+            .unwrap();
         tree.check_invariants();
-        assert!(ev.displaced.is_some());
+        let w = displaced_by(&tree, &ev).expect("a leaf was split");
         // The displaced member's (unchanged) individual key is the
         // derive-from source for the freshly split node.
-        let jp = ev.path.last().unwrap();
-        let w_leaf_key = tree.keyset(ev.displaced.unwrap()).unwrap()[0].1.clone();
+        let jp = ev.marked.last().unwrap();
+        let w_leaf_key = tree.keyset(w).unwrap()[0].1.clone();
         let want = crate::derive::derive_key(&w_leaf_key, &code, jp.label, jp.new_ref.version, 8);
         assert_eq!(jp.new_key, want);
     }
@@ -1396,7 +1035,8 @@ mod tests {
         }
         let (_, old_root) = tree.group_key();
         let code = [9u8; 16];
-        let p = tree.refresh_group_key_derived(&code);
+        let ev = tree.apply_interval(&[], &[], &mut src, NewKeyMode::Derived(&code)).unwrap();
+        let p = &ev.marked[0];
         tree.check_invariants();
         let want = crate::derive::derive_key(&old_root, &code, p.label, p.new_ref.version, 8);
         assert_eq!(p.new_key, want);
@@ -1437,7 +1077,8 @@ mod tests {
                     }
                     4..=5 => {
                         let (u, ik) = fresh(1, &mut src).remove(0);
-                        tree.join_derived(u, ik, &mut src, &code).unwrap();
+                        tree.apply_interval(&[(u, ik)], &[], &mut src, NewKeyMode::Derived(&code))
+                            .unwrap();
                     }
                     6..=10 if !members.is_empty() => {
                         tree.leave(member(pick), &mut src).unwrap();
@@ -1467,7 +1108,8 @@ mod tests {
                     }
                     14 => {
                         let joins = fresh(joins.max(1), &mut src);
-                        tree.apply_batch_derived(&joins, &mut src, &code).unwrap();
+                        tree.apply_interval(&joins, &[], &mut src, NewKeyMode::Derived(&code))
+                            .unwrap();
                     }
                     15 => {
                         tree = crate::serial::decode_tree(&crate::serial::encode_tree(&tree))

@@ -42,10 +42,11 @@ pub use config::{AuthPolicy, ConfigError, RekeyPolicy, ServerConfig};
 pub use scheduler::{BatchPolicy, BatchScheduler, PendingBatch};
 pub use stats::{Aggregate, OpRecord, ServerStats};
 
-use kg_core::derive::{links_from_path, DerivedLink, DERIVATION_CODE_LEN};
+use kg_core::batch::{BatchEvent, NewKeyMode};
+use kg_core::derive::{DerivedLink, DERIVATION_CODE_LEN};
 use kg_core::ids::{KeyLabel, UserId};
 use kg_core::merkle;
-use kg_core::rekey::{OpCounts, Recipients, RekeyOutput, Rekeyer, Strategy};
+use kg_core::rekey::{Recipients, RekeyOutput, Rekeyer, Strategy};
 use kg_core::serial;
 use kg_core::tree::{KeyTree, TreeError};
 use kg_crypto::drbg::HmacDrbg;
@@ -239,6 +240,21 @@ impl ProcessedBatch {
     }
 }
 
+/// One grant per user the event admitted (the out-of-band
+/// authentication-exchange payload).
+fn grants(event: BatchEvent) -> Vec<JoinGrant> {
+    event
+        .joins
+        .into_iter()
+        .map(|j| JoinGrant {
+            user: j.user,
+            individual_key: j.leaf_key,
+            leaf_label: j.leaf_label,
+            path_labels: j.path.iter().map(|(r, _)| r.label).collect(),
+        })
+        .collect()
+}
+
 /// The prototype group key server.
 pub struct GroupKeyServer {
     config: ServerConfig,
@@ -264,6 +280,8 @@ pub struct GroupKeyServer {
 
 /// Label of each [`OpKind`], indexed by [`OpKind::tag`].
 const KIND_NAMES: [&str; 4] = ["join", "leave", "batch", "refresh"];
+/// Name of each kind's operation span, same index.
+const OP_SPANS: [&str; 4] = ["op.join", "op.leave", "op.batch", "op.refresh"];
 
 /// Pre-resolved counter handles for the per-request hot path. Detached
 /// (no-op) until an enabled handle is attached.
@@ -741,44 +759,12 @@ impl GroupKeyServer {
             return Err(RequestError::Tree(TreeError::AlreadyMember(user)));
         }
         let individual_key = self.keygen.generate_key(self.config.key_len());
-        let derived = self.config.strategy == Strategy::Derived;
-
-        let _op_span = self.obs.span("op.join");
-        let started = Instant::now();
-        // Drawn after the individual key, so replay under the same seed
-        // reproduces the identical code stream.
-        let code = if derived { self.keygen.generate(DERIVATION_CODE_LEN) } else { Vec::new() };
-        let event = {
-            let _s = self.obs.span("tree");
-            if derived {
-                self.tree.join_derived(user, individual_key.clone(), &mut self.keygen, &code)?
-            } else {
-                self.tree.join(user, individual_key.clone(), &mut self.keygen)?
-            }
-        };
-        let (out, changed) = {
-            let _s = self.obs.span("encrypt");
-            let mut rekeyer = Rekeyer::new(self.config.cipher, &mut self.ivs);
-            if derived {
-                (rekeyer.join_derived(&event), links_from_path(&event.path))
-            } else {
-                (rekeyer.join(&event, self.config.strategy), Vec::new())
-            }
-        };
-        let (seq, packets, encoded) = self.finish(OpKind::Join, 1, started, out, (code, changed));
+        let (event, mut op) = self.rekey(OpKind::Join, &[(user, individual_key)], &[])?;
+        op.join_grant = grants(event).pop();
         self.obs.event(ObsEvent::Join { user: user.0 });
+        let derived = self.config.strategy == Strategy::Derived;
         self.log_op(if derived { WalOp::DerivedJoin(user) } else { WalOp::Join(user) })?;
-        Ok(ProcessedOp {
-            seq,
-            packets,
-            encoded,
-            join_grant: Some(JoinGrant {
-                user,
-                individual_key,
-                leaf_label: event.leaf_label,
-                path_labels: event.path.iter().map(|p| p.label).collect(),
-            }),
-        })
+        Ok(op)
     }
 
     /// Process a leave request.
@@ -786,25 +772,13 @@ impl GroupKeyServer {
         if !self.tree.is_member(user) {
             return Err(RequestError::Tree(TreeError::NotAMember(user)));
         }
-        let _op_span = self.obs.span("op.leave");
-        let started = Instant::now();
-        let event = {
-            let _s = self.obs.span("tree");
-            self.tree.leave(user, &mut self.keygen)?
-        };
-        let out = {
-            let _s = self.obs.span("encrypt");
-            // Forward secrecy forbids deriving post-leave keys from
-            // pre-leave ones, so derived mode ships a leave's fresh keys
-            // exactly like its shipped fallback (no code, no worklist).
-            Rekeyer::new(self.config.cipher, &mut self.ivs)
-                .leave(&event, self.config.strategy.shipped_fallback())
-        };
-        let (seq, packets, encoded) =
-            self.finish(OpKind::Leave, 1, started, out, Default::default());
+        // Forward secrecy forbids deriving post-leave keys from pre-leave
+        // ones, so derived mode ships a leave's fresh keys exactly like its
+        // shipped fallback (no code, no worklist).
+        let (_, op) = self.rekey(OpKind::Leave, &[], &[user])?;
         self.obs.event(ObsEvent::Leave { user: user.0 });
         self.log_op(WalOp::Leave(user))?;
-        Ok(ProcessedOp { seq, packets, encoded, join_grant: None })
+        Ok(op)
     }
 
     /// Rotate the group key without any membership change: bump the root
@@ -818,41 +792,14 @@ impl GroupKeyServer {
     /// just the code and a one-entry worklist. Members pay one HMAC each;
     /// the server seals nothing.
     pub fn refresh_group_key(&mut self) -> Result<ProcessedOp, RequestError> {
-        let derived = self.config.strategy == Strategy::Derived;
-        let _op_span = self.obs.span("op.refresh");
-        let started = Instant::now();
         // The rotation happens (and consumes its keygen output, keeping
         // replay deterministic) even when there is nobody to tell; an
         // empty group gets no packet and consumes no IVs.
-        let listening = self.tree.user_count() > 0;
-        let (out, derive) = if derived {
-            let code = self.keygen.generate(DERIVATION_CODE_LEN);
-            let path = {
-                let _s = self.obs.span("tree");
-                self.tree.refresh_group_key_derived(&code)
-            };
-            // Nothing sealed, nothing drawn from the key DRBG: the root
-            // was derived, and the group recomputes it from the code.
-            let derive = if listening {
-                (code, links_from_path(std::slice::from_ref(&path)))
-            } else {
-                Default::default()
-            };
-            (RekeyOutput::default(), derive)
-        } else {
-            let path = self.tree.refresh_group_key(&mut self.keygen);
-            let out = if listening {
-                Rekeyer::new(self.config.cipher, &mut self.ivs).refresh(&path)
-            } else {
-                let ops = OpCounts { keys_generated: 1, ..OpCounts::default() };
-                RekeyOutput { ops, ..RekeyOutput::default() }
-            };
-            (out, Default::default())
-        };
-        let (seq, packets, encoded) = self.finish(OpKind::Refresh, 0, started, out, derive);
+        let (_, op) = self.rekey(OpKind::Refresh, &[], &[])?;
         self.obs.event(ObsEvent::Refresh);
+        let derived = self.config.strategy == Strategy::Derived;
         self.log_op(if derived { WalOp::DerivedRefresh } else { WalOp::Refresh })?;
-        Ok(ProcessedOp { seq, packets, encoded, join_grant: None })
+        Ok(op)
     }
 
     /// Whether this server batches rekeys.
@@ -960,55 +907,71 @@ impl GroupKeyServer {
         self.persist.as_ref().map(|p| p.ops_since_snapshot())
     }
 
-    /// Apply one interval's queued requests: mark + replace the union of
-    /// the changed paths once, build the consolidated rekey messages,
-    /// authenticate, encode, and record one per-interval stats record.
+    /// Apply one interval's queued requests and record one per-interval
+    /// stats record.
     fn process_batch(&mut self, pending: PendingBatch) -> Result<ProcessedBatch, RequestError> {
-        let requests = (pending.joins.len() + pending.leaves.len()) as u32;
-        // Forward secrecy: only a leave-free interval may derive its new
-        // keys from the old ones. Any interval containing a leave ships
-        // fresh keys via the shipped fallback strategy instead.
-        let pure_join = pending.leaves.is_empty();
-        let _op_span = self.obs.span("op.batch");
+        let (ev, ProcessedOp { packets, encoded, .. }) =
+            self.rekey(OpKind::Batch, &pending.joins, &pending.leaves)?;
+        // Core-level `departed` lists every leaver, including users who
+        // rejoined in the same interval; the server view keeps only true
+        // departures (a rejoiner keeps its endpoint and gets a new grant).
+        let departed = ev.departed.iter().copied().filter(|&u| !self.tree.is_member(u)).collect();
+        let grants = grants(ev);
+        Ok(ProcessedBatch { interval: pending.interval, packets, encoded, grants, departed })
+    }
+
+    /// The one step every operation is — a join, a leave, a refresh (no
+    /// requests) or a batch interval: mark and replace the changed paths
+    /// once, construct the rekey messages, and [`finish`](Self::finish).
+    /// The caller has checked admission and logs the operation afterwards.
+    ///
+    /// Under `strategy = derived` a leave-free operation draws a derivation
+    /// code (after any individual key, so replay under the same seed
+    /// reproduces the identical code stream) and replaces each changed key
+    /// by *deriving* it from its predecessor; the packet then carries the
+    /// code, the changed-key worklist and the joiners' sealed unicasts.
+    /// Forward secrecy: anything containing a leave draws fresh keys and
+    /// ships them under the shipped fallback strategy instead.
+    ///
+    /// A join or refresh is told the paper's join way (§3.3: the new key
+    /// under the key it replaces); a leave or batch interval the leave way
+    /// (§3.4: the new key under each child's key).
+    fn rekey(
+        &mut self,
+        kind: OpKind,
+        joins: &[(UserId, SymmetricKey)],
+        leaves: &[UserId],
+    ) -> Result<(BatchEvent, ProcessedOp), RequestError> {
+        let _op_span = self.obs.span(OP_SPANS[kind.tag() as usize]);
         let started = Instant::now();
-        let (ev, derive) = {
+        let derived = self.config.strategy == Strategy::Derived && leaves.is_empty();
+        let code = if derived { self.keygen.generate(DERIVATION_CODE_LEN) } else { Vec::new() };
+        let event = {
             let _s = self.obs.span("tree");
-            if self.config.strategy == Strategy::Derived && pure_join {
-                let code = self.keygen.generate(DERIVATION_CODE_LEN);
-                let (ev, links) =
-                    self.tree.apply_batch_derived(&pending.joins, &mut self.keygen, &code)?;
-                (ev, (code, links))
-            } else {
-                let ev =
-                    self.tree.apply_batch(&pending.joins, &pending.leaves, &mut self.keygen)?;
-                (ev, Default::default())
-            }
+            let mode = if derived { NewKeyMode::Derived(&code) } else { NewKeyMode::Fresh };
+            self.tree.apply_interval(joins, leaves, &mut self.keygen, mode)?
         };
         let out = {
             let _s = self.obs.span("encrypt");
-            let strategy = if pure_join {
+            let strategy = if leaves.is_empty() {
                 self.config.strategy
             } else {
                 self.config.strategy.shipped_fallback()
             };
-            Rekeyer::new(self.config.cipher, &mut self.ivs).batch(&ev, strategy)
+            let mut rekeyer = Rekeyer::new(self.config.cipher, &mut self.ivs);
+            match kind {
+                OpKind::Join | OpKind::Refresh => rekeyer.join(&event, strategy),
+                OpKind::Leave | OpKind::Batch => rekeyer.batch(&event, strategy),
+            }
         };
-        let (_, packets, encoded) = self.finish(OpKind::Batch, requests, started, out, derive);
-        let grants = ev
-            .joins
-            .iter()
-            .map(|j| JoinGrant {
-                user: j.user,
-                individual_key: j.leaf_key.clone(),
-                leaf_label: j.leaf_label,
-                path_labels: j.path.iter().map(|(r, _)| r.label).collect(),
-            })
-            .collect();
-        // Core-level `departed` lists every leaver, including users who
-        // rejoined in the same interval; the server view keeps only true
-        // departures (a rejoiner keeps its endpoint and gets a new grant).
-        let departed = ev.departed.into_iter().filter(|&u| !self.tree.is_member(u)).collect();
-        Ok(ProcessedBatch { interval: pending.interval, packets, encoded, grants, departed })
+        // An emptied group is told nothing, not even a code.
+        let derive = if derived && !event.marked.is_empty() {
+            (code, event.derived_links())
+        } else {
+            Default::default()
+        };
+        let requests = (joins.len() + leaves.len()) as u32;
+        Ok((event, self.finish(kind, requests, started, out, derive)))
     }
 
     /// The common tail of every operation — join, leave, refresh, batch
@@ -1023,7 +986,7 @@ impl GroupKeyServer {
     /// stream; an operation with nothing to say (the last member leaving)
     /// sends nothing, like the shipped strategies.
     ///
-    /// Returns the operation's sequence number, packets and encodings.
+    /// Returns the operation, numbered, without a join grant.
     fn finish(
         &mut self,
         kind: OpKind,
@@ -1031,7 +994,7 @@ impl GroupKeyServer {
         started: Instant,
         out: RekeyOutput,
         (code, changed): (Vec<u8>, Vec<DerivedLink>),
-    ) -> (u64, Vec<RekeyPacket>, Vec<Vec<u8>>) {
+    ) -> ProcessedOp {
         let seq = self.next_seq();
         // `interval` starts at 1: clients treat an equal interval as
         // redelivery, so 0 would alias their initial state. The timestamp
@@ -1103,7 +1066,7 @@ impl GroupKeyServer {
             encryptions: ops.key_encryptions,
             signatures,
         });
-        (seq, packets, encoded)
+        ProcessedOp { seq, packets, encoded, join_grant: None }
     }
 
     fn next_seq(&mut self) -> u64 {

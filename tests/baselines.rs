@@ -35,7 +35,7 @@ fn design_space_orderings_hold() {
     }
     let ev = tree.leave(UserId(0), &mut src).unwrap();
     let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-    let tree_cost = rk.leave(&ev, Strategy::GroupOriented).ops.key_encryptions;
+    let tree_cost = rk.batch(&ev, Strategy::GroupOriented).ops.key_encryptions;
 
     assert!(tree_cost < star_cost / 4, "tree {tree_cost} vs star {star_cost}");
 
@@ -74,7 +74,7 @@ fn iolus_and_tree_secure_the_same_workload() {
 
     let ev = tree.leave(victim, &mut src).unwrap();
     let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-    let _ = rk.leave(&ev, Strategy::GroupOriented);
+    let _ = rk.batch(&ev, Strategy::GroupOriented);
     iolus.leave(victim, &mut src).unwrap();
 
     // Tree side: the new group key is not derivable from the victim's keys.

@@ -20,15 +20,18 @@ use keygraphs::server::{AccessControl, GroupKeyServer, ServerConfig};
 use keygraphs::wire::RekeyPacket;
 
 /// SHA-256 over every emitted bundle and code, hex, per
-/// `Strategy::EVERY` × {immediate, batched(4)}.
+/// `Strategy::EVERY` × {immediate, batched(4)}. The `*/immediate` rows were
+/// re-pinned when per-operation replacement went root-first like the
+/// intervals' (which key draw lands on which node changed; the structure
+/// digest below did not move).
 const PINNED: [(&str, &str); 8] = [
-    ("user/immediate", "05286e74422c68f26135243c8c881c6cc29ddfaefb162d479958edfd9fa82140"),
+    ("user/immediate", "3aa81b0d578c2b61d79101dffe4c68bd76d615006507b2fde8848f2207982cca"),
     ("user/batched", "00be488a64e4be6ee2f5f3bac81e2b6cbb599002a22a619dc96a09e69b8e1564"),
-    ("key/immediate", "7cbed411a51a113fc7fa792b02500cfe7a0391118ac5aec4201dba0578fdee86"),
+    ("key/immediate", "fb9409195dc3ecec71e16dfc130b68da1578af8529d7b68ec997da77614b8cb1"),
     ("key/batched", "91d68eaff4457075beba345256c88a13811c33a452a50a4ad82ea8058a328ecf"),
-    ("group/immediate", "3e1031e750add1d62d3f3c438da8ebf61822328c11b4e9937bcba7cdb6898afa"),
+    ("group/immediate", "58837ae95eec7601ce1e236656b994c71da1df8fea6ef874fe812c897eaf5c5c"),
     ("group/batched", "57ee98b7b533fa777e5ae600ff3a08307a06193c3c908d36b8b6653c3ae5b0f2"),
-    ("derived/immediate", "44761e31de13b94065b8e89c8a495b234df82d49d65b7779a9cda49076bb215c"),
+    ("derived/immediate", "8b53f87c4778bfb4fc980660945e2f80af166e6c903c018632476ccc013cd6ff"),
     ("derived/batched", "729646f668ed53672dc89791254543334c3cf883e43f766da32c3c121fbd5644"),
 ];
 

@@ -66,7 +66,7 @@ fn table2_server_leave_cost_exact_on_full_trees() {
         let ev = tree.leave(UserId(n - 1), &mut src).unwrap();
         let mut ivs = HmacDrbg::from_seed(2);
         let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-        let out = rk.leave(&ev, Strategy::GroupOriented);
+        let out = rk.batch(&ev, Strategy::GroupOriented);
         // Leaving point drops to d−1 children and contracts only at d=2;
         // at d≥3 cost is exactly d(h−1) − 1 + ... : the leaving level has
         // d−1 survivors, others d−1 siblings + 1 path child = d.
@@ -112,7 +112,7 @@ fn tree_beats_star_beyond_small_n() {
         let ev = tree.leave(UserId(n / 2), &mut src).unwrap();
         let mut ivs = HmacDrbg::from_seed(5);
         let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-        let tree_cost = rk.leave(&ev, Strategy::GroupOriented).ops.key_encryptions;
+        let tree_cost = rk.batch(&ev, Strategy::GroupOriented).ops.key_encryptions;
         let star_cost = n - 1;
         assert!(tree_cost * 2 < star_cost, "n={n}: tree {tree_cost} vs star {star_cost}");
         if n >= 1024 {
@@ -143,7 +143,7 @@ fn average_cost_tracks_table3_under_churn() {
         } else {
             let victim = tree.members().next().unwrap();
             let ev = tree.leave(victim, &mut src).unwrap();
-            total_enc += rk.leave(&ev, Strategy::GroupOriented).ops.key_encryptions;
+            total_enc += rk.batch(&ev, Strategy::GroupOriented).ops.key_encryptions;
         }
     }
     let measured = total_enc as f64 / ops as f64;
@@ -177,9 +177,9 @@ fn message_count_formulas_hold_on_full_trees() {
     let ev = tree.leave(UserId(n - 1), &mut src).unwrap();
     let mut ivs = HmacDrbg::from_seed(8);
     let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-    let user_msgs = rk.leave(&ev, Strategy::UserOriented).messages.len() as u64;
-    let key_msgs = rk.leave(&ev, Strategy::KeyOriented).messages.len() as u64;
-    let group_msgs = rk.leave(&ev, Strategy::GroupOriented).messages.len() as u64;
+    let user_msgs = rk.batch(&ev, Strategy::UserOriented).messages.len() as u64;
+    let key_msgs = rk.batch(&ev, Strategy::KeyOriented).messages.len() as u64;
+    let group_msgs = rk.batch(&ev, Strategy::GroupOriented).messages.len() as u64;
     // (d−1)(h−1) with the leaving level one short: exact count is
     // (d−1)(h−2) + (d−1) = (d−1)(h−1).
     assert_eq!(user_msgs, (d as u64 - 1) * (h - 1));
