@@ -124,8 +124,9 @@ pub enum RecoverError {
     /// Replaying a logged op through the server failed — the log does not
     /// match the state it was supposedly produced from.
     Replay(RequestError),
-    /// The recovered tree's root-key digest does not match the digest the
-    /// pre-crash server recorded, so recovery did not converge.
+    /// After some replayed record the tree's root-key digest does not match
+    /// the digest the pre-crash server recorded with it, so recovery did
+    /// not converge.
     DigestMismatch,
     /// The snapshot is internally inconsistent or does not match the
     /// configuration passed to recovery.
@@ -435,8 +436,8 @@ impl GroupKeyServer {
 
     /// Rebuild a server from the store at `dir`: load the latest
     /// snapshot, replay the WAL tail through the normal request handlers
-    /// (a torn final record is discarded), verify the recovered tree
-    /// against the last logged root-key digest, and reopen the log for
+    /// (a torn final record is discarded), verify the tree against the
+    /// root-key digest logged with every record, and reopen the log for
     /// append.
     ///
     /// `config` and `acl` must be the ones the original server was
@@ -478,20 +479,20 @@ impl GroupKeyServer {
             None => Self::new(config, acl),
             Some(snap) => Self::from_snapshot(config, snap)?,
         };
-        for (op, _) in &recovered.ops {
-            server.replay(op).map_err(RecoverError::Replay)?;
+        // Prove convergence record by record: the snapshot's tree, and the
+        // tree after each replayed op, must hash to the digest the
+        // pre-crash server logged there. Only the group key is hashed, and
+        // an op that replaces it alone draws the same key whatever the rest
+        // of the tree holds, so the last record by itself can agree by
+        // accident.
+        let diverged =
+            |server: &Self, logged: &[u8; 32]| serial::root_digest(&server.tree) != *logged;
+        if recovered.snapshot.as_ref().is_some_and(|snap| diverged(&server, &snap.root_digest)) {
+            return Err(RecoverError::DigestMismatch);
         }
-        // Prove convergence: the tree must hash to the digest recorded
-        // with the last surviving record (or in the snapshot, if the new
-        // epoch's log was still empty).
-        let reached = serial::root_digest(&server.tree);
-        let expected = recovered
-            .ops
-            .last()
-            .map(|(_, d)| *d)
-            .or(recovered.snapshot.as_ref().map(|s| s.root_digest));
-        if let Some(expected) = expected {
-            if reached != expected {
+        for (op, logged) in &recovered.ops {
+            server.replay(op).map_err(RecoverError::Replay)?;
+            if diverged(&server, logged) {
                 return Err(RecoverError::DigestMismatch);
             }
         }

@@ -18,7 +18,9 @@ use keygraphs::core::serial::root_digest;
 use keygraphs::net::{NetConfig, SimNetwork};
 use keygraphs::persist::{FsyncPolicy, PersistConfig};
 use keygraphs::server::net::{leave_authenticator, NetServer, ServerEvent};
-use keygraphs::server::{AccessControl, AuthPolicy, GroupKeyServer, RekeyPolicy, ServerConfig};
+use keygraphs::server::{
+    AccessControl, AuthPolicy, GroupKeyServer, RecoverError, RekeyPolicy, ServerConfig,
+};
 use keygraphs::wire::{ControlMessage, RekeyPacket};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -321,6 +323,57 @@ fn crash_at_every_point_of_an_interval_flushes_identically() {
         );
         assert_eq!(root_digest(w.server().tree()), root_digest(control.tree()));
     }
+}
+
+/// The recorded root-key digests are what stands between a log and
+/// silently different keys: a log replays without error under any
+/// configuration that accepts its requests, yet a server that builds
+/// another tree from them lands on other keys. Recovery must refuse, not
+/// panic, and leave the store as it found it.
+///
+/// Two such servers. One has another degree. The other is this code reading
+/// a store written before per-operation rekeys went through the marking
+/// pass (the fixture: twelve joins, a leave and a refresh logged by that
+/// code under this configuration), which drew a path's replacement keys
+/// leaf-first; the log ends in a refresh, whose one draw is the same
+/// whichever order the earlier operations used, so only the digests of the
+/// records before it tell.
+#[test]
+fn replay_that_builds_a_different_tree_fails_closed_on_the_digest() {
+    let config = ServerConfig { auth: AuthPolicy::None, seed: 0xD16E, ..ServerConfig::default() };
+    let store = |dir: &PathBuf| -> BTreeMap<PathBuf, Vec<u8>> {
+        let files = std::fs::read_dir(dir).expect("store directory");
+        files.map(|e| e.unwrap().path()).map(|p| (p.clone(), std::fs::read(p).unwrap())).collect()
+    };
+    let refused = |config: &ServerConfig, dir: &PathBuf| {
+        let before = store(dir);
+        let result = GroupKeyServer::recover(config.clone(), AccessControl::AllowAll, dir, pcfg());
+        assert!(matches!(result, Err(RecoverError::DigestMismatch)), "{:?}", result.err());
+        assert_eq!(store(dir), before, "a refused recovery must not touch the store");
+    };
+
+    let dir = scratch_dir("digest");
+    let mut server =
+        GroupKeyServer::with_persistence(config.clone(), AccessControl::AllowAll, &dir, pcfg())
+            .expect("create persistent server");
+    for u in 0..12 {
+        server.handle_join(UserId(u)).expect("join");
+    }
+    server.handle_leave(UserId(5)).expect("leave");
+    server.refresh_group_key().expect("refresh");
+    drop(server);
+    refused(&ServerConfig { degree: config.degree + 1, ..config.clone() }, &dir);
+    let recovered = GroupKeyServer::recover(config.clone(), AccessControl::AllowAll, &dir, pcfg())
+        .expect("the store still recovers under the configuration that wrote it");
+    assert_eq!(recovered.group_size(), 11);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = scratch_dir("leaf-first");
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = include_bytes!("fixtures/wal-per-op-leaf-first.kgl");
+    std::fs::write(dir.join("wal-0.kgl"), log).unwrap();
+    refused(&config, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Recovery composes with everything else the server does: ACL denials,
