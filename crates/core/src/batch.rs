@@ -391,7 +391,8 @@ impl KeyTree {
             );
             node.version = new_ref.version;
             let (old_ref, old_key) = split_from.unwrap_or(own);
-            let children = Vec::new(); // filled in once every marked child holds its new key
+            // Children are filled in once every marked child holds its new key.
+            let children = Vec::new();
             marked.push(MarkedNode {
                 label: new_ref.label,
                 new_ref,

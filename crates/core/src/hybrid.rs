@@ -24,7 +24,7 @@
 //!   messages (group-oriented).
 
 use crate::batch::BatchEvent;
-use crate::rekey::{OpCounts, Recipients, RekeyMessage, RekeyOutput, Rekeyer};
+use crate::rekey::{unicast_joiners, OpCounts, Recipients, RekeyMessage, RekeyOutput, Rekeyer};
 
 impl Rekeyer<'_> {
     /// Hybrid rekeying for the event of a single join. The top-level
@@ -56,12 +56,7 @@ impl Rekeyer<'_> {
             messages.push(RekeyMessage { recipients: Recipients::Subgroup(child.label), bundles });
         }
 
-        // Joiner unicast with the full new path.
-        for j in &ev.joins {
-            let targets: Vec<_> = j.path.iter().map(|(r, k)| (*r, k)).collect();
-            let b = sealer.bundle(&mut ops, j.leaf_ref, &j.leaf_key, &targets);
-            messages.push(RekeyMessage { recipients: Recipients::User(j.user), bundles: vec![b] });
-        }
+        unicast_joiners(&mut sealer, &mut ops, ev, &mut messages);
         RekeyOutput { messages, ops }
     }
 

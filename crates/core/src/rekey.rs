@@ -489,14 +489,23 @@ fn build_join(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> R
         Strategy::Derived => ops.keys_generated = 0,
     }
 
-    // All strategies unicast the full new path to the joiner under its
-    // individual key.
+    unicast_joiners(sealer, &mut ops, ev, &mut messages);
+    RekeyOutput { messages, ops }
+}
+
+/// What every construction does for a joiner, last and in event order: its
+/// full new path, root-first, in one unicast under its individual key.
+pub(crate) fn unicast_joiners(
+    sealer: &mut Sealer<'_>,
+    ops: &mut OpCounts,
+    ev: &BatchEvent,
+    messages: &mut Vec<RekeyMessage>,
+) {
     for j in &ev.joins {
         let targets: Vec<(KeyRef, &SymmetricKey)> = j.path.iter().map(|(r, k)| (*r, k)).collect();
-        let b = sealer.bundle(&mut ops, j.leaf_ref, &j.leaf_key, &targets);
+        let b = sealer.bundle(ops, j.leaf_ref, &j.leaf_key, &targets);
         messages.push(RekeyMessage { recipients: Recipients::User(j.user), bundles: vec![b] });
     }
-    RekeyOutput { messages, ops }
 }
 
 /// Construct one batch interval's consolidated rekey messages: the natural
@@ -631,14 +640,7 @@ fn build_batch(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> 
         }
     }
 
-    // All strategies: each joiner gets its full new path in one
-    // unicast under its individual key.
-    for j in &ev.joins {
-        let targets: Vec<(KeyRef, &SymmetricKey)> = j.path.iter().map(|(r, k)| (*r, k)).collect();
-        let b = sealer.bundle(&mut ops, j.leaf_ref, &j.leaf_key, &targets);
-        messages.push(RekeyMessage { recipients: Recipients::User(j.user), bundles: vec![b] });
-    }
-
+    unicast_joiners(sealer, &mut ops, ev, &mut messages);
     RekeyOutput { messages, ops }
 }
 

@@ -945,7 +945,12 @@ impl GroupKeyServer {
     ) -> Result<(BatchEvent, ProcessedOp), RequestError> {
         let _op_span = self.obs.span(OP_SPANS[kind.tag() as usize]);
         let started = Instant::now();
-        let derived = self.config.strategy == Strategy::Derived && leaves.is_empty();
+        let strategy = if leaves.is_empty() {
+            self.config.strategy
+        } else {
+            self.config.strategy.shipped_fallback()
+        };
+        let derived = strategy == Strategy::Derived;
         let code = if derived { self.keygen.generate(DERIVATION_CODE_LEN) } else { Vec::new() };
         let event = {
             let _s = self.obs.span("tree");
@@ -954,11 +959,6 @@ impl GroupKeyServer {
         };
         let out = {
             let _s = self.obs.span("encrypt");
-            let strategy = if leaves.is_empty() {
-                self.config.strategy
-            } else {
-                self.config.strategy.shipped_fallback()
-            };
             let mut rekeyer = Rekeyer::new(self.config.cipher, &mut self.ivs);
             match kind {
                 OpKind::Join | OpKind::Refresh => rekeyer.join(&event, strategy),
