@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kg_client::{Client, VerifyPolicy};
 use kg_core::ids::UserId;
-use kg_core::rekey::{Recipients, Strategy};
+use kg_core::rekey::Strategy;
 use kg_server::{AccessControl, AuthPolicy, GroupKeyServer, ServerConfig};
 
 /// Build a server + one synchronized client, and produce the leave packet
@@ -21,7 +21,7 @@ fn setup(strategy: Strategy, auth: AuthPolicy) -> (Client, Vec<u8>) {
     for i in 0..256u64 {
         let op = server.handle_join(UserId(i)).unwrap();
         if i == 0 {
-            let g = op.join_grant.clone().unwrap();
+            let g = op.grants[0].clone();
             let verify = match server.public_key() {
                 Some(pk) => {
                     VerifyPolicy::RequireSignature { alg: server.config().digest, key: pk.clone() }
@@ -44,15 +44,7 @@ fn setup(strategy: Strategy, auth: AuthPolicy) -> (Client, Vec<u8>) {
     let op = server.handle_leave(UserId(200)).unwrap();
     let mut the_packet = None;
     for (p, bytes) in op.packets.iter().zip(&op.encoded) {
-        let mine = match &p.recipients {
-            Recipients::Group => true,
-            Recipients::User(u) => *u == observer,
-            Recipients::Subgroup(l) => server.tree().userset(*l).contains(&observer),
-            Recipients::SubgroupExcept { include, exclude } => {
-                server.tree().userset_except(*include, *exclude).contains(&observer)
-            }
-        };
-        if mine {
+        if server.tree().resolve(&p.recipients).contains(&observer) {
             the_packet = Some(bytes.clone());
             break;
         }

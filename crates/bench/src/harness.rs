@@ -144,14 +144,7 @@ fn run_once(
         a.requests += 1.0;
         a.members += members;
         for (p, bytes) in op.packets.iter().zip(&op.encoded) {
-            let recipients = match &p.recipients {
-                Recipients::User(u) => usize::from(server.is_member(*u)),
-                Recipients::Subgroup(l) => server.tree().userset(*l).len(),
-                Recipients::SubgroupExcept { include, exclude } => {
-                    server.tree().userset_except(*include, *exclude).len()
-                }
-                Recipients::Group => server.group_size(),
-            } as f64;
+            let recipients = server.tree().resolve(&p.recipients).len() as f64;
             a.msgs_received += recipients;
             a.bytes_received += recipients * bytes.len() as f64;
         }
@@ -344,8 +337,8 @@ pub fn run_batch_comparison(config: &BatchConfig) -> BatchComparison {
             config.mean_interarrival_ms,
             seed,
         );
-        let (p, b) =
-            (per_op_costs(config, &workload, seed), batched_costs(config, &workload, seed));
+        let p = rekey_costs(config, &workload, seed, false);
+        let b = rekey_costs(config, &workload, seed, true);
         per_op.encryptions += p.encryptions;
         per_op.multicasts += p.multicasts;
         per_op.unicasts += p.unicasts;
@@ -368,78 +361,55 @@ pub fn run_batch_comparison(config: &BatchConfig) -> BatchComparison {
     BatchComparison { config: config.clone(), per_op, batched }
 }
 
-fn per_op_costs(
+/// Total rekey costs of `workload` on one server, rekeying after every
+/// request or — `batched` — every `batch_size` requests. One loop serves
+/// both: a request the server queues returns nothing to deliver, and
+/// `tick` returns nothing on a server that has already rekeyed.
+fn rekey_costs(
     config: &BatchConfig,
     workload: &crate::workload::ChurnWorkload,
     seed: u64,
+    batched: bool,
 ) -> RekeyCosts {
-    let server_config = ServerConfig::builder()
+    let mut builder = ServerConfig::builder()
         .degree(config.degree)
         .strategy(config.strategy)
         .auth(AuthPolicy::None)
-        .seed(seed)
-        .build()
-        .expect("valid bench config");
+        .seed(seed);
+    if batched {
+        // Depth-triggered flushing: the queue drains every `batch_size`
+        // requests, making the batch size exact. The Poisson clock still
+        // drives `tick`, so interval-triggered flushing is exercised when
+        // the configured interval elapses first.
+        builder = builder.batched(u64::MAX / 4, config.batch_size);
+    }
+    let server_config = builder.build().expect("valid bench config");
     let mut server = GroupKeyServer::new(server_config, AccessControl::AllowAll);
     for &u in &workload.initial {
         server.handle_join(u).expect("initial join");
     }
-    server.reset_stats();
-    let mut costs = RekeyCosts::default();
-    for t in &workload.arrivals {
-        let op = match t.request {
-            Request::Join(u) => server.handle_join(u).expect("join"),
-            Request::Leave(u) => server.handle_leave(u).expect("leave"),
-        };
-        costs
-            .add_packets(op.packets.iter().zip(&op.encoded).map(|(p, e)| (&p.recipients, e.len())));
-        costs.flushes += 1.0;
-    }
-    costs.encryptions = server.stats().records().iter().map(|r| r.encryptions as f64).sum();
-    costs
-}
-
-fn batched_costs(
-    config: &BatchConfig,
-    workload: &crate::workload::ChurnWorkload,
-    seed: u64,
-) -> RekeyCosts {
-    // Depth-triggered flushing: the queue drains every `batch_size`
-    // requests, making the batch size exact. The Poisson clock still
-    // drives `tick`, so interval-triggered flushing is exercised when
-    // the configured interval elapses first.
-    let server_config = ServerConfig::builder()
-        .degree(config.degree)
-        .strategy(config.strategy)
-        .auth(AuthPolicy::None)
-        .seed(seed)
-        .batched(u64::MAX / 4, config.batch_size)
-        .build()
-        .expect("valid bench config");
-    let mut server = GroupKeyServer::new(server_config, AccessControl::AllowAll);
-    for &u in &workload.initial {
-        server.enqueue_join(u).expect("initial enqueue");
-    }
     server.flush(0).expect("initial flush");
     server.reset_stats();
     let mut costs = RekeyCosts::default();
-    let absorb = |costs: &mut RekeyCosts, batch: kg_server::ProcessedBatch| {
-        costs.add_packets(
-            batch.packets.iter().zip(&batch.encoded).map(|(p, e)| (&p.recipients, e.len())),
-        );
+    let mut absorb = |op: kg_server::ProcessedOp| {
+        if op.delivery().next().is_none() {
+            return; // queued: its interval is accounted when it flushes
+        }
+        costs
+            .add_packets(op.packets.iter().zip(&op.encoded).map(|(p, e)| (&p.recipients, e.len())));
         costs.flushes += 1.0;
     };
     for t in &workload.arrivals {
-        match t.request {
-            Request::Join(u) => server.enqueue_join(u).expect("enqueue join"),
-            Request::Leave(u) => server.enqueue_leave(u).expect("enqueue leave"),
-        }
-        if let Some(batch) = server.tick(t.at_ms).expect("tick") {
-            absorb(&mut costs, batch);
+        absorb(match t.request {
+            Request::Join(u) => server.handle_join(u).expect("join"),
+            Request::Leave(u) => server.handle_leave(u).expect("leave"),
+        });
+        if let Some(op) = server.tick(t.at_ms).expect("tick") {
+            absorb(op);
         }
     }
-    if let Some(batch) = server.flush(workload.end_ms() + 1).expect("final flush") {
-        absorb(&mut costs, batch);
+    if let Some(op) = server.flush(workload.end_ms() + 1).expect("final flush") {
+        absorb(op);
     }
     costs.encryptions = server.stats().records().iter().map(|r| r.encryptions as f64).sum();
     costs

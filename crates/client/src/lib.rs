@@ -19,7 +19,7 @@
 //!
 //! let mut server = GroupKeyServer::new(ServerConfig::default(), AccessControl::AllowAll);
 //! let op = server.handle_join(UserId(1)).unwrap();
-//! let grant = op.join_grant.unwrap();
+//! let grant = op.grants[0].clone();
 //!
 //! let mut client = Client::new(UserId(1), server.config().cipher, VerifyPolicy::Opportunistic);
 //! client.install_grant(grant.individual_key, grant.leaf_label, &grant.path_labels);
@@ -424,7 +424,7 @@ mod tests {
 
     fn join_one(server: &mut GroupKeyServer, clients: &mut Vec<Client>, user: UserId) {
         let op = server.handle_join(user).unwrap();
-        let grant = op.join_grant.clone().unwrap();
+        let grant = op.grants[0].clone();
         let mut c = Client::new(user, server.config().cipher, verify_policy(server));
         c.install_grant(grant.individual_key, grant.leaf_label, &grant.path_labels);
         clients.push(c);
@@ -535,7 +535,7 @@ mod tests {
             // Count the join's rekey installs too (join_one delivers
             // internally, so replicate its steps here to capture the tally).
             let op = server.handle_join(UserId(1000 + i)).unwrap();
-            let grant = op.join_grant.clone().unwrap();
+            let grant = op.grants[0].clone();
             let mut c =
                 Client::new(UserId(1000 + i), server.config().cipher, verify_policy(&server));
             c.install_grant(grant.individual_key, grant.leaf_label, &grant.path_labels);
@@ -696,7 +696,7 @@ mod tests {
         };
         let mut server = GroupKeyServer::new(config, AccessControl::AllowAll);
         for i in 0..n {
-            server.enqueue_join(UserId(i)).unwrap();
+            server.handle_join(UserId(i)).unwrap();
         }
         let batch = server.flush(0).unwrap().unwrap();
         let mut clients = Vec::new();
@@ -718,13 +718,13 @@ mod tests {
         for strategy in Strategy::ALL {
             let (mut server, mut clients, _) = build_batched(strategy, AuthPolicy::None, 20);
             for u in [1u64, 5, 9] {
-                server.enqueue_leave(UserId(u)).unwrap();
+                server.handle_leave(UserId(u)).unwrap();
             }
             for u in 100..104u64 {
-                server.enqueue_join(UserId(u)).unwrap();
+                server.handle_join(UserId(u)).unwrap();
             }
             let batch = server.tick(10).unwrap().expect("interval elapsed");
-            assert_eq!(batch.interval, 2);
+            assert_eq!(batch.packets[0].interval, 2);
             // Separate the departed; admit the joiners.
             let mut departed: Vec<Client> = Vec::new();
             clients.retain_mut(|c| {
@@ -772,7 +772,7 @@ mod tests {
     fn stale_batch_interval_rejected() {
         let (mut server, mut clients, seed_encoded) =
             build_batched(Strategy::GroupOriented, AuthPolicy::None, 8);
-        server.enqueue_leave(UserId(0)).unwrap();
+        server.handle_leave(UserId(0)).unwrap();
         let batch = server.flush(10).unwrap().unwrap();
         clients.retain(|c| c.user() != UserId(0));
         for bytes in &batch.encoded {
@@ -795,7 +795,7 @@ mod tests {
     fn corrupt_batch_packet_rejected_atomically() {
         let (mut server, mut clients, _) =
             build_batched(Strategy::GroupOriented, AuthPolicy::None, 9);
-        server.enqueue_leave(UserId(4)).unwrap();
+        server.handle_leave(UserId(4)).unwrap();
         let batch = server.flush(10).unwrap().unwrap();
         clients.retain(|c| c.user() != UserId(4));
         // Corrupt a bundle some survivor can open directly (bundles under
@@ -975,7 +975,7 @@ mod tests {
     fn batch_auth_is_verified() {
         let (mut server, mut clients, _) =
             build_batched(Strategy::GroupOriented, AuthPolicy::SignBatch, 8);
-        server.enqueue_leave(UserId(2)).unwrap();
+        server.handle_leave(UserId(2)).unwrap();
         let batch = server.flush(10).unwrap().unwrap();
         clients.retain(|c| c.user() != UserId(2));
         for bytes in &batch.encoded {

@@ -16,12 +16,13 @@ use crate::map::group_seed;
 use bytes::Bytes;
 use kg_core::ids::UserId;
 use kg_core::rekey::Recipients;
-use kg_crypto::hmac::{hmac, verify_mac};
-use kg_crypto::md5::Md5;
+use kg_core::tree::TreeError;
 use kg_net::{EndpointId, Transport};
 use kg_obs::{Obs, ObsEvent, TraceContext};
 use kg_persist::PersistConfig;
-use kg_server::{AccessControl, GroupKeyServer, RecoverError, RequestError, ServerConfig};
+use kg_server::{
+    AccessControl, Delivery, GroupKeyServer, ProcessedOp, RecoverError, RequestError, ServerConfig,
+};
 use kg_wire::{ClusterBody, ClusterEnvelope, ControlMessage, GroupId, ShardId, TelemetrySnapshot};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -168,12 +169,22 @@ impl ShardNode {
         obs: Obs,
     ) -> Self {
         let endpoint = net.endpoint();
+        Self::attach(config, endpoint, router, obs, BTreeMap::new())
+    }
+
+    fn attach(
+        config: NodeConfig,
+        endpoint: EndpointId,
+        router: EndpointId,
+        obs: Obs,
+        groups: BTreeMap<GroupId, GroupKeyServer>,
+    ) -> Self {
         obs.set_trace_salt(endpoint.0 as u64);
         ShardNode {
             config,
             endpoint,
             router,
-            groups: BTreeMap::new(),
+            groups,
             obs,
             running: true,
             requests: 0,
@@ -219,21 +230,7 @@ impl ShardNode {
                 }
             }
         }
-        obs.set_trace_salt(endpoint.0 as u64);
-        Ok(ShardNode {
-            config,
-            endpoint,
-            router,
-            groups,
-            obs,
-            running: true,
-            requests: 0,
-            intervals: 0,
-            telemetry_seq: 0,
-            pushed_counters: BTreeMap::new(),
-            exported_seq: 0,
-            next_push_ms: 0,
-        })
+        Ok(Self::attach(config, endpoint, router, obs, groups))
     }
 
     /// Turn the periodic telemetry stream on (or retime it) after
@@ -310,214 +307,165 @@ impl ShardNode {
         net.send_unicast(self.endpoint, self.router, Bytes::from(env.encode()));
     }
 
-    /// Translate one rekey packet's recipients into relay envelopes. The
-    /// node resolves tree-structural recipients (subtrees) to explicit
+    /// Carry out one operation's [`delivery`](ProcessedOp::delivery) — a
+    /// request's, an interval's or a refresh's alike — as relay envelopes;
+    /// the only place acks, grants and rekey frames leave the node from.
+    /// Leave acks go first, so the router unsubscribes the departed from the
+    /// slice multicast before any of the operation's traffic is relayed.
+    /// The node resolves tree-structural recipients (subtrees) to explicit
     /// user lists against its own slice; the router maps users to
     /// endpoints.
-    fn relay_rekey<T: Transport>(
+    fn deliver<T: Transport>(
         &self,
         net: &mut T,
         group: GroupId,
-        recipients: &Recipients,
-        encoded: &[u8],
-    ) {
-        let server = self.groups.get(&group).expect("relay for hosted group");
-        let users = match recipients {
-            Recipients::Group => {
-                self.send(net, group, ClusterBody::RekeyGroup { payload: encoded.to_vec() });
-                return;
-            }
-            Recipients::User(u) => vec![*u],
-            Recipients::Subgroup(label) => server.tree().userset(*label),
-            Recipients::SubgroupExcept { include, exclude } => {
-                server.tree().userset_except(*include, *exclude)
-            }
-        };
-        for chunk in users.chunks(REKEY_USERS_CHUNK) {
-            self.send(
-                net,
-                group,
-                ClusterBody::RekeyUsers { users: chunk.to_vec(), payload: encoded.to_vec() },
-            );
-        }
-    }
-
-    fn relay_grant<T: Transport>(&self, net: &mut T, group: GroupId, grant: &kg_server::JoinGrant) {
-        self.send(
-            net,
-            group,
-            ClusterBody::Control(ControlMessage::JoinGranted {
-                user: grant.user,
-                leaf_label: grant.leaf_label,
-                path_labels: grant.path_labels.clone(),
-            }),
-        );
-        self.send(
-            net,
-            group,
-            ClusterBody::Grant {
-                user: grant.user,
-                key: grant.individual_key.material().to_vec(),
-                leaf_label: grant.leaf_label,
-                path_labels: grant.path_labels.clone(),
-            },
-        );
-    }
-
-    fn dispatch_batch<T: Transport>(
-        &mut self,
-        net: &mut T,
-        group: GroupId,
-        batch: kg_server::ProcessedBatch,
+        op: &ProcessedOp,
         events: &mut Vec<NodeEvent>,
     ) {
-        self.intervals += 1;
-        // Leave acks first, so the router unsubscribes the departed from
-        // the slice multicast before any interval traffic is relayed.
-        for &user in &batch.departed {
-            self.send(net, group, ClusterBody::Control(ControlMessage::LeaveGranted { user }));
-            events.push(NodeEvent::Left(group, user));
+        for step in op.delivery() {
+            match step {
+                Delivery::Evict(user) => {
+                    let ack = ControlMessage::LeaveGranted { user };
+                    self.send(net, group, ClusterBody::Control(ack));
+                    events.push(NodeEvent::Left(group, user));
+                }
+                Delivery::Admit(grant) => {
+                    let (user, leaf_label) = (grant.user, grant.leaf_label);
+                    let path_labels = grant.path_labels.clone();
+                    let ack = ControlMessage::JoinGranted {
+                        user,
+                        leaf_label,
+                        path_labels: path_labels.clone(),
+                    };
+                    self.send(net, group, ClusterBody::Control(ack));
+                    let key = grant.individual_key.material().to_vec();
+                    self.send(
+                        net,
+                        group,
+                        ClusterBody::Grant { user, key, leaf_label, path_labels },
+                    );
+                    events.push(NodeEvent::Joined(group, user));
+                }
+                Delivery::Frame(Recipients::Group, bytes) => {
+                    self.send(net, group, ClusterBody::RekeyGroup { payload: bytes.to_vec() });
+                }
+                Delivery::Frame(to, bytes) => {
+                    let Some(server) = self.groups.get(&group) else { continue };
+                    for chunk in server.tree().resolve(to).chunks(REKEY_USERS_CHUNK) {
+                        let body = ClusterBody::RekeyUsers {
+                            users: chunk.to_vec(),
+                            payload: bytes.to_vec(),
+                        };
+                        self.send(net, group, body);
+                    }
+                }
+            }
         }
-        for grant in &batch.grants {
-            self.relay_grant(net, group, grant);
-            events.push(NodeEvent::Joined(group, grant.user));
-        }
-        for (to, bytes) in batch.frames() {
-            self.relay_rekey(net, group, &to, bytes);
-        }
-        events.push(NodeEvent::Flushed {
-            group,
-            interval: batch.interval,
-            joined: batch.grants.len(),
-            left: batch.departed.len(),
-        });
     }
 
-    fn handle_join<T: Transport>(
+    /// Deliver what `group`'s slice flushed, if anything.
+    fn deliver_interval<T: Transport>(
         &mut self,
         net: &mut T,
         group: GroupId,
-        user: UserId,
-    ) -> NodeEvent {
-        self.requests += 1;
-        let server = match self.ensure_group(group) {
-            Ok(s) => s,
+        flushed: Result<Option<ProcessedOp>, RequestError>,
+        events: &mut Vec<NodeEvent>,
+    ) {
+        match flushed {
+            Ok(None) => {}
+            Ok(Some(op)) => {
+                self.intervals += 1;
+                self.deliver(net, group, &op, events);
+                events.push(NodeEvent::Flushed {
+                    group,
+                    interval: op.seq + 1,
+                    joined: op.grants.len(),
+                    left: op.departed.len(),
+                });
+            }
             Err(e) => {
-                self.send(net, group, ClusterBody::Control(ControlMessage::JoinDenied { user }));
-                return NodeEvent::Rejected(group, user, e);
-            }
-        };
-        if server.is_batched() {
-            match server.enqueue_join(user) {
-                Ok(()) => NodeEvent::Queued(group, user),
-                Err(e) => {
-                    self.send(
-                        net,
-                        group,
-                        ClusterBody::Control(ControlMessage::JoinDenied { user }),
-                    );
-                    NodeEvent::Rejected(group, user, e)
-                }
-            }
-        } else {
-            match server.handle_join(user) {
-                Err(e) => {
-                    self.send(
-                        net,
-                        group,
-                        ClusterBody::Control(ControlMessage::JoinDenied { user }),
-                    );
-                    NodeEvent::Rejected(group, user, e)
-                }
-                Ok(op) => {
-                    if let Some(grant) = op.join_grant.clone() {
-                        self.relay_grant(net, group, &grant);
-                    }
-                    for (to, bytes) in op.frames() {
-                        self.relay_rekey(net, group, &to, bytes);
-                    }
-                    NodeEvent::Joined(group, user)
-                }
+                self.obs.event(ObsEvent::FlushFailed { error: e.to_string() });
+                events.push(NodeEvent::Failed(group, e));
             }
         }
     }
 
-    fn handle_leave<T: Transport>(
+    fn join(&mut self, group: GroupId, user: UserId) -> Result<ProcessedOp, RequestError> {
+        // Admission control comes before the slice: a join the ACL denies
+        // must not create a key server (an RSA keypair, and with persistence
+        // a directory and a synced log) for a group the node does not host.
+        if !self.config.acl.permits(user) {
+            return Err(RequestError::JoinDenied(user));
+        }
+        self.ensure_group(group)?.handle_join(user)
+    }
+
+    fn leave(
         &mut self,
-        net: &mut T,
         group: GroupId,
         user: UserId,
         auth: &[u8],
-    ) -> NodeEvent {
-        self.requests += 1;
-        let deny = |node: &ShardNode, net: &mut T, e: RequestError| {
-            node.send(net, group, ClusterBody::Control(ControlMessage::LeaveDenied { user }));
-            NodeEvent::Rejected(group, user, e)
-        };
-        let not_member = RequestError::Tree(kg_core::tree::TreeError::NotAMember(user));
-        let Some(server) = self.groups.get_mut(&group) else {
-            return deny(self, net, not_member);
-        };
-        // Verify {leave-request}_{k_u} exactly as the single server does.
-        let authentic = server
-            .tree()
-            .keyset(user)
-            .and_then(|ks| ks.first().cloned())
-            .map(|(_, ik)| verify_mac(&hmac::<Md5>(ik.material(), &user.0.to_be_bytes()), auth))
-            .unwrap_or(false);
-        if !authentic {
-            return deny(self, net, not_member);
-        }
-        if server.is_batched() {
-            match server.enqueue_leave(user) {
-                Ok(()) => NodeEvent::Queued(group, user),
-                Err(e) => deny(self, net, e),
-            }
-        } else {
-            match server.handle_leave(user) {
-                Err(e) => deny(self, net, e),
-                Ok(op) => {
-                    self.send(
-                        net,
-                        group,
-                        ClusterBody::Control(ControlMessage::LeaveGranted { user }),
-                    );
-                    for (to, bytes) in op.frames() {
-                        self.relay_rekey(net, group, &to, bytes);
-                    }
-                    NodeEvent::Left(group, user)
-                }
-            }
+    ) -> Result<ProcessedOp, RequestError> {
+        match self.groups.get_mut(&group) {
+            Some(server) if server.leave_is_authentic(user, auth) => server.handle_leave(user),
+            _ => Err(RequestError::Tree(TreeError::NotAMember(user))),
         }
     }
 
-    fn handle_refresh<T: Transport>(&mut self, net: &mut T, group: GroupId) -> NodeEvent {
+    /// Answer `user`'s request: deny it, or deliver what it produced — which
+    /// is nothing yet when the slice queued it for a later interval.
+    fn answer<T: Transport>(
+        &mut self,
+        net: &mut T,
+        group: GroupId,
+        user: UserId,
+        result: Result<ProcessedOp, RequestError>,
+        deny: ControlMessage,
+        events: &mut Vec<NodeEvent>,
+    ) {
         self.requests += 1;
-        let Some(server) = self.groups.get_mut(&group) else {
-            // Nothing hosted here yet: rotating a nonexistent tree is a
-            // no-op, not an error (the admin broadcasts to the span).
-            return NodeEvent::Refreshed(group);
-        };
-        match server.refresh_group_key() {
-            Err(e) => NodeEvent::Failed(group, e),
+        match result {
+            Err(e) => {
+                self.send(net, group, ClusterBody::Control(deny));
+                events.push(NodeEvent::Rejected(group, user, e));
+            }
             Ok(op) => {
-                for (to, bytes) in op.frames() {
-                    self.relay_rekey(net, group, &to, bytes);
+                self.deliver(net, group, &op, events);
+                if op.delivery().next().is_none() {
+                    events.push(NodeEvent::Queued(group, user));
                 }
-                NodeEvent::Refreshed(group)
             }
         }
     }
 
-    fn handle_shutdown<T: Transport>(&mut self, net: &mut T, now_ms: u64) -> NodeEvent {
+    fn handle_refresh<T: Transport>(
+        &mut self,
+        net: &mut T,
+        group: GroupId,
+        events: &mut Vec<NodeEvent>,
+    ) {
+        self.requests += 1;
+        // Nothing hosted here yet: rotating a nonexistent tree is a no-op,
+        // not an error (the admin broadcasts to the span).
+        let refreshed = self.groups.get_mut(&group).map(GroupKeyServer::refresh_group_key);
+        match refreshed {
+            Some(Err(e)) => return events.push(NodeEvent::Failed(group, e)),
+            Some(Ok(op)) => self.deliver(net, group, &op, events),
+            None => {}
+        }
+        events.push(NodeEvent::Refreshed(group));
+    }
+
+    fn handle_shutdown<T: Transport>(
+        &mut self,
+        net: &mut T,
+        now_ms: u64,
+        events: &mut Vec<NodeEvent>,
+    ) {
         let groups: Vec<GroupId> = self.groups.keys().copied().collect();
-        let mut events = Vec::new();
         for group in groups {
-            match self.groups.get_mut(&group).expect("listed above").shutdown(now_ms) {
-                Ok(None) => {}
-                Ok(Some(batch)) => self.dispatch_batch(net, group, batch, &mut events),
-                Err(e) => events.push(NodeEvent::Failed(group, e)),
-            }
+            let flushed = self.groups.get_mut(&group).expect("listed above").shutdown(now_ms);
+            self.deliver_interval(net, group, flushed, events);
         }
         let members = self.member_total();
         let wal_tail = self.wal_tail_total();
@@ -528,7 +476,7 @@ impl ShardNode {
         }
         self.send(net, GroupId(0), ClusterBody::ShutdownAck { members, wal_tail });
         self.running = false;
-        NodeEvent::ShutdownComplete { members, wal_tail }
+        events.push(NodeEvent::ShutdownComplete { members, wal_tail });
     }
 
     /// Build and push one bounded telemetry snapshot: counter deltas
@@ -618,17 +566,21 @@ impl ShardNode {
             let _span = env.trace.map(|_| self.obs.span("node.parse"));
             match env.body {
                 ClusterBody::Control(ControlMessage::JoinRequest { user }) => {
-                    events.push(self.handle_join(net, group, user));
+                    let result = self.join(group, user);
+                    let deny = ControlMessage::JoinDenied { user };
+                    self.answer(net, group, user, result, deny, &mut events);
                 }
                 ClusterBody::Control(ControlMessage::LeaveRequest { user, auth }) => {
-                    events.push(self.handle_leave(net, group, user, &auth));
+                    let result = self.leave(group, user, &auth);
+                    let deny = ControlMessage::LeaveDenied { user };
+                    self.answer(net, group, user, result, deny, &mut events);
                 }
-                ClusterBody::Refresh => events.push(self.handle_refresh(net, group)),
+                ClusterBody::Refresh => self.handle_refresh(net, group, &mut events),
                 ClusterBody::Shutdown => {
                     // now_ms from the transport clock: the shard has no
                     // driver-supplied deadline during an admin shutdown.
                     let now_ms = net.now_us() / 1000;
-                    events.push(self.handle_shutdown(net, now_ms));
+                    self.handle_shutdown(net, now_ms, &mut events);
                 }
                 ClusterBody::StatsRequest => {
                     let report = self.stats_report();
@@ -649,14 +601,8 @@ impl ShardNode {
         let mut events = self.poll(net);
         let groups: Vec<GroupId> = self.groups.keys().copied().collect();
         for group in groups {
-            match self.groups.get_mut(&group).expect("listed above").tick(now_ms) {
-                Ok(None) => {}
-                Ok(Some(batch)) => self.dispatch_batch(net, group, batch, &mut events),
-                Err(e) => {
-                    self.obs.event(ObsEvent::FlushFailed { error: e.to_string() });
-                    events.push(NodeEvent::Failed(group, e));
-                }
-            }
+            let flushed = self.groups.get_mut(&group).expect("listed above").tick(now_ms);
+            self.deliver_interval(net, group, flushed, &mut events);
         }
         if let Some(interval) = self.config.telemetry_interval_ms {
             if self.running && now_ms >= self.next_push_ms {

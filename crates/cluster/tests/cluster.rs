@@ -8,12 +8,16 @@
 //! rebuilt per slice with the same [`group_seed`]-derived config the node
 //! uses, so key material (not just membership) must match byte for byte.
 
+use bytes::Bytes;
 use kg_cluster::{group_seed, ShardMap, SimCluster};
 use kg_core::ids::UserId;
 use kg_core::rekey::Strategy;
-use kg_net::NetConfig;
+use kg_net::{EndpointId, NetConfig, SimNetwork};
+use kg_server::net::{leave_authenticator, NetServer, ServerEvent};
 use kg_server::{AccessControl, GroupKeyServer, RekeyPolicy, ServerConfig};
-use kg_wire::{GroupId, ShardId};
+use kg_wire::{
+    ClusterBody, ClusterEnvelope, ControlMessage, GroupId, RekeyPacket, ShardId, ROUTER_SHARD,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -87,21 +91,11 @@ impl Reference {
         match op {
             Op::Join(g, u) => {
                 let shard = self.map.owner(g, u);
-                let s = self.server(g, shard);
-                if s.is_batched() {
-                    s.enqueue_join(u).expect("reference enqueue join");
-                } else {
-                    s.handle_join(u).expect("reference join");
-                }
+                self.server(g, shard).handle_join(u).expect("reference join");
             }
             Op::Leave(g, u) => {
                 let shard = self.map.owner(g, u);
-                let s = self.server(g, shard);
-                if s.is_batched() {
-                    s.enqueue_leave(u).expect("reference enqueue leave");
-                } else {
-                    s.handle_leave(u).expect("reference leave");
-                }
+                self.server(g, shard).handle_leave(u).expect("reference leave");
             }
             Op::Refresh(g) => {
                 // The router forwards to the span in shard order; only
@@ -528,5 +522,277 @@ fn clean_shutdown_leaves_zero_wal_tail() {
     for node in &cluster.nodes {
         assert_eq!(node.wal_tail_total(), 0, "nothing replayed on {:?}", node.shard());
     }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+// ---------------------------------------------------------------------------
+// Delivery order: one scenario, every front-end and configuration.
+// ---------------------------------------------------------------------------
+
+/// What a member's endpoint received, in arrival order. (The cluster's
+/// out-of-band `Grant` envelope is consumed for its key, not listed.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seen {
+    JoinGranted,
+    JoinDenied,
+    LeaveGranted,
+    Rekey,
+}
+
+/// A key-server deployment as one member-facing surface: the single
+/// `NetServer`, or a router with shard nodes behind it.
+trait FrontEnd {
+    /// Send `user`'s join request from the user's own endpoint.
+    fn join(&mut self, user: UserId);
+    /// Send `user`'s authenticated leave request from its endpoint.
+    fn leave(&mut self, user: UserId);
+    /// Let every request in flight reach its server and every answer its
+    /// member, without advancing the clock.
+    fn settle(&mut self);
+    /// [`Self::settle`], then advance one rekey interval, tick, and settle.
+    fn step(&mut self);
+    /// Drain `user`'s inbox.
+    fn drain(&mut self, user: UserId) -> Vec<Seen>;
+}
+
+fn classify(payload: &[u8]) -> Seen {
+    match ControlMessage::decode(payload) {
+        Ok(ControlMessage::JoinGranted { .. }) => Seen::JoinGranted,
+        Ok(ControlMessage::JoinDenied { .. }) => Seen::JoinDenied,
+        Ok(ControlMessage::LeaveGranted { .. }) => Seen::LeaveGranted,
+        Ok(other) => panic!("unexpected control message at a member: {other:?}"),
+        Err(_) => {
+            assert!(RekeyPacket::sniff(payload), "neither an ack nor a rekey packet");
+            Seen::Rekey
+        }
+    }
+}
+
+struct Single {
+    net: SimNetwork,
+    server: NetServer,
+    eps: BTreeMap<UserId, EndpointId>,
+    keys: BTreeMap<UserId, Vec<u8>>,
+    now_ms: u64,
+}
+
+impl Single {
+    fn new(config: ServerConfig, acl: AccessControl) -> Self {
+        let mut net = SimNetwork::new(lan());
+        let server = NetServer::new(GroupKeyServer::new(config, acl), &mut net);
+        Single { net, server, eps: BTreeMap::new(), keys: BTreeMap::new(), now_ms: 0 }
+    }
+
+    fn request(&mut self, user: UserId, msg: ControlMessage) {
+        let net = &mut self.net;
+        let ep = *self.eps.entry(user).or_insert_with(|| net.endpoint());
+        net.send_unicast(ep, self.server.endpoint(), Bytes::from(msg.encode()));
+    }
+
+    fn absorb(&mut self, events: Vec<ServerEvent>) {
+        for event in events {
+            if let ServerEvent::Joined(grant) = event {
+                self.keys.insert(grant.user, grant.individual_key.material().to_vec());
+            }
+        }
+        self.net.run_until_quiet();
+    }
+}
+
+impl FrontEnd for Single {
+    fn join(&mut self, user: UserId) {
+        self.request(user, ControlMessage::JoinRequest { user });
+    }
+
+    fn leave(&mut self, user: UserId) {
+        let auth = leave_authenticator(user, &self.keys[&user]);
+        self.request(user, ControlMessage::LeaveRequest { user, auth });
+    }
+
+    fn settle(&mut self) {
+        self.net.run_until_quiet();
+        let events = self.server.poll(&mut self.net);
+        self.absorb(events);
+    }
+
+    fn step(&mut self) {
+        self.settle();
+        self.now_ms += INTERVAL_MS;
+        let events = self.server.tick(&mut self.net, self.now_ms);
+        self.absorb(events);
+    }
+
+    fn drain(&mut self, user: UserId) -> Vec<Seen> {
+        let ep = self.eps[&user];
+        std::iter::from_fn(|| self.net.recv(ep)).map(|dg| classify(&dg.payload)).collect()
+    }
+}
+
+/// One shard, one group: the cluster that must be indistinguishable from
+/// [`Single`]. Driven through the public fields rather than
+/// `SimCluster::settle`, which would drain the member inboxes this
+/// scenario reads.
+struct Sharded {
+    cluster: SimCluster,
+    keys: BTreeMap<UserId, Vec<u8>>,
+    now_ms: u64,
+}
+
+const SHARDED_GROUP: GroupId = GroupId(2);
+
+impl Sharded {
+    fn new(
+        config: ServerConfig,
+        acl: AccessControl,
+        persist_root: Option<&std::path::Path>,
+    ) -> Self {
+        let cluster = SimCluster::new(ShardMap::new(1), config, acl, lan(), persist_root);
+        Sharded { cluster, keys: BTreeMap::new(), now_ms: 0 }
+    }
+}
+
+impl FrontEnd for Sharded {
+    fn join(&mut self, user: UserId) {
+        self.cluster.join(SHARDED_GROUP, user);
+    }
+
+    fn leave(&mut self, user: UserId) {
+        let auth = leave_authenticator(user, &self.keys[&user]);
+        let msg = ControlMessage::LeaveRequest { user, auth };
+        let env = ClusterEnvelope::new(ROUTER_SHARD, SHARDED_GROUP, ClusterBody::Control(msg));
+        let ep = self.cluster.client_endpoint(SHARDED_GROUP, user);
+        let router = self.cluster.router.endpoint();
+        self.cluster.net.send_unicast(ep, router, Bytes::from(env.encode()));
+    }
+
+    fn settle(&mut self) {
+        let c = &mut self.cluster;
+        loop {
+            c.net.run_until_quiet();
+            let mut progress = !c.router.poll(&mut c.net).is_empty();
+            for node in &mut c.nodes {
+                progress |= !node.poll(&mut c.net).is_empty();
+            }
+            if !progress {
+                return;
+            }
+        }
+    }
+
+    fn step(&mut self) {
+        self.settle();
+        self.now_ms += INTERVAL_MS;
+        for node in &mut self.cluster.nodes {
+            node.tick(&mut self.cluster.net, self.now_ms);
+        }
+        self.settle();
+    }
+
+    fn drain(&mut self, user: UserId) -> Vec<Seen> {
+        let ep = self.cluster.client_endpoint(SHARDED_GROUP, user);
+        let mut seen = Vec::new();
+        while let Some(dg) = self.cluster.net.recv(ep) {
+            if !ClusterEnvelope::sniff(&dg.payload) {
+                seen.push(classify(&dg.payload));
+            } else if let Ok(ClusterEnvelope {
+                body: ClusterBody::Grant { user, key, .. }, ..
+            }) = ClusterEnvelope::decode(&dg.payload)
+            {
+                self.keys.insert(user, key);
+            }
+        }
+        seen
+    }
+}
+
+/// The security-relevant order of delivery, which every front-end takes
+/// from `ProcessedOp::delivery`: a departed member's endpoint sees its
+/// `LeaveGranted` and nothing after it, and a joiner sees `JoinGranted`
+/// before its first rekey packet — whether the request was carried out on
+/// arrival or with its interval.
+fn delivery_order_scenario(fe: &mut dyn FrontEnd, what: &str) {
+    let joined_then_keyed = |seen: &[Seen], who: &str| {
+        let ack = seen.iter().position(|s| *s == Seen::JoinGranted);
+        let rekey = seen.iter().position(|s| *s == Seen::Rekey);
+        assert!(ack.is_some() && rekey.is_some(), "{what}: {who} saw {seen:?}");
+        assert!(ack < rekey, "{what}: {who} got a rekey packet before its ack: {seen:?}");
+    };
+    for u in 1..=4 {
+        fe.join(UserId(u));
+    }
+    fe.step();
+    for u in 1..=4 {
+        joined_then_keyed(&fe.drain(UserId(u)), "a founder");
+    }
+
+    // A leave and a join (one interval, on a batching server).
+    fe.leave(UserId(1));
+    fe.join(UserId(5));
+    fe.step();
+    assert_eq!(fe.drain(UserId(1)), [Seen::LeaveGranted], "{what}: the departed member's inbox");
+    joined_then_keyed(&fe.drain(UserId(5)), "the newcomer");
+    assert!(fe.drain(UserId(2)).contains(&Seen::Rekey), "{what}: survivors are rekeyed");
+
+    // Leave, then rejoin before the clock moves: inside one interval on a
+    // batching server (not a departure), two operations otherwise. Either
+    // way the member ends up admitted, acked last with a grant, and still
+    // subscribed when the next operation's traffic goes out.
+    fe.leave(UserId(2));
+    fe.settle();
+    fe.join(UserId(2));
+    fe.step();
+    let seen = fe.drain(UserId(2));
+    let granted = seen.iter().rposition(|s| *s == Seen::JoinGranted);
+    let granted = granted.unwrap_or_else(|| panic!("{what}: the rejoiner saw {seen:?}"));
+    joined_then_keyed(&seen[granted..], "the rejoiner");
+    assert!(!seen[granted..].contains(&Seen::LeaveGranted), "{what}: the rejoiner saw {seen:?}");
+    fe.drain(UserId(3));
+    fe.leave(UserId(3));
+    fe.step();
+    assert_eq!(fe.drain(UserId(3)), [Seen::LeaveGranted], "{what}: the second departure");
+    assert!(fe.drain(UserId(2)).contains(&Seen::Rekey), "{what}: the rejoiner stayed subscribed");
+}
+
+#[test]
+fn departed_see_their_ack_last_and_joiners_see_theirs_first() {
+    for batched in [false, true] {
+        for strategy in Strategy::EVERY {
+            let config = ServerConfig { strategy, ..template(3, batched) };
+            let what = format!("{strategy:?}, batched = {batched}");
+            let acl = AccessControl::AllowAll;
+            delivery_order_scenario(
+                &mut Single::new(config.clone(), acl.clone()),
+                &format!("NetServer, {what}"),
+            );
+            delivery_order_scenario(
+                &mut Sharded::new(config, acl, None),
+                &format!("one-shard cluster, {what}"),
+            );
+        }
+    }
+}
+
+/// Admission control comes before the slice exists: a join the ACL denies
+/// for a group the node does not host yet is answered `JoinDenied` without
+/// building a key server or touching the disk.
+#[test]
+fn denied_first_join_creates_no_slice() {
+    let root = unique_dir("denied");
+    let acl = AccessControl::allow_list([UserId(1)]);
+    let mut fe = Sharded::new(template(4, false), acl, Some(&root));
+    fe.join(UserId(7));
+    fe.step();
+    assert_eq!(fe.drain(UserId(7)), [Seen::JoinDenied]);
+    let node = &fe.cluster.nodes[0];
+    assert_eq!(node.slices().count(), 0, "no key server for a denied join");
+    let slice_dir = root.join("shard-0").join(format!("group-{}", SHARDED_GROUP.0));
+    assert!(!slice_dir.exists(), "no store for a denied join");
+
+    // The permitted user's join then creates both.
+    fe.join(UserId(1));
+    fe.step();
+    assert_eq!(fe.drain(UserId(1))[0], Seen::JoinGranted);
+    assert_eq!(fe.cluster.nodes[0].slices().count(), 1);
+    assert!(slice_dir.exists());
     std::fs::remove_dir_all(&root).ok();
 }

@@ -49,6 +49,7 @@
 //! them.
 
 use crate::ids::{KeyLabel, KeyRef, KeyVersion, UserId};
+use crate::rekey::Recipients;
 use kg_crypto::{KeySource, SymmetricKey};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -263,6 +264,19 @@ impl KeyTree {
         let excluded: std::collections::BTreeSet<UserId> =
             self.userset(exclude).into_iter().collect();
         self.userset(include).into_iter().filter(|u| !excluded.contains(u)).collect()
+    }
+
+    /// The users a rekey message addressed to `to` reaches in this tree
+    /// (`Group` is every member; a `User` is named, member or not).
+    pub fn resolve(&self, to: &Recipients) -> Vec<UserId> {
+        match to {
+            Recipients::User(u) => vec![*u],
+            Recipients::Subgroup(label) => self.userset(*label),
+            Recipients::SubgroupExcept { include, exclude } => {
+                self.userset_except(*include, *exclude)
+            }
+            Recipients::Group => self.members().collect(),
+        }
     }
 
     /// Snapshot of the tree as a general [`crate::keygraph::KeyGraph`]

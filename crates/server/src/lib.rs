@@ -42,7 +42,7 @@ pub use config::{AuthPolicy, ConfigError, RekeyPolicy, ServerConfig};
 pub use scheduler::{BatchPolicy, BatchScheduler, PendingBatch};
 pub use stats::{Aggregate, OpRecord, ServerStats};
 
-use kg_core::batch::{BatchEvent, NewKeyMode};
+use kg_core::batch::NewKeyMode;
 use kg_core::derive::{DerivedLink, DERIVATION_CODE_LEN};
 use kg_core::ids::{KeyLabel, UserId};
 use kg_core::merkle;
@@ -50,6 +50,7 @@ use kg_core::rekey::{Recipients, RekeyOutput, Rekeyer, Strategy};
 use kg_core::serial;
 use kg_core::tree::{KeyTree, TreeError};
 use kg_crypto::drbg::HmacDrbg;
+use kg_crypto::hmac::verify_mac;
 use kg_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use kg_crypto::{KeySource, SymmetricKey};
 use kg_obs::{Counter, Obs, ObsEvent};
@@ -70,9 +71,6 @@ pub enum RequestError {
     JoinDenied(UserId),
     /// Tree-level membership error (duplicate join / unknown leaver).
     Tree(TreeError),
-    /// A batched-mode call (`enqueue_*`) on a server configured for
-    /// immediate rekeying.
-    NotBatched,
     /// The write-ahead log could not be appended or the snapshot could
     /// not be installed. The op itself was applied in memory, but its
     /// durability is not guaranteed: a persistent server that returns
@@ -89,9 +87,6 @@ impl std::fmt::Display for RequestError {
         match self {
             RequestError::JoinDenied(u) => write!(f, "join denied for {u}"),
             RequestError::Tree(e) => write!(f, "{e}"),
-            RequestError::NotBatched => {
-                write!(f, "server is configured for immediate rekeying")
-            }
             RequestError::Persist(detail) => write!(f, "persistence failure: {detail}"),
             RequestError::Internal(what) => write!(f, "internal error: {what}"),
         }
@@ -168,37 +163,65 @@ impl From<PersistError> for RecoverError {
     }
 }
 
-/// Result of processing one join, leave or refresh.
-#[derive(Debug, Clone)]
+/// Result of one request or one rekey: a join, a leave, a refresh or a
+/// flushed batch interval. A request a batching server queued for a later
+/// interval is the operation with nothing to deliver yet.
+#[derive(Debug, Clone, Default)]
 pub struct ProcessedOp {
-    /// Sequence number assigned to this operation.
+    /// Sequence number assigned to this operation (for a queued request,
+    /// the number the next operation will take). Its packets carry the
+    /// interval number `seq + 1`.
     pub seq: u64,
     /// Fully authenticated rekey packets, ready to send: one per recipient
     /// class under the shipped strategies, at most one group multicast
     /// under `strategy = derived` (the derivation code, the changed-key
-    /// worklist, and any shipped bundles — the joiner's path; a leave's
-    /// whole payload).
+    /// worklist, and any shipped bundles — the joiners' paths; the whole
+    /// payload of anything containing a leave).
     pub packets: Vec<RekeyPacket>,
     /// Encoded form of each packet (computed inside the timed section, as
     /// the paper's processing time includes message construction).
     pub encoded: Vec<Vec<u8>>,
-    /// For joins: the individual key handed to the new member by the
-    /// authentication exchange, plus its leaf label and the path labels
-    /// (root-first) for the join-ack.
-    pub join_grant: Option<JoinGrant>,
+    /// One grant per user this operation admitted (the out-of-band
+    /// authentication-exchange payload).
+    pub grants: Vec<JoinGrant>,
+    /// Users this operation removed (a leave-then-rejoin inside one
+    /// interval is not a departure: the member keeps its place and gets a
+    /// new grant).
+    pub departed: Vec<UserId>,
+}
+
+/// One step of delivering a [`ProcessedOp`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Delivery<'a> {
+    /// Remove the departed member from every delivery structure, then ack
+    /// its leave.
+    Evict(UserId),
+    /// Subscribe the admitted member, then ack its join with the labels the
+    /// grant describes.
+    Admit(&'a JoinGrant),
+    /// Send one encoded rekey packet to its recipients, resolved against
+    /// the server's current (post-operation) tree.
+    Frame(&'a Recipients, &'a [u8]),
 }
 
 impl ProcessedOp {
-    /// Every frame to send, paired with its recipients. (A derived packet
-    /// is one group multicast: its sealed bundles are only decryptable by
-    /// their intended holders, so widening delivery leaks nothing.)
-    pub fn frames(&self) -> Vec<(Recipients, &[u8])> {
-        frames(&self.packets, &self.encoded)
+    /// Everything a front-end does to deliver this operation, in the order
+    /// it must do it: the departed are evicted and acked *before* any rekey
+    /// frame goes out, so none of the new keys reaches them; joiners are
+    /// subscribed and acked before the frames, so they receive their path.
+    /// (A derived packet is one group multicast: its sealed bundles are
+    /// only decryptable by their intended holders, so widening delivery
+    /// leaks nothing.)
+    pub fn delivery(&self) -> impl Iterator<Item = Delivery<'_>> {
+        let evictions = self.departed.iter().map(|&u| Delivery::Evict(u));
+        let admissions = self.grants.iter().map(Delivery::Admit);
+        let frames = self
+            .packets
+            .iter()
+            .zip(&self.encoded)
+            .map(|(p, bytes)| Delivery::Frame(&p.recipients, bytes.as_slice()));
+        evictions.chain(admissions).chain(frames)
     }
-}
-
-fn frames<'a>(packets: &[RekeyPacket], encoded: &'a [Vec<u8>]) -> Vec<(Recipients, &'a [u8])> {
-    packets.iter().zip(encoded).map(|(p, bytes)| (p.recipients.clone(), bytes.as_slice())).collect()
 }
 
 /// The data a joining member receives out-of-band (via the authenticated
@@ -213,47 +236,6 @@ pub struct JoinGrant {
     pub leaf_label: KeyLabel,
     /// Labels of the path keys, root-first (the join-ack payload).
     pub path_labels: Vec<KeyLabel>,
-}
-
-/// Result of flushing one batched rekey interval.
-#[derive(Debug, Clone)]
-pub struct ProcessedBatch {
-    /// The scheduler's interval number (1-based count of flushed
-    /// intervals).
-    pub interval: u64,
-    /// Fully authenticated rekey packets, ready to send (see
-    /// [`ProcessedOp::packets`]; a derived pure-join interval publishes a
-    /// code, any interval containing a leave ships).
-    pub packets: Vec<RekeyPacket>,
-    /// Encoded form of each packet.
-    pub encoded: Vec<Vec<u8>>,
-    /// One grant per user admitted this interval (the out-of-band
-    /// authentication-exchange payload, as for immediate joins).
-    pub grants: Vec<JoinGrant>,
-    /// Users removed this interval (excludes leave-then-rejoin pairs).
-    pub departed: Vec<UserId>,
-}
-
-impl ProcessedBatch {
-    /// Every frame to send, paired with its recipients.
-    pub fn frames(&self) -> Vec<(Recipients, &[u8])> {
-        frames(&self.packets, &self.encoded)
-    }
-}
-
-/// One grant per user the event admitted (the out-of-band
-/// authentication-exchange payload).
-fn grants(event: BatchEvent) -> Vec<JoinGrant> {
-    event
-        .joins
-        .into_iter()
-        .map(|j| JoinGrant {
-            user: j.user,
-            individual_key: j.leaf_key,
-            leaf_label: j.leaf_label,
-            path_labels: j.path.iter().map(|(r, _)| r.label).collect(),
-        })
-        .collect()
 }
 
 /// The prototype group key server.
@@ -369,7 +351,10 @@ impl GroupKeyServer {
         });
         let tree = KeyTree::new(config.degree, config.key_len(), &mut keygen);
         let scheduler = config.rekey.batch_policy().map(|p| BatchScheduler::new(p, 0));
-        let stats = Self::stats_sink(&config);
+        let stats = match config.stats_record_cap {
+            Some(cap) => ServerStats::with_record_cap(cap),
+            None => ServerStats::default(),
+        };
         GroupKeyServer {
             config,
             acl,
@@ -384,14 +369,6 @@ impl GroupKeyServer {
             obs: Obs::disabled(),
             metrics: ServerMetrics::default(),
             ledger: Ledger::default(),
-        }
-    }
-
-    /// A stats sink honouring the configured record cap.
-    fn stats_sink(config: &ServerConfig) -> ServerStats {
-        match config.stats_record_cap {
-            Some(cap) => ServerStats::with_record_cap(cap),
-            None => ServerStats::default(),
         }
     }
 
@@ -515,14 +492,6 @@ impl GroupKeyServer {
         if tree.degree() != config.degree || tree.key_len() != config.key_len() {
             return Err(RecoverError::Corrupt("snapshot tree does not match config"));
         }
-        let keygen = HmacDrbg::from_state(snap.keygen.0, snap.keygen.1);
-        let ivs = HmacDrbg::from_state(snap.ivs.0, snap.ivs.1);
-        // The RSA keypair is derived from the seed independently of the
-        // DRBG streams, so it is regenerated rather than persisted.
-        let rsa = config.auth.needs_signature_key().then(|| {
-            let mut rng = StdRng::seed_from_u64(config.seed ^ 0x7273_615f_6b65_7921);
-            RsaKeyPair::generate(config.rsa_bits, &mut rng).expect("RSA key generation")
-        });
         let acl = match &snap.acl {
             AclSnapshot::AllowAll => AccessControl::AllowAll,
             AclSnapshot::AllowList(users) => AccessControl::allow_list(users.iter().copied()),
@@ -542,10 +511,6 @@ impl GroupKeyServer {
                 })
             })
             .collect::<Result<Vec<_>, RecoverError>>()?;
-        let mut stats = Self::stats_sink(&config);
-        for r in records {
-            stats.push(r);
-        }
         let scheduler = match (&snap.scheduler, config.rekey.batch_policy()) {
             (None, None) => None,
             (Some(s), Some(policy)) => Some(BatchScheduler::restore(
@@ -557,21 +522,20 @@ impl GroupKeyServer {
             )),
             _ => return Err(RecoverError::Corrupt("snapshot batching mode does not match config")),
         };
-        Ok(GroupKeyServer {
-            config,
-            acl,
-            tree,
-            keygen,
-            ivs,
-            rsa,
-            seq: snap.seq,
-            stats,
-            scheduler,
-            persist: None,
-            obs: Obs::disabled(),
-            metrics: ServerMetrics::default(),
-            ledger: Ledger::default(),
-        })
+        // Everything a snapshot does not carry is what a fresh server has:
+        // the RSA keypair in particular is derived from the seed
+        // independently of the DRBG streams, so it is regenerated rather
+        // than persisted.
+        let mut server = Self::new(config, acl);
+        server.tree = tree;
+        server.keygen = HmacDrbg::from_state(snap.keygen.0, snap.keygen.1);
+        server.ivs = HmacDrbg::from_state(snap.ivs.0, snap.ivs.1);
+        server.seq = snap.seq;
+        server.scheduler = scheduler;
+        for r in records {
+            server.stats.push(r);
+        }
+        Ok(server)
     }
 
     /// Re-apply one logged op through the normal handlers. Persistence is
@@ -581,8 +545,21 @@ impl GroupKeyServer {
         // WAL written under one strategy class replayed under the other
         // would silently regenerate a different key stream. The distinct
         // record tags turn that configuration flip into a hard error.
+        // A per-op log replayed through a batching server (or the reverse)
+        // would queue what was applied: the tags refuse that flip too.
         let derived = self.config.strategy == Strategy::Derived;
+        let batched = self.scheduler.is_some();
         match op {
+            WalOp::Join(_) | WalOp::DerivedJoin(_) | WalOp::Leave(_) if batched => {
+                Err(RequestError::Internal(
+                    "wal records an immediate rekey but the server batches requests",
+                ))
+            }
+            WalOp::EnqueueJoin(_) | WalOp::EnqueueLeave(_) | WalOp::Flush { .. } if !batched => {
+                Err(RequestError::Internal(
+                    "wal records a batched interval but the server rekeys immediately",
+                ))
+            }
             WalOp::Join(_) | WalOp::Refresh if derived => Err(RequestError::Internal(
                 "wal records a shipped-strategy op but the server strategy is derived",
             )),
@@ -591,10 +568,10 @@ impl GroupKeyServer {
                     "wal records a derived op but the server strategy is not derived",
                 ))
             }
-            WalOp::Join(u) | WalOp::DerivedJoin(u) => self.handle_join(*u).map(drop),
-            WalOp::Leave(u) => self.handle_leave(*u).map(drop),
-            WalOp::EnqueueJoin(u) => self.enqueue_join(*u),
-            WalOp::EnqueueLeave(u) => self.enqueue_leave(*u),
+            WalOp::Join(u) | WalOp::DerivedJoin(u) | WalOp::EnqueueJoin(u) => {
+                self.handle_join(*u).map(drop)
+            }
+            WalOp::Leave(u) | WalOp::EnqueueLeave(u) => self.handle_leave(*u).map(drop),
             WalOp::Flush { now_ms } => self.flush(*now_ms).map(drop),
             WalOp::Refresh | WalOp::DerivedRefresh => self.refresh_group_key().map(drop),
         }
@@ -737,12 +714,17 @@ impl GroupKeyServer {
         self.config.auth = auth;
     }
 
-    /// Process a join request.
+    /// Process a join request: admit `user` now, or — on a batching server
+    /// — queue the join for the next rekey interval and return an operation
+    /// with nothing to deliver yet (the grant follows with the interval's).
     ///
-    /// The authentication exchange (modelled by generating the individual
-    /// key) happens *before* the timer starts: "the processing time for a
-    /// join request does not include any time used to authenticate the
-    /// requesting user" (§5).
+    /// Access control and membership are checked here either way, and the
+    /// individual key is drawn here: the authentication exchange (modelled
+    /// by generating that key) happens *before* the timer starts — "the
+    /// processing time for a join request does not include any time used
+    /// to authenticate the requesting user" (§5). A join while a leave for
+    /// the same user is queued is a leave-then-rejoin within one interval;
+    /// a repeated queued join replaces the queued key.
     ///
     /// Under `strategy = derived` the server draws a derivation code,
     /// rotates the joiner's path by *deriving* each changed key from its
@@ -756,30 +738,58 @@ impl GroupKeyServer {
         if !self.acl.permits(user) {
             return Err(RequestError::JoinDenied(user));
         }
-        if self.tree.is_member(user) {
+        let leaving = self.scheduler.as_ref().is_some_and(|s| s.has_pending_leave(user));
+        if self.tree.is_member(user) && !leaving {
             return Err(RequestError::Tree(TreeError::AlreadyMember(user)));
         }
         let individual_key = self.keygen.generate_key(self.config.key_len());
-        let (event, mut op) = self.rekey(OpKind::Join, &[(user, individual_key)], &[])?;
-        op.join_grant = grants(event).pop();
+        if let Some(sched) = self.scheduler.as_mut() {
+            sched.enqueue_join(user, individual_key);
+            return self.queued(WalOp::EnqueueJoin(user));
+        }
+        let op = self.rekey(OpKind::Join, &[(user, individual_key)], &[])?;
         self.obs.event(ObsEvent::Join { user: user.0 });
         let derived = self.config.strategy == Strategy::Derived;
         self.log_op(if derived { WalOp::DerivedJoin(user) } else { WalOp::Join(user) })?;
         Ok(op)
     }
 
-    /// Process a leave request.
+    /// Process a leave request: remove `user` now, or — on a batching
+    /// server — queue the leave for the next rekey interval (a leave for a
+    /// user whose join is still queued cancels that join).
     pub fn handle_leave(&mut self, user: UserId) -> Result<ProcessedOp, RequestError> {
-        if !self.tree.is_member(user) {
+        let joining = self.scheduler.as_ref().is_some_and(|s| s.has_pending_join(user));
+        if !self.tree.is_member(user) && !joining {
             return Err(RequestError::Tree(TreeError::NotAMember(user)));
+        }
+        if let Some(sched) = self.scheduler.as_mut() {
+            sched.enqueue_leave(user);
+            return self.queued(WalOp::EnqueueLeave(user));
         }
         // Forward secrecy forbids deriving post-leave keys from pre-leave
         // ones, so derived mode ships a leave's fresh keys exactly like its
         // shipped fallback (no code, no worklist).
-        let (_, op) = self.rekey(OpKind::Leave, &[], &[user])?;
+        let op = self.rekey(OpKind::Leave, &[], &[user])?;
         self.obs.event(ObsEvent::Leave { user: user.0 });
         self.log_op(WalOp::Leave(user))?;
         Ok(op)
+    }
+
+    /// Log a request the scheduler just queued and answer it with the
+    /// operation that has nothing to deliver.
+    fn queued(&mut self, record: WalOp) -> Result<ProcessedOp, RequestError> {
+        self.log_op(record)?;
+        Ok(ProcessedOp { seq: self.seq, ..ProcessedOp::default() })
+    }
+
+    /// Whether `auth` is `{leave-request}_{k_u}`: the HMAC-MD5 of the user
+    /// id under the member's individual key (its leaf key in the tree) —
+    /// what [`net::leave_authenticator`] computes on the member's side.
+    /// Front-ends check it before [`handle_leave`](Self::handle_leave).
+    pub fn leave_is_authentic(&self, user: UserId, auth: &[u8]) -> bool {
+        self.tree.keyset(user).and_then(|ks| ks.into_iter().next()).is_some_and(|(_, key)| {
+            verify_mac(&net::leave_authenticator(user, key.material()), auth)
+        })
     }
 
     /// Rotate the group key without any membership change: bump the root
@@ -796,16 +806,11 @@ impl GroupKeyServer {
         // The rotation happens (and consumes its keygen output, keeping
         // replay deterministic) even when there is nobody to tell; an
         // empty group gets no packet and consumes no IVs.
-        let (_, op) = self.rekey(OpKind::Refresh, &[], &[])?;
+        let op = self.rekey(OpKind::Refresh, &[], &[])?;
         self.obs.event(ObsEvent::Refresh);
         let derived = self.config.strategy == Strategy::Derived;
         self.log_op(if derived { WalOp::DerivedRefresh } else { WalOp::Refresh })?;
         Ok(op)
-    }
-
-    /// Whether this server batches rekeys.
-    pub fn is_batched(&self) -> bool {
-        self.scheduler.is_some()
     }
 
     /// Requests queued for the next interval (0 in immediate mode).
@@ -818,57 +823,15 @@ impl GroupKeyServer {
         self.scheduler.as_ref().is_some_and(|s| s.has_pending_join(user))
     }
 
-    /// Queue a join for the next rekey interval (batched mode only).
-    ///
-    /// Access control and membership are checked here, at admission time;
-    /// the individual key is generated now and handed out with the grant
-    /// when the interval flushes. Joining while a leave for the same user
-    /// is queued is allowed (leave-then-rejoin within one interval).
-    pub fn enqueue_join(&mut self, user: UserId) -> Result<(), RequestError> {
-        if self.scheduler.is_none() {
-            return Err(RequestError::NotBatched);
-        }
-        if !self.acl.permits(user) {
-            return Err(RequestError::JoinDenied(user));
-        }
-        let sched = self.scheduler.as_ref().expect("checked above");
-        if self.tree.is_member(user) && !sched.has_pending_leave(user) {
-            return Err(RequestError::Tree(TreeError::AlreadyMember(user)));
-        }
-        let individual_key = self.keygen.generate_key(self.config.key_len());
-        self.scheduler.as_mut().expect("checked above").enqueue_join(user, individual_key);
-        self.log_op(WalOp::EnqueueJoin(user))?;
-        Ok(())
-    }
-
-    /// Queue a leave for the next rekey interval (batched mode only).
-    ///
-    /// A leave for a user whose join is still queued cancels that join.
-    pub fn enqueue_leave(&mut self, user: UserId) -> Result<(), RequestError> {
-        let Some(sched) = self.scheduler.as_mut() else {
-            return Err(RequestError::NotBatched);
-        };
-        if !self.tree.is_member(user) && !sched.has_pending_join(user) {
-            return Err(RequestError::Tree(TreeError::NotAMember(user)));
-        }
-        sched.enqueue_leave(user);
-        self.log_op(WalOp::EnqueueLeave(user))?;
-        Ok(())
-    }
-
     /// Flush the pending interval if the schedule says so (interval
     /// elapsed or queue depth reached). `Ok(None)` when there is nothing
     /// to do — including on an immediate-mode server, so drivers can tick
     /// unconditionally.
-    pub fn tick(&mut self, now_ms: u64) -> Result<Option<ProcessedBatch>, RequestError> {
-        let Some(sched) = self.scheduler.as_mut() else { return Ok(None) };
-        match sched.poll(now_ms) {
-            None => Ok(None),
-            Some(pending) => {
-                let batch = self.process_batch(pending)?;
-                self.log_op(WalOp::Flush { now_ms })?;
-                Ok(Some(batch))
-            }
+    pub fn tick(&mut self, now_ms: u64) -> Result<Option<ProcessedOp>, RequestError> {
+        if self.scheduler.as_ref().is_some_and(|s| s.should_flush(now_ms)) {
+            self.flush(now_ms)
+        } else {
+            Ok(None)
         }
     }
 
@@ -876,29 +839,29 @@ impl GroupKeyServer {
     ///
     /// An empty flush still resets the interval clock, so it is logged
     /// too — replay must reproduce the same schedule.
-    pub fn flush(&mut self, now_ms: u64) -> Result<Option<ProcessedBatch>, RequestError> {
+    pub fn flush(&mut self, now_ms: u64) -> Result<Option<ProcessedOp>, RequestError> {
         let Some(sched) = self.scheduler.as_mut() else { return Ok(None) };
-        let result = match sched.take(now_ms) {
+        let op = match sched.take(now_ms) {
             None => None,
-            Some(pending) => Some(self.process_batch(pending)?),
+            Some(pending) => Some(self.rekey(OpKind::Batch, &pending.joins, &pending.leaves)?),
         };
         self.log_op(WalOp::Flush { now_ms })?;
-        Ok(result)
+        Ok(op)
     }
 
     /// Graceful shutdown: flush the pending rekey interval (if any), write
     /// a final snapshot, and fsync — in that order, so the snapshot
     /// captures the post-flush tree and a subsequent
     /// [`recover`](GroupKeyServer::recover) replays **zero** WAL records.
-    /// Returns the final batch so the caller can dispatch its rekey
+    /// Returns the final interval so the caller can deliver its rekey
     /// traffic and acks before the process exits. Safe on in-memory and
     /// immediate-mode servers (both persistence steps are no-ops, and an
     /// unbatched server has nothing to flush).
-    pub fn shutdown(&mut self, now_ms: u64) -> Result<Option<ProcessedBatch>, RequestError> {
-        let batch = self.flush(now_ms)?;
+    pub fn shutdown(&mut self, now_ms: u64) -> Result<Option<ProcessedOp>, RequestError> {
+        let op = self.flush(now_ms)?;
         self.force_snapshot()?;
         self.sync_persistence()?;
-        Ok(batch)
+        Ok(op)
     }
 
     /// WAL records a restart would replay right now: 0 immediately after
@@ -906,19 +869,6 @@ impl GroupKeyServer {
     /// `None` for in-memory servers.
     pub fn wal_tail(&self) -> Option<u64> {
         self.persist.as_ref().map(|p| p.ops_since_snapshot())
-    }
-
-    /// Apply one interval's queued requests and record one per-interval
-    /// stats record.
-    fn process_batch(&mut self, pending: PendingBatch) -> Result<ProcessedBatch, RequestError> {
-        let (ev, ProcessedOp { packets, encoded, .. }) =
-            self.rekey(OpKind::Batch, &pending.joins, &pending.leaves)?;
-        // Core-level `departed` lists every leaver, including users who
-        // rejoined in the same interval; the server view keeps only true
-        // departures (a rejoiner keeps its endpoint and gets a new grant).
-        let departed = ev.departed.iter().copied().filter(|&u| !self.tree.is_member(u)).collect();
-        let grants = grants(ev);
-        Ok(ProcessedBatch { interval: pending.interval, packets, encoded, grants, departed })
     }
 
     /// The one step every operation is — a join, a leave, a refresh (no
@@ -942,7 +892,7 @@ impl GroupKeyServer {
         kind: OpKind,
         joins: &[(UserId, SymmetricKey)],
         leaves: &[UserId],
-    ) -> Result<(BatchEvent, ProcessedOp), RequestError> {
+    ) -> Result<ProcessedOp, RequestError> {
         let _op_span = self.obs.span(OP_SPANS[kind.tag() as usize]);
         let started = Instant::now();
         let strategy = if leaves.is_empty() {
@@ -972,7 +922,21 @@ impl GroupKeyServer {
             Default::default()
         };
         let requests = (joins.len() + leaves.len()) as u32;
-        Ok((event, self.finish(kind, requests, started, out, derive)))
+        let op = self.finish(kind, requests, started, out, derive);
+        // The event lists every leaver, including users who rejoined in the
+        // same interval; only those now outside the tree have departed.
+        let departed = event.departed.into_iter().filter(|&u| !self.tree.is_member(u)).collect();
+        let grants = event
+            .joins
+            .into_iter()
+            .map(|j| JoinGrant {
+                user: j.user,
+                individual_key: j.leaf_key,
+                leaf_label: j.leaf_label,
+                path_labels: j.path.iter().map(|(r, _)| r.label).collect(),
+            })
+            .collect();
+        Ok(ProcessedOp { grants, departed, ..op })
     }
 
     /// The common tail of every operation — join, leave, refresh, batch
@@ -987,7 +951,8 @@ impl GroupKeyServer {
     /// stream; an operation with nothing to say (the last member leaving)
     /// sends nothing, like the shipped strategies.
     ///
-    /// Returns the operation, numbered, without a join grant.
+    /// Returns the operation, numbered; the caller fills in whom it admitted
+    /// and removed.
     fn finish(
         &mut self,
         kind: OpKind,
@@ -996,7 +961,8 @@ impl GroupKeyServer {
         out: RekeyOutput,
         (code, changed): (Vec<u8>, Vec<DerivedLink>),
     ) -> ProcessedOp {
-        let seq = self.next_seq();
+        let seq = self.seq;
+        self.seq += 1;
         // `interval` starts at 1: clients treat an equal interval as
         // redelivery, so 0 would alias their initial state. The timestamp
         // is the deterministic logical clock.
@@ -1067,13 +1033,7 @@ impl GroupKeyServer {
             encryptions: ops.key_encryptions,
             signatures,
         });
-        ProcessedOp { seq, packets, encoded, join_grant: None }
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
+        ProcessedOp { seq, packets, encoded, ..ProcessedOp::default() }
     }
 
     /// Compute per-packet authentication tags for the given encoded
@@ -1139,7 +1099,7 @@ mod tests {
         let mut s = server(AuthPolicy::None, Strategy::GroupOriented);
         populate(&mut s, 8);
         let op = s.handle_join(UserId(100)).unwrap();
-        let grant = op.join_grant.as_ref().unwrap();
+        let grant = &op.grants[0];
         assert_eq!(grant.user, UserId(100));
         assert!(!grant.path_labels.is_empty());
         assert_eq!(op.packets.len(), 2); // group multicast + joiner unicast
@@ -1288,7 +1248,7 @@ mod tests {
     /// group through one big interval instead.
     fn populate_batched(s: &mut GroupKeyServer, n: u64, now_ms: u64) {
         for i in 0..n {
-            s.enqueue_join(UserId(i)).unwrap();
+            s.handle_join(UserId(i)).unwrap();
         }
         s.flush(now_ms).unwrap().unwrap();
     }
@@ -1297,12 +1257,12 @@ mod tests {
     fn batched_interval_flushes_on_time_not_before() {
         let mut s = batched_server(Strategy::GroupOriented, 100, 1000);
         populate_batched(&mut s, 16, 0);
-        s.enqueue_join(UserId(100)).unwrap();
-        s.enqueue_leave(UserId(3)).unwrap();
+        s.handle_join(UserId(100)).unwrap();
+        s.handle_leave(UserId(3)).unwrap();
         assert_eq!(s.pending_requests(), 2);
         assert!(s.tick(50).unwrap().is_none(), "interval not yet elapsed");
         let batch = s.tick(100).unwrap().expect("interval elapsed");
-        assert_eq!(batch.interval, 2);
+        assert_eq!(batch.packets[0].interval, 2);
         assert_eq!(batch.grants.len(), 1);
         assert_eq!(batch.grants[0].user, UserId(100));
         assert_eq!(batch.departed, vec![UserId(3)]);
@@ -1321,30 +1281,30 @@ mod tests {
         let mut s = batched_server(Strategy::GroupOriented, 1_000_000, 4);
         populate_batched(&mut s, 8, 0);
         for i in 100..103 {
-            s.enqueue_join(UserId(i)).unwrap();
+            s.handle_join(UserId(i)).unwrap();
         }
         assert!(s.tick(1).unwrap().is_none());
-        s.enqueue_join(UserId(103)).unwrap();
+        s.handle_join(UserId(103)).unwrap();
         let batch = s.tick(1).unwrap().expect("depth threshold");
         assert_eq!(batch.grants.len(), 4);
         assert_eq!(s.group_size(), 12);
     }
 
     #[test]
-    fn batched_mode_validates_at_enqueue_time() {
+    fn batched_mode_validates_at_request_time() {
         let mut s = batched_server(Strategy::GroupOriented, 100, 100);
         populate_batched(&mut s, 4, 0);
         assert!(matches!(
-            s.enqueue_join(UserId(2)).unwrap_err(),
+            s.handle_join(UserId(2)).unwrap_err(),
             RequestError::Tree(TreeError::AlreadyMember(_))
         ));
         assert!(matches!(
-            s.enqueue_leave(UserId(77)).unwrap_err(),
+            s.handle_leave(UserId(77)).unwrap_err(),
             RequestError::Tree(TreeError::NotAMember(_))
         ));
         // Leave-then-rejoin within one interval is allowed.
-        s.enqueue_leave(UserId(2)).unwrap();
-        s.enqueue_join(UserId(2)).unwrap();
+        s.handle_leave(UserId(2)).unwrap();
+        s.handle_join(UserId(2)).unwrap();
         let batch = s.flush(10).unwrap().unwrap();
         assert_eq!(batch.grants.len(), 1);
         assert!(batch.departed.is_empty(), "rejoin is not a departure");
@@ -1352,26 +1312,75 @@ mod tests {
     }
 
     #[test]
-    fn batched_acl_denial_happens_at_enqueue() {
+    fn batched_acl_denial_happens_at_request() {
         let config = ServerConfig {
             rekey: crate::RekeyPolicy::Batched { interval_ms: 10, max_pending: 10 },
             ..ServerConfig::default()
         };
         let mut s = GroupKeyServer::new(config, AccessControl::allow_list([UserId(1)]));
-        s.enqueue_join(UserId(1)).unwrap();
-        assert_eq!(s.enqueue_join(UserId(2)).unwrap_err(), RequestError::JoinDenied(UserId(2)));
+        s.handle_join(UserId(1)).unwrap();
+        assert_eq!(s.handle_join(UserId(2)).unwrap_err(), RequestError::JoinDenied(UserId(2)));
         let batch = s.flush(0).unwrap().unwrap();
         assert_eq!(batch.grants.len(), 1);
     }
 
+    /// A request on a batching server goes through the queue whatever it
+    /// is and however often it is made: nothing is admitted or removed
+    /// ahead of the interval, and the flush admits each user exactly once.
+    /// On a server that rekeys per request, `tick` and `flush` are harmless.
     #[test]
-    fn enqueue_requires_batched_mode_and_tick_is_harmless() {
+    fn batched_requests_never_bypass_the_queue() {
+        let mut s = batched_server(Strategy::GroupOriented, 100, 1000);
+        populate_batched(&mut s, 4, 0);
+        for _ in 0..2 {
+            let op = s.handle_join(UserId(9)).unwrap();
+            assert_eq!(op.delivery().count(), 0, "a queued request delivers nothing");
+            assert!(!s.is_member(UserId(9)), "not admitted ahead of the interval");
+        }
+        s.handle_join(UserId(10)).unwrap();
+        assert!(s.handle_leave(UserId(2)).unwrap().departed.is_empty());
+        assert!(s.is_member(UserId(2)), "not removed ahead of the interval");
+        assert_eq!(s.pending_requests(), 3);
+        let op = s.flush(100).unwrap().expect("a non-empty interval");
+        let admitted: Vec<UserId> = op.grants.iter().map(|g| g.user).collect();
+        assert_eq!(admitted, [UserId(9), UserId(10)], "every queued joiner, once");
+        assert_eq!(op.departed, [UserId(2)]);
+        assert_eq!(s.group_size(), 5);
+
         let mut s = server(AuthPolicy::None, Strategy::GroupOriented);
-        assert!(!s.is_batched());
-        assert_eq!(s.enqueue_join(UserId(1)).unwrap_err(), RequestError::NotBatched);
-        assert_eq!(s.enqueue_leave(UserId(1)).unwrap_err(), RequestError::NotBatched);
         assert!(s.tick(1_000).unwrap().is_none());
         assert!(s.flush(1_000).unwrap().is_none());
+    }
+
+    #[test]
+    fn delivery_is_ordered_departed_then_grants_then_frames() {
+        let mut s = batched_server(Strategy::KeyOriented, 100, 1000);
+        populate_batched(&mut s, 9, 0);
+        for u in [3, 4] {
+            s.handle_leave(UserId(u)).unwrap();
+        }
+        for u in [20, 21] {
+            s.handle_join(UserId(u)).unwrap();
+        }
+        let op = s.flush(100).unwrap().unwrap();
+        assert!(op.packets.len() > 1, "key-oriented: several frames");
+        let rank = |step: &Delivery<'_>| match step {
+            Delivery::Evict(_) => 0,
+            Delivery::Admit(_) => 1,
+            Delivery::Frame(..) => 2,
+        };
+        let steps: Vec<Delivery<'_>> = op.delivery().collect();
+        assert!(steps.windows(2).all(|w| rank(&w[0]) <= rank(&w[1])), "{steps:?}");
+        let count = |r: u8| steps.iter().filter(|s| rank(s) == r).count();
+        assert_eq!((count(0), count(1), count(2)), (2, 2, op.encoded.len()));
+
+        // A per-request operation is the same list with one entry.
+        let mut s = server(AuthPolicy::None, Strategy::GroupOriented);
+        populate(&mut s, 4);
+        let op = s.handle_leave(UserId(1)).unwrap();
+        assert_eq!(op.delivery().next(), Some(Delivery::Evict(UserId(1))));
+        let op = s.handle_join(UserId(7)).unwrap();
+        assert!(matches!(op.delivery().next(), Some(Delivery::Admit(g)) if g.user == UserId(7)));
     }
 
     #[test]
@@ -1386,9 +1395,9 @@ mod tests {
             let mut s = GroupKeyServer::new(config, AccessControl::AllowAll);
             populate_batched(&mut s, 12, 0);
             for i in 100..104 {
-                s.enqueue_join(UserId(i)).unwrap();
+                s.handle_join(UserId(i)).unwrap();
             }
-            s.enqueue_leave(UserId(5)).unwrap();
+            s.handle_leave(UserId(5)).unwrap();
             let batch = s.flush(10).unwrap().unwrap();
             for (p, enc) in batch.packets.iter().zip(&batch.encoded) {
                 let (decoded, body_len) = RekeyPacket::decode(enc).unwrap();
@@ -1429,15 +1438,7 @@ mod tests {
             // membership.
             let mut covered = std::collections::BTreeSet::new();
             for p in &op.packets {
-                let users: Vec<UserId> = match &p.recipients {
-                    Recipients::User(u) => vec![*u],
-                    Recipients::Subgroup(l) => s.tree().userset(*l),
-                    Recipients::SubgroupExcept { include, exclude } => {
-                        s.tree().userset_except(*include, *exclude)
-                    }
-                    Recipients::Group => s.tree().members().collect(),
-                };
-                covered.extend(users);
+                covered.extend(s.tree().resolve(&p.recipients));
             }
             let members: std::collections::BTreeSet<UserId> = s.tree().members().collect();
             assert_eq!(covered, members, "strategy {strategy:?}");
@@ -1458,7 +1459,7 @@ mod tests {
         assert_eq!(p.code.len(), kg_core::derive::DERIVATION_CODE_LEN);
         assert!(!p.changed.is_empty(), "join must publish derivation links");
         assert_eq!(p.bundles.len(), 1, "only the joiner's unicast is sealed");
-        assert!(op.join_grant.is_some());
+        assert_eq!(op.grants.len(), 1);
         // O(1) bundles sealed: only the joiner's unicast, whose cost is the
         // path keys it packs. A shipped group-oriented join additionally
         // seals the whole path for the group multicast, doubling this.
@@ -1466,10 +1467,7 @@ mod tests {
         assert_eq!(rec.encryptions, p.changed.len() as u64);
         // Everything multicasts: the joiner is subscribed before dispatch
         // and its bundle is sealed under a key only it holds.
-        for (to, _) in op.frames() {
-            assert_eq!(to, Recipients::Group);
-        }
-        assert_eq!(op.frames().len(), op.encoded.len());
+        assert!(op.packets.iter().all(|p| p.recipients == Recipients::Group));
     }
 
     #[test]
@@ -1539,7 +1537,7 @@ mod tests {
         };
         let mut s = GroupKeyServer::new(config, AccessControl::AllowAll);
         for i in 0..8 {
-            s.enqueue_join(UserId(i)).unwrap();
+            s.handle_join(UserId(i)).unwrap();
         }
         let batch = s.flush(100).unwrap().unwrap();
         assert_eq!(batch.packets.len(), 1);
@@ -1548,13 +1546,11 @@ mod tests {
         assert!(!p.code.is_empty());
         assert!(!p.changed.is_empty());
         assert_eq!(p.bundles.len(), 8, "one sealed unicast per joiner");
-        for (to, _) in batch.frames() {
-            assert_eq!(to, Recipients::Group);
-        }
+        assert!(batch.packets.iter().all(|p| p.recipients == Recipients::Group));
 
         // An interval containing any leave falls back to shipping keys.
-        s.enqueue_join(UserId(100)).unwrap();
-        s.enqueue_leave(UserId(3)).unwrap();
+        s.handle_join(UserId(100)).unwrap();
+        s.handle_leave(UserId(3)).unwrap();
         let batch = s.flush(200).unwrap().unwrap();
         assert_eq!(batch.packets.len(), 1);
         let p = &batch.packets[0];
@@ -1642,16 +1638,16 @@ mod tests {
         )
         .unwrap();
         for i in 0..16 {
-            s.enqueue_join(UserId(i)).unwrap();
-            control.enqueue_join(UserId(i)).unwrap();
+            s.handle_join(UserId(i)).unwrap();
+            control.handle_join(UserId(i)).unwrap();
         }
         s.flush(0).unwrap().unwrap();
         control.flush(0).unwrap().unwrap();
         // Crash with requests queued but the interval not yet flushed.
-        s.enqueue_join(UserId(100)).unwrap();
-        control.enqueue_join(UserId(100)).unwrap();
-        s.enqueue_leave(UserId(5)).unwrap();
-        control.enqueue_leave(UserId(5)).unwrap();
+        s.handle_join(UserId(100)).unwrap();
+        control.handle_join(UserId(100)).unwrap();
+        s.handle_leave(UserId(5)).unwrap();
+        control.handle_leave(UserId(5)).unwrap();
         drop(s);
 
         let mut r =
@@ -1660,7 +1656,7 @@ mod tests {
         assert_eq!(r.pending_requests(), 2, "queued requests survive the crash");
         let a = r.tick(100).unwrap().expect("interval elapsed");
         let b = control.tick(100).unwrap().expect("interval elapsed");
-        assert_eq!(a.interval, b.interval);
+        assert_eq!(a.seq, b.seq);
         assert_eq!(a.encoded, b.encoded, "recovered batch is byte-identical");
         assert_eq!(a.departed, b.departed);
         assert_eq!(
@@ -1754,6 +1750,43 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// One entry serves queued and immediate requests, so the record tags
+    /// are what tells a per-request log from a batched one: replaying
+    /// either under the other mode would silently queue what had been
+    /// applied (or apply what had been queued). Both directions fail closed.
+    #[test]
+    fn recovery_rejects_rekey_mode_flip() {
+        let immediate = ServerConfig { rsa_bits: 512, ..ServerConfig::default() };
+        let batched = ServerConfig {
+            rekey: RekeyPolicy::Batched { interval_ms: 100, max_pending: 8 },
+            ..immediate.clone()
+        };
+        for (wrote, reads) in [(&immediate, &batched), (&batched, &immediate)] {
+            let dir = scratch_dir();
+            let mut s = GroupKeyServer::with_persistence(
+                wrote.clone(),
+                AccessControl::AllowAll,
+                &dir,
+                persist_config(),
+            )
+            .unwrap();
+            s.handle_join(UserId(1)).unwrap();
+            drop(s);
+            assert!(matches!(
+                GroupKeyServer::recover(
+                    reads.clone(),
+                    AccessControl::AllowAll,
+                    &dir,
+                    persist_config()
+                ),
+                Err(RecoverError::Replay(RequestError::Internal(_)))
+            ));
+            GroupKeyServer::recover(wrote.clone(), AccessControl::AllowAll, &dir, persist_config())
+                .expect("the store still recovers under the mode that wrote it");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     #[test]
     fn recovery_rejects_wrong_seed() {
         let dir = scratch_dir();
@@ -1825,7 +1858,7 @@ mod tests {
         let mut s =
             GroupKeyServer::with_persistence(batched.clone(), AccessControl::AllowAll, &dir, pcfg)
                 .unwrap();
-        s.enqueue_join(UserId(1)).unwrap();
+        s.handle_join(UserId(1)).unwrap();
         s.flush(0).unwrap();
         drop(s);
         let immediate = ServerConfig { rekey: RekeyPolicy::Immediate, ..batched };

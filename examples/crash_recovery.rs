@@ -37,11 +37,11 @@ fn main() {
             .expect("create persistent server");
 
     for i in 0..20u64 {
-        server.enqueue_join(UserId(i)).unwrap();
+        server.handle_join(UserId(i)).unwrap();
     }
     server.flush(100).unwrap();
-    server.enqueue_leave(UserId(3)).unwrap();
-    server.enqueue_leave(UserId(11)).unwrap();
+    server.handle_leave(UserId(3)).unwrap();
+    server.handle_leave(UserId(11)).unwrap();
     server.flush(200).unwrap();
 
     let p = server.persistence().unwrap();
@@ -53,8 +53,8 @@ fn main() {
     );
 
     // --- An interval begins: requests queue, the WAL records them…
-    server.enqueue_join(UserId(40)).unwrap();
-    server.enqueue_leave(UserId(7)).unwrap();
+    server.handle_join(UserId(40)).unwrap();
+    server.handle_leave(UserId(7)).unwrap();
     let digest_at_crash = root_digest(server.tree());
     println!(
         "mid-interval: {} request(s) queued, tree digest {}…",

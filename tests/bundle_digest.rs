@@ -182,8 +182,6 @@ fn run(strategy: Strategy, batched: bool) -> (String, String) {
     };
     for (i, request) in schedule().into_iter().enumerate() {
         match request {
-            Request::Join(u) if batched => server.enqueue_join(u).expect("enqueue join"),
-            Request::Leave(u) if batched => server.enqueue_leave(u).expect("enqueue leave"),
             Request::Join(u) => emit(&server.handle_join(u).expect("join").packets),
             Request::Leave(u) => emit(&server.handle_leave(u).expect("leave").packets),
             Request::Refresh => emit(&server.refresh_group_key().expect("refresh").packets),

@@ -172,21 +172,21 @@ impl ChurnState {
         let u = UserId(uid);
         if kind == 0 {
             if !self.members.contains(&uid) && !self.pending_join.contains(&uid) {
-                server.enqueue_join(u).expect("valid enqueue_join");
+                server.handle_join(u).expect("valid queued join");
                 self.pending_join.insert(uid);
             }
         } else {
             let future = self.members.len() + self.pending_join.len() - self.pending_leave.len();
             if self.pending_join.contains(&uid) {
                 if future > 1 {
-                    server.enqueue_leave(u).expect("collapse join+leave");
+                    server.handle_leave(u).expect("collapse join+leave");
                     self.pending_join.remove(&uid);
                 }
             } else if self.members.contains(&uid)
                 && !self.pending_leave.contains(&uid)
                 && future > 1
             {
-                server.enqueue_leave(u).expect("valid enqueue_leave");
+                server.handle_leave(u).expect("valid queued leave");
                 self.pending_leave.insert(uid);
             }
         }

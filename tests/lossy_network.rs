@@ -45,7 +45,7 @@ impl ReliableWorld {
 
     fn join(&mut self, u: UserId) {
         let op = self.server.handle_join(u).unwrap();
-        let grant = op.join_grant.clone().unwrap();
+        let grant = op.grants[0].clone();
         let ep = self.net.endpoint();
         let mut c = Client::new(u, KeyCipher::des_cbc(), VerifyPolicy::Opportunistic);
         c.install_grant(grant.individual_key, grant.leaf_label, &grant.path_labels);
@@ -142,7 +142,7 @@ fn duplicates_do_not_corrupt_state() {
     let config = ServerConfig::default();
     let mut server = GroupKeyServer::new(config, AccessControl::AllowAll);
     let op = server.handle_join(UserId(1)).unwrap();
-    let grant = op.join_grant.clone().unwrap();
+    let grant = op.grants[0].clone();
     let mut client = Client::new(UserId(1), KeyCipher::des_cbc(), VerifyPolicy::Opportunistic);
     client.install_grant(grant.individual_key, grant.leaf_label, &grant.path_labels);
 

@@ -64,12 +64,12 @@ impl Ledger {
 fn apply(server: &mut GroupKeyServer, ledger: &mut Ledger, now_ms: &mut u64, op: (u8, u64)) {
     match op.0 {
         0 => {
-            if server.enqueue_join(UserId(op.1)).is_ok() {
+            if server.handle_join(UserId(op.1)).is_ok() {
                 ledger.joins_ok += 1;
             }
         }
         1 => {
-            if server.enqueue_leave(UserId(op.1)).is_ok() {
+            if server.handle_leave(UserId(op.1)).is_ok() {
                 ledger.leaves_ok += 1;
             }
         }

@@ -48,7 +48,7 @@ impl World {
 
     fn join(&mut self, u: UserId) {
         let op = self.server.handle_join(u).unwrap();
-        let grant = op.join_grant.clone().unwrap();
+        let grant = op.grants[0].clone();
         let mut c = Client::new(u, KeyCipher::des_cbc(), VerifyPolicy::Opportunistic);
         c.install_grant(grant.individual_key, grant.leaf_label, &grant.path_labels);
         self.clients.insert(u, c);
@@ -234,7 +234,7 @@ impl BatchWorld {
 fn batched_churn(strategy: Strategy, ops: &[(u8, u64)]) {
     let mut w = BatchWorld::new(strategy, 4321);
     for i in 0..6u64 {
-        w.server.enqueue_join(UserId(1_000 + i)).unwrap();
+        w.server.handle_join(UserId(1_000 + i)).unwrap();
     }
     w.flush();
     // Mirror the scheduler's collapse rules so every enqueue is valid.
@@ -245,7 +245,7 @@ fn batched_churn(strategy: Strategy, ops: &[(u8, u64)]) {
         let u = UserId(uid);
         if kind == 0 {
             if !members.contains(&uid) && !pending_join.contains(&uid) {
-                w.server.enqueue_join(u).unwrap();
+                w.server.handle_join(u).unwrap();
                 pending_join.insert(uid);
             }
         } else {
@@ -253,11 +253,11 @@ fn batched_churn(strategy: Strategy, ops: &[(u8, u64)]) {
             if pending_join.contains(&uid) {
                 // Join and leave collapse to a no-op inside one interval.
                 if future_size > 1 {
-                    w.server.enqueue_leave(u).unwrap();
+                    w.server.handle_leave(u).unwrap();
                     pending_join.remove(&uid);
                 }
             } else if members.contains(&uid) && !pending_leave.contains(&uid) && future_size > 1 {
-                w.server.enqueue_leave(u).unwrap();
+                w.server.handle_leave(u).unwrap();
                 pending_leave.insert(uid);
             }
         }
@@ -310,14 +310,14 @@ fn batched_interval_departures_learn_no_new_key() {
     for strategy in Strategy::EVERY {
         let mut w = BatchWorld::new(strategy, 77);
         for i in 0..16u64 {
-            w.server.enqueue_join(UserId(i)).unwrap();
+            w.server.handle_join(UserId(i)).unwrap();
         }
         w.flush();
         for u in [1u64, 6, 11] {
-            w.server.enqueue_leave(UserId(u)).unwrap();
+            w.server.handle_leave(UserId(u)).unwrap();
         }
         for u in [100u64, 101] {
-            w.server.enqueue_join(UserId(u)).unwrap();
+            w.server.handle_join(UserId(u)).unwrap();
         }
         let pre_traffic = w.traffic.len();
         w.flush();
@@ -344,14 +344,14 @@ fn batched_backward_secrecy_joiner_cannot_read_history() {
     for strategy in Strategy::EVERY {
         let mut w = BatchWorld::new(strategy, 55);
         for i in 0..12u64 {
-            w.server.enqueue_join(UserId(i)).unwrap();
+            w.server.handle_join(UserId(i)).unwrap();
         }
         w.flush();
         let (_, old_gk) = w.server.tree().group_key();
         let secret = KeyCipher::des_cbc().encrypt(&old_gk, &[0u8; 8], b"before the interval");
         // A mixed interval admits a newcomer.
-        w.server.enqueue_leave(UserId(4)).unwrap();
-        w.server.enqueue_join(UserId(200)).unwrap();
+        w.server.handle_leave(UserId(4)).unwrap();
+        w.server.handle_join(UserId(200)).unwrap();
         w.flush();
         w.assert_completeness();
         let mut newcomer = w.clients.get(&UserId(200)).unwrap().clone();

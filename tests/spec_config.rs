@@ -51,8 +51,8 @@ fn cipher_in_spec_changes_key_and_ciphertext_sizes() {
     }
     let d = des.handle_join(UserId(9)).unwrap();
     let t = tdes.handle_join(UserId(9)).unwrap();
-    assert_eq!(d.join_grant.as_ref().unwrap().individual_key.len(), 8);
-    assert_eq!(t.join_grant.as_ref().unwrap().individual_key.len(), 24);
+    assert_eq!(d.grants[0].individual_key.len(), 8);
+    assert_eq!(t.grants[0].individual_key.len(), 24);
     // 3DES bundles carry 24-byte keys → larger ciphertexts.
     let d_bytes: usize = d.encoded.iter().map(|e| e.len()).sum();
     let t_bytes: usize = t.encoded.iter().map(|e| e.len()).sum();
