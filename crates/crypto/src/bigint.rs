@@ -2,20 +2,36 @@
 //!
 //! The paper signs rekey messages with RSA using a 512-bit modulus; nothing
 //! in the offline dependency set provides big-number arithmetic, so this
-//! module implements it from scratch:
+//! module implements it from scratch, in two layers.
+//!
+//! [`BigUint`] is the general layer — key generation, CRT recombination,
+//! encoding — and the reference the fast layer is tested against:
 //!
 //! * base-2^32 limbs, little-endian, always normalized (no trailing zeros);
 //! * schoolbook and Karatsuba multiplication (Karatsuba kicks in above a
 //!   threshold; both are property-tested against each other);
 //! * Knuth Algorithm D division with remainder;
 //! * binary extended GCD for modular inverses;
-//! * left-to-right square-and-multiply modular exponentiation;
-//! * Miller–Rabin probabilistic primality testing (see [`crate::prime`]).
+//! * left-to-right square-and-multiply modular exponentiation
+//!   ([`BigUint::modpow`]: one full division and three allocations per
+//!   product — kept as the test oracle, called from no request or keygen
+//!   path).
 //!
-//! Performance is adequate for 512–2048-bit RSA at benchmark volume; the
-//! point of the reproduction is the *relative* cost of a signature versus a
-//! DES encryption (≈ two orders of magnitude in the paper, similar here),
-//! which any correct implementation preserves.
+//! [`Montgomery`] is the layer every RSA operation and every Miller–Rabin
+//! round ([`crate::prime`]) runs on: a per-modulus context (the odd modulus
+//! as 64-bit limbs, `-n⁻¹ mod 2⁶⁴`, `R² mod n`), CIOS multiplication with
+//! `u128` products into caller-owned buffers, and an exponentiation whose
+//! loop allocates nothing — a fixed 4-bit window for long exponents, plain
+//! left-to-right binary for exponents of at most 64 bits (for e = 65537 a
+//! 15-entry table costs more than the one multiplication it saves).
+//!
+//! The paper's premise is the *relative* cost of a signature and a DES
+//! encryption — about two orders of magnitude on its 1998 hardware. With
+//! `modpow` an RSA-512 signature here cost ≈ 129 DES-CBC key seals; on
+//! Montgomery arithmetic it costs ≈ 11 (EXPERIMENTS.md, "RSA on Montgomery
+//! arithmetic"), so the ratio the batch-signing argument rests on is an
+//! order of magnitude smaller here than in the paper, and CI holds it
+//! under 40.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -427,6 +443,28 @@ impl BigUint {
         self.div_rem(modulus).1
     }
 
+    /// `self % divisor` for a single-limb divisor, without allocating (trial
+    /// division in [`crate::prime`]). Panics on division by zero.
+    pub fn rem_u32(&self, divisor: u32) -> u32 {
+        assert!(divisor != 0, "BigUint division by zero");
+        let d = divisor as u64;
+        self.limbs.iter().rev().fold(0u64, |rem, &l| ((rem << 32) | l as u64) % d) as u32
+    }
+
+    /// The low `k` base-2^64 limbs, little-endian (zero beyond the top).
+    fn limbs64(&self, k: usize) -> impl DoubleEndedIterator<Item = u64> + '_ {
+        let half = |j: usize| self.limbs.get(j).copied().unwrap_or(0) as u64;
+        (0..k).map(move |i| half(2 * i) | half(2 * i + 1) << 32)
+    }
+
+    /// Construct from little-endian base-2^64 limbs.
+    fn from_limbs64(limbs: &[u64]) -> BigUint {
+        let mut n =
+            BigUint { limbs: limbs.iter().flat_map(|&l| [l as u32, (l >> 32) as u32]).collect() };
+        n.normalize();
+        n
+    }
+
     /// `self^exponent mod modulus` via left-to-right square-and-multiply.
     ///
     /// Not constant-time — acceptable for a measurement prototype whose
@@ -578,6 +616,215 @@ impl fmt::Debug for BigUint {
     /// Hex is the useful view for 512-bit values.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "BigUint(0x{})", self.to_hex())
+    }
+}
+
+/// `acc + a·b + carry` as `(low, high)` limbs; cannot overflow, since
+/// `(2⁶⁴−1)² + 2·(2⁶⁴−1) = 2¹²⁸ − 1`.
+#[inline(always)]
+fn mul_add(acc: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let wide = acc as u128 + a as u128 * b as u128 + carry as u128;
+    (wide as u64, (wide >> 64) as u64)
+}
+
+/// A Montgomery context for one odd modulus `n > 1`: everything modular
+/// exponentiation needs that depends on `n` alone, computed once per key
+/// (or per prime candidate).
+///
+/// With `k` the number of 64-bit limbs of `n` and `R = 2^(64k)`, a residue
+/// `x` is held in *Montgomery form* `x·R mod n` as exactly `k` little-endian
+/// limbs, always fully reduced — so two residues are equal iff their limb
+/// slices are. [`mul`](Self::mul) maps two such forms to the form of the
+/// product with no division. [`pow`](Self::pow) is the whole round trip on
+/// [`BigUint`]s; [`to_mont`](Self::to_mont), [`pow_mont`](Self::pow_mont)
+/// and `mul` let a caller that squares repeatedly (Miller–Rabin) stay
+/// inside.
+///
+/// Heap use is two modulus widths in one allocation: an `RsaPublicKey` is
+/// cloned into every client.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Montgomery {
+    /// `n` in the low half, `R² mod n` in the high half, `k` limbs each.
+    n_r2: Box<[u64]>,
+    /// `-n⁻¹ mod 2⁶⁴`.
+    n0_inv: u64,
+}
+
+impl Montgomery {
+    /// The context for `modulus`, or `None` when it is even or below 3 —
+    /// Montgomery reduction needs `gcd(n, 2⁶⁴) = 1`.
+    pub fn new(modulus: &BigUint) -> Option<Self> {
+        if modulus.is_even() || modulus.is_one() {
+            return None;
+        }
+        let k = modulus.bit_len().div_ceil(64);
+        let r2 = BigUint::one().shl(128 * k).rem(modulus);
+        let n_r2: Box<[u64]> = modulus.limbs64(k).chain(r2.limbs64(k)).collect();
+        // Newton's iteration doubles the correct low bits of n⁻¹ mod 2⁶⁴ each
+        // step, and n·n ≡ 1 (mod 8) for odd n gives it three to start from.
+        let n0 = n_r2[0];
+        let mut inv = n0;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
+        }
+        debug_assert_eq!(n0.wrapping_mul(inv), 1);
+        Some(Montgomery { n_r2, n0_inv: inv.wrapping_neg() })
+    }
+
+    /// Limbs per residue (`k`).
+    pub fn limbs(&self) -> usize {
+        self.n_r2.len() / 2
+    }
+
+    fn n(&self) -> &[u64] {
+        &self.n_r2[..self.limbs()]
+    }
+
+    fn r2(&self) -> &[u64] {
+        &self.n_r2[self.limbs()..]
+    }
+
+    /// The modulus.
+    pub fn modulus(&self) -> BigUint {
+        BigUint::from_limbs64(self.n())
+    }
+
+    /// Number of significant bits of the modulus.
+    pub fn bit_len(&self) -> usize {
+        let n = self.n();
+        // The top limb is nonzero: `k` was derived from the bit length.
+        n.len() * 64 - n[n.len() - 1].leading_zeros() as usize
+    }
+
+    /// Whether `x < n`, i.e. `x` is a canonical residue.
+    pub fn is_reduced(&self, x: &BigUint) -> bool {
+        let n = self.n();
+        x.limbs.len() <= 2 * n.len() && x.limbs64(n.len()).rev().lt(n.iter().rev().copied())
+    }
+
+    /// `out = a·b·R⁻¹ mod n`: the Montgomery product of two residues in
+    /// Montgomery form (coarsely integrated operand scanning — one pass of
+    /// multiply-accumulate and one of reduction per limb of `b`, the two
+    /// words above `out` carried in registers). `a`, `b` and `out` are `k`
+    /// limbs each; inputs below `n` give an output below `n`.
+    pub fn mul(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        let n = self.n();
+        let k = n.len();
+        let (a, b, out) = (&a[..k], &b[..k], &mut out[..k]);
+        out.fill(0);
+        let mut top = 0u64;
+        for &bi in b {
+            let mut carry = 0;
+            for (o, &aj) in out.iter_mut().zip(a) {
+                (*o, carry) = mul_add(*o, aj, bi, carry);
+            }
+            let (t_k, t_k1) = top.overflowing_add(carry);
+            // m makes the low limb of out + m·n vanish; shift down one limb.
+            let m = out[0].wrapping_mul(self.n0_inv);
+            let (_, mut carry) = mul_add(out[0], m, n[0], 0);
+            for j in 1..k {
+                (out[j - 1], carry) = mul_add(out[j], m, n[j], carry);
+            }
+            let (low, over) = t_k.overflowing_add(carry);
+            out[k - 1] = low;
+            top = t_k1 as u64 + over as u64;
+        }
+        // The running value stays below 2n, so one subtraction finishes.
+        if top != 0 || out.iter().rev().ge(n.iter().rev()) {
+            let mut borrow = false;
+            for (o, &nj) in out.iter_mut().zip(n) {
+                let (d, b1) = o.overflowing_sub(nj);
+                let (d, b2) = d.overflowing_sub(borrow as u64);
+                (*o, borrow) = (d, b1 | b2);
+            }
+        }
+    }
+
+    /// `x mod n` in Montgomery form.
+    pub fn to_mont(&self, x: &BigUint) -> Vec<u64> {
+        let k = self.limbs();
+        let plain: Vec<u64> = if self.is_reduced(x) {
+            x.limbs64(k).collect()
+        } else {
+            x.rem(&self.modulus()).limbs64(k).collect()
+        };
+        let mut out = vec![0; k];
+        self.mul(&plain, self.r2(), &mut out);
+        out
+    }
+
+    /// The residue a Montgomery form stands for.
+    pub fn from_mont(&self, x: &[u64]) -> BigUint {
+        let k = self.limbs();
+        let mut one = vec![0; k];
+        one[0] = 1;
+        let mut out = vec![0; k];
+        self.mul(x, &one, &mut out);
+        BigUint::from_limbs64(&out)
+    }
+
+    /// `base^exponent` for a `base` in Montgomery form, in Montgomery form.
+    ///
+    /// Not constant-time (the window multiplication is skipped on a zero
+    /// nibble) — acceptable for a measurement prototype whose threat model
+    /// (the paper's) is protocol-level, not side-channel-level.
+    pub fn pow_mont(&self, base: &[u64], exponent: &BigUint) -> Vec<u64> {
+        let k = self.limbs();
+        let nbits = exponent.bit_len();
+        if nbits == 0 {
+            return self.to_mont(&BigUint::one());
+        }
+        let mut acc = vec![0u64; k];
+        let mut tmp = vec![0u64; k];
+        if nbits <= 64 {
+            // The top bit is set: start from the base itself.
+            acc.copy_from_slice(&base[..k]);
+            for i in (0..nbits - 1).rev() {
+                self.mul(&acc, &acc, &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
+                if exponent.bit(i) {
+                    self.mul(&acc, base, &mut tmp);
+                    std::mem::swap(&mut acc, &mut tmp);
+                }
+            }
+            return acc;
+        }
+        // powers[i-1] = base^i for i in 1..16; the top nibble is nonzero, so
+        // base⁰ is never needed.
+        let mut powers = vec![0u64; 15 * k];
+        powers[..k].copy_from_slice(&base[..k]);
+        for i in 1..15 {
+            let (done, rest) = powers.split_at_mut(i * k);
+            self.mul(&done[(i - 1) * k..], base, &mut rest[..k]);
+        }
+        // 32-bit limbs hold eight nibbles each, none straddling a limb.
+        let nibble = |w: usize| (exponent.limbs[w / 8] >> (4 * (w % 8))) as usize & 0xF;
+        let top = (nbits - 1) / 4;
+        acc.copy_from_slice(&powers[(nibble(top) - 1) * k..][..k]);
+        for w in (0..top).rev() {
+            for _ in 0..4 {
+                self.mul(&acc, &acc, &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+            let nib = nibble(w);
+            if nib != 0 {
+                self.mul(&acc, &powers[(nib - 1) * k..][..k], &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+        }
+        acc
+    }
+
+    /// `base^exponent mod n` — what [`BigUint::modpow`] computes, for this
+    /// modulus.
+    pub fn pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
+        self.from_mont(&self.pow_mont(&self.to_mont(base), exponent))
+    }
+}
+
+impl fmt::Debug for Montgomery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Montgomery(0x{})", self.modulus().to_hex())
     }
 }
 
@@ -756,6 +1003,58 @@ mod tests {
         assert_eq!(n(7).cmp(&n(7)), Ordering::Equal);
     }
 
+    #[test]
+    fn rem_u32_matches_div_rem() {
+        let v = BigUint::from_hex("deadbeefcafebabe0123456789abcdef55").unwrap();
+        for d in [1u32, 2, 3, 251, 65_537, u32::MAX] {
+            assert_eq!(n(v.rem_u32(d) as u64), v.rem(&n(d as u64)), "divisor {d}");
+        }
+        assert_eq!(BigUint::zero().rem_u32(7), 0);
+    }
+
+    #[test]
+    fn montgomery_needs_an_odd_modulus_above_one() {
+        for m in [BigUint::zero(), n(1), n(2), n(1 << 40), n(3).shl(700)] {
+            assert!(Montgomery::new(&m).is_none(), "{m:?}");
+        }
+        let ctx = Montgomery::new(&n(3)).unwrap();
+        assert_eq!((ctx.limbs(), ctx.bit_len(), ctx.modulus()), (1, 2, n(3)));
+        assert_eq!(ctx.pow(&n(5), &n(3)), n(2)); // 125 mod 3
+    }
+
+    #[test]
+    fn montgomery_reports_its_modulus() {
+        // 65 bits: two limbs, the top one holding a single bit.
+        let m = n(1).shl(64).add(&n(0xdead_beef_0000_0001));
+        let ctx = Montgomery::new(&m).unwrap();
+        assert_eq!((ctx.limbs(), ctx.bit_len(), ctx.modulus()), (2, 65, m.clone()));
+        assert!(ctx.is_reduced(&m.sub(&n(1))));
+        assert!(!ctx.is_reduced(&m));
+        assert!(!ctx.is_reduced(&m.shl(64)));
+        assert!(ctx.is_reduced(&BigUint::zero()));
+        assert_eq!(format!("{ctx:?}"), format!("Montgomery(0x{})", m.to_hex()));
+    }
+
+    /// An odd modulus of exactly `bits` bits from random bytes; `top` forces
+    /// the whole top 64-bit limb to `0x8000…` (1) or `0xFFFF…` (2), widening
+    /// the modulus to a limb boundary.
+    fn odd_modulus(bits: usize, top: u8, raw: &[u8]) -> BigUint {
+        let bits = if top == 0 { bits } else { bits.next_multiple_of(64) };
+        let mut bytes = raw[..bits.div_ceil(8)].to_vec();
+        let excess = bytes.len() * 8 - bits;
+        bytes[0] &= 0xFF >> excess;
+        bytes[0] |= 0x80 >> excess;
+        match top {
+            1 => bytes[..8].copy_from_slice(&[0x80, 0, 0, 0, 0, 0, 0, 0]),
+            2 => bytes[..8].fill(0xFF),
+            _ => {}
+        }
+        *bytes.last_mut().unwrap() |= 1;
+        let m = BigUint::from_bytes_be(&bytes);
+        assert_eq!(m.bit_len(), bits);
+        m
+    }
+
     proptest::proptest! {
         #[test]
         fn add_sub_roundtrip(a: u64, b: u64) {
@@ -824,6 +1123,55 @@ mod tests {
             let g = n(a).gcd(&n(b));
             proptest::prop_assert!(n(a).rem(&g).is_zero());
             proptest::prop_assert!(n(b).rem(&g).is_zero());
+        }
+
+        /// The oracle test for the fast layer: `Montgomery::pow` against
+        /// `BigUint::modpow` over moduli of every limb count up to 1,024
+        /// bits, widths that are not a multiple of 64 (33–64 bits is the
+        /// single-limb case), extreme top limbs, the boundary bases and the
+        /// exponents RSA and Miller–Rabin use on both exponentiation paths.
+        #[test]
+        fn montgomery_pow_matches_modpow(
+            bits in 33usize..=1024,
+            top in 0u8..3,
+            raw_modulus in proptest::collection::vec(0u8.., 128),
+            raw_base in proptest::collection::vec(0u8.., 1..160),
+            raw_exponent in proptest::collection::vec(0u8.., 9..128),
+        ) {
+            let m = odd_modulus(bits, top, &raw_modulus);
+            let ctx = Montgomery::new(&m).expect("odd modulus above one");
+            proptest::prop_assert_eq!(ctx.modulus(), m.clone());
+            proptest::prop_assert_eq!(ctx.bit_len(), m.bit_len());
+            let random = BigUint::from_bytes_be(&raw_base);
+            let bases = [n(0), n(1), m.sub(&n(1)), m.clone(), m.add(&random), random];
+            // Long exponents take the window path; keep them within the
+            // modulus width, as d, d_p, d_q and Miller–Rabin's d are.
+            let excess = (raw_exponent.len() * 8).saturating_sub(m.bit_len());
+            let long = BigUint::from_bytes_be(&raw_exponent).shr(excess);
+            let exponents = [n(0), n(1), n(2), n(65_537), n(u64::MAX), long];
+            for base in &bases {
+                for e in &exponents {
+                    let want = base.modpow(e, &m);
+                    proptest::prop_assert_eq!(ctx.pow(base, e), want, "{:?}^{:?} mod {:?}", base, e, m);
+                }
+            }
+        }
+
+        #[test]
+        fn montgomery_mul_matches_mul_rem(
+            bits in 33usize..=1024,
+            raw_modulus in proptest::collection::vec(0u8.., 128),
+            a in proptest::collection::vec(0u8.., 0..160),
+            b in proptest::collection::vec(0u8.., 0..160),
+        ) {
+            let m = odd_modulus(bits, 0, &raw_modulus);
+            let ctx = Montgomery::new(&m).unwrap();
+            let (a, b) = (BigUint::from_bytes_be(&a), BigUint::from_bytes_be(&b));
+            let (am, bm) = (ctx.to_mont(&a), ctx.to_mont(&b));
+            proptest::prop_assert_eq!(ctx.from_mont(&am), a.rem(&m));
+            let mut product = vec![0; ctx.limbs()];
+            ctx.mul(&am, &bm, &mut product);
+            proptest::prop_assert_eq!(ctx.from_mont(&product), a.mul(&b).rem(&m));
         }
     }
 }

@@ -4,8 +4,13 @@
 //! Candidate primes are drawn with both the top two bits set (so p·q reaches
 //! the full modulus width — a 512-bit modulus from two 256-bit primes, as
 //! the paper's RSA-512 requires) and the bottom bit set (odd).
+//!
+//! Trial division takes single-limb remainders and every Miller–Rabin round
+//! runs inside one [`Montgomery`] context per candidate. Witnesses are drawn
+//! from the generator exactly as the plain-`modpow` version drew them, so a
+//! seeded generator yields the same primes (`crypto_kat` pins a modulus).
 
-use crate::bigint::BigUint;
+use crate::bigint::{BigUint, Montgomery};
 use rand::RngCore;
 
 /// Small primes used for fast trial division before Miller–Rabin.
@@ -23,14 +28,9 @@ pub fn is_probable_prime(n: &BigUint, rounds: u32, rng: &mut dyn RngCore) -> boo
     if n.is_zero() || n.is_one() {
         return false;
     }
-    let two = BigUint::from_u64(2);
     for &p in &SMALL_PRIMES {
-        let p = BigUint::from_u64(p as u64);
-        if *n == p {
-            return true;
-        }
-        if n.rem(&p).is_zero() {
-            return false;
+        if n.rem_u32(p) == 0 {
+            return *n == BigUint::from_u64(p as u64);
         }
     }
     // Write n-1 = d * 2^r with d odd.
@@ -41,18 +41,26 @@ pub fn is_probable_prime(n: &BigUint, rounds: u32, rng: &mut dyn RngCore) -> boo
         d = d.shr(1);
         r += 1;
     }
+    // Residues stay in Montgomery form throughout: the form is a bijection,
+    // so comparing against the forms of 1 and n-1 decides the same thing.
+    let ctx = Montgomery::new(n).expect("trial division by 2 left an odd n > 251");
+    let one = ctx.to_mont(&BigUint::one());
+    let minus_one = ctx.to_mont(&n_minus_1);
+    let mut square = vec![0u64; ctx.limbs()];
+    let two = BigUint::from_u64(2);
     'witness: for _ in 0..rounds {
-        let a = random_below(&n_minus_1, rng).add(&two); // a in [2, n)
+        let a = random_below(&n_minus_1, rng).add(&two); // a in [2, n]
         if a >= *n {
-            continue; // extremely small n; small-prime path caught those
+            continue;
         }
-        let mut x = a.modpow(&d, n);
-        if x.is_one() || x == n_minus_1 {
+        let mut x = ctx.pow_mont(&ctx.to_mont(&a), &d);
+        if x == one || x == minus_one {
             continue;
         }
         for _ in 0..r.saturating_sub(1) {
-            x = x.mul(&x).rem(n);
-            if x == n_minus_1 {
+            ctx.mul(&x, &x, &mut square);
+            std::mem::swap(&mut x, &mut square);
+            if x == minus_one {
                 continue 'witness;
             }
         }

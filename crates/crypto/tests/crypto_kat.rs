@@ -7,8 +7,9 @@
 //! * MD5: the RFC 1321 §A.5 test suite
 //! * SHA-1 / SHA-256: FIPS 180 (NIST CAVP) vectors, including the
 //!   one-million-'a' extended message
-//! * RSA PKCS#1 v1.5: fixed-seed keypair with pinned golden signatures,
-//!   sign/verify round-trips, and tamper rejection
+//! * RSA PKCS#1 v1.5: fixed-seed keypairs with pinned moduli and golden
+//!   signatures, sign/verify round-trips at 512–1024 bits, and tamper
+//!   rejection
 //!
 //! A from-scratch cipher that merely round-trips can still be wrong in
 //! every byte; only external vectors catch a transposed permutation
@@ -222,12 +223,59 @@ fn sha_million_a_extended_vectors() {
 // RSA PKCS#1 v1.5 — fixed-seed keypair, pinned golden signatures
 // ---------------------------------------------------------------------------
 
-/// The keypair every RSA KAT uses: RSA-512 generated from a pinned DRBG
-/// seed, so the same primes — and therefore the same signatures — come
-/// out on every run and every machine.
-fn fixed_keypair() -> RsaKeyPair {
+/// A keypair generated from a pinned DRBG seed, so the same primes — and
+/// therefore the same signatures — come out on every run and every machine.
+fn fixed_keypair_of(bits: usize) -> RsaKeyPair {
     let mut rng = HmacDrbg::from_seed(0x5253_4131);
-    RsaKeyPair::generate(512, &mut rng).expect("fixed-seed keygen")
+    RsaKeyPair::generate(bits, &mut rng).expect("fixed-seed keygen")
+}
+
+/// The keypair every RSA KAT uses: RSA-512, the paper's size.
+fn fixed_keypair() -> RsaKeyPair {
+    fixed_keypair_of(512)
+}
+
+/// The fixed-seed moduli at every width `rsa-bits` is used with. They pin
+/// key generation — candidate draws, trial division, the Miller–Rabin
+/// witnesses and their order — independently of signing: a server's keypair
+/// comes from a seeded generator, so a keygen that consumed the stream
+/// differently would change every signature of every recorded run. (Values
+/// recorded from the plain-`modpow` key generation.)
+const RSA_FIXED_MODULI: &[(usize, &str)] = &[
+    (
+        512,
+        "a1c60067dd70d4ba5a2056f6ff351339dd01e95b9d56942bd7e27127dafa6a43\
+         0e0514ea4eb454d241d58740e136934e32a9e3e03df51c31b7d69b5a68fad681",
+    ),
+    (
+        768,
+        "c8ba17f6acb281d9fbb000856bb204501da4e5a6d46854f19614a88f970bb505\
+         2308f30660bf719807ce588341d851c3279496b03f425de315f169396e31a020\
+         c5554c66883396143a5599c151c8a0f883d2e923ba662dbb6d0bbba1917206d1",
+    ),
+    (
+        1024,
+        "ba640d6007ce5992038b9756d340812e419fa688bbadcc63a2755b20c205579f\
+         1e061074fa6635b3eaa91b7948cb769a3f74b3af3a6361de95db4d0318961909\
+         e9b64dff820327efa31e3e05ae24d6f76fa1bb0dedca913c4eb034da9044ba27\
+         36104b562cea3015195f1660760c5b21a5c35fa452585d00b74d5ba82e336135",
+    ),
+];
+
+#[test]
+fn rsa_fixed_seed_moduli_and_round_trips_at_every_width() {
+    for (bits, want) in RSA_FIXED_MODULI {
+        let kp = fixed_keypair_of(*bits);
+        assert_eq!(kp.public().modulus().to_hex(), *want, "RSA-{bits} fixed-seed modulus changed");
+        for alg in [HashAlg::Md5, HashAlg::Sha1, HashAlg::Sha256] {
+            let sig = kp.private.sign(alg, RSA_GOLDEN_MSG).expect("sign");
+            assert_eq!(sig.len(), bits / 8);
+            kp.public().verify(alg, RSA_GOLDEN_MSG, &sig).expect("round trip verifies");
+            kp.public()
+                .verify(alg, b"attack at dusk", &sig)
+                .expect_err("verify must reject a different message");
+        }
+    }
 }
 
 /// Golden signatures over `b"attack at dawn"` under the fixed keypair.

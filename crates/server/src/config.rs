@@ -7,6 +7,7 @@
 //! simple `key = value` format with exactly those knobs.
 
 use crate::scheduler::BatchPolicy;
+use crate::stats::ServerStats;
 use kg_core::rekey::{KeyCipher, Strategy};
 use kg_crypto::rsa::HashAlg;
 use std::fmt;
@@ -143,10 +144,10 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Immediate (per-operation) or batched (periodic) rekeying.
     pub rekey: RekeyPolicy,
-    /// Cap on retained per-op stat records (`None` = keep all, the
-    /// evaluation default). A capped server evicts the oldest records
-    /// FIFO; aggregates still cover everything since the last reset.
-    pub stats_record_cap: Option<usize>,
+    /// Per-op stat records retained: a window of the newest (default
+    /// [`ServerStats::DEFAULT_RECORD_CAP`]). Older records are evicted;
+    /// aggregates still cover everything since the last reset.
+    pub stats_record_cap: usize,
 }
 
 impl Default for ServerConfig {
@@ -162,7 +163,7 @@ impl Default for ServerConfig {
             rsa_bits: 512,
             seed: 0,
             rekey: RekeyPolicy::Immediate,
-            stats_record_cap: None,
+            stats_record_cap: ServerStats::DEFAULT_RECORD_CAP,
         }
     }
 }
@@ -218,7 +219,7 @@ impl ServerConfig {
     /// rekey    = batched      # immediate | batched
     /// batch-interval-ms  = 1000
     /// batch-max-pending  = 64
-    /// stats-record-cap   = 4096   # retained per-op records (default: all)
+    /// stats-record-cap   = 4096   # retained per-op records (default: 1024)
     /// ```
     ///
     /// The two `batch-*` knobs only take effect with `rekey = batched`
@@ -270,9 +271,8 @@ impl ServerConfig {
                     }
                 }
                 "stats-record-cap" => {
-                    cfg.stats_record_cap = Some(
-                        value.parse().map_err(|_| ConfigError::bad("stats-record-cap", value))?,
-                    );
+                    cfg.stats_record_cap =
+                        value.parse().map_err(|_| ConfigError::bad("stats-record-cap", value))?;
                 }
                 "batch-max-pending" => {
                     batch.max_pending =
@@ -342,9 +342,7 @@ impl ServerConfig {
             let _ = writeln!(s, "batch-interval-ms = {interval_ms}");
             let _ = writeln!(s, "batch-max-pending = {max_pending}");
         }
-        if let Some(cap) = self.stats_record_cap {
-            let _ = writeln!(s, "stats-record-cap  = {cap}");
-        }
+        let _ = writeln!(s, "stats-record-cap  = {}", self.stats_record_cap);
         s
     }
 
@@ -427,8 +425,8 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Cap on retained per-op stat records (`None` = keep all).
-    pub fn stats_record_cap(mut self, cap: Option<usize>) -> Self {
+    /// Per-op stat records retained.
+    pub fn stats_record_cap(mut self, cap: usize) -> Self {
         self.cfg.stats_record_cap = cap;
         self
     }
@@ -589,12 +587,12 @@ mod tests {
             .rsa_bits(1024)
             .seed(99)
             .batched(250, 16)
-            .stats_record_cap(Some(128))
+            .stats_record_cap(128)
             .build()
             .unwrap();
         assert_eq!(c.strategy, Strategy::Derived);
         assert_eq!(c.rekey, RekeyPolicy::Batched { interval_ms: 250, max_pending: 16 });
-        assert_eq!(c.stats_record_cap, Some(128));
+        assert_eq!(c.stats_record_cap, 128);
 
         assert_eq!(ServerConfig::builder().build().unwrap(), ServerConfig::default());
         assert_eq!(
@@ -666,7 +664,7 @@ mod tests {
                 .rsa_bits(768)
                 .seed(123)
                 .batched(50, 9)
-                .stats_record_cap(Some(7))
+                .stats_record_cap(7)
                 .build()
                 .unwrap(),
         ] {
@@ -706,10 +704,8 @@ mod tests {
                 batched in any::<bool>(),
                 interval_ms in 1u64..100_000,
                 max_pending in 1usize..10_000,
-                cap_set in any::<bool>(),
-                cap_val in 0usize..100_000,
+                cap in 0usize..100_000,
             ) {
-                let cap = cap_set.then_some(cap_val);
                 let strategy = kg_core::rekey::Strategy::EVERY[strategy_ix];
                 let cipher = [KeyCipher::DesCbc, KeyCipher::TripleDesCbc][cipher_ix];
                 let digest = [HashAlg::Md5, HashAlg::Sha1, HashAlg::Sha256][digest_ix];

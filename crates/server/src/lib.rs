@@ -351,10 +351,7 @@ impl GroupKeyServer {
         });
         let tree = KeyTree::new(config.degree, config.key_len(), &mut keygen);
         let scheduler = config.rekey.batch_policy().map(|p| BatchScheduler::new(p, 0));
-        let stats = match config.stats_record_cap {
-            Some(cap) => ServerStats::with_record_cap(cap),
-            None => ServerStats::default(),
-        };
+        let stats = ServerStats::with_record_cap(config.stats_record_cap);
         GroupKeyServer {
             config,
             acl,
@@ -1618,6 +1615,37 @@ mod tests {
         let b = control.handle_join(UserId(100)).unwrap();
         assert_eq!(a.encoded, b.encoded);
         assert_eq!(serial::root_digest(r.tree()), serial::root_digest(control.tree()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshot_carries_exactly_the_retained_record_window() {
+        const WINDOW: usize = 8;
+        let dir = scratch_dir();
+        let config = ServerConfig::builder().stats_record_cap(WINDOW).build().unwrap();
+        let mut s = GroupKeyServer::with_persistence(
+            config.clone(),
+            AccessControl::AllowAll,
+            &dir,
+            persist_config(),
+        )
+        .unwrap();
+        for i in 0..3 * WINDOW as u64 {
+            s.handle_join(UserId(i)).unwrap();
+        }
+        assert_eq!(s.stats().records().len(), WINDOW);
+        assert_eq!(s.stats().records_pushed(), 3 * WINDOW as u64);
+        assert_eq!(s.stats().records_evicted(), 2 * WINDOW as u64);
+        let window = s.stats().records().to_vec();
+        s.force_snapshot().unwrap();
+        drop(s);
+
+        let r = GroupKeyServer::recover(config, AccessControl::AllowAll, &dir, persist_config())
+            .unwrap();
+        assert_eq!(r.stats().records(), window);
+        // Evicted records are gone for good: the restored totals start at
+        // the window.
+        assert_eq!((r.stats().records_pushed(), r.stats().records_evicted()), (WINDOW as u64, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,17 +8,19 @@
 //! Aggregates are **streaming**: every [`push`](ServerStats::push)
 //! folds the record into running totals (per kind and overall), so
 //! [`aggregate`](ServerStats::aggregate) is O(1) in the number of
-//! records and a long-running server can cap the retained record
-//! vector ([`ServerStats::with_record_cap`]) without losing aggregate
-//! accuracy. The floating-point sums are accumulated in insertion
-//! order — exactly the order the previous records-walking
-//! implementation summed in — so uncapped results are bit-identical.
+//! records and covers every record pushed, while the records themselves
+//! are a bounded window of the newest
+//! ([`DEFAULT_RECORD_CAP`](ServerStats::DEFAULT_RECORD_CAP) unless
+//! [`ServerStats::with_record_cap`] says otherwise) — a server's memory
+//! must not grow with the requests it has served. The floating-point sums
+//! are accumulated in insertion order, so the derived means equal a
+//! sequential walk over every record bit for bit.
 
 use kg_obs::LocalHistogram;
 use kg_wire::OpKind;
 
 /// One processed join/leave.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpRecord {
     /// Join, leave, or batched interval.
     pub kind: OpKind,
@@ -149,40 +151,46 @@ const KINDS: usize = 4;
 
 /// Statistics sink held by the server.
 ///
-/// By default every [`OpRecord`] is retained (snapshots checkpoint
-/// them, and per-record views like Figure 10's scatter need them). A
-/// record cap ([`with_record_cap`](Self::with_record_cap)) bounds the
-/// vector for long-running servers: the oldest records are evicted
-/// FIFO while the streaming totals — and therefore
-/// [`aggregate`](Self::aggregate) — continue to cover every record
-/// ever pushed since the last [`reset`](Self::reset).
-#[derive(Debug, Clone, Default)]
+/// Retains the newest [`record_cap`](Self::record_cap) [`OpRecord`]s
+/// (snapshots checkpoint them, and per-record views like Figure 10's
+/// scatter read them); older ones are evicted while the streaming totals
+/// — and therefore [`aggregate`](Self::aggregate) — continue to cover
+/// every record pushed since the last [`reset`](Self::reset).
+#[derive(Debug, Clone)]
 pub struct ServerStats {
+    /// The window is the tail of this vector. It grows to twice the cap
+    /// and then drops its older half in one move, so eviction is amortised
+    /// O(1) per push and the window is always one contiguous slice.
     records: Vec<OpRecord>,
-    record_cap: Option<usize>,
+    record_cap: usize,
     by_kind: [Totals; KINDS],
     overall: Totals,
 }
 
+impl Default for ServerStats {
+    fn default() -> Self {
+        Self::with_record_cap(Self::DEFAULT_RECORD_CAP)
+    }
+}
+
 impl ServerStats {
+    /// Records retained unless the configuration's `stats-record-cap`
+    /// overrides it.
+    pub const DEFAULT_RECORD_CAP: usize = 1024;
+
     /// A sink that retains at most `cap` records (0 retains none).
     /// Aggregates still cover every pushed record.
     pub fn with_record_cap(cap: usize) -> Self {
-        ServerStats { record_cap: Some(cap), ..ServerStats::default() }
-    }
-
-    /// Rebuild a sink from checkpointed records (crash recovery).
-    /// Totals are refolded from the given records, in order.
-    pub fn from_records(records: Vec<OpRecord>) -> Self {
-        let mut s = ServerStats::default();
-        for rec in records {
-            s.push(rec);
+        ServerStats {
+            records: Vec::new(),
+            record_cap: cap,
+            by_kind: Default::default(),
+            overall: Totals::default(),
         }
-        s
     }
 
-    /// The retention cap, if any.
-    pub fn record_cap(&self) -> Option<usize> {
+    /// The retention cap.
+    pub fn record_cap(&self) -> usize {
         self.record_cap
     }
 
@@ -190,22 +198,23 @@ impl ServerStats {
     pub fn push(&mut self, rec: OpRecord) {
         self.by_kind[rec.kind.tag() as usize].fold(&rec);
         self.overall.fold(&rec);
-        self.records.push(rec);
-        if let Some(cap) = self.record_cap {
-            while self.records.len() > cap {
-                self.records.remove(0);
-            }
+        if self.record_cap == 0 {
+            return;
         }
+        if self.records.len() == 2 * self.record_cap {
+            self.records.drain(..self.record_cap);
+        }
+        self.records.push(rec);
     }
 
-    /// The retained records (all of them when uncapped).
+    /// The retained records: the newest `record_cap` pushed, oldest first.
     pub fn records(&self) -> &[OpRecord] {
-        &self.records
+        &self.records[self.records.len().saturating_sub(self.record_cap)..]
     }
 
     /// Records evicted by the cap so far.
     pub fn records_evicted(&self) -> u64 {
-        self.overall.ops - self.records.len() as u64
+        self.overall.ops - self.records().len() as u64
     }
 
     /// Total records ever pushed since the last reset (retained +
@@ -217,7 +226,7 @@ impl ServerStats {
     /// Drop everything (e.g. after the initial-population phase, which the
     /// paper excludes from its tables). Totals reset too.
     pub fn reset(&mut self) {
-        *self = ServerStats { record_cap: self.record_cap, ..ServerStats::default() };
+        *self = ServerStats::with_record_cap(self.record_cap);
     }
 
     /// Aggregate over all records of the given kind (`None` = every kind),
@@ -329,20 +338,31 @@ mod tests {
 
     #[test]
     fn record_cap_evicts_fifo_but_aggregate_covers_everything() {
-        let mut capped = ServerStats::with_record_cap(2);
-        let mut uncapped = ServerStats::default();
-        for i in 1..=10u64 {
-            let r = rec(OpKind::Join, &[i as u32 * 10], i * 1_000_000, i);
-            capped.push(r.clone());
-            uncapped.push(r);
+        // Re-derive the means the way an unbounded sink would — a walk over
+        // every record ever pushed — and require exact f64 equality.
+        for cap in [0usize, 1, 2, 7] {
+            let mut capped = ServerStats::with_record_cap(cap);
+            let pushed: Vec<OpRecord> = (1..=3 * cap.max(4) as u64 + 1)
+                .map(|i| rec(OpKind::Join, &[i as u32 * 10], i * 1_000_003, i))
+                .collect();
+            for (i, r) in pushed.iter().enumerate() {
+                capped.push(r.clone());
+                let kept = capped.records();
+                assert_eq!(kept.len(), (i + 1).min(cap), "cap {cap} after {} pushes", i + 1);
+                // The window is the newest records, oldest first.
+                assert_eq!(kept, &pushed[i + 1 - kept.len()..=i]);
+            }
+            let n = pushed.len() as u64;
+            assert_eq!(capped.records_pushed(), n);
+            assert_eq!(capped.records_evicted(), n - cap as u64);
+            let a = capped.aggregate(None).unwrap();
+            let walk_proc = pushed.iter().map(|r| r.proc_ns as f64).sum::<f64>() / n as f64 / 1e6;
+            let walk_enc = pushed.iter().map(|r| r.encryptions as f64).sum::<f64>() / n as f64;
+            assert_eq!((a.ops, a.msg_size_min, a.msg_size_max), (n, 10, n as u32 * 10));
+            assert_eq!(a.proc_ms_ave.to_bits(), walk_proc.to_bits());
+            assert_eq!(a.encryptions_ave.to_bits(), walk_enc.to_bits());
         }
-        assert_eq!(capped.records().len(), 2);
-        assert_eq!(capped.records()[0].proc_ns, 9_000_000); // oldest evicted
-        assert_eq!(capped.records_evicted(), 8);
-        assert_eq!(capped.records_pushed(), 10);
-        // Aggregates are identical to the uncapped sink.
-        assert_eq!(capped.aggregate(None), uncapped.aggregate(None));
-        assert_eq!(uncapped.records_evicted(), 0);
+        assert_eq!(ServerStats::default().record_cap(), ServerStats::DEFAULT_RECORD_CAP);
     }
 
     #[test]
