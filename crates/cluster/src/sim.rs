@@ -210,13 +210,16 @@ impl SimCluster {
     }
 
     /// Send an authenticated leave request for `(group, user)`, using the
-    /// individual key recorded from the member's grant.
+    /// individual key recorded from the member's grant. The authenticator
+    /// is the grant's last use, so the grant is dropped here: kept, the
+    /// grants of departed members grow without bound under churn.
     ///
     /// # Panics
     ///
-    /// Panics if the member holds no grant (never admitted).
+    /// Panics if the member holds no grant (never admitted, or already
+    /// sent its leave).
     pub fn leave(&mut self, group: GroupId, user: UserId) {
-        let key = self.grants.get(&(group, user)).expect("leave without a grant").key.clone();
+        let key = self.grants.remove(&(group, user)).expect("leave without a grant").key;
         let auth = leave_authenticator(user, &key);
         let ep = self.client_endpoint(group, user);
         let env = ClusterEnvelope::new(
@@ -403,5 +406,55 @@ impl SimCluster {
     /// Per-shard counter snapshots, for export and aggregation.
     pub fn shard_counters(&self) -> Vec<(ShardId, Vec<(String, u64)>)> {
         self.nodes.iter().map(|n| (n.shard(), n.obs().counter_values())).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kg_server::RekeyPolicy;
+
+    /// The benchmark's configuration in small: batched, spanned, shared
+    /// client endpoint, churn for many intervals. What the harness and the
+    /// router keep per member must track the membership, not the history.
+    #[test]
+    fn per_member_state_tracks_the_membership_under_churn() {
+        let (g, n) = (GroupId(1), 32u64);
+        let template = ServerConfig {
+            rekey: RekeyPolicy::Batched { interval_ms: 100, max_pending: usize::MAX },
+            ..ServerConfig::default()
+        };
+        let map = ShardMap::new(4).with_span(g, 4);
+        let mut cluster =
+            SimCluster::new(map, template, AccessControl::AllowAll, NetConfig::default(), None);
+        cluster.use_shared_client_endpoint();
+        let mut members: Vec<UserId> = (1..=n).map(UserId).collect();
+        for &u in &members {
+            cluster.join(g, u);
+        }
+        let mut now_ms = 100;
+        cluster.tick(now_ms);
+
+        let mut departed = Vec::new();
+        for interval in 0..25 {
+            for _ in 0..4 {
+                let u = members.remove(0);
+                cluster.leave(g, u);
+                departed.push(u);
+            }
+            for i in 0..4 {
+                let u = UserId(n + 1 + 4 * interval + i);
+                cluster.join(g, u);
+                members.push(u);
+            }
+            now_ms += 100;
+            cluster.tick(now_ms);
+        }
+
+        assert_eq!(cluster.group_size(g), n as usize);
+        assert!(departed.iter().all(|&u| cluster.grant(g, u).is_none()), "a departed grant kept");
+        assert!(members.iter().all(|&u| cluster.grant(g, u).is_some()), "a member lost its grant");
+        assert_eq!(cluster.grants.len(), n as usize);
+        assert_eq!(cluster.router.directory_len(), n as usize);
     }
 }

@@ -4,6 +4,19 @@
 //! reproduction carry one CBC ciphertext per encrypted key (or per combined
 //! key bundle in user-oriented rekeying, where several new keys are encrypted
 //! together under one key — see Figure 5's `{k_{1-9}, k_{789}}_{k_7}`).
+//!
+//! Both directions work in place in the one buffer they return: encryption
+//! chains each block on the ciphertext block just written before it, and
+//! decryption runs from the last block to the first, so the ciphertext
+//! block each one chains on is still there. Sealing or unsealing a key
+//! allocates nothing but its output.
+//!
+//! Timing: the mode adds no table lookups of its own; those are the block
+//! cipher's (see [`crate::des`] on cache timing). [`CbcCipher::decrypt`]
+//! returns as soon as the padding is malformed, so its time depends on the
+//! padding — a padding oracle wherever an attacker can submit ciphertexts
+//! and watch. In the rekeying protocols only the server produces
+//! ciphertexts and a client's failure is not reported back to anyone.
 
 use crate::{BlockCipher, CryptoError};
 
@@ -43,13 +56,11 @@ impl<C: BlockCipher> CbcCipher<C> {
         data.extend_from_slice(plaintext);
         data.extend(std::iter::repeat_n(pad as u8, pad));
 
-        let mut prev = iv.to_vec();
-        for chunk in data.chunks_mut(bs) {
-            for (b, p) in chunk.iter_mut().zip(prev.iter()) {
-                *b ^= p;
-            }
-            self.cipher.encrypt_block(chunk);
-            prev.copy_from_slice(chunk);
+        for start in (0..data.len()).step_by(bs) {
+            let (done, rest) = data.split_at_mut(start);
+            let block = &mut rest[..bs];
+            xor_into(block, if start == 0 { iv } else { &done[start - bs..] });
+            self.cipher.encrypt_block(block);
         }
         data
     }
@@ -71,15 +82,14 @@ impl<C: BlockCipher> CbcCipher<C> {
                 actual: ciphertext.len(),
             });
         }
+        // Last block first, so the ciphertext block each one chains on is
+        // still in place when it is needed.
         let mut data = ciphertext.to_vec();
-        let mut prev = iv.to_vec();
-        for chunk in data.chunks_mut(bs) {
-            let this_ct = chunk.to_vec();
-            self.cipher.decrypt_block(chunk);
-            for (b, p) in chunk.iter_mut().zip(prev.iter()) {
-                *b ^= p;
-            }
-            prev = this_ct;
+        for start in (0..data.len()).step_by(bs).rev() {
+            let (earlier, rest) = data.split_at_mut(start);
+            let block = &mut rest[..bs];
+            self.cipher.decrypt_block(block);
+            xor_into(block, if start == 0 { iv } else { &earlier[start - bs..] });
         }
         let pad = *data.last().expect("nonempty") as usize;
         if pad == 0 || pad > bs || data.len() < pad {
@@ -90,6 +100,12 @@ impl<C: BlockCipher> CbcCipher<C> {
         }
         data.truncate(data.len() - pad);
         Ok(data)
+    }
+}
+
+fn xor_into(block: &mut [u8], with: &[u8]) {
+    for (b, w) in block.iter_mut().zip(with) {
+        *b ^= w;
     }
 }
 

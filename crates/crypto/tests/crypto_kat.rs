@@ -66,6 +66,20 @@ fn des_fips_46_3_known_answers() {
 }
 
 #[test]
+fn des_rivest_iterative_test() {
+    // Rivest, "Testing implementations of DES" (1985): X_{i+1} is X_i
+    // encrypted (i even) or decrypted (i odd) under X_i itself as the key.
+    // Sixteen steps feed every output back in as both key and data, so a
+    // fault anywhere in the key schedule or either direction propagates.
+    let mut x = 0x9474_B8E8_C73B_CA7Du64;
+    for i in 0..16 {
+        let des = Des::new(&x.to_be_bytes()).expect("8-byte key");
+        x = if i % 2 == 0 { des.encrypt_u64(x) } else { des.decrypt_u64(x) };
+    }
+    assert_eq!(x, 0x1B1A_2DDB_4C64_2438, "X16 of Rivest's iterative DES test");
+}
+
+#[test]
 fn des_complementation_property() {
     // FIPS 46-3's structural identity: E_{~K}(~P) == ~E_K(P). A cipher
     // with any mis-wired permutation fails this across random inputs.
