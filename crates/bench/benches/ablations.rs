@@ -107,47 +107,11 @@ fn bench_key_cover(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_join_policy(c: &mut Criterion) {
-    use kg_core::rekey::Rekeyer;
-    use kg_core::tree::{JoinPolicy, KeyTree};
-    use kg_crypto::drbg::HmacDrbg;
-    use kg_crypto::KeySource;
-
-    let mut g = c.benchmark_group("ablation/join-policy");
-    g.sample_size(20);
-    for (policy, name) in [(JoinPolicy::Balanced, "balanced"), (JoinPolicy::FirstFit, "first-fit")]
-    {
-        let mut src = HmacDrbg::from_seed(11);
-        let mut tree = KeyTree::with_policy(4, 8, policy, &mut src);
-        for i in 0..1024u64 {
-            let ik = src.generate_key(8);
-            tree.join(UserId(i), ik, &mut src).unwrap();
-        }
-        let mut ivs = HmacDrbg::from_seed(12);
-        let mut next = 1_000_000u64;
-        g.bench_with_input(BenchmarkId::from_parameter(name), &(), |b, _| {
-            b.iter(|| {
-                let u = UserId(next);
-                next += 1;
-                let ik = src.generate_key(8);
-                let jev = tree.join(u, ik, &mut src).unwrap();
-                let lev = tree.leave(u, &mut src).unwrap();
-                let mut rk = Rekeyer::new(KeyCipher::DesCbc, &mut ivs);
-                let a = rk.join(&jev, Strategy::GroupOriented);
-                let b2 = rk.batch(&lev, Strategy::GroupOriented);
-                (a.ops.key_encryptions, b2.ops.key_encryptions)
-            })
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_merkle_batch,
     bench_cipher_choice,
     bench_digest_choice,
-    bench_key_cover,
-    bench_join_policy
+    bench_key_cover
 );
 criterion_main!(benches);

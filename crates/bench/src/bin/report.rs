@@ -3,7 +3,7 @@
 //! ```text
 //! report [--quick] <artifact>...
 //! artifacts: table1 table2 table3 table4 table5 table6
-//!            fig10 fig11 fig12 iolus hybrid batch persist obs
+//!            fig10 fig11 fig12 iolus batch persist obs
 //!            cluster trace derived all
 //! ```
 //!
@@ -29,7 +29,9 @@ use kg_bench::{
 };
 use kg_core::cost::{self, GraphClass};
 use kg_core::ids::UserId;
-use kg_core::rekey::{KeyCipher, Strategy};
+use kg_core::keygraph::KeyGraph;
+use kg_core::rekey::{KeyCipher, Rekeyer, Strategy};
+use kg_core::tree::KeyTree;
 use kg_crypto::drbg::HmacDrbg;
 use kg_crypto::KeySource;
 use kg_iolus::IolusSystem;
@@ -44,7 +46,7 @@ struct Opts {
 type Artifact = (&'static str, fn(&Opts));
 
 /// Every artifact, in the order `all` prints them.
-const ARTIFACTS: [Artifact; 17] = [
+const ARTIFACTS: [Artifact; 16] = [
     ("table1", table1),
     ("table2", table2),
     ("table3", table3),
@@ -55,7 +57,6 @@ const ARTIFACTS: [Artifact; 17] = [
     ("table6", table6),
     ("fig12", fig12),
     ("iolus", iolus),
-    ("hybrid", hybrid),
     ("batch", batch),
     ("persist", persist),
     ("obs", obs),
@@ -146,24 +147,30 @@ fn write_artifact(path: &str, json: &str) {
     }
 }
 
+/// A degree no group reaches: the key tree is the paper's star.
+const STAR: usize = u32::MAX as usize;
+
+/// A key tree of degree `d` grown by joining members `0..n`.
+fn grown_tree(d: usize, n: u64, src: &mut HmacDrbg) -> KeyTree {
+    let mut tree = KeyTree::new(d, 8, src);
+    for i in 0..n {
+        let ik = src.generate_key(8);
+        tree.join(UserId(i), ik, src).unwrap();
+    }
+    tree
+}
+
 /// Table 1: number of keys held by the server and by each user.
 fn table1(opts: &Opts) {
     println!("## Table 1 — number of keys (analytical formulas vs live structures)\n");
     let n: u64 = if opts.quick { 64 } else { 256 };
     let d = 4u64;
-    // Measure a live tree.
+    // Measure a live tree, a live star, and a live complete graph (small).
     let mut src = HmacDrbg::from_seed(1);
-    let mut tree = kg_core::tree::KeyTree::new(d as usize, 8, &mut src);
-    for i in 0..n {
-        let ik = src.generate_key(8);
-        tree.join(UserId(i), ik, &mut src).unwrap();
-    }
-    // And a live complete graph (small).
+    let tree = grown_tree(d as usize, n, &mut src);
+    let star = grown_tree(STAR, n, &mut src);
     let nc = 8u64;
-    let mut complete = kg_core::complete::CompleteGroup::new(8);
-    for i in 0..nc {
-        complete.join(UserId(i), &mut src).unwrap();
-    }
+    let complete = KeyGraph::complete((0..nc).map(UserId));
 
     let mut t = TextTable::new(&[
         "class",
@@ -174,10 +181,10 @@ fn table1(opts: &Opts) {
     ]);
     t.row(vec![
         format!("star (n={n})"),
-        (n + 1).to_string(),
-        (n + 1).to_string(),
-        "2".into(),
-        "2".into(),
+        cost::server_total_keys(GraphClass::Star, n, 0).to_string(),
+        star.key_count().to_string(),
+        cost::keys_per_user(GraphClass::Star, n, 0).to_string(),
+        star.height().to_string(),
     ]);
     t.row(vec![
         format!("tree (n={n}, d={d})"),
@@ -191,12 +198,13 @@ fn table1(opts: &Opts) {
         cost::server_total_keys(GraphClass::Complete, nc, 0).to_string(),
         complete.key_count().to_string(),
         cost::keys_per_user(GraphClass::Complete, nc, 0).to_string(),
-        complete.keys_held_by(UserId(0)).to_string(),
+        complete.keyset(UserId(0)).len().to_string(),
     ]);
     println!("{}", t.render());
 }
 
-/// Table 2: cost of a join/leave operation (server column measured live).
+/// Table 2: cost of a join/leave operation (star and tree server columns
+/// measured live).
 fn table2(opts: &Opts) {
     println!("## Table 2 — cost of a join/leave (encryptions; formulas vs measured)\n");
     let n: u64 = if opts.quick { 64 } else { 256 };
@@ -210,11 +218,31 @@ fn table2(opts: &Opts) {
         seeds: vec![SEEDS[0]],
     };
     let r = run(&cfg);
+    // The star's Figures 4 and 2: one member leaves the n-member star, and
+    // a newcomer joins the n−1 left behind.
+    let mut src = HmacDrbg::from_seed(2);
+    let mut ivs = HmacDrbg::from_seed(3);
+    let mut star = grown_tree(STAR, n, &mut src);
+    let mut rekeyer = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+    let ev = star.leave(UserId(0), &mut src).unwrap();
+    let star_leave = rekeyer.batch(&ev, Strategy::GroupOriented).ops.key_encryptions;
+    let ik = src.generate_key(8);
+    let ev = star.join(UserId(n), ik, &mut src).unwrap();
+    let star_join = rekeyer.join(&ev, Strategy::GroupOriented).ops.key_encryptions;
+
     let h = cost::tree_height(n, d);
-    let mut t = TextTable::new(&["quantity", "star", "tree formula", "tree measured", "complete"]);
+    let mut t = TextTable::new(&[
+        "quantity",
+        "star formula",
+        "star measured",
+        "tree formula",
+        "tree measured",
+        "complete",
+    ]);
     t.row(vec![
         "server/join".into(),
         cost::join_cost_server(GraphClass::Star, n, d).to_string(),
+        star_join.to_string(),
         format!("2(h-1) = {}", cost::join_cost_server(GraphClass::Tree, n, d)),
         f(r.join.encryptions_ave),
         format!("2^(n+1), n=8: {}", cost::join_cost_server(GraphClass::Complete, 8, 0)),
@@ -222,6 +250,7 @@ fn table2(opts: &Opts) {
     t.row(vec![
         "server/leave".into(),
         cost::leave_cost_server(GraphClass::Star, n, d).to_string(),
+        star_leave.to_string(),
         format!("d(h-1) = {}", cost::leave_cost_server(GraphClass::Tree, n, d)),
         f(r.leave.encryptions_ave),
         "0".into(),
@@ -229,6 +258,7 @@ fn table2(opts: &Opts) {
     t.row(vec![
         "requester/join (decryptions)".into(),
         "1".into(),
+        "-".into(),
         format!("h-1 = {}", h - 1),
         format!("{}", h - 1),
         "2^n".into(),
@@ -236,12 +266,13 @@ fn table2(opts: &Opts) {
     t.row(vec![
         "non-requester (decryptions)".into(),
         "1".into(),
+        "-".into(),
         format!("d/(d-1) = {}", f(cost::join_cost_nonrequester(GraphClass::Tree, n, d))),
         f(r.client_all.key_changes_per_request),
         "2^(n-1) join / 0 leave".into(),
     ]);
     println!("{}", t.render());
-    println!("(tree measured uses group-oriented rekeying; the measured join cost includes the joiner's unicast copy, per the Figure 7 protocol)\n");
+    println!("(star and tree measured use group-oriented rekeying; the measured join cost includes the joiner's unicast copy, per the Figure 7 protocol)\n");
 }
 
 /// Table 3: average cost per operation.
@@ -509,64 +540,6 @@ fn fig12(opts: &Opts) {
     }
     println!("{}", t.render());
     println!("(expected: flat in n, approaching d/(d-1) — the Table 3 user cost)\n");
-}
-
-/// Section 7 extension: the hybrid strategy, compared to key- and
-/// group-oriented rekeying on messages, bytes, and multicast addresses.
-fn hybrid(opts: &Opts) {
-    use kg_core::rekey::Rekeyer;
-    use kg_core::tree::KeyTree;
-
-    println!("## Section 7 extension — hybrid rekeying (one multicast address per root child)\n");
-    let n = if opts.quick { 256u64 } else { 4096 };
-    let d = 4usize;
-    let mut src = HmacDrbg::from_seed(0x42);
-    let mut tree = KeyTree::new(d, 8, &mut src);
-    for i in 0..n {
-        let ik = src.generate_key(8);
-        tree.join(UserId(i), ik, &mut src).unwrap();
-    }
-    // One leave measured under each packaging.
-    let ev = tree.leave(UserId(n / 2), &mut src).unwrap();
-    let mut ivs = HmacDrbg::from_seed(0x43);
-    let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-    let key = rk.batch(&ev, Strategy::KeyOriented);
-    let group = rk.batch(&ev, Strategy::GroupOriented);
-    let hyb = rk.leave_hybrid(&ev);
-
-    let keys_of = |out: &kg_core::rekey::RekeyOutput| {
-        out.messages.iter().map(|m| m.key_count()).sum::<usize>()
-    };
-    let mut t = TextTable::new(&[
-        "packaging",
-        "messages",
-        "total keys shipped",
-        "encryptions",
-        "mcast addresses needed",
-    ]);
-    t.row(vec![
-        "key-oriented".into(),
-        key.messages.len().to_string(),
-        keys_of(&key).to_string(),
-        key.ops.key_encryptions.to_string(),
-        "one per k-node (~n·d/(d-1))".into(),
-    ]);
-    t.row(vec![
-        "group-oriented".into(),
-        group.messages.len().to_string(),
-        keys_of(&group).to_string(),
-        group.ops.key_encryptions.to_string(),
-        "1 (whole group)".into(),
-    ]);
-    t.row(vec![
-        "hybrid (§7)".into(),
-        hyb.messages.len().to_string(),
-        keys_of(&hyb).to_string(),
-        hyb.ops.key_encryptions.to_string(),
-        format!("{} (root children)", ev.marked[0].children.len()),
-    ]);
-    println!("{}", t.render());
-    println!("(hybrid keeps group-oriented's O(1) message count and encryption cost while only flooding the affected top-level subtree with the large message)\n");
 }
 
 /// Periodic batch rekeying vs the paper's per-operation protocol, over

@@ -5,8 +5,9 @@ use std::process::Command;
 
 #[test]
 fn unknown_artifact_name_is_rejected() {
-    // `par` was an artifact until the worker pool was removed.
-    for bogus in ["par", "tabel1"] {
+    // `par` and `hybrid` were artifacts until the worker pool and the §7
+    // hybrid rekeying were removed.
+    for bogus in ["par", "hybrid", "tabel1"] {
         let out = Command::new(env!("CARGO_BIN_EXE_report"))
             .args(["--quick", "table1", bogus])
             .output()

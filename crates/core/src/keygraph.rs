@@ -41,6 +41,33 @@ impl KeyGraph {
         KeyGraph::default()
     }
 
+    /// The complete key graph over `users` (§2.2), the extreme that brackets
+    /// the design space: one k-node per nonempty subset, held by exactly its
+    /// members — 2^n − 1 keys, 2^(n−1) per user. A subset's label is its
+    /// member set, as a bitmask over user ids, so the graph over S∖{u} is a
+    /// subgraph of the graph over S: a leave needs no new key, and a join
+    /// needs one per subset containing the joiner.
+    ///
+    /// # Panics
+    /// Panics beyond 12 users (4,095 keys) or on a user id of 64 or more.
+    pub fn complete(users: impl IntoIterator<Item = UserId>) -> KeyGraph {
+        let users: Vec<UserId> = users.into_iter().collect::<BTreeSet<_>>().into_iter().collect();
+        assert!(users.len() <= 12, "complete key graph limited to 12 users");
+        assert!(users.iter().all(|u| u.0 < 64), "complete key graph labels need user ids below 64");
+        let mut g = KeyGraph::new();
+        for subset in 1u32..1 << users.len() {
+            let members: Vec<UserId> = (users.iter().enumerate())
+                .filter(|(i, _)| subset >> i & 1 == 1)
+                .map(|(_, &u)| u)
+                .collect();
+            let label = KeyLabel(members.iter().fold(0, |mask, u| mask | 1 << u.0));
+            for u in members {
+                g.add_user_edge(u, label);
+            }
+        }
+        g
+    }
+
     /// Add a user node (no keys yet). Idempotent.
     pub fn add_user(&mut self, u: UserId) {
         self.user_edges.entry(u).or_default();
@@ -498,6 +525,51 @@ mod tests {
         let users: BTreeSet<UserId> = [u(1), u(2)].into_iter().collect();
         let ks = g.keyset_of(&users);
         assert!(ks.contains(&k(1)) && ks.contains(&k(2)) && ks.contains(&k(234)));
+    }
+
+    fn complete(n: u64) -> KeyGraph {
+        KeyGraph::complete((0..n).map(u))
+    }
+
+    #[test]
+    fn complete_graph_table1_counts() {
+        for n in 1..=6u64 {
+            let g = complete(n);
+            assert_eq!(g.key_count(), (1 << n) - 1, "n={n}");
+            for uu in 0..n {
+                assert_eq!(g.keyset(u(uu)).len(), 1 << (n - 1), "n={n}");
+            }
+        }
+        assert_eq!(KeyGraph::complete([]).key_count(), 0);
+    }
+
+    #[test]
+    fn complete_graph_join_adds_a_key_per_subset_with_the_joiner() {
+        let grown = complete(5);
+        let before: BTreeSet<KeyLabel> = complete(4).keys().collect();
+        let after: BTreeSet<KeyLabel> = grown.keys().collect();
+        assert!(before.is_subset(&after));
+        // The joiner is in 2^m of the new subsets, m = 4 members before.
+        assert_eq!(after.difference(&before).count(), 1 << 4);
+        let everyone = after.iter().max().copied().unwrap();
+        assert_eq!(grown.userset(everyone), (0..5).map(u).collect());
+    }
+
+    #[test]
+    fn complete_graph_leave_adds_no_key() {
+        let full = complete(5);
+        let before: BTreeSet<KeyLabel> = full.keys().collect();
+        let after: BTreeSet<KeyLabel> = KeyGraph::complete([1, 2, 3, 4].map(u)).keys().collect();
+        assert!(after.is_subset(&before), "every survivor subset key already existed");
+        assert_eq!(after.len(), 15);
+        // None of them was ever held by the leaver.
+        assert!(after.iter().all(|&key| !full.userset(key).contains(&u(0))));
+    }
+
+    #[test]
+    #[should_panic(expected = "12 users")]
+    fn complete_graph_refuses_more_than_twelve_users() {
+        complete(13);
     }
 
     proptest::proptest! {

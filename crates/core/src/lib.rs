@@ -6,15 +6,17 @@
 //! * [`keygraph`] — the Section 2 formalism: secure groups `(U, K, R)` as
 //!   DAGs of u-nodes and k-nodes, `keyset`/`userset`, and the NP-hard
 //!   key-covering problem (exact + greedy solvers).
-//! * [`star`] — the conventional baseline: one group key, Θ(n) leaves.
+//!   [`KeyGraph::complete`](keygraph::KeyGraph::complete) builds the
+//!   2^n−1-key extreme that brackets the design space.
 //! * [`tree`] — key trees with the full-and-balanced maintenance heuristic:
-//!   the structure, its queries, and the choice of joining point.
+//!   the structure, its queries, and the choice of joining point. A tree
+//!   whose degree no group reaches is the star, the conventional baseline:
+//!   one group key, Θ(n) leaves.
 //! * [`batch`] — the one tree mutation and the one event. A rekey interval
 //!   (any set of joins and leaves) is applied as a single update that
 //!   replaces every key on the union of the changed paths once; a join, a
 //!   leave and a group-key refresh are the intervals of one and of no
 //!   requests. Every caller gets a [`batch::BatchEvent`].
-//! * [`complete`] — the 2^n−1-key extreme, for bracketing the design space.
 //! * [`rekey`] — the paper's two constructions over that event, each under
 //!   the three strategies (user-, key-, group-oriented) and materializing
 //!   real DES-CBC-encrypted rekey messages with the paper's cost
@@ -24,7 +26,6 @@
 //!   interval (a new key under each child's key — leaves and batches).
 //! * [`derive`] — client-derived rekeying: a leave-free interval publishes
 //!   a code instead of shipping keys.
-//! * [`hybrid`] — the §7 hybrid of group- and key-oriented rekeying.
 //! * [`merkle`] — signing a batch of rekey messages with one RSA operation
 //!   (Section 4).
 //! * [`cost`] — the analytical model behind Tables 1–3.
@@ -69,16 +70,13 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod complete;
 pub mod cost;
 pub mod derive;
-pub mod hybrid;
 pub mod ids;
 pub mod keygraph;
 pub mod merkle;
 pub mod rekey;
 pub mod serial;
-pub mod star;
 pub mod tree;
 
 /// Convenient re-exports of the types most callers need.
@@ -90,8 +88,7 @@ pub mod prelude {
     pub use crate::rekey::{
         KeyBundle, KeyCipher, OpCounts, Recipients, RekeyMessage, RekeyOutput, Rekeyer, Strategy,
     };
-    pub use crate::star::StarGroup;
-    pub use crate::tree::{JoinPolicy, KeyTree, TreeError};
+    pub use crate::tree::{KeyTree, TreeError};
 }
 
 pub use prelude::*;

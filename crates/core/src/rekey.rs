@@ -362,7 +362,7 @@ type BundleCache = BTreeMap<(KeyRef, Vec<KeyRef>, Vec<u8>), KeyBundle>;
 ///   Construction order is deterministic (see
 ///   [`crate::batch::BatchEvent::key_cover`]), so the IV assignment — and
 ///   therefore every output byte — is a function of the event alone.
-pub(crate) struct Sealer<'a> {
+struct Sealer<'a> {
     cipher: KeyCipher,
     ivs: IvStream<'a>,
     cache: BundleCache,
@@ -376,7 +376,7 @@ impl<'a> Sealer<'a> {
 
     /// The bundle carrying `targets` sealed under `encrypting_key`,
     /// counting the work performed (or the cache hit) into `ops`.
-    pub(crate) fn bundle(
+    fn bundle(
         &mut self,
         ops: &mut OpCounts,
         encrypting_ref: KeyRef,
@@ -495,7 +495,7 @@ fn build_join(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> R
 
 /// What every construction does for a joiner, last and in event order: its
 /// full new path, root-first, in one unicast under its individual key.
-pub(crate) fn unicast_joiners(
+fn unicast_joiners(
     sealer: &mut Sealer<'_>,
     ops: &mut OpCounts,
     ev: &BatchEvent,
@@ -663,7 +663,7 @@ impl<'a> Rekeyer<'a> {
         self.cipher
     }
 
-    pub(crate) fn sealer(&mut self) -> Sealer<'_> {
+    fn sealer(&mut self) -> Sealer<'_> {
         Sealer::new(self.cipher, &mut *self.ivs)
     }
 

@@ -12,7 +12,7 @@
 //! converged on the same root key the pre-crash server held.
 
 use crate::ids::{KeyLabel, KeyVersion, UserId};
-use crate::tree::{JoinPolicy, KeyTree, Node, Summary};
+use crate::tree::{KeyTree, Node, Summary};
 use kg_crypto::sha256::Sha256;
 use kg_crypto::{Digest, SymmetricKey};
 use std::collections::BTreeMap;
@@ -109,12 +109,11 @@ fn get_opt_index(buf: &mut &[u8]) -> Result<Option<usize>, SerialError> {
 pub fn encode_tree(tree: &KeyTree) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(TREE_MAGIC);
+    // `KeyTree::new` keeps the degree within 32 bits.
     put_u32(&mut out, tree.degree as u32);
     put_u32(&mut out, tree.key_len as u32);
-    out.push(match tree.policy {
-        JoinPolicy::Balanced => 0,
-        JoinPolicy::FirstFit => 1,
-    });
+    // The join-policy byte: 0 names the one policy, balanced placement.
+    out.push(0);
     put_u64(&mut out, tree.root as u64);
     put_u64(&mut out, tree.next_label);
     put_u32(&mut out, tree.nodes.len() as u32);
@@ -162,11 +161,9 @@ pub fn decode_tree(bytes: &[u8]) -> Result<KeyTree, SerialError> {
     if degree < 2 || key_len == 0 {
         return Err(SerialError::Corrupt("invalid degree/key length"));
     }
-    let policy = match get_u8(&mut buf)? {
-        0 => JoinPolicy::Balanced,
-        1 => JoinPolicy::FirstFit,
-        _ => return Err(SerialError::Corrupt("bad join policy tag")),
-    };
+    if get_u8(&mut buf)? != 0 {
+        return Err(SerialError::Corrupt("bad join policy tag"));
+    }
     let root = get_u64(&mut buf)? as usize;
     let next_label = get_u64(&mut buf)?;
     let n_slots = get_count(&mut buf)?;
@@ -246,7 +243,7 @@ pub fn decode_tree(bytes: &[u8]) -> Result<KeyTree, SerialError> {
     // Indices are in range; now require them to describe one tree (a cycle
     // or a node shared between two parents would make the first walk over
     // the result endless) and rebuild what the encoding leaves out.
-    let mut tree = KeyTree { degree, key_len, policy, nodes, free, root, users, next_label };
+    let mut tree = KeyTree { degree, key_len, nodes, free, root, users, next_label };
     tree.validate_and_summarize().map_err(SerialError::Corrupt)?;
     Ok(tree)
 }
@@ -346,6 +343,35 @@ mod tests {
         let mut trailing = encoded.clone();
         trailing.push(0);
         assert!(decode_tree(&trailing).is_err());
+    }
+
+    #[test]
+    fn join_policy_byte_is_zero_and_nothing_else() {
+        let (tree, _) = churned_tree(6, 30);
+        let encoded = encode_tree(&tree);
+        // Magic, degree and key length come first.
+        let at = TREE_MAGIC.len() + 8;
+        assert_eq!(encoded[at], 0);
+        assert_eq!(encode_tree(&decode_tree(&encoded).unwrap()), encoded);
+        // Byte 1 named a first-fit placement no server could select.
+        let mut other_policy = encoded.clone();
+        other_policy[at] = 1;
+        assert_eq!(
+            decode_tree(&other_policy).unwrap_err(),
+            SerialError::Corrupt("bad join policy tag")
+        );
+    }
+
+    #[test]
+    fn star_degree_roundtrips() {
+        let mut src = HmacDrbg::from_seed(8);
+        let mut star = KeyTree::new(u32::MAX as usize, 8, &mut src);
+        for i in 0..5 {
+            let ik = src.generate_key(8);
+            star.join(UserId(i), ik, &mut src).unwrap();
+        }
+        let encoded = encode_tree(&star);
+        assert_eq!(encode_tree(&decode_tree(&encoded).unwrap()), encoded);
     }
 
     #[test]

@@ -114,29 +114,11 @@ impl Summary {
         Summary { size: 0, open: (0, 0), leaf_depth: u32::MAX };
 }
 
-/// Where new members are attached — the paper's server "employs a
-/// heuristic that attempts to build and maintain a key tree that is full
-/// and balanced"; this enum lets the benchmark harness ablate that choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinPolicy {
-    /// Shallowest interior node with room (ties to the smaller subtree);
-    /// split the shallowest leaf when full. The default, and the paper's
-    /// intent.
-    #[default]
-    Balanced,
-    /// First interior node with room in depth-first order; split the first
-    /// leaf found when full. Cheap to compute but lets the tree go lopsided
-    /// — the ablation benchmark quantifies the height (and therefore
-    /// rekey-cost) penalty.
-    FirstFit,
-}
-
 /// A key tree of degree `d`.
 #[derive(Debug, Clone)]
 pub struct KeyTree {
     pub(crate) degree: usize,
     pub(crate) key_len: usize,
-    pub(crate) policy: JoinPolicy,
     pub(crate) nodes: Vec<Option<Node>>,
     pub(crate) free: Vec<NodeId>,
     pub(crate) root: NodeId,
@@ -145,29 +127,21 @@ pub struct KeyTree {
 }
 
 impl KeyTree {
-    /// Create an empty tree of the given degree with `key_len`-byte keys
-    /// and the balanced join heuristic.
+    /// Create an empty tree of the given degree with `key_len`-byte keys.
+    /// A degree no group reaches (`u32::MAX as usize`) makes the tree a
+    /// star: every member's leaf hangs off the root.
     ///
     /// # Panics
-    /// Panics if `degree < 2` (a unary "tree" cannot host subgroups) or
+    /// Panics if `degree < 2` (a unary "tree" cannot host subgroups),
+    /// `degree > u32::MAX` (a snapshot stores it in 32 bits) or
     /// `key_len == 0`.
     pub fn new(degree: usize, key_len: usize, source: &mut dyn KeySource) -> Self {
-        Self::with_policy(degree, key_len, JoinPolicy::Balanced, source)
-    }
-
-    /// Create a tree with an explicit join-point policy (ablations).
-    pub fn with_policy(
-        degree: usize,
-        key_len: usize,
-        policy: JoinPolicy,
-        source: &mut dyn KeySource,
-    ) -> Self {
         assert!(degree >= 2, "key tree degree must be at least 2");
+        assert!(u32::try_from(degree).is_ok(), "key tree degree must fit in 32 bits");
         assert!(key_len > 0, "key length must be positive");
         let mut tree = KeyTree {
             degree,
             key_len,
-            policy,
             nodes: Vec::new(),
             free: Vec::new(),
             root: 0,
@@ -396,46 +370,21 @@ impl KeyTree {
         self.nodes.iter().position(|n| n.as_ref().is_some_and(|n| n.label == label))
     }
 
-    pub(crate) fn find_join_slot(&self) -> JoinSlot {
-        match self.policy {
-            JoinPolicy::Balanced => {
-                let slot = self.find_join_slot_balanced();
-                #[cfg(test)]
-                assert_eq!(slot, self.find_join_slot_bfs(), "descent disagrees with the BFS");
-                slot
-            }
-            JoinPolicy::FirstFit => self.find_join_slot_first_fit(),
-        }
-    }
-
-    /// Depth-first first-fit: the ablation baseline.
-    fn find_join_slot_first_fit(&self) -> JoinSlot {
-        let mut stack = vec![self.root];
-        let mut first_leaf = None;
-        while let Some(id) = stack.pop() {
-            let node = self.node(id);
-            if node.user.is_some() {
-                first_leaf.get_or_insert(id);
-                continue;
-            }
-            if node.children.len() < self.degree {
-                return JoinSlot::Interior(id);
-            }
-            stack.extend(node.children.iter().rev().copied());
-        }
-        JoinSlot::SplitLeaf(first_leaf.expect("full tree has leaves"))
-    }
-
     /// The shallowest interior node with room (smaller subtree, then child
     /// order, breaking ties); if the interior of the tree is full, the
-    /// shallowest user leaf, to split. Read off the cached summaries.
-    fn find_join_slot_balanced(&self) -> JoinSlot {
+    /// shallowest user leaf, to split. Read off the cached summaries; under
+    /// test, checked against the breadth-first oracle.
+    pub(crate) fn find_join_slot(&self) -> JoinSlot {
         let root = self.node(self.root).sum;
-        if root.open != Summary::NO_OPEN {
-            return JoinSlot::Interior(self.descend(|sum| sum.open));
-        }
-        assert!(root.leaf_depth != u32::MAX, "full tree has leaves");
-        JoinSlot::SplitLeaf(self.descend(|sum| (sum.leaf_depth, 0)))
+        let slot = if root.open != Summary::NO_OPEN {
+            JoinSlot::Interior(self.descend(|sum| sum.open))
+        } else {
+            assert!(root.leaf_depth != u32::MAX, "full tree has leaves");
+            JoinSlot::SplitLeaf(self.descend(|sum| (sum.leaf_depth, 0)))
+        };
+        #[cfg(test)]
+        assert_eq!(slot, self.find_join_slot_bfs(), "descent disagrees with the BFS");
+        slot
     }
 
     /// From the root, follow the first child whose `(depth, tie-break)`
@@ -947,37 +896,6 @@ mod tests {
     }
 
     #[test]
-    fn first_fit_policy_valid_but_less_balanced() {
-        // Under heavy churn the first-fit heuristic must stay structurally
-        // valid, and the balanced heuristic should never end up taller.
-        let mut src = HmacDrbg::from_seed(0xAB1E);
-        let mut balanced = KeyTree::new(3, 8, &mut src);
-        let mut firstfit = KeyTree::with_policy(3, 8, JoinPolicy::FirstFit, &mut src);
-        let mut present = Vec::new();
-        for i in 0..300u64 {
-            if i % 5 == 4 && present.len() > 1 {
-                let u: u64 = present.remove((i as usize * 31) % present.len());
-                balanced.leave(UserId(u), &mut src).unwrap();
-                firstfit.leave(UserId(u), &mut src).unwrap();
-            } else {
-                let ik1 = src.generate_key(8);
-                let ik2 = src.generate_key(8);
-                balanced.join(UserId(i), ik1, &mut src).unwrap();
-                firstfit.join(UserId(i), ik2, &mut src).unwrap();
-                present.push(i);
-            }
-            balanced.check_invariants();
-            firstfit.check_invariants();
-        }
-        assert!(
-            balanced.height() <= firstfit.height(),
-            "balanced {} vs first-fit {}",
-            balanced.height(),
-            firstfit.height()
-        );
-    }
-
-    #[test]
     fn churn_preserves_invariants() {
         let (mut tree, mut src) = setup(4);
         let mut present: Vec<u64> = Vec::new();
@@ -1131,7 +1049,7 @@ mod tests {
                     }
                     _ => {}
                 }
-                proptest::prop_assert_eq!(tree.find_join_slot_balanced(), tree.find_join_slot_bfs());
+                proptest::prop_assert_eq!(tree.find_join_slot(), tree.find_join_slot_bfs());
                 tree.check_invariants();
             }
         }

@@ -1,15 +1,32 @@
 //! Baseline structures through the umbrella API: the star's Θ(n) wall,
 //! the complete graph's exponential wall, and the Iolus trade-off —
 //! the design space the key tree sits in the middle of.
+//!
+//! The star is a key tree whose degree no group reaches, so every member's
+//! leaf hangs off the root and the paper's Figures 2 and 4 are the tree's
+//! own join and leave protocols at h = 2.
 
-use keygraphs::core::complete::CompleteGroup;
-use keygraphs::core::ids::UserId;
+use keygraphs::core::ids::{KeyLabel, KeyRef, UserId};
+use keygraphs::core::keygraph::KeyGraph;
 use keygraphs::core::rekey::{KeyCipher, Recipients, Rekeyer, Strategy};
-use keygraphs::core::star::StarGroup;
-use keygraphs::core::tree::KeyTree;
+use keygraphs::core::tree::{KeyTree, TreeError};
 use keygraphs::crypto::drbg::HmacDrbg;
-use keygraphs::crypto::KeySource;
+use keygraphs::crypto::{KeySource, SymmetricKey};
 use keygraphs::iolus::IolusSystem;
+use std::collections::BTreeSet;
+
+/// A degree no group reaches: the key tree is a star.
+const STAR: usize = u32::MAX as usize;
+
+/// A star of members `0..n`.
+fn star_of(n: u64, src: &mut HmacDrbg) -> KeyTree {
+    let mut tree = KeyTree::new(STAR, 8, src);
+    for i in 0..n {
+        let ik = src.generate_key(8);
+        tree.join(UserId(i), ik, src).unwrap();
+    }
+    tree
+}
 
 #[test]
 fn design_space_orderings_hold() {
@@ -20,12 +37,11 @@ fn design_space_orderings_hold() {
     let mut ivs = HmacDrbg::from_seed(2);
 
     // Star.
-    let mut star = StarGroup::new(8, KeyCipher::des_cbc(), &mut src);
-    for i in 0..n {
-        let ik = src.generate_key(8);
-        star.join(UserId(i), ik, &mut src, &mut ivs).unwrap();
-    }
-    let star_cost = star.leave(UserId(0), &mut src, &mut ivs).unwrap().ops.key_encryptions;
+    let mut star = star_of(n, &mut src);
+    let ev = star.leave(UserId(0), &mut src).unwrap();
+    let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+    let star_cost = rk.batch(&ev, Strategy::GroupOriented).ops.key_encryptions;
+    assert_eq!(star_cost, n - 1);
 
     // Tree.
     let mut tree = KeyTree::new(4, 8, &mut src);
@@ -39,15 +55,15 @@ fn design_space_orderings_hold() {
 
     assert!(tree_cost < star_cost / 4, "tree {tree_cost} vs star {star_cost}");
 
-    // Complete (small n only — that's the point).
-    let mut complete = CompleteGroup::new(8);
-    for i in 0..10u64 {
-        complete.join(UserId(i), &mut src).unwrap();
-    }
+    // Complete (small n only — that's the point). Leaving needs no new
+    // key: the survivors' graph is a subgraph of the one before.
+    let complete = KeyGraph::complete((0..10).map(UserId));
     assert_eq!(complete.key_count(), (1 << 10) - 1);
-    let ops = complete.leave(UserId(0)).unwrap();
-    assert_eq!(ops.keys_generated, 0, "complete-graph leaves cost nothing…");
-    assert_eq!(complete.key_count(), (1 << 9) - 1, "…but the key count is exponential");
+    assert_eq!(complete.keyset(UserId(0)).len(), 1 << 9);
+    let before: BTreeSet<KeyLabel> = complete.keys().collect();
+    let after = KeyGraph::complete((1..10).map(UserId));
+    assert!(after.keys().all(|k| before.contains(&k)), "leaves cost nothing…");
+    assert_eq!(after.key_count(), (1 << 9) - 1, "…but the key count is exponential");
 }
 
 #[test]
@@ -91,27 +107,37 @@ fn iolus_and_tree_secure_the_same_workload() {
     assert_eq!(iolus.receive(UserId(1), &msg).as_deref(), Some(b"post-eviction".as_slice()));
 }
 
+/// Figure 4 under every shipped strategy: n−1 encryptions, each under one
+/// survivor's individual key; n−1 unicasts, or one group-oriented multicast.
 #[test]
 fn star_recipients_are_exactly_the_survivors() {
-    let mut src = HmacDrbg::from_seed(5);
-    let mut ivs = HmacDrbg::from_seed(6);
-    let mut star = StarGroup::new(8, KeyCipher::des_cbc(), &mut src);
-    for i in 0..10u64 {
-        let ik = src.generate_key(8);
-        star.join(UserId(i), ik, &mut src, &mut ivs).unwrap();
+    for n in [10u64, 128] {
+        let survivors: Vec<UserId> = (0..n).filter(|&i| i != 4).map(UserId).collect();
+        for strategy in Strategy::ALL {
+            let mut src = HmacDrbg::from_seed(5);
+            let mut ivs = HmacDrbg::from_seed(6);
+            let mut star = star_of(n, &mut src);
+            let ev = star.leave(UserId(4), &mut src).unwrap();
+            let out = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs).batch(&ev, strategy);
+            assert_eq!(out.ops.key_encryptions, n - 1, "{strategy:?} n={n}");
+            let mut recipients: Vec<UserId> = if strategy == Strategy::GroupOriented {
+                // One multicast; each survivor opens its own bundle.
+                assert_eq!(out.messages.len(), 1);
+                assert_eq!(out.messages[0].bundles.len(), survivors.len());
+                star.resolve(&out.messages[0].recipients)
+            } else {
+                // Unicasts: each message reaches exactly one survivor.
+                (out.messages.iter())
+                    .map(|m| match star.resolve(&m.recipients)[..] {
+                        [u] => u,
+                        ref users => panic!("{strategy:?}: a star leave message reached {users:?}"),
+                    })
+                    .collect()
+            };
+            recipients.sort();
+            assert_eq!(recipients, survivors, "{strategy:?} n={n}");
+        }
     }
-    let out = star.leave(UserId(4), &mut src, &mut ivs).unwrap();
-    let mut recipients: Vec<UserId> = out
-        .messages
-        .iter()
-        .map(|m| match m.recipients {
-            Recipients::User(u) => u,
-            ref other => panic!("star leave must unicast, got {other:?}"),
-        })
-        .collect();
-    recipients.sort();
-    let expected: Vec<UserId> = (0..10).filter(|&i| i != 4).map(UserId).collect();
-    assert_eq!(recipients, expected);
 }
 
 #[test]
@@ -128,6 +154,133 @@ fn tree_scales_where_complete_cannot() {
     let tree_keys = tree.key_count() as u64;
     assert!(tree_keys < 2 * n, "tree: {tree_keys} keys for {n} users");
     // The complete graph for the same n would need 2^512 − 1 keys; its
-    // implementation refuses anything beyond MAX_USERS.
-    const { assert!(keygraphs::core::complete::MAX_USERS < 16) };
+    // constructor refuses anything beyond 12 users.
+    assert!(std::panic::catch_unwind(|| KeyGraph::complete((0..13).map(UserId))).is_err());
+}
+
+/// Figure 2 under every shipped strategy: 2 encryptions, 2 messages — the
+/// new group key under the old one for the members, and under the joiner's
+/// individual key for the joiner.
+#[test]
+fn star_join_is_figure_2() {
+    for strategy in Strategy::ALL {
+        for n in [8u64, 128] {
+            let mut src = HmacDrbg::from_seed(21);
+            let mut ivs = HmacDrbg::from_seed(22);
+            let mut star = star_of(n, &mut src);
+            let (old_ref, old_gk) = star.group_key();
+            let ik = src.generate_key(8);
+            let ev = star.join(UserId(n), ik.clone(), &mut src).unwrap();
+            let out = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs).join(&ev, strategy);
+            assert_eq!(out.ops.key_encryptions, 2, "{strategy:?} n={n}");
+            assert_eq!(out.messages.len(), 2, "{strategy:?} n={n}");
+            assert_eq!(star.height(), 2);
+            let (new_ref, new_gk) = star.group_key();
+            let opens = |key: &SymmetricKey, under: KeyRef| {
+                let b = (out.messages.iter().flat_map(|m| &m.bundles))
+                    .find(|b| b.encrypted_with == under)
+                    .expect("a bundle under that key");
+                assert_eq!(b.targets, vec![new_ref]);
+                KeyCipher::des_cbc().decrypt(key, &b.iv, &b.ciphertext).unwrap()
+            };
+            // Old members open it with the old group key…
+            assert_eq!(opens(&old_gk, old_ref), new_gk.material());
+            // …and the joiner with its individual key, in its own unicast.
+            let (leaf_ref, _) = star.keyset(UserId(n)).unwrap()[0].clone();
+            assert_eq!(opens(&ik, leaf_ref), new_gk.material());
+            let to_joiner = out.messages.last().unwrap();
+            assert_eq!(to_joiner.recipients, Recipients::User(UserId(n)));
+            // Everyone else is reached by the first message.
+            let mut others = star.resolve(&out.messages[0].recipients);
+            others.retain(|&u| u != UserId(n));
+            assert_eq!(others.len() as u64, n, "{strategy:?} n={n}");
+        }
+    }
+}
+
+#[test]
+fn star_leaver_opens_nothing_and_survivors_open_their_own() {
+    let mut src = HmacDrbg::from_seed(26);
+    let mut ivs = HmacDrbg::from_seed(27);
+    let mut star = star_of(4, &mut src);
+    let before: Vec<_> = (0..4).map(|i| star.keyset(UserId(i)).unwrap()).collect();
+    let ev = star.leave(UserId(0), &mut src).unwrap();
+    let out = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs).batch(&ev, Strategy::UserOriented);
+    let (_, new_gk) = star.group_key();
+    let bundles: Vec<_> = out.messages.iter().flat_map(|m| &m.bundles).collect();
+    // The leaver holds its individual key and the old group key; neither
+    // seals anything, and neither opens any bundle to the new group key.
+    for (held_ref, held) in &before[0] {
+        for b in &bundles {
+            assert_ne!(b.encrypted_with, *held_ref);
+            if let Ok(plain) = KeyCipher::des_cbc().decrypt(held, &b.iv, &b.ciphertext) {
+                assert_ne!(plain, new_gk.material());
+            }
+        }
+    }
+    // Each survivor opens the one message addressed to it.
+    for (i, keys) in before.iter().enumerate().skip(1) {
+        let (leaf_ref, leaf_key) = &keys[0];
+        let msg = (out.messages.iter())
+            .find(|m| star.resolve(&m.recipients) == [UserId(i as u64)])
+            .unwrap();
+        assert_eq!(msg.bundles[0].encrypted_with, *leaf_ref);
+        let b = &msg.bundles[0];
+        let plain = KeyCipher::des_cbc().decrypt(leaf_key, &b.iv, &b.ciphertext).unwrap();
+        assert_eq!(plain, new_gk.material());
+    }
+}
+
+#[test]
+fn star_group_key_rotates_every_operation() {
+    let mut src = HmacDrbg::from_seed(30);
+    let mut star = star_of(3, &mut src);
+    let (r0, k0) = star.group_key();
+    let ik = src.generate_key(8);
+    star.join(UserId(50), ik, &mut src).unwrap();
+    let (r1, k1) = star.group_key();
+    assert!(r1.version > r0.version);
+    assert_ne!(k0, k1);
+    star.leave(UserId(50), &mut src).unwrap();
+    let (r2, k2) = star.group_key();
+    assert!(r2.version > r1.version);
+    assert_ne!(k1, k2);
+}
+
+#[test]
+fn star_membership_errors() {
+    let mut src = HmacDrbg::from_seed(29);
+    let mut star = star_of(2, &mut src);
+    let ik = src.generate_key(8);
+    assert_eq!(
+        star.join(UserId(0), ik, &mut src).unwrap_err(),
+        TreeError::AlreadyMember(UserId(0))
+    );
+    assert_eq!(star.leave(UserId(42), &mut src).unwrap_err(), TreeError::NotAMember(UserId(42)));
+    assert_eq!(star.user_count(), 2);
+    assert!(star.is_member(UserId(1)));
+    assert!(star.keyset(UserId(1)).is_some());
+    assert!(star.keyset(UserId(42)).is_none());
+}
+
+/// The first join into an empty star still seals `{K'_root}_{K_root}`, for
+/// a multicast nobody but the joiner receives: 2 encryptions where Figure 2
+/// needs 1. Kept on purpose, because every pinned bundle digest includes
+/// that seal's IV draw.
+#[test]
+fn star_first_join_seals_the_root_for_nobody() {
+    for strategy in Strategy::ALL {
+        let mut src = HmacDrbg::from_seed(27);
+        let mut ivs = HmacDrbg::from_seed(28);
+        let mut star = star_of(0, &mut src);
+        let ik = src.generate_key(8);
+        let ev = star.join(UserId(1), ik, &mut src).unwrap();
+        let out = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs).join(&ev, strategy);
+        assert_eq!(out.ops.key_encryptions, 2, "{strategy:?}");
+        assert_eq!(out.messages.len(), 2, "{strategy:?}");
+        assert_eq!(out.messages[1].recipients, Recipients::User(UserId(1)));
+        // The root-key message reaches no member besides the joiner.
+        let reached = star.resolve(&out.messages[0].recipients);
+        assert!(reached.iter().all(|&u| u == UserId(1)), "{strategy:?}: {reached:?}");
+    }
 }

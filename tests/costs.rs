@@ -2,12 +2,13 @@
 //! grid of group sizes and degrees.
 
 use keygraphs::core::cost::{self, GraphClass};
-use keygraphs::core::ids::UserId;
+use keygraphs::core::ids::{KeyLabel, UserId};
+use keygraphs::core::keygraph::KeyGraph;
 use keygraphs::core::rekey::{KeyCipher, Rekeyer, Strategy};
-use keygraphs::core::star::StarGroup;
 use keygraphs::core::tree::KeyTree;
 use keygraphs::crypto::drbg::HmacDrbg;
 use keygraphs::crypto::KeySource;
+use std::collections::BTreeSet;
 
 fn full_tree(n: u64, d: usize) -> (KeyTree, HmacDrbg) {
     let mut src = HmacDrbg::from_seed(42);
@@ -90,15 +91,20 @@ fn table2_server_leave_cost_exact_on_full_trees() {
 
 #[test]
 fn star_costs_scale_linearly() {
+    // The star is a key tree whose degree no group reaches.
     let mut src = HmacDrbg::from_seed(3);
     let mut ivs = HmacDrbg::from_seed(4);
     for n in [8u64, 32, 128] {
-        let mut star = StarGroup::new(8, KeyCipher::des_cbc(), &mut src);
+        let mut star = KeyTree::new(u32::MAX as usize, 8, &mut src);
         for i in 0..n {
             let ik = src.generate_key(8);
-            star.join(UserId(i), ik, &mut src, &mut ivs).unwrap();
+            star.join(UserId(i), ik, &mut src).unwrap();
         }
-        let out = star.leave(UserId(0), &mut src, &mut ivs).unwrap();
+        assert_eq!(star.key_count() as u64, cost::server_total_keys(GraphClass::Star, n, 0));
+        assert_eq!(star.height() as u64, cost::keys_per_user(GraphClass::Star, n, 0));
+        let ev = star.leave(UserId(0), &mut src).unwrap();
+        let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+        let out = rk.batch(&ev, Strategy::GroupOriented);
         assert_eq!(out.ops.key_encryptions, n - 1, "star leave is Θ(n)");
     }
 }
@@ -154,17 +160,16 @@ fn average_cost_tracks_table3_under_churn() {
 
 #[test]
 fn complete_graph_bracket() {
-    use keygraphs::core::complete::CompleteGroup;
-    let mut src = HmacDrbg::from_seed(7);
-    let mut g = CompleteGroup::new(8);
-    for i in 0..6u64 {
-        g.join(UserId(i), &mut src).unwrap();
-    }
+    let g = KeyGraph::complete((0..6).map(UserId));
     // Table 1 and Table 2 complete-column behaviour.
     assert_eq!(g.key_count() as u64, cost::server_total_keys(GraphClass::Complete, 6, 0));
-    assert_eq!(g.keys_held_by(UserId(3)) as u64, cost::keys_per_user(GraphClass::Complete, 6, 0));
-    let ops = g.leave(UserId(0)).unwrap();
-    assert_eq!(ops.keys_generated, 0, "complete-graph leaves are free");
+    assert_eq!(g.keyset(UserId(3)).len() as u64, cost::keys_per_user(GraphClass::Complete, 6, 0));
+    // A leave generates nothing: every survivor subset already has its key,
+    // and only the leaver's 2^5 subsets go.
+    let before: BTreeSet<KeyLabel> = g.keys().collect();
+    let after: BTreeSet<KeyLabel> = KeyGraph::complete((1..6).map(UserId)).keys().collect();
+    assert!(after.is_subset(&before), "complete-graph leaves are free");
+    assert_eq!(before.len() - after.len(), 1 << 5);
 }
 
 #[test]
