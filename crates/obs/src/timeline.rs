@@ -78,6 +78,8 @@ pub enum ObsEvent {
         epoch: u64,
         /// WAL records replayed on top of the snapshot.
         records_replayed: u64,
+        /// Whether a torn final WAL record was discarded.
+        torn_tail: bool,
     },
     /// A simulated endpoint crashed (stops receiving).
     Crash {
@@ -185,8 +187,11 @@ impl fmt::Display for ObsEvent {
             ObsEvent::SnapshotInstalled { epoch, bytes, duration_us } => {
                 write!(f, "snapshot installed epoch={epoch} bytes={bytes} took={duration_us}us")
             }
-            ObsEvent::Recovered { epoch, records_replayed } => {
-                write!(f, "recovered epoch={epoch} replayed={records_replayed}")
+            ObsEvent::Recovered { epoch, records_replayed, torn_tail } => {
+                write!(
+                    f,
+                    "recovered epoch={epoch} replayed={records_replayed} torn_tail={torn_tail}"
+                )
             }
             ObsEvent::Crash { endpoint } => write!(f, "crash endpoint={endpoint}"),
             ObsEvent::Restart { endpoint } => write!(f, "restart endpoint={endpoint}"),
@@ -364,7 +369,7 @@ mod tests {
             ObsEvent::WalAppend { op: "join" },
             ObsEvent::WalRotated { epoch: 2 },
             ObsEvent::SnapshotInstalled { epoch: 2, bytes: 100, duration_us: 5 },
-            ObsEvent::Recovered { epoch: 2, records_replayed: 7 },
+            ObsEvent::Recovered { epoch: 2, records_replayed: 7, torn_tail: true },
             ObsEvent::Crash { endpoint: 0 },
             ObsEvent::Restart { endpoint: 0 },
             ObsEvent::PacketDropped { from: 0, to: 1, mode: "loss" },

@@ -7,20 +7,23 @@
 //! driven by an HMAC-DRBG, so the log can record tiny *requests* instead
 //! of effects and recovery regenerates every key bit-for-bit:
 //!
-//! * [`wal`] — an append-only write-ahead log of mutating ops (join,
-//!   leave, enqueue, batch flush, key refresh), length-prefixed and
-//!   CRC-checked, reusing the `kg-wire` codec, with a configurable fsync
-//!   policy ([`FsyncPolicy`]). Each record carries the post-op root-key
-//!   digest so replay can prove convergence.
+//! * [`wal`] — an append-only write-ahead log of the four requests (join,
+//!   leave, refresh, interval flush), length-prefixed and CRC-checked,
+//!   reusing the `kg-wire` codec, with a configurable fsync policy
+//!   ([`FsyncPolicy`]). Each record carries the post-op root-key digest so
+//!   replay can prove convergence. The header pins, once, the writer's
+//!   *replay contract*: opaque bytes naming the settings that decide what
+//!   a record does when replayed.
 //! * [`snapshot`] — atomic full checkpoints (key tree, DRBG states, ACL,
 //!   stats, batch queue), written temp-file-then-rename.
 //! * [`store`] — the epoch-paired directory layout tying the two
-//!   together: taking a snapshot rotates to a fresh WAL and truncates
-//!   history; recovery loads the latest pair and tolerates a torn final
-//!   record.
+//!   together: taking a snapshot rotates to a fresh WAL (also written
+//!   temp-file-then-rename) and truncates history; recovery loads the
+//!   latest pair and tolerates a torn final record.
 //!
 //! The server side of the contract lives in `kg-server`
-//! (`GroupKeyServer::recover`); this crate knows nothing about servers.
+//! (`GroupKeyServer::recover`); this crate knows nothing about servers and
+//! stores the contract without reading it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,6 +47,12 @@ pub enum PersistError {
     /// On-disk data failed validation; the payload names the first
     /// structure that did.
     Corrupt(&'static str),
+    /// The log was written in a format version this crate does not read.
+    /// Nothing in the store was changed.
+    UnsupportedVersion {
+        /// The version found in the log header.
+        found: u32,
+    },
 }
 
 impl fmt::Display for PersistError {
@@ -51,6 +60,11 @@ impl fmt::Display for PersistError {
         match self {
             PersistError::Io(e) => write!(f, "persistence I/O error: {e}"),
             PersistError::Corrupt(what) => write!(f, "persisted state corrupt: {what}"),
+            PersistError::UnsupportedVersion { found } => write!(
+                f,
+                "wal format version {found} is not supported (this build reads version {})",
+                wal::WAL_VERSION
+            ),
         }
     }
 }
@@ -59,7 +73,7 @@ impl std::error::Error for PersistError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PersistError::Io(e) => Some(e),
-            PersistError::Corrupt(_) => None,
+            PersistError::Corrupt(_) | PersistError::UnsupportedVersion { .. } => None,
         }
     }
 }
@@ -82,5 +96,7 @@ mod tests {
         let corrupt = PersistError::Corrupt("wal magic");
         assert!(corrupt.to_string().contains("wal magic"));
         assert!(std::error::Error::source(&corrupt).is_none());
+        let old = PersistError::UnsupportedVersion { found: 1 };
+        assert!(old.to_string().contains("version 1"));
     }
 }

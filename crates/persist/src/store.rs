@@ -4,19 +4,22 @@
 //!
 //! ```text
 //! snapshot-<epoch>.kgs   checkpoint of the state at the start of the epoch
-//! wal-<epoch>.kgl        every mutating op since that checkpoint
+//! wal-<epoch>.kgl        every request since that checkpoint
 //! ```
 //!
 //! Epoch 0 has no snapshot — its WAL starts from the freshly constructed
 //! server. Taking a snapshot rotates to the next epoch: the new snapshot
 //! and an empty WAL are written and synced *before* the previous pair is
 //! deleted, so a crash at any point leaves one recoverable pair on disk.
+//! Both new files are written whole under a `.tmp` name and renamed into
+//! place, so a crash never leaves a `wal-<epoch>.kgl` without its header
+//! (recovery ignores names that do not end in `.kgl`).
 
 use crate::snapshot::Snapshot;
-use crate::wal::{encode_header, encode_record, read_wal_file, FsyncPolicy, WalOp, WAL_HEADER_LEN};
+use crate::wal::{encode_header, encode_record, read_wal_file, FsyncPolicy, WalOp, WAL_OP_NAMES};
 use crate::PersistError;
 
-use kg_obs::{Histogram, Obs, ObsEvent};
+use kg_obs::{Counter, Histogram, Obs, ObsEvent};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -48,8 +51,9 @@ impl Default for PersistConfig {
 pub struct RecoveredState {
     /// The latest snapshot, if the store has rotated past epoch 0.
     pub snapshot: Option<Snapshot>,
-    /// DRBG seed recorded in the WAL header.
-    pub seed: u64,
+    /// The replay contract the store was created with, as the WAL header
+    /// holds it.
+    pub contract: Vec<u8>,
     /// Epoch of the recovered pair.
     pub epoch: u64,
     /// Valid WAL records to replay, in order, each with the root-key
@@ -64,15 +68,19 @@ pub struct RecoveredState {
 pub struct Persistence {
     dir: PathBuf,
     config: PersistConfig,
-    seed: u64,
+    contract: Vec<u8>,
     epoch: u64,
     wal: File,
     wal_len: u64,
+    /// Bytes past `wal_len` are a torn record, cut at the next append.
+    torn: bool,
     ops_since_snapshot: u64,
     records_since_sync: u32,
     last_sync: Instant,
     obs: Obs,
     fsync_us: Histogram,
+    /// `kg_wal_appends_total{op=…}`, indexed by record tag.
+    appends: [Counter; 4],
 }
 
 fn wal_path(dir: &Path, epoch: u64) -> PathBuf {
@@ -88,6 +96,31 @@ fn sync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Set by tests to simulate a kill after a new WAL file is created and
+    /// before its header is written.
+    static KILL_BEFORE_WAL_HEADER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Write an empty WAL for `epoch` under a temporary name, sync it, then
+/// rename it into place. Returns the handle, positioned for appends, and
+/// the header's length.
+fn create_wal(dir: &Path, epoch: u64, contract: &[u8]) -> Result<(File, u64), PersistError> {
+    let tmp = dir.join(format!("wal-{epoch}.kgl.tmp"));
+    let mut wal = File::create(&tmp)?;
+    #[cfg(test)]
+    if KILL_BEFORE_WAL_HEADER.get() {
+        return Err(PersistError::Io(std::io::Error::other("simulated kill")));
+    }
+    let header = encode_header(epoch, contract);
+    wal.write_all(&header)?;
+    wal.sync_data()?;
+    std::fs::rename(&tmp, wal_path(dir, epoch))?;
+    sync_dir(dir);
+    Ok((wal, header.len() as u64))
 }
 
 /// Find the highest epoch with a WAL file in `dir`.
@@ -107,12 +140,14 @@ fn latest_epoch(dir: &Path) -> Result<Option<u64>, PersistError> {
 }
 
 impl Persistence {
-    /// Create a fresh store in `dir` (created if absent). Fails if the
-    /// directory already contains a WAL — an existing store must go
-    /// through [`Persistence::recover`] instead of being overwritten.
+    /// Create a fresh store in `dir` (created if absent) whose WAL header
+    /// pins `contract`, the caller's replay contract, for every epoch.
+    /// Fails if the directory already contains a WAL — an existing store
+    /// must go through [`Persistence::recover`] instead of being
+    /// overwritten.
     pub fn create(
         dir: impl Into<PathBuf>,
-        seed: u64,
+        contract: &[u8],
         config: PersistConfig,
     ) -> Result<Self, PersistError> {
         let dir = dir.into();
@@ -120,23 +155,35 @@ impl Persistence {
         if latest_epoch(&dir)?.is_some() {
             return Err(PersistError::Corrupt("store directory already contains a log"));
         }
-        let mut wal = OpenOptions::new().create_new(true).write(true).open(wal_path(&dir, 0))?;
-        wal.write_all(&encode_header(0, seed))?;
-        wal.sync_data()?;
-        sync_dir(&dir);
-        Ok(Persistence {
+        let (wal, wal_len) = create_wal(&dir, 0, contract)?;
+        Ok(Self::open(dir, config, contract.to_vec(), 0, wal, wal_len))
+    }
+
+    /// A handle appending to `wal` at `wal_len`, with nothing logged since
+    /// the epoch began.
+    fn open(
+        dir: PathBuf,
+        config: PersistConfig,
+        contract: Vec<u8>,
+        epoch: u64,
+        wal: File,
+        wal_len: u64,
+    ) -> Self {
+        Persistence {
             dir,
             config,
-            seed,
-            epoch: 0,
+            contract,
+            epoch,
             wal,
-            wal_len: WAL_HEADER_LEN,
+            wal_len,
+            torn: false,
             ops_since_snapshot: 0,
             records_since_sync: 0,
             last_sync: Instant::now(),
             obs: Obs::disabled(),
             fsync_us: Histogram::default(),
-        })
+            appends: Default::default(),
+        }
     }
 
     /// Attach an observability handle: fsync latency lands in the
@@ -144,13 +191,16 @@ impl Persistence {
     /// installs are counted and put on the event timeline.
     pub fn attach_obs(&mut self, obs: Obs) {
         self.fsync_us = obs.histogram("kg_fsync_us");
+        self.appends = WAL_OP_NAMES.map(|op| obs.counter_with("kg_wal_appends_total", "op", op));
         self.obs = obs;
     }
 
-    /// Read back the latest epoch pair and reopen the WAL for append
-    /// (truncating a torn final record away). The caller replays
-    /// `RecoveredState` through its own state machine, then continues
-    /// appending through the returned handle.
+    /// Read back the latest epoch pair and reopen the WAL for append. The
+    /// caller checks `RecoveredState::contract` and replays the records
+    /// through its own state machine, then continues appending through the
+    /// returned handle. Nothing on disk changes here: a torn final record
+    /// is cut at the first append, so a recovery the caller refuses leaves
+    /// the store as it found it.
     pub fn recover(
         dir: impl Into<PathBuf>,
         config: PersistConfig,
@@ -159,50 +209,26 @@ impl Persistence {
         let Some(epoch) = latest_epoch(&dir)? else {
             return Err(PersistError::Corrupt("no log found in store directory"));
         };
-        let contents = read_wal_file(&wal_path(&dir, epoch))?;
-        if contents.epoch != epoch {
+        let (mut recovered, valid_len) = read_wal_file(&wal_path(&dir, epoch))?;
+        if recovered.epoch != epoch {
             return Err(PersistError::Corrupt("wal header epoch does not match file name"));
         }
-        let snapshot = match epoch {
-            0 => None,
-            _ => {
-                let mut bytes = Vec::new();
-                File::open(snapshot_path(&dir, epoch))?.read_to_end(&mut bytes)?;
-                let (snap, snap_epoch) = Snapshot::decode(&bytes)?;
-                if snap_epoch != epoch {
-                    return Err(PersistError::Corrupt("snapshot epoch does not match file name"));
-                }
-                if snap.seed != contents.seed {
-                    return Err(PersistError::Corrupt("snapshot seed does not match wal header"));
-                }
-                Some(snap)
+        if epoch > 0 {
+            let mut bytes = Vec::new();
+            File::open(snapshot_path(&dir, epoch))?.read_to_end(&mut bytes)?;
+            let (snap, snap_epoch) = Snapshot::decode(&bytes)?;
+            if snap_epoch != epoch {
+                return Err(PersistError::Corrupt("snapshot epoch does not match file name"));
             }
-        };
-        // Append mode: every later write lands at the (truncated) tail.
+            recovered.snapshot = Some(snap);
+        }
+        // Append mode: every later write lands at the tail, once the torn
+        // bytes (if any) are cut.
         let wal = OpenOptions::new().append(true).open(wal_path(&dir, epoch))?;
-        wal.set_len(contents.valid_len)?;
-        wal.sync_data()?;
-        let ops_since_snapshot = contents.ops.len() as u64;
-        let recovered = RecoveredState {
-            snapshot,
-            seed: contents.seed,
-            epoch,
-            ops: contents.ops,
-            torn_tail: contents.torn_tail,
-        };
-        let persistence = Persistence {
-            dir,
-            config,
-            seed: recovered.seed,
-            epoch,
-            wal,
-            wal_len: contents.valid_len,
-            ops_since_snapshot,
-            records_since_sync: 0,
-            last_sync: Instant::now(),
-            obs: Obs::disabled(),
-            fsync_us: Histogram::default(),
-        };
+        let mut persistence =
+            Self::open(dir, config, recovered.contract.clone(), epoch, wal, valid_len);
+        persistence.torn = recovered.torn_tail;
+        persistence.ops_since_snapshot = recovered.ops.len() as u64;
         Ok((persistence, recovered))
     }
 
@@ -214,11 +240,6 @@ impl Persistence {
     /// The current epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The DRBG seed recorded in the WAL header.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Current WAL length in bytes.
@@ -235,14 +256,17 @@ impl Persistence {
     /// The record carries the root-key digest observed *after* the op.
     pub fn append(&mut self, op: &WalOp, root_digest: &[u8; 32]) -> Result<(), PersistError> {
         let record = encode_record(op, root_digest);
-        // Appends always land at the tracked tail: recovery truncated any
-        // torn bytes away, so a partially synced earlier write cannot
-        // leave a gap under this record.
+        // Appends always land at the tracked tail: a torn record left by a
+        // crash is cut first, so it cannot leave a gap under this one.
+        if self.torn {
+            self.wal.set_len(self.wal_len)?;
+            self.torn = false;
+        }
         self.wal.write_all(&record)?;
         self.wal_len += record.len() as u64;
         self.ops_since_snapshot += 1;
         self.records_since_sync += 1;
-        self.obs.counter_with("kg_wal_appends_total", "op", op.name()).inc();
+        self.appends[op.tag() as usize].inc();
         self.obs.event(ObsEvent::WalAppend { op: op.name() });
         let due = match self.config.fsync {
             FsyncPolicy::EveryRecord => true,
@@ -289,15 +313,8 @@ impl Persistence {
             tmp.sync_data()?;
         }
         std::fs::rename(&tmp_path, &final_path)?;
-        // 2. Fresh WAL for the new epoch.
-        let mut wal = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .write(true)
-            .open(wal_path(&self.dir, new_epoch))?;
-        wal.write_all(&encode_header(new_epoch, self.seed))?;
-        wal.sync_data()?;
-        sync_dir(&self.dir);
+        // 2. Fresh WAL for the new epoch, the same way.
+        let (wal, wal_len) = create_wal(&self.dir, new_epoch, &self.contract)?;
         // 3. Only now is the old pair redundant.
         let _ = std::fs::remove_file(wal_path(&self.dir, self.epoch));
         if self.epoch > 0 {
@@ -306,7 +323,8 @@ impl Persistence {
         sync_dir(&self.dir);
         self.epoch = new_epoch;
         self.wal = wal;
-        self.wal_len = WAL_HEADER_LEN;
+        self.wal_len = wal_len;
+        self.torn = false;
         self.ops_since_snapshot = 0;
         self.records_since_sync = 0;
         let duration_us = started.elapsed().as_micros() as u64;
@@ -344,6 +362,12 @@ mod tests {
         [b; 32]
     }
 
+    const CONTRACT: &[u8] = b"seed = 5\n";
+
+    fn ops(recovered: &RecoveredState) -> Vec<WalOp> {
+        recovered.ops.iter().map(|(op, _)| *op).collect()
+    }
+
     fn dummy_snapshot(seed: u64, seq: u64) -> Snapshot {
         Snapshot {
             seed,
@@ -361,21 +385,18 @@ mod tests {
     #[test]
     fn create_append_recover() {
         let dir = scratch();
-        let mut p = Persistence::create(&dir, 5, PersistConfig::default()).unwrap();
+        let mut p = Persistence::create(&dir, CONTRACT, PersistConfig::default()).unwrap();
         p.append(&WalOp::Join(UserId(1)), &digest(1)).unwrap();
         p.append(&WalOp::Leave(UserId(1)), &digest(2)).unwrap();
         p.sync().unwrap();
         drop(p);
 
         let (p, recovered) = Persistence::recover(&dir, PersistConfig::default()).unwrap();
-        assert_eq!(recovered.seed, 5);
+        assert_eq!(recovered.contract, CONTRACT);
         assert_eq!(recovered.epoch, 0);
         assert!(recovered.snapshot.is_none());
         assert!(!recovered.torn_tail);
-        assert_eq!(
-            recovered.ops.iter().map(|(op, _)| *op).collect::<Vec<_>>(),
-            vec![WalOp::Join(UserId(1)), WalOp::Leave(UserId(1))]
-        );
+        assert_eq!(ops(&recovered), vec![WalOp::Join(UserId(1)), WalOp::Leave(UserId(1))]);
         assert_eq!(recovered.ops[1].1, digest(2));
         drop(p);
         let _ = std::fs::remove_dir_all(&dir);
@@ -384,16 +405,16 @@ mod tests {
     #[test]
     fn create_refuses_existing_store() {
         let dir = scratch();
-        let p = Persistence::create(&dir, 1, PersistConfig::default()).unwrap();
+        let p = Persistence::create(&dir, CONTRACT, PersistConfig::default()).unwrap();
         drop(p);
-        assert!(Persistence::create(&dir, 1, PersistConfig::default()).is_err());
+        assert!(Persistence::create(&dir, CONTRACT, PersistConfig::default()).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn recover_truncates_torn_tail_and_appends_continue() {
         let dir = scratch();
-        let mut p = Persistence::create(&dir, 3, PersistConfig::default()).unwrap();
+        let mut p = Persistence::create(&dir, CONTRACT, PersistConfig::default()).unwrap();
         p.append(&WalOp::Join(UserId(1)), &digest(1)).unwrap();
         p.append(&WalOp::Join(UserId(2)), &digest(2)).unwrap();
         p.sync().unwrap();
@@ -409,23 +430,21 @@ mod tests {
         let (mut p, recovered) = Persistence::recover(&dir, PersistConfig::default()).unwrap();
         assert!(recovered.torn_tail);
         assert_eq!(recovered.ops.len(), 1);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len - 3, "recovery alone cuts nothing");
         // Appending after recovery lands cleanly where the tear was cut.
         p.append(&WalOp::Join(UserId(3)), &digest(3)).unwrap();
         p.sync().unwrap();
         drop(p);
         let (_, recovered) = Persistence::recover(&dir, PersistConfig::default()).unwrap();
         assert!(!recovered.torn_tail);
-        assert_eq!(
-            recovered.ops.iter().map(|(op, _)| *op).collect::<Vec<_>>(),
-            vec![WalOp::Join(UserId(1)), WalOp::Join(UserId(3))]
-        );
+        assert_eq!(ops(&recovered), vec![WalOp::Join(UserId(1)), WalOp::Join(UserId(3))]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn snapshot_rotates_epoch_and_removes_old_pair() {
         let dir = scratch();
-        let mut p = Persistence::create(&dir, 8, PersistConfig::default()).unwrap();
+        let mut p = Persistence::create(&dir, CONTRACT, PersistConfig::default()).unwrap();
         for i in 0..5 {
             p.append(&WalOp::Join(UserId(i)), &digest(i as u8)).unwrap();
         }
@@ -439,12 +458,9 @@ mod tests {
         assert!(!wal_path(&dir, 0).exists());
         let (p, recovered) = Persistence::recover(&dir, PersistConfig::default()).unwrap();
         assert_eq!(recovered.epoch, 1);
-        let snap = recovered.snapshot.expect("snapshot present past epoch 0");
+        let snap = recovered.snapshot.as_ref().expect("snapshot present past epoch 0");
         assert_eq!(snap.seq, 5);
-        assert_eq!(
-            recovered.ops.iter().map(|(op, _)| *op).collect::<Vec<_>>(),
-            vec![WalOp::Leave(UserId(0))]
-        );
+        assert_eq!(ops(&recovered), vec![WalOp::Leave(UserId(0))]);
         drop(p);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -457,7 +473,7 @@ mod tests {
             snapshot_every_ops: 3,
             snapshot_max_bytes: u64::MAX,
         };
-        let mut p = Persistence::create(&dir, 0, cfg).unwrap();
+        let mut p = Persistence::create(&dir, CONTRACT, cfg).unwrap();
         assert!(!p.should_snapshot());
         for i in 0..3 {
             p.append(&WalOp::Join(UserId(i)), &digest(0)).unwrap();
@@ -473,7 +489,7 @@ mod tests {
     fn fsync_every_n_counts_records() {
         let dir = scratch();
         let cfg = PersistConfig { fsync: FsyncPolicy::EveryN(2), ..PersistConfig::default() };
-        let mut p = Persistence::create(&dir, 0, cfg).unwrap();
+        let mut p = Persistence::create(&dir, CONTRACT, cfg).unwrap();
         // No crash-injection harness here — just exercise the counter path.
         for i in 0..5 {
             p.append(&WalOp::Join(UserId(i)), &digest(0)).unwrap();
@@ -489,6 +505,58 @@ mod tests {
         let dir = scratch();
         std::fs::create_dir_all(&dir).unwrap();
         assert!(Persistence::recover(&dir, PersistConfig::default()).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A kill after a rotation created the new epoch's WAL file and before
+    /// its header was written leaves the previous pair in charge: it
+    /// recovers, and the next rotation goes through.
+    #[test]
+    fn kill_before_a_rotated_wal_has_its_header_keeps_the_previous_pair() {
+        let dir = scratch();
+        let mut p = Persistence::create(&dir, CONTRACT, PersistConfig::default()).unwrap();
+        p.append(&WalOp::Join(UserId(1)), &digest(1)).unwrap();
+        p.install_snapshot(&dummy_snapshot(5, 1)).unwrap();
+        p.append(&WalOp::Join(UserId(2)), &digest(2)).unwrap();
+        p.sync().unwrap();
+        KILL_BEFORE_WAL_HEADER.set(true);
+        let killed = p.install_snapshot(&dummy_snapshot(5, 2));
+        KILL_BEFORE_WAL_HEADER.set(false);
+        assert!(killed.is_err());
+        drop(p);
+
+        let (mut p, recovered) = Persistence::recover(&dir, PersistConfig::default()).unwrap();
+        assert_eq!(recovered.epoch, 1);
+        assert_eq!(recovered.snapshot.as_ref().map(|s| s.seq), Some(1));
+        assert_eq!(ops(&recovered), [WalOp::Join(UserId(2))]);
+        p.install_snapshot(&dummy_snapshot(5, 2)).unwrap();
+        drop(p);
+        let (_, recovered) = Persistence::recover(&dir, PersistConfig::default()).unwrap();
+        assert_eq!((recovered.epoch, recovered.ops.len()), (2, 0));
+        assert_eq!(recovered.contract, CONTRACT);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The same kill while a store is being created leaves nothing that
+    /// counts as a log, so the store can be created again.
+    #[test]
+    fn kill_before_a_new_stores_wal_has_its_header_leaves_no_store() {
+        let dir = scratch();
+        KILL_BEFORE_WAL_HEADER.set(true);
+        let killed = Persistence::create(&dir, CONTRACT, PersistConfig::default());
+        KILL_BEFORE_WAL_HEADER.set(false);
+        assert!(killed.is_err());
+        assert!(matches!(
+            Persistence::recover(&dir, PersistConfig::default()),
+            Err(PersistError::Corrupt("no log found in store directory"))
+        ));
+
+        let mut p = Persistence::create(&dir, CONTRACT, PersistConfig::default()).unwrap();
+        p.append(&WalOp::Join(UserId(1)), &digest(1)).unwrap();
+        p.sync().unwrap();
+        drop(p);
+        let (_, recovered) = Persistence::recover(&dir, PersistConfig::default()).unwrap();
+        assert_eq!(ops(&recovered), [WalOp::Join(UserId(1))]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,24 +1,33 @@
 //! Write-ahead log: framing, fsync policy, and tail-tolerant reading.
 //!
-//! A log file is a fixed header followed by a sequence of records:
+//! A log file is a header followed by a sequence of records:
 //!
 //! ```text
-//! header: "KGWL" | version u32 | epoch u64 | seed u64
-//! record: len u32 | payload (len bytes) | crc32(payload) u32
-//! payload: WalOp encoding | post-op root digest (32 bytes)
+//! header:  "KGWL" | version u32 | epoch u64 | contract_len u32 | contract
+//! record:  len u32 | payload (len bytes) | crc32(payload) u32
+//! payload: tag u8 | body | post-op root digest (32 bytes)
+//!          0 join: user u64   1 leave: user u64   2 refresh   3 flush: now_ms u64
 //! ```
 //!
-//! All integers are big-endian, reusing the `kg-wire` codec. Each record
-//! carries the SHA-256 digest of the group key *after* the operation, so
-//! replay can verify the recovered tree converged to the pre-crash state.
+//! All integers are big-endian, reusing the `kg-wire` codec. The
+//! *contract* is the writer's replay contract: opaque bytes naming every
+//! setting that decides what a record does when replayed. This crate
+//! stores them and hands them back; the server compares them with its own
+//! configuration before it replays anything. Records carry only the
+//! request, plus the SHA-256 digest of the group key *after* it, so replay
+//! can verify the recovered tree converged to the pre-crash state.
+//!
+//! A log whose version is not [`WAL_VERSION`] is refused with
+//! [`PersistError::UnsupportedVersion`]; there is no reader for older
+//! formats.
 //!
 //! A crash mid-`write(2)` leaves a torn final record — a short length
-//! prefix, a short payload, or a CRC mismatch. [`read_records`] stops at
-//! the first invalid record and reports the byte offset of the valid
-//! prefix; reopening for append truncates the tear away.
+//! prefix, a short payload, or a CRC mismatch. `read_wal` stops at the
+//! first invalid record and reports the byte offset of the valid prefix;
+//! the next append truncates the tear away.
 
 use crate::crc::crc32;
-use crate::PersistError;
+use crate::{PersistError, RecoveredState};
 use kg_core::ids::UserId;
 use kg_wire::codec::{get_u32, get_u64, get_u8};
 
@@ -29,122 +38,80 @@ use std::io::Read;
 pub const WAL_MAGIC: &[u8; 4] = b"KGWL";
 
 /// WAL format version written by this crate.
-pub const WAL_VERSION: u32 = 1;
-
-/// Size of the fixed WAL header in bytes.
-pub const WAL_HEADER_LEN: u64 = 4 + 4 + 8 + 8;
+pub const WAL_VERSION: u32 = 2;
 
 /// Largest record payload accepted when reading (an op plus digest is a
 /// few dozen bytes; anything huge is corruption, not data).
 const MAX_RECORD_LEN: usize = 4096;
 
-/// One logged mutating operation.
+/// Largest replay contract accepted in a header (a few spec lines).
+const MAX_CONTRACT_LEN: usize = 4096;
+
+/// One logged request.
 ///
 /// The log records *requests*, not effects: replaying a `Join` re-runs
 /// admission control, key generation, and tree mutation through the same
 /// server code path, which — given the checkpointed DRBG state — must
-/// regenerate byte-identical keys. Only operations that succeeded are
-/// logged (failed requests consume no key material).
+/// regenerate byte-identical keys. Whether a join is applied at once or
+/// queued for the next interval, and which key stream it draws from, is
+/// fixed by the replay contract in the log header, so a record names the
+/// request alone. Only requests that succeeded are logged (failed requests
+/// consume no key material).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalOp {
-    /// Immediate join.
+    /// A join: rekeyed at once, or queued on a server that batches.
     Join(UserId),
-    /// Immediate leave.
+    /// A leave: rekeyed at once, or queued on a server that batches.
     Leave(UserId),
-    /// Join queued for the next batch interval.
-    EnqueueJoin(UserId),
-    /// Leave queued for the next batch interval.
-    EnqueueLeave(UserId),
+    /// Group-key refresh (key-version bump, no membership change).
+    Refresh,
     /// A batch flush was attempted at `now_ms` (the interval clock reset
     /// even if the queue was empty, so empty flushes are logged too).
     Flush {
         /// The server clock passed to the flush.
         now_ms: u64,
     },
-    /// Group-key refresh (key-version bump, no membership change).
-    Refresh,
-    /// Immediate join under `strategy = derived` (client-derived
-    /// rekeying). Distinct from [`WalOp::Join`] because the derived path
-    /// consumes the key-generation DRBG differently (individual key plus
-    /// a derivation code instead of fresh path keys), so replaying under
-    /// the wrong strategy would silently regenerate a different key
-    /// stream — the distinct tag lets recovery fail fast on a
-    /// configuration flip instead.
-    DerivedJoin(UserId),
-    /// Group-key refresh under `strategy = derived` (root key derived
-    /// from a published code, not drawn from the DRBG).
-    DerivedRefresh,
 }
+
+/// Each op's [`WalOp::name`], indexed by its record tag.
+pub(crate) const WAL_OP_NAMES: [&str; 4] = ["join", "leave", "refresh", "flush"];
 
 impl WalOp {
     /// Stable short name for this op, used as a metric label and in
     /// observability events.
     pub fn name(&self) -> &'static str {
+        WAL_OP_NAMES[self.tag() as usize]
+    }
+
+    /// The record tag.
+    pub(crate) fn tag(&self) -> u8 {
         match self {
-            WalOp::Join(_) => "join",
-            WalOp::Leave(_) => "leave",
-            WalOp::EnqueueJoin(_) => "enqueue_join",
-            WalOp::EnqueueLeave(_) => "enqueue_leave",
-            WalOp::Flush { .. } => "flush",
-            WalOp::Refresh => "refresh",
-            WalOp::DerivedJoin(_) => "derived_join",
-            WalOp::DerivedRefresh => "derived_refresh",
+            WalOp::Join(_) => 0,
+            WalOp::Leave(_) => 1,
+            WalOp::Refresh => 2,
+            WalOp::Flush { .. } => 3,
         }
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
+        out.put_u8(self.tag());
         match self {
-            WalOp::Join(u) => {
-                out.put_u8(0);
-                out.put_u64(u.0);
-            }
-            WalOp::Leave(u) => {
-                out.put_u8(1);
-                out.put_u64(u.0);
-            }
-            WalOp::EnqueueJoin(u) => {
-                out.put_u8(2);
-                out.put_u64(u.0);
-            }
-            WalOp::EnqueueLeave(u) => {
-                out.put_u8(3);
-                out.put_u64(u.0);
-            }
-            WalOp::Flush { now_ms } => {
-                out.put_u8(4);
-                out.put_u64(*now_ms);
-            }
-            WalOp::Refresh => out.put_u8(5),
-            WalOp::DerivedJoin(u) => {
-                out.put_u8(6);
-                out.put_u64(u.0);
-            }
-            WalOp::DerivedRefresh => out.put_u8(7),
+            WalOp::Join(u) | WalOp::Leave(u) => out.put_u64(u.0),
+            WalOp::Refresh => {}
+            WalOp::Flush { now_ms } => out.put_u64(*now_ms),
         }
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, PersistError> {
         let tag = get_u8(buf).map_err(|_| PersistError::Corrupt("wal op tag"))?;
-        let op = match tag {
-            0..=4 => {
-                let v = get_u64(buf).map_err(|_| PersistError::Corrupt("wal op body"))?;
-                match tag {
-                    0 => WalOp::Join(UserId(v)),
-                    1 => WalOp::Leave(UserId(v)),
-                    2 => WalOp::EnqueueJoin(UserId(v)),
-                    3 => WalOp::EnqueueLeave(UserId(v)),
-                    _ => WalOp::Flush { now_ms: v },
-                }
-            }
-            5 => WalOp::Refresh,
-            6 => {
-                let v = get_u64(buf).map_err(|_| PersistError::Corrupt("wal op body"))?;
-                WalOp::DerivedJoin(UserId(v))
-            }
-            7 => WalOp::DerivedRefresh,
+        let mut body = || get_u64(buf).map_err(|_| PersistError::Corrupt("wal op body"));
+        Ok(match tag {
+            0 => WalOp::Join(UserId(body()?)),
+            1 => WalOp::Leave(UserId(body()?)),
+            2 => WalOp::Refresh,
+            3 => WalOp::Flush { now_ms: body()? },
             _ => return Err(PersistError::Corrupt("wal op tag")),
-        };
-        Ok(op)
+        })
     }
 }
 
@@ -173,18 +140,21 @@ impl Default for FsyncPolicy {
 }
 
 /// Serialize the WAL file header.
-pub(crate) fn encode_header(epoch: u64, seed: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(WAL_HEADER_LEN as usize);
+pub(crate) fn encode_header(epoch: u64, contract: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(20 + contract.len());
     out.extend_from_slice(WAL_MAGIC);
     out.put_u32(WAL_VERSION);
     out.put_u64(epoch);
-    out.put_u64(seed);
+    out.put_u32(contract.len() as u32);
+    out.extend_from_slice(contract);
     out
 }
 
-/// Parse and validate a WAL header, returning `(epoch, seed)`.
-pub(crate) fn decode_header(buf: &mut &[u8]) -> Result<(u64, u64), PersistError> {
-    if buf.len() < WAL_HEADER_LEN as usize {
+/// Parse and validate a WAL header, returning `(epoch, contract)`. The
+/// version is checked before anything past it is read.
+fn decode_header(buf: &mut &[u8]) -> Result<(u64, Vec<u8>), PersistError> {
+    let truncated = |_| PersistError::Corrupt("wal header truncated");
+    if buf.len() < 4 {
         return Err(PersistError::Corrupt("wal header truncated"));
     }
     let (magic, rest) = buf.split_at(4);
@@ -192,13 +162,21 @@ pub(crate) fn decode_header(buf: &mut &[u8]) -> Result<(u64, u64), PersistError>
     if magic != WAL_MAGIC {
         return Err(PersistError::Corrupt("wal magic"));
     }
-    let version = get_u32(buf).map_err(|_| PersistError::Corrupt("wal header"))?;
+    let version = get_u32(buf).map_err(truncated)?;
     if version != WAL_VERSION {
-        return Err(PersistError::Corrupt("wal version"));
+        return Err(PersistError::UnsupportedVersion { found: version });
     }
-    let epoch = get_u64(buf).map_err(|_| PersistError::Corrupt("wal header"))?;
-    let seed = get_u64(buf).map_err(|_| PersistError::Corrupt("wal header"))?;
-    Ok((epoch, seed))
+    let epoch = get_u64(buf).map_err(truncated)?;
+    let len = get_u32(buf).map_err(truncated)? as usize;
+    if len > MAX_CONTRACT_LEN {
+        return Err(PersistError::Corrupt("wal header contract length"));
+    }
+    if buf.len() < len {
+        return Err(PersistError::Corrupt("wal header truncated"));
+    }
+    let (contract, rest) = buf.split_at(len);
+    *buf = rest;
+    Ok((epoch, contract.to_vec()))
 }
 
 /// Serialize one record: length-prefixed, CRC-trailed payload.
@@ -213,28 +191,14 @@ pub(crate) fn encode_record(op: &WalOp, root_digest: &[u8; 32]) -> Vec<u8> {
     out
 }
 
-/// Result of reading a WAL file.
-#[derive(Debug)]
-pub(crate) struct WalContents {
-    /// Epoch from the header.
-    pub epoch: u64,
-    /// DRBG seed from the header.
-    pub seed: u64,
-    /// Every complete, CRC-valid record, in log order.
-    pub ops: Vec<(WalOp, [u8; 32])>,
-    /// Byte offset of the end of the last valid record (truncation point
-    /// when reopening for append).
-    pub valid_len: u64,
-    /// Whether bytes past `valid_len` were discarded as a torn record.
-    pub torn_tail: bool,
-}
-
-/// Read a whole WAL file, tolerating a torn final record.
-pub(crate) fn read_wal(bytes: &[u8]) -> Result<WalContents, PersistError> {
+/// Read a whole WAL file, tolerating a torn final record: what it holds
+/// (no snapshot yet), and the length of its valid prefix, the truncation
+/// point for the next append.
+pub(crate) fn read_wal(bytes: &[u8]) -> Result<(RecoveredState, u64), PersistError> {
     let mut buf = bytes;
-    let (epoch, seed) = decode_header(&mut buf)?;
+    let (epoch, contract) = decode_header(&mut buf)?;
     let mut ops = Vec::new();
-    let mut valid_len = WAL_HEADER_LEN;
+    let mut valid_len = (bytes.len() - buf.len()) as u64;
     loop {
         let mut cursor = buf;
         let Ok(len) = get_u32(&mut cursor) else { break };
@@ -263,11 +227,11 @@ pub(crate) fn read_wal(bytes: &[u8]) -> Result<WalContents, PersistError> {
         valid_len += consumed as u64;
     }
     let torn_tail = !buf.is_empty();
-    Ok(WalContents { epoch, seed, ops, valid_len, torn_tail })
+    Ok((RecoveredState { snapshot: None, contract, epoch, ops, torn_tail }, valid_len))
 }
 
 /// Read a WAL from a file path.
-pub(crate) fn read_wal_file(path: &std::path::Path) -> Result<WalContents, PersistError> {
+pub(crate) fn read_wal_file(path: &std::path::Path) -> Result<(RecoveredState, u64), PersistError> {
     let mut bytes = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut bytes)?;
     read_wal(&bytes)
@@ -277,72 +241,63 @@ pub(crate) fn read_wal_file(path: &std::path::Path) -> Result<WalContents, Persi
 mod tests {
     use super::*;
 
+    const CONTRACT: &[u8] = b"seed = 42\n";
+
     fn digest(b: u8) -> [u8; 32] {
         [b; 32]
     }
 
+    fn sample_ops() -> [WalOp; 4] {
+        [
+            WalOp::Join(UserId(1)),
+            WalOp::Leave(UserId(2)),
+            WalOp::Flush { now_ms: 500 },
+            WalOp::Refresh,
+        ]
+    }
+
     fn sample_log() -> Vec<u8> {
-        let mut file = encode_header(3, 42);
-        file.extend(encode_record(&WalOp::Join(UserId(1)), &digest(1)));
-        file.extend(encode_record(&WalOp::EnqueueLeave(UserId(2)), &digest(2)));
-        file.extend(encode_record(&WalOp::Flush { now_ms: 500 }, &digest(3)));
-        file.extend(encode_record(&WalOp::Refresh, &digest(4)));
+        let mut file = encode_header(3, CONTRACT);
+        for (i, op) in sample_ops().iter().enumerate() {
+            file.extend(encode_record(op, &digest(i as u8 + 1)));
+        }
         file
     }
 
     #[test]
     fn roundtrip_all_ops() {
-        let contents = read_wal(&sample_log()).unwrap();
+        let (contents, valid_len) = read_wal(&sample_log()).unwrap();
         assert_eq!(contents.epoch, 3);
-        assert_eq!(contents.seed, 42);
+        assert_eq!(contents.contract, CONTRACT);
         assert!(!contents.torn_tail);
-        assert_eq!(contents.valid_len, sample_log().len() as u64);
+        assert_eq!(valid_len, sample_log().len() as u64);
         let ops: Vec<WalOp> = contents.ops.iter().map(|(op, _)| *op).collect();
-        assert_eq!(
-            ops,
-            vec![
-                WalOp::Join(UserId(1)),
-                WalOp::EnqueueLeave(UserId(2)),
-                WalOp::Flush { now_ms: 500 },
-                WalOp::Refresh,
-            ]
-        );
+        assert_eq!(ops, sample_ops());
         assert_eq!(contents.ops[2].1, digest(3));
-    }
-
-    #[test]
-    fn derived_ops_roundtrip() {
-        let mut file = encode_header(1, 7);
-        file.extend(encode_record(&WalOp::DerivedJoin(UserId(9)), &digest(5)));
-        file.extend(encode_record(&WalOp::DerivedRefresh, &digest(6)));
-        let contents = read_wal(&file).unwrap();
-        let ops: Vec<WalOp> = contents.ops.iter().map(|(op, _)| *op).collect();
-        assert_eq!(ops, vec![WalOp::DerivedJoin(UserId(9)), WalOp::DerivedRefresh]);
-        assert!(!contents.torn_tail);
-        assert_eq!(WalOp::DerivedJoin(UserId(9)).name(), "derived_join");
-        assert_eq!(WalOp::DerivedRefresh.name(), "derived_refresh");
+        let names: Vec<&str> = sample_ops().iter().map(WalOp::name).collect();
+        assert_eq!(names, ["join", "leave", "flush", "refresh"]);
     }
 
     #[test]
     fn torn_tail_is_tolerated_at_every_cut() {
         let file = sample_log();
         let third_record_end = {
-            let mut f = encode_header(3, 42);
-            f.extend(encode_record(&WalOp::Join(UserId(1)), &digest(1)));
-            f.extend(encode_record(&WalOp::EnqueueLeave(UserId(2)), &digest(2)));
-            f.extend(encode_record(&WalOp::Flush { now_ms: 500 }, &digest(3)));
+            let mut f = encode_header(3, CONTRACT);
+            for (i, op) in sample_ops()[..3].iter().enumerate() {
+                f.extend(encode_record(op, &digest(i as u8 + 1)));
+            }
             f.len()
         };
         // Cut anywhere strictly inside the final record: the first three
         // records must survive and the tear must be reported.
         for cut in third_record_end + 1..file.len() {
-            let contents = read_wal(&file[..cut]).unwrap();
+            let (contents, valid_len) = read_wal(&file[..cut]).unwrap();
             assert_eq!(contents.ops.len(), 3, "cut at {cut}");
             assert!(contents.torn_tail, "cut at {cut}");
-            assert_eq!(contents.valid_len, third_record_end as u64);
+            assert_eq!(valid_len, third_record_end as u64);
         }
         // Cut exactly at a record boundary: clean log, no tear.
-        let contents = read_wal(&file[..third_record_end]).unwrap();
+        let (contents, _) = read_wal(&file[..third_record_end]).unwrap();
         assert_eq!(contents.ops.len(), 3);
         assert!(!contents.torn_tail);
     }
@@ -352,7 +307,7 @@ mod tests {
         let mut file = sample_log();
         let last = file.len() - 1;
         file[last] ^= 0xFF; // flip inside the final record's CRC
-        let contents = read_wal(&file).unwrap();
+        let (contents, _) = read_wal(&file).unwrap();
         assert_eq!(contents.ops.len(), 3);
         assert!(contents.torn_tail);
     }
@@ -362,13 +317,37 @@ mod tests {
         let mut file = sample_log();
         file[0] = b'X';
         assert!(matches!(read_wal(&file), Err(PersistError::Corrupt("wal magic"))));
-        let short = &sample_log()[..10];
-        assert!(read_wal(short).is_err());
+        let header_len = encode_header(3, CONTRACT).len();
+        for cut in 0..header_len {
+            assert!(
+                matches!(read_wal(&sample_log()[..cut]), Err(PersistError::Corrupt(_))),
+                "cut at {cut}"
+            );
+        }
+        let mut file = sample_log();
+        file[16..20].copy_from_slice(&(MAX_CONTRACT_LEN as u32 + 1).to_be_bytes());
+        assert!(matches!(
+            read_wal(&file),
+            Err(PersistError::Corrupt("wal header contract length"))
+        ));
+    }
+
+    /// Any other version is refused by number, whatever follows it.
+    #[test]
+    fn other_versions_are_refused_by_number() {
+        for version in [0, 1, 3, u32::MAX] {
+            let mut file = sample_log();
+            file[4..8].copy_from_slice(&version.to_be_bytes());
+            match read_wal(&file[..8]) {
+                Err(PersistError::UnsupportedVersion { found }) => assert_eq!(found, version),
+                other => panic!("version {version}: {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn valid_crc_with_garbage_payload_is_corruption() {
-        let mut file = encode_header(0, 0);
+        let mut file = encode_header(0, b"");
         let payload = vec![9u8; 40]; // tag 9 is not a WalOp
         file.put_u32(payload.len() as u32);
         file.extend_from_slice(&payload);

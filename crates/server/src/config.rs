@@ -347,6 +347,22 @@ impl ServerConfig {
         s
     }
 
+    /// The settings WAL replay depends on, as `(spec key, value)` pairs in
+    /// [`Self::to_spec`] syntax. The seed and cipher fix the key and IV
+    /// streams, the degree the tree, the strategy which keys and how many
+    /// seals a request draws, and the rekey mode whether a logged join is
+    /// applied or queued. A store pins them in its log header; every other
+    /// setting may change across a restart.
+    pub(crate) fn replay_contract(&self) -> [(&'static str, String); 5] {
+        [
+            ("seed", self.seed.to_string()),
+            ("degree", self.degree.to_string()),
+            ("cipher", self.cipher.to_string()),
+            ("strategy", self.strategy.to_string()),
+            ("rekey", self.rekey.to_string()),
+        ]
+    }
+
     /// Symmetric key length implied by the cipher.
     pub fn key_len(&self) -> usize {
         self.cipher.key_len()

@@ -76,10 +76,6 @@ pub enum RequestError {
     /// durability is not guaranteed: a persistent server that returns
     /// this should be discarded and re-created via recovery.
     Persist(String),
-    /// An internal invariant was violated while handling the request;
-    /// surfaced as an error instead of a panic so one bad request cannot
-    /// take the server down.
-    Internal(&'static str),
 }
 
 impl std::fmt::Display for RequestError {
@@ -88,7 +84,6 @@ impl std::fmt::Display for RequestError {
             RequestError::JoinDenied(u) => write!(f, "join denied for {u}"),
             RequestError::Tree(e) => write!(f, "{e}"),
             RequestError::Persist(detail) => write!(f, "persistence failure: {detail}"),
-            RequestError::Internal(what) => write!(f, "internal error: {what}"),
         }
     }
 }
@@ -104,15 +99,21 @@ impl From<TreeError> for RequestError {
 /// Why crash recovery failed.
 #[derive(Debug)]
 pub enum RecoverError {
-    /// The store could not be read (I/O failure or corrupt file).
+    /// The store could not be read (I/O failure, corrupt file, or a log
+    /// format this build does not read).
     Persist(PersistError),
-    /// The WAL was written by a server with a different DRBG seed, so
-    /// replay cannot regenerate the same keys.
-    SeedMismatch {
-        /// Seed recorded in the WAL header.
-        logged: u64,
-        /// Seed in the configuration passed to recovery.
-        configured: u64,
+    /// The configuration passed to recovery differs from the store's
+    /// replay contract, pinned in its log header, so replay would build
+    /// other keys (or queue what was applied). Nothing was replayed and
+    /// the store is untouched.
+    ConfigMismatch {
+        /// The spec key that differs (`seed`, `degree`, `cipher`,
+        /// `strategy` or `rekey`).
+        key: &'static str,
+        /// Its value in the log header.
+        logged: String,
+        /// Its value in the configuration passed to recovery.
+        configured: String,
     },
     /// The snapshotted key tree failed to decode.
     Tree(serial::SerialError),
@@ -123,8 +124,8 @@ pub enum RecoverError {
     /// the digest the pre-crash server recorded with it, so recovery did
     /// not converge.
     DigestMismatch,
-    /// The snapshot is internally inconsistent or does not match the
-    /// configuration passed to recovery.
+    /// The log header or snapshot is malformed, or the snapshot does not
+    /// match its log header.
     Corrupt(&'static str),
 }
 
@@ -132,9 +133,9 @@ impl std::fmt::Display for RecoverError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RecoverError::Persist(e) => write!(f, "{e}"),
-            RecoverError::SeedMismatch { logged, configured } => write!(
+            RecoverError::ConfigMismatch { key, logged, configured } => write!(
                 f,
-                "wal was written under seed {logged}, recovery configured with {configured}"
+                "the store was written with {key} = {logged}, but {key} = {configured} is configured"
             ),
             RecoverError::Tree(e) => write!(f, "snapshot tree: {e}"),
             RecoverError::Replay(e) => write!(f, "wal replay: {e}"),
@@ -236,6 +237,12 @@ pub struct JoinGrant {
     pub leaf_label: KeyLabel,
     /// Labels of the path keys, root-first (the join-ack payload).
     pub path_labels: Vec<KeyLabel>,
+}
+
+/// The replay contract as a log header stores it: one spec line per
+/// setting of [`ServerConfig::replay_contract`].
+fn contract_bytes(config: &ServerConfig) -> Vec<u8> {
+    config.replay_contract().map(|(key, value)| format!("{key} = {value}\n")).concat().into_bytes()
 }
 
 /// The prototype group key server.
@@ -403,7 +410,7 @@ impl GroupKeyServer {
         persist_config: PersistConfig,
     ) -> Result<Self, RecoverError> {
         let mut server = Self::new(config, acl);
-        let persist = Persistence::create(dir, server.config.seed, persist_config)?;
+        let persist = Persistence::create(dir, &contract_bytes(&server.config), persist_config)?;
         server.persist = Some(persist);
         Ok(server)
     }
@@ -414,12 +421,15 @@ impl GroupKeyServer {
     /// root-key digest logged with every record, and reopen the log for
     /// append.
     ///
-    /// `config` and `acl` must be the ones the original server was
-    /// created with; the seed is cross-checked against the WAL header,
-    /// and once a snapshot exists its ACL takes precedence over the
-    /// argument. Recovery is deterministic: the snapshot carries both
-    /// DRBG working states, so replayed ops regenerate byte-identical
-    /// keys.
+    /// `config` must match the store's replay contract, pinned in its log
+    /// header when the store was created: `seed`, `degree`, `cipher`,
+    /// `strategy` and `rekey` (immediate or batched). Any difference fails
+    /// with [`RecoverError::ConfigMismatch`] before anything is replayed.
+    /// The batch interval and depth, `auth`, `digest`, `rsa-bits` and
+    /// `stats-record-cap` may change across a restart. Once a snapshot
+    /// exists its ACL takes precedence over `acl`. Recovery is
+    /// deterministic: the snapshot carries both DRBG working states, so
+    /// replayed ops regenerate byte-identical keys.
     pub fn recover(
         config: ServerConfig,
         acl: AccessControl,
@@ -443,15 +453,21 @@ impl GroupKeyServer {
         obs: Obs,
     ) -> Result<Self, RecoverError> {
         let (persist, recovered) = Persistence::recover(dir, persist_config)?;
-        if recovered.seed != config.seed {
-            return Err(RecoverError::SeedMismatch {
-                logged: recovered.seed,
-                configured: config.seed,
-            });
+        // The one place the configuration meets stored state: the header's
+        // replay contract must equal the configuration's, setting by
+        // setting, before the snapshot's tree is decoded or a record replayed.
+        let header = std::str::from_utf8(&recovered.contract)
+            .ok()
+            .and_then(|spec| ServerConfig::from_spec(spec).ok())
+            .filter(|header| contract_bytes(header) == recovered.contract)
+            .ok_or(RecoverError::Corrupt("wal header replay contract"))?;
+        let mut settings = header.replay_contract().into_iter().zip(config.replay_contract());
+        if let Some(((key, logged), (_, configured))) = settings.find(|(l, c)| l != c) {
+            return Err(RecoverError::ConfigMismatch { key, logged, configured });
         }
         let mut server = match &recovered.snapshot {
             None => Self::new(config, acl),
-            Some(snap) => Self::from_snapshot(config, snap)?,
+            Some(snap) => Self::from_snapshot(config, &header, snap)?,
         };
         // Prove convergence record by record: the snapshot's tree, and the
         // tree after each replayed op, must hash to the digest the
@@ -465,29 +481,39 @@ impl GroupKeyServer {
             return Err(RecoverError::DigestMismatch);
         }
         for (op, logged) in &recovered.ops {
-            server.replay(op).map_err(RecoverError::Replay)?;
+            server.replay(*op).map_err(RecoverError::Replay)?;
             if diverged(&server, logged) {
                 return Err(RecoverError::DigestMismatch);
             }
         }
-        let epoch = persist.epoch();
         let records_replayed = recovered.ops.len() as u64;
         server.persist = Some(persist);
         server.attach_obs(obs);
         server.obs.counter("kg_recoveries_total").inc();
         server.obs.counter("kg_replayed_records_total").add(records_replayed);
-        server.obs.event(ObsEvent::Recovered { epoch, records_replayed });
+        server.obs.event(ObsEvent::Recovered {
+            epoch: recovered.epoch,
+            records_replayed,
+            torn_tail: recovered.torn_tail,
+        });
         Ok(server)
     }
 
-    /// Rebuild in-memory state from a snapshot (no log replay yet).
-    fn from_snapshot(config: ServerConfig, snap: &Snapshot) -> Result<Self, RecoverError> {
-        if snap.seed != config.seed {
-            return Err(RecoverError::SeedMismatch { logged: snap.seed, configured: config.seed });
-        }
+    /// Rebuild in-memory state from a snapshot (no log replay yet). The
+    /// snapshot must agree with `header`, the replay contract of the log
+    /// written beside it.
+    fn from_snapshot(
+        config: ServerConfig,
+        header: &ServerConfig,
+        snap: &Snapshot,
+    ) -> Result<Self, RecoverError> {
         let tree = serial::decode_tree(&snap.tree).map_err(RecoverError::Tree)?;
-        if tree.degree() != config.degree || tree.key_len() != config.key_len() {
-            return Err(RecoverError::Corrupt("snapshot tree does not match config"));
+        if snap.seed != header.seed
+            || tree.degree() != header.degree
+            || tree.key_len() != header.key_len()
+            || snap.scheduler.is_some() != header.rekey.batch_policy().is_some()
+        {
+            return Err(RecoverError::Corrupt("snapshot does not match its wal header"));
         }
         let acl = match &snap.acl {
             AclSnapshot::AllowAll => AccessControl::AllowAll,
@@ -508,17 +534,16 @@ impl GroupKeyServer {
                 })
             })
             .collect::<Result<Vec<_>, RecoverError>>()?;
-        let scheduler = match (&snap.scheduler, config.rekey.batch_policy()) {
-            (None, None) => None,
-            (Some(s), Some(policy)) => Some(BatchScheduler::restore(
-                policy,
-                s.joins.iter().map(|(u, k)| (*u, SymmetricKey::from_bytes(k))).collect(),
-                s.leaves.clone(),
-                s.last_flush_ms,
-                s.intervals_flushed,
-            )),
-            _ => return Err(RecoverError::Corrupt("snapshot batching mode does not match config")),
-        };
+        let scheduler =
+            snap.scheduler.as_ref().zip(config.rekey.batch_policy()).map(|(s, policy)| {
+                BatchScheduler::restore(
+                    policy,
+                    s.joins.iter().map(|(u, k)| (*u, SymmetricKey::from_bytes(k))).collect(),
+                    s.leaves.clone(),
+                    s.last_flush_ms,
+                    s.intervals_flushed,
+                )
+            });
         // Everything a snapshot does not carry is what a fresh server has:
         // the RSA keypair in particular is derived from the seed
         // independently of the DRBG streams, so it is regenerated rather
@@ -535,42 +560,15 @@ impl GroupKeyServer {
         Ok(server)
     }
 
-    /// Re-apply one logged op through the normal handlers. Persistence is
-    /// detached during recovery, so nothing is re-logged.
-    fn replay(&mut self, op: &WalOp) -> Result<(), RequestError> {
-        // Derived and shipped ops consume the key DRBG differently, so a
-        // WAL written under one strategy class replayed under the other
-        // would silently regenerate a different key stream. The distinct
-        // record tags turn that configuration flip into a hard error.
-        // A per-op log replayed through a batching server (or the reverse)
-        // would queue what was applied: the tags refuse that flip too.
-        let derived = self.config.strategy == Strategy::Derived;
-        let batched = self.scheduler.is_some();
+    /// Re-apply one logged request through the normal handlers (the
+    /// header's contract, already checked, says what each one does).
+    /// Persistence is detached during recovery, so nothing is re-logged.
+    fn replay(&mut self, op: WalOp) -> Result<(), RequestError> {
         match op {
-            WalOp::Join(_) | WalOp::DerivedJoin(_) | WalOp::Leave(_) if batched => {
-                Err(RequestError::Internal(
-                    "wal records an immediate rekey but the server batches requests",
-                ))
-            }
-            WalOp::EnqueueJoin(_) | WalOp::EnqueueLeave(_) | WalOp::Flush { .. } if !batched => {
-                Err(RequestError::Internal(
-                    "wal records a batched interval but the server rekeys immediately",
-                ))
-            }
-            WalOp::Join(_) | WalOp::Refresh if derived => Err(RequestError::Internal(
-                "wal records a shipped-strategy op but the server strategy is derived",
-            )),
-            WalOp::DerivedJoin(_) | WalOp::DerivedRefresh if !derived => {
-                Err(RequestError::Internal(
-                    "wal records a derived op but the server strategy is not derived",
-                ))
-            }
-            WalOp::Join(u) | WalOp::DerivedJoin(u) | WalOp::EnqueueJoin(u) => {
-                self.handle_join(*u).map(drop)
-            }
-            WalOp::Leave(u) | WalOp::EnqueueLeave(u) => self.handle_leave(*u).map(drop),
-            WalOp::Flush { now_ms } => self.flush(*now_ms).map(drop),
-            WalOp::Refresh | WalOp::DerivedRefresh => self.refresh_group_key().map(drop),
+            WalOp::Join(u) => self.handle_join(u).map(drop),
+            WalOp::Leave(u) => self.handle_leave(u).map(drop),
+            WalOp::Refresh => self.refresh_group_key().map(drop),
+            WalOp::Flush { now_ms } => self.flush(now_ms).map(drop),
         }
     }
 
@@ -742,12 +740,11 @@ impl GroupKeyServer {
         let individual_key = self.keygen.generate_key(self.config.key_len());
         if let Some(sched) = self.scheduler.as_mut() {
             sched.enqueue_join(user, individual_key);
-            return self.queued(WalOp::EnqueueJoin(user));
+            return self.queued(WalOp::Join(user));
         }
         let op = self.rekey(OpKind::Join, &[(user, individual_key)], &[])?;
         self.obs.event(ObsEvent::Join { user: user.0 });
-        let derived = self.config.strategy == Strategy::Derived;
-        self.log_op(if derived { WalOp::DerivedJoin(user) } else { WalOp::Join(user) })?;
+        self.log_op(WalOp::Join(user))?;
         Ok(op)
     }
 
@@ -761,7 +758,7 @@ impl GroupKeyServer {
         }
         if let Some(sched) = self.scheduler.as_mut() {
             sched.enqueue_leave(user);
-            return self.queued(WalOp::EnqueueLeave(user));
+            return self.queued(WalOp::Leave(user));
         }
         // Forward secrecy forbids deriving post-leave keys from pre-leave
         // ones, so derived mode ships a leave's fresh keys exactly like its
@@ -805,8 +802,7 @@ impl GroupKeyServer {
         // empty group gets no packet and consumes no IVs.
         let op = self.rekey(OpKind::Refresh, &[], &[])?;
         self.obs.event(ObsEvent::Refresh);
-        let derived = self.config.strategy == Strategy::Derived;
-        self.log_op(if derived { WalOp::DerivedRefresh } else { WalOp::Refresh })?;
+        self.log_op(WalOp::Refresh)?;
         Ok(op)
     }
 
@@ -1601,9 +1597,21 @@ mod tests {
             f.write_all(&[0xFF; 7]).unwrap();
         }
 
-        let mut r =
-            GroupKeyServer::recover(config, AccessControl::AllowAll, &dir, persist_config())
-                .unwrap();
+        let obs = Obs::new(kg_obs::ObsConfig::default());
+        let mut r = GroupKeyServer::recover_observed(
+            config,
+            AccessControl::AllowAll,
+            &dir,
+            persist_config(),
+            obs.clone(),
+        )
+        .unwrap();
+        let recovered: Vec<ObsEvent> = obs.timeline().into_iter().map(|e| e.event).collect();
+        assert_eq!(
+            recovered,
+            [ObsEvent::Recovered { epoch: 0, records_replayed: 22, torn_tail: true }],
+            "the discarded tear is on the timeline"
+        );
         assert_eq!(serial::root_digest(r.tree()), digest_at_crash);
         assert_eq!(r.group_size(), 19);
         assert!(!r.is_member(UserId(3)));
@@ -1734,108 +1742,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Derived and shipped strategies consume the key-generation stream
-    /// differently, so recovering a derived WAL under a shipped config
-    /// (or vice versa) would silently rebuild the wrong keys. Both
-    /// directions must fail fast instead.
-    #[test]
-    fn recovery_rejects_strategy_flip() {
-        let dir = scratch_dir();
-        let config =
-            ServerConfig { strategy: Strategy::Derived, rsa_bits: 512, ..ServerConfig::default() };
-        let mut s = GroupKeyServer::with_persistence(
-            config.clone(),
-            AccessControl::AllowAll,
-            &dir,
-            persist_config(),
-        )
-        .unwrap();
-        s.handle_join(UserId(1)).unwrap();
-        drop(s);
-        let flipped = ServerConfig { strategy: Strategy::GroupOriented, ..config };
-        assert!(matches!(
-            GroupKeyServer::recover(flipped, AccessControl::AllowAll, &dir, persist_config()),
-            Err(RecoverError::Replay(RequestError::Internal(_)))
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let dir = scratch_dir();
-        let config = ServerConfig { rsa_bits: 512, ..ServerConfig::default() };
-        let mut s = GroupKeyServer::with_persistence(
-            config.clone(),
-            AccessControl::AllowAll,
-            &dir,
-            persist_config(),
-        )
-        .unwrap();
-        s.handle_join(UserId(1)).unwrap();
-        drop(s);
-        let flipped = ServerConfig { strategy: Strategy::Derived, ..config };
-        assert!(matches!(
-            GroupKeyServer::recover(flipped, AccessControl::AllowAll, &dir, persist_config()),
-            Err(RecoverError::Replay(RequestError::Internal(_)))
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// One entry serves queued and immediate requests, so the record tags
-    /// are what tells a per-request log from a batched one: replaying
-    /// either under the other mode would silently queue what had been
-    /// applied (or apply what had been queued). Both directions fail closed.
-    #[test]
-    fn recovery_rejects_rekey_mode_flip() {
-        let immediate = ServerConfig { rsa_bits: 512, ..ServerConfig::default() };
-        let batched = ServerConfig {
-            rekey: RekeyPolicy::Batched { interval_ms: 100, max_pending: 8 },
-            ..immediate.clone()
-        };
-        for (wrote, reads) in [(&immediate, &batched), (&batched, &immediate)] {
-            let dir = scratch_dir();
-            let mut s = GroupKeyServer::with_persistence(
-                wrote.clone(),
-                AccessControl::AllowAll,
-                &dir,
-                persist_config(),
-            )
-            .unwrap();
-            s.handle_join(UserId(1)).unwrap();
-            drop(s);
-            assert!(matches!(
-                GroupKeyServer::recover(
-                    reads.clone(),
-                    AccessControl::AllowAll,
-                    &dir,
-                    persist_config()
-                ),
-                Err(RecoverError::Replay(RequestError::Internal(_)))
-            ));
-            GroupKeyServer::recover(wrote.clone(), AccessControl::AllowAll, &dir, persist_config())
-                .expect("the store still recovers under the mode that wrote it");
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    #[test]
-    fn recovery_rejects_wrong_seed() {
-        let dir = scratch_dir();
-        let config = ServerConfig { rsa_bits: 512, ..ServerConfig::default() };
-        let mut s = GroupKeyServer::with_persistence(
-            config.clone(),
-            AccessControl::AllowAll,
-            &dir,
-            persist_config(),
-        )
-        .unwrap();
-        s.handle_join(UserId(1)).unwrap();
-        drop(s);
-        let other = ServerConfig { seed: config.seed ^ 1, ..config };
-        assert!(matches!(
-            GroupKeyServer::recover(other, AccessControl::AllowAll, &dir, persist_config()),
-            Err(RecoverError::SeedMismatch { .. })
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn snapshot_rotation_survives_recovery() {
         let dir = scratch_dir();
@@ -1871,28 +1777,34 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A snapshot is checked against the log header beside it: a header
+    /// rewritten to name another degree passes the configuration check
+    /// (the configuration says the same) but not the snapshot's.
     #[test]
-    fn recovery_on_immediate_mode_rejects_batched_snapshot_config() {
-        // A server snapshotted in batched mode cannot be recovered with an
-        // immediate-mode config (and vice versa): the scheduler state
-        // would be silently dropped.
+    fn snapshot_that_disagrees_with_its_header_is_corrupt() {
         let dir = scratch_dir();
-        let batched = ServerConfig {
-            rekey: RekeyPolicy::Batched { interval_ms: 100, max_pending: 8 },
-            rsa_bits: 512,
-            ..ServerConfig::default()
-        };
-        let pcfg = PersistConfig { snapshot_every_ops: 1, ..persist_config() };
-        let mut s =
-            GroupKeyServer::with_persistence(batched.clone(), AccessControl::AllowAll, &dir, pcfg)
-                .unwrap();
+        let config = ServerConfig::default();
+        let mut s = GroupKeyServer::with_persistence(
+            config.clone(),
+            AccessControl::AllowAll,
+            &dir,
+            persist_config(),
+        )
+        .unwrap();
         s.handle_join(UserId(1)).unwrap();
-        s.flush(0).unwrap();
+        s.force_snapshot().unwrap();
         drop(s);
-        let immediate = ServerConfig { rekey: RekeyPolicy::Immediate, ..batched };
+        let other = ServerConfig { degree: 8, ..config };
+        let contract = contract_bytes(&other);
+        let mut header = b"KGWL".to_vec();
+        header.extend(2u32.to_be_bytes());
+        header.extend(1u64.to_be_bytes());
+        header.extend((contract.len() as u32).to_be_bytes());
+        header.extend(contract);
+        std::fs::write(dir.join("wal-1.kgl"), header).unwrap();
         assert!(matches!(
-            GroupKeyServer::recover(immediate, AccessControl::AllowAll, &dir, pcfg),
-            Err(RecoverError::Corrupt(_))
+            GroupKeyServer::recover(other, AccessControl::AllowAll, &dir, persist_config()),
+            Err(RecoverError::Corrupt("snapshot does not match its wal header"))
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -4,7 +4,9 @@
 # session succeeds, the telemetry plane merges node pushes into a
 # non-empty cluster view, a cross-process leave trace reassembles fully
 # stitched, and the admin shutdown reports wal_tail=0 (every shard's
-# final snapshot landed; a restart would replay nothing).
+# final snapshot landed; a restart would replay nothing). Then shard 0 is
+# restarted over its store twice: with the same flags it recovers, with
+# another --degree it exits 2 naming the setting.
 #
 #   scripts/cluster_smoke.sh [target-dir]
 #
@@ -126,5 +128,33 @@ grep -q '"snapshots"' "$workdir/flight.json" || {
   exit 1
 }
 echo "flight recorder: dump OK"
+
+# Reopen shard 0's store: the same flags recover its slice; the same flags
+# plus another tree degree are refused before anything replays, because
+# the degree is part of the replay contract pinned in the log header.
+node0_flags=(--shard 0 --bind "$node0_addr" --router "$router_addr"
+  --dir "$workdir/shard-0" --batch-ms 50 --telemetry-ms 100)
+"$bindir/kgc-node" "${node0_flags[@]}" >"$workdir/reopen.log" 2>&1 &
+pids+=($!)
+for _ in $(seq 1 100); do
+  grep -q "1 slice(s) recovered" "$workdir/reopen.log" && break
+  sleep 0.1
+done
+grep -q "1 slice(s) recovered" "$workdir/reopen.log" || {
+  echo "FAIL: shard 0 did not reopen its store"
+  cat "$workdir/reopen.log"
+  exit 1
+}
+kill "${pids[@]}"
+wait "${pids[@]}" 2>/dev/null || true
+pids=()
+status=0
+timeout 30 "$bindir/kgc-node" "${node0_flags[@]}" --degree 8 >"$workdir/refused.log" 2>&1 || status=$?
+if [[ $status -ne 2 ]] || ! grep -q "recovery failed: .*degree" "$workdir/refused.log"; then
+  echo "FAIL: reopening with --degree 8 exited $status, expected 2 naming the degree"
+  cat "$workdir/refused.log"
+  exit 1
+fi
+echo "store reopen: recovered under the same flags; --degree 8 refused: $(head -1 "$workdir/refused.log")"
 
 echo "cluster smoke: OK"

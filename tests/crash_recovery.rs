@@ -15,8 +15,10 @@ use keygraphs::client::{Client, VerifyPolicy};
 use keygraphs::core::ids::UserId;
 use keygraphs::core::rekey::{KeyCipher, Strategy};
 use keygraphs::core::serial::root_digest;
+use keygraphs::crypto::rsa::HashAlg;
 use keygraphs::net::{NetConfig, SimNetwork};
-use keygraphs::persist::{FsyncPolicy, PersistConfig};
+use keygraphs::persist::crc::crc32;
+use keygraphs::persist::{FsyncPolicy, PersistConfig, PersistError};
 use keygraphs::server::net::{leave_authenticator, NetServer, ServerEvent};
 use keygraphs::server::{
     AccessControl, AuthPolicy, GroupKeyServer, RecoverError, RekeyPolicy, ServerConfig,
@@ -325,33 +327,24 @@ fn crash_at_every_point_of_an_interval_flushes_identically() {
     }
 }
 
+/// Every file of the store at `dir`, by path.
+fn store_files(dir: &PathBuf) -> BTreeMap<PathBuf, Vec<u8>> {
+    let files = std::fs::read_dir(dir).expect("store directory");
+    files.map(|e| e.unwrap().path()).map(|p| (p.clone(), std::fs::read(p).unwrap())).collect()
+}
+
 /// The recorded root-key digests are what stands between a log and
-/// silently different keys: a log replays without error under any
-/// configuration that accepts its requests, yet a server that builds
-/// another tree from them lands on other keys. Recovery must refuse, not
-/// panic, and leave the store as it found it.
-///
-/// Two such servers. One has another degree. The other is this code reading
-/// a store written before per-operation rekeys went through the marking
-/// pass (the fixture: twelve joins, a leave and a refresh logged by that
-/// code under this configuration), which drew a path's replacement keys
-/// leaf-first; the log ends in a refresh, whose one draw is the same
-/// whichever order the earlier operations used, so only the digests of the
-/// records before it tell.
+/// silently different keys: a server that builds another tree from the
+/// same requests lands on other keys. Here the log holds twelve joins, a
+/// leave and a refresh, and the digest logged with the seventh join is
+/// altered (its CRC recomputed, so the frame is intact): replay builds a
+/// tree the log does not describe. Recovery must refuse, not panic, and
+/// leave the store as it found it. The altered record is not the last, so
+/// only a check of every record's digest catches it; the log ends in a
+/// refresh, whose one draw is the same whatever the earlier records built.
 #[test]
 fn replay_that_builds_a_different_tree_fails_closed_on_the_digest() {
     let config = ServerConfig { auth: AuthPolicy::None, seed: 0xD16E, ..ServerConfig::default() };
-    let store = |dir: &PathBuf| -> BTreeMap<PathBuf, Vec<u8>> {
-        let files = std::fs::read_dir(dir).expect("store directory");
-        files.map(|e| e.unwrap().path()).map(|p| (p.clone(), std::fs::read(p).unwrap())).collect()
-    };
-    let refused = |config: &ServerConfig, dir: &PathBuf| {
-        let before = store(dir);
-        let result = GroupKeyServer::recover(config.clone(), AccessControl::AllowAll, dir, pcfg());
-        assert!(matches!(result, Err(RecoverError::DigestMismatch)), "{:?}", result.err());
-        assert_eq!(store(dir), before, "a refused recovery must not touch the store");
-    };
-
     let dir = scratch_dir("digest");
     let mut server =
         GroupKeyServer::with_persistence(config.clone(), AccessControl::AllowAll, &dir, pcfg())
@@ -362,18 +355,207 @@ fn replay_that_builds_a_different_tree_fails_closed_on_the_digest() {
     server.handle_leave(UserId(5)).expect("leave");
     server.refresh_group_key().expect("refresh");
     drop(server);
-    refused(&ServerConfig { degree: config.degree + 1, ..config.clone() }, &dir);
-    let recovered = GroupKeyServer::recover(config.clone(), AccessControl::AllowAll, &dir, pcfg())
-        .expect("the store still recovers under the configuration that wrote it");
+
+    let path = dir.join("wal-0.kgl");
+    let pristine = std::fs::read(&path).unwrap();
+    let u32_at = |log: &[u8], at: usize| u32::from_be_bytes(log[at..at + 4].try_into().unwrap());
+    // Header: magic, version, epoch, then the length-prefixed contract.
+    let mut at = 20 + u32_at(&pristine, 16) as usize;
+    for _ in 0..6 {
+        at += 4 + u32_at(&pristine, at) as usize + 4;
+    }
+    let mut altered = pristine.clone();
+    let payload = at + 4..at + 4 + u32_at(&pristine, at) as usize;
+    altered[payload.end - 1] ^= 0x01; // the record's last digest byte
+    let crc = crc32(&altered[payload.clone()]).to_be_bytes();
+    altered[payload.end..payload.end + 4].copy_from_slice(&crc);
+    std::fs::write(&path, &altered).unwrap();
+
+    let before = store_files(&dir);
+    let result = GroupKeyServer::recover(config.clone(), AccessControl::AllowAll, &dir, pcfg());
+    assert!(matches!(result, Err(RecoverError::DigestMismatch)), "{:?}", result.err());
+    assert_eq!(store_files(&dir), before, "a refused recovery must not touch the store");
+
+    std::fs::write(&path, &pristine).unwrap();
+    let recovered = GroupKeyServer::recover(config, AccessControl::AllowAll, &dir, pcfg())
+        .expect("the unaltered store recovers");
     assert_eq!(recovered.group_size(), 11);
     let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let dir = scratch_dir("leaf-first");
-    std::fs::create_dir_all(&dir).unwrap();
-    let log = include_bytes!("fixtures/wal-per-op-leaf-first.kgl");
-    std::fs::write(dir.join("wal-0.kgl"), log).unwrap();
-    refused(&config, &dir);
-    let _ = std::fs::remove_dir_all(&dir);
+/// Stores written before the log header carried the replay contract (WAL
+/// version 1, whose eight record tags also encoded the server's mode) fail
+/// closed with a typed version error: no panic, nothing replayed, nothing
+/// truncated. The three fixtures, written by that code, hold all eight v1
+/// tags between them: join, leave and refresh under a per-request
+/// group-oriented server (the first drew a path's keys leaf-first, before
+/// per-request rekeys went through the marking pass); derived join, leave
+/// and derived refresh under `strategy = derived`; enqueued join, enqueued
+/// leave and flush under `rekey = batched`.
+#[test]
+fn version_1_stores_fail_closed_with_a_typed_error() {
+    let base = ServerConfig { auth: AuthPolicy::None, seed: 0xD16E, ..ServerConfig::default() };
+    let fixtures: [(&str, &[u8], ServerConfig); 3] = [
+        ("leaf-first", include_bytes!("fixtures/wal-per-op-leaf-first.kgl"), base.clone()),
+        (
+            "derived",
+            include_bytes!("fixtures/wal-v1-derived-immediate.kgl"),
+            ServerConfig { strategy: Strategy::Derived, ..base.clone() },
+        ),
+        (
+            "batched",
+            include_bytes!("fixtures/wal-v1-batched.kgl"),
+            ServerConfig {
+                rekey: RekeyPolicy::Batched { interval_ms: 100, max_pending: 64 },
+                ..base.clone()
+            },
+        ),
+    ];
+    for (name, log, config) in fixtures {
+        let dir = scratch_dir(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("wal-0.kgl"), log).unwrap();
+        let before = store_files(&dir);
+        let result = GroupKeyServer::recover(config, AccessControl::AllowAll, &dir, pcfg());
+        assert!(
+            matches!(
+                result,
+                Err(RecoverError::Persist(PersistError::UnsupportedVersion { found: 1 }))
+            ),
+            "{name}: {:?}",
+            result.err()
+        );
+        assert_eq!(store_files(&dir), before, "{name}: the store is untouched");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// What a store holds when it is reopened.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Held {
+    /// Six joins (and, on a batching server, their interval) in the log.
+    Records,
+    /// A log with a header and nothing else.
+    EmptyLog,
+    /// A snapshot after the joins, then two leaves in the log.
+    SnapshotAndTail,
+    /// The joins, then `shutdown`: a snapshot and an empty log.
+    AfterShutdown,
+}
+
+const HELD: [Held; 4] = [Held::Records, Held::EmptyLog, Held::SnapshotAndTail, Held::AfterShutdown];
+
+fn write_store(config: &ServerConfig, dir: &PathBuf, held: Held) {
+    let mut s =
+        GroupKeyServer::with_persistence(config.clone(), AccessControl::AllowAll, dir, pcfg())
+            .expect("create persistent server");
+    if held == Held::EmptyLog {
+        return;
+    }
+    for u in 0..6 {
+        s.handle_join(UserId(u)).expect("join");
+    }
+    s.flush(100).expect("flush");
+    match held {
+        Held::SnapshotAndTail => {
+            s.force_snapshot().expect("snapshot");
+            s.handle_leave(UserId(1)).expect("leave");
+            s.handle_leave(UserId(2)).expect("leave");
+        }
+        Held::AfterShutdown => {
+            s.shutdown(200).expect("shutdown");
+        }
+        Held::Records | Held::EmptyLog => {}
+    }
+}
+
+/// Every setting of the replay contract — `seed`, `degree`, `cipher`,
+/// `strategy` (every pair of the four) and `rekey` — is pinned once, in
+/// the log header, whatever else the store holds. Changed across a
+/// restart in either direction, recovery refuses with `ConfigMismatch`
+/// naming that setting and leaves the store byte-identical; under the
+/// configuration that wrote it, the same store recovers.
+#[test]
+fn a_changed_replay_setting_is_refused_by_the_log_header() {
+    let base = ServerConfig { auth: AuthPolicy::None, seed: 0xC0DE, ..ServerConfig::default() };
+    let mut flips = vec![
+        ("seed", base.clone(), ServerConfig { seed: 0xC0DF, ..base.clone() }),
+        ("degree", base.clone(), ServerConfig { degree: 8, ..base.clone() }),
+        ("cipher", base.clone(), ServerConfig { cipher: KeyCipher::TripleDesCbc, ..base.clone() }),
+        (
+            "rekey",
+            base.clone(),
+            ServerConfig {
+                rekey: RekeyPolicy::Batched { interval_ms: 100, max_pending: 64 },
+                ..base.clone()
+            },
+        ),
+    ];
+    for (i, &a) in Strategy::EVERY.iter().enumerate() {
+        for &b in &Strategy::EVERY[i + 1..] {
+            let with = |strategy| ServerConfig { strategy, ..base.clone() };
+            flips.push(("strategy", with(a), with(b)));
+        }
+    }
+    for (key, a, b) in flips {
+        for (wrote, reads) in [(&a, &b), (&b, &a)] {
+            for held in HELD {
+                let spec = |c: &ServerConfig| c.to_spec().replace('\n', "; ");
+                let cell = format!("{key}, {held:?}: [{}] -> [{}]", spec(wrote), spec(reads));
+                let dir = scratch_dir("contract");
+                write_store(wrote, &dir, held);
+                let before = store_files(&dir);
+                match GroupKeyServer::recover(reads.clone(), AccessControl::AllowAll, &dir, pcfg())
+                {
+                    Err(RecoverError::ConfigMismatch { key: named, logged, configured }) => {
+                        assert_eq!(named, key, "{cell}");
+                        assert_ne!(logged, configured, "{cell}");
+                    }
+                    other => panic!("{cell}: {:?}", other.err()),
+                }
+                assert_eq!(store_files(&dir), before, "{cell}: the store is untouched");
+                GroupKeyServer::recover(wrote.clone(), AccessControl::AllowAll, &dir, pcfg())
+                    .unwrap_or_else(|e| panic!("{cell}: own configuration: {e}"));
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+}
+
+/// The settings outside the replay contract change nothing replay builds,
+/// so they may change across a restart: the batch interval and depth,
+/// `auth`, `digest`, `rsa-bits` and `stats-record-cap`.
+#[test]
+fn settings_outside_the_replay_contract_may_change_across_a_restart() {
+    let wrote = ServerConfig {
+        auth: AuthPolicy::None,
+        seed: 0xC0DE,
+        rekey: RekeyPolicy::Batched { interval_ms: 100, max_pending: 64 },
+        ..ServerConfig::default()
+    };
+    let changed = [
+        ServerConfig {
+            rekey: RekeyPolicy::Batched { interval_ms: 250, max_pending: 64 },
+            ..wrote.clone()
+        },
+        ServerConfig {
+            rekey: RekeyPolicy::Batched { interval_ms: 100, max_pending: 8 },
+            ..wrote.clone()
+        },
+        ServerConfig { auth: AuthPolicy::Digest, ..wrote.clone() },
+        ServerConfig { digest: HashAlg::Sha256, ..wrote.clone() },
+        ServerConfig { rsa_bits: 768, ..wrote.clone() },
+        ServerConfig { stats_record_cap: 3, ..wrote.clone() },
+    ];
+    for reads in changed {
+        for held in HELD {
+            let dir = scratch_dir("non-contract");
+            write_store(&wrote, &dir, held);
+            GroupKeyServer::recover(reads.clone(), AccessControl::AllowAll, &dir, pcfg())
+                .unwrap_or_else(|e| panic!("{} after {held:?}: {e}", reads.to_spec()));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
 
 /// Recovery composes with everything else the server does: ACL denials,
