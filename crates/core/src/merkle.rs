@@ -13,7 +13,7 @@
 //! The paper's worked example (messages M1…M4, digest messages D12, D34,
 //! D1-4) is exactly a two-level instance of this construction.
 
-use kg_crypto::rsa::{HashAlg, RsaPrivateKey, RsaPublicKey};
+use kg_crypto::rsa::{HashAlg, RsaPublicKey};
 use kg_crypto::CryptoError;
 
 /// Which side a sibling digest sits on when recombining.
@@ -42,27 +42,14 @@ impl AuthPath {
     }
 }
 
-/// A batch signature: one root signature plus one auth path per message.
-#[derive(Debug, Clone)]
-pub struct SignedBatch {
-    /// Digest algorithm used throughout the tree.
-    pub alg: HashAlg,
-    /// RSA signature over the root digest.
-    pub root_signature: Vec<u8>,
-    /// Authentication path for each message, in input order.
-    pub paths: Vec<AuthPath>,
-}
-
-/// Build the digest tree over `messages` and sign the root once.
+/// Build the digest tree over `messages`: its root digest, which the
+/// sender signs once ([`kg_crypto::rsa::RsaPrivateKey::sign_digest`]), and
+/// each message's authentication path, in input order.
 ///
 /// Odd levels duplicate their last digest (so every node has two children),
-/// keeping paths uniform. A single message degenerates to signing its
-/// digest directly (empty path).
-pub fn sign_batch(
-    key: &RsaPrivateKey,
-    alg: HashAlg,
-    messages: &[&[u8]],
-) -> Result<SignedBatch, CryptoError> {
+/// keeping paths uniform. A single message's root is its own digest
+/// (empty path).
+pub fn digest_tree(alg: HashAlg, messages: &[&[u8]]) -> (Vec<u8>, Vec<AuthPath>) {
     assert!(!messages.is_empty(), "cannot sign an empty batch");
     // Level 0: message digests.
     let mut levels: Vec<Vec<Vec<u8>>> = vec![messages.iter().map(|m| alg.hash(m)).collect()];
@@ -80,7 +67,6 @@ pub fn sign_batch(
         levels.push(next);
     }
     let root = levels.last().expect("nonempty")[0].clone();
-    let root_signature = key.sign_digest(alg, &root)?;
 
     let mut paths = Vec::with_capacity(messages.len());
     for i in 0..messages.len() {
@@ -95,7 +81,7 @@ pub fn sign_batch(
         }
         paths.push(AuthPath { index: i as u32, siblings });
     }
-    Ok(SignedBatch { alg, root_signature, paths })
+    (root, paths)
 }
 
 /// Verify that `message` belongs to the batch signed by `root_signature`.
@@ -127,13 +113,29 @@ pub fn verify_message(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kg_crypto::rsa::RsaKeyPair;
+    use kg_crypto::rsa::{RsaKeyPair, RsaPrivateKey};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn keypair() -> RsaKeyPair {
         let mut rng = StdRng::seed_from_u64(4242);
         RsaKeyPair::generate(512, &mut rng).unwrap()
+    }
+
+    /// What a sender ships for a batch: one root signature, one path per
+    /// message.
+    struct SignedBatch {
+        root_signature: Vec<u8>,
+        paths: Vec<AuthPath>,
+    }
+
+    fn sign_batch(
+        key: &RsaPrivateKey,
+        alg: HashAlg,
+        messages: &[&[u8]],
+    ) -> Result<SignedBatch, CryptoError> {
+        let (root, paths) = digest_tree(alg, messages);
+        Ok(SignedBatch { root_signature: key.sign_digest(alg, &root)?, paths })
     }
 
     #[test]

@@ -4,6 +4,12 @@
 //! reproducible experiments) and available as a message-integrity-check
 //! option for rekey messages (the paper's rekey format reserves a MIC
 //! field alongside the digital signature).
+//!
+//! [`Hmac::new`] absorbs both key pads, one compression each, and keeps
+//! the two digest states. A clone of a freshly keyed `Hmac` is therefore a
+//! MAC under the same key that skips those two compressions: the DRBG
+//! keys one per `K` and clones it for every HMAC it computes under that
+//! `K`.
 
 use crate::Digest;
 
@@ -17,9 +23,12 @@ pub fn hmac<D: Digest>(key: &[u8], message: &[u8]) -> Vec<u8> {
 }
 
 /// Incremental HMAC computation.
+#[derive(Clone)]
 pub struct Hmac<D: Digest> {
+    /// `H(K ⊕ ipad ‖ …)`, absorbing the message.
     inner: D,
-    okey: [u8; BLOCK_SIZE],
+    /// `H(K ⊕ opad ‖ …)`, waiting for the inner digest.
+    outer: D,
 }
 
 impl<D: Digest> Hmac<D> {
@@ -41,7 +50,9 @@ impl<D: Digest> Hmac<D> {
         }
         let mut inner = D::new();
         inner.update(&ikey);
-        Hmac { inner, okey }
+        let mut outer = D::new();
+        outer.update(&okey);
+        Hmac { inner, outer }
     }
 
     /// Absorb message bytes.
@@ -51,10 +62,8 @@ impl<D: Digest> Hmac<D> {
 
     /// Produce the MAC.
     pub fn finalize(self) -> Vec<u8> {
-        let inner_digest = self.inner.finalize();
-        let mut outer = D::new();
-        outer.update(&self.okey);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 }
@@ -124,6 +133,16 @@ mod tests {
             mac.update(piece);
         }
         assert_eq!(mac.finalize(), oneshot);
+    }
+
+    #[test]
+    fn clones_of_one_keyed_mac_are_independent_macs_under_its_key() {
+        let keyed = Hmac::<Sha256>::new(b"secret key");
+        for msg in [&b""[..], b"abc", &[7u8; 200]] {
+            let mut mac = keyed.clone();
+            mac.update(msg);
+            assert_eq!(mac.finalize(), hmac::<Sha256>(b"secret key", msg));
+        }
     }
 
     #[test]

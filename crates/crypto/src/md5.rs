@@ -115,16 +115,16 @@ impl Digest for Md5 {
     }
 
     fn finalize(mut self) -> Vec<u8> {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80 then zeros until the length field fits.
-        self.update(&[0x80]);
-        // `update` adjusted total_len; that's fine, we captured bit_len first.
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        self.total_len = bit_len / 8; // keep invariant tidy (not used again)
+        // 0x80, zeros, and the 64-bit length (little-endian), written into
+        // the last block (or two, when fewer than nine bytes of it are free).
         let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_le_bytes());
+        block[self.buffered] = 0x80;
+        block[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
+        }
+        block[56..].copy_from_slice(&self.total_len.wrapping_mul(8).to_le_bytes());
         self.compress(&block);
         let mut out = Vec::with_capacity(16);
         for word in self.state {
@@ -194,6 +194,26 @@ mod tests {
             let mut m2 = m.clone();
             m2.push(0);
             assert_ne!(d1, Md5::digest(&m2), "len {len}");
+        }
+    }
+
+    /// `finalize` against the message padded by hand (RFC 1321 §3.1–3.2),
+    /// absorbed by `update` and read off the state, for every length of
+    /// the last block.
+    #[test]
+    fn finalize_pads_like_the_standard_at_every_length() {
+        for len in 0..=200usize {
+            let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            let mut padded = data.clone();
+            padded.push(0x80);
+            while padded.len() % 64 != 56 {
+                padded.push(0);
+            }
+            padded.extend_from_slice(&(len as u64 * 8).to_le_bytes());
+            let mut h = Md5::new();
+            h.update(&padded);
+            let by_hand: Vec<u8> = h.state.iter().flat_map(|w| w.to_le_bytes()).collect();
+            assert_eq!(Md5::digest(&data), by_hand, "length {len}");
         }
     }
 

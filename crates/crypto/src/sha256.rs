@@ -106,13 +106,16 @@ impl Digest for Sha256 {
     }
 
     fn finalize(mut self) -> Vec<u8> {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
+        // 0x80, zeros, and the 64-bit length, written into the last block
+        // (or two, when fewer than nine bytes of it are free).
         let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        block[self.buffered] = 0x80;
+        block[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
+        }
+        block[56..].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
         self.compress(&block);
         let mut out = Vec::with_capacity(32);
         for word in self.state {
@@ -169,6 +172,26 @@ mod tests {
                 h.update(piece);
             }
             assert_eq!(h.finalize(), oneshot, "chunk {chunk}");
+        }
+    }
+
+    /// `finalize` against the message padded by hand (FIPS 180-4 §5.1.1),
+    /// absorbed by `update` and read off the state, for every length of
+    /// the last block.
+    #[test]
+    fn finalize_pads_like_the_standard_at_every_length() {
+        for len in 0..=200usize {
+            let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            let mut padded = data.clone();
+            padded.push(0x80);
+            while padded.len() % 64 != 56 {
+                padded.push(0);
+            }
+            padded.extend_from_slice(&(len as u64 * 8).to_be_bytes());
+            let mut h = Sha256::new();
+            h.update(&padded);
+            let by_hand: Vec<u8> = h.state.iter().flat_map(|w| w.to_be_bytes()).collect();
+            assert_eq!(Sha256::digest(&data), by_hand, "length {len}");
         }
     }
 }

@@ -7,6 +7,8 @@
 //! * MD5: the RFC 1321 §A.5 test suite
 //! * SHA-1 / SHA-256: FIPS 180 (NIST CAVP) vectors, including the
 //!   one-million-'a' extended message
+//! * HMAC-DRBG: golden output and state, recorded from the generator that
+//!   re-keyed its HMAC for every call
 //! * RSA PKCS#1 v1.5: fixed-seed keypairs with pinned moduli and golden
 //!   signatures, sign/verify round-trips at 512–1024 bits, and tamper
 //!   rejection
@@ -21,7 +23,7 @@ use kg_crypto::md5::Md5;
 use kg_crypto::rsa::{HashAlg, RsaKeyPair};
 use kg_crypto::sha1::Sha1;
 use kg_crypto::sha256::Sha256;
-use kg_crypto::{BlockCipher, Digest};
+use kg_crypto::{BlockCipher, Digest, KeySource};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -231,6 +233,40 @@ fn sha_million_a_extended_vectors() {
         hex(&s256.finalize()),
         "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
     );
+}
+
+// ---------------------------------------------------------------------------
+// HMAC-DRBG — golden values recorded from the uncached generator
+// ---------------------------------------------------------------------------
+
+/// The first 64 bytes of `HmacDrbg::from_seed(1)`.
+const DRBG_SEED_1_FIRST_64: &str = "63874537429702556009a5cb14f3154321aa42bea097d0264651c83f3d3f5323\
+                                    4fa54bf4f1508acf4bb840709b96c97619108b305d21deae04127f1d3a47dc4b";
+
+/// Draw sizes cycled through by the mixed-draw golden: a key, a
+/// derivation code, `IvStream` chunks of 8, 32 and 128 DES IVs, and
+/// lengths either side of one HMAC block.
+const DRBG_MIXED_LENS: [usize; 11] = [8, 16, 64, 256, 1024, 0, 1, 31, 32, 33, 100];
+
+/// `(K, V)` of `from_seed(1)` after 1,000 draws cycling through
+/// [`DRBG_MIXED_LENS`].
+const DRBG_MIXED_STATE: (&str, &str) = (
+    "a297ddd2702a73829df56ed3adaec13861f959635a653b6d9ed8f1d9747b5df3",
+    "3382470f8ae30ca0df296adad79b87d9707a589bb1af8c18324b43584845a34b",
+);
+
+/// Every key, IV and derivation code of every recorded run, every
+/// snapshot's generator state and every pinned digest downstream come
+/// from this stream, so it is pinned here, at its source.
+#[test]
+fn hmac_drbg_golden_output_and_state() {
+    assert_eq!(hex(&HmacDrbg::from_seed(1).generate(64)), DRBG_SEED_1_FIRST_64);
+    let mut drbg = HmacDrbg::from_seed(1);
+    for i in 0..1000 {
+        drbg.generate(DRBG_MIXED_LENS[i % DRBG_MIXED_LENS.len()]);
+    }
+    let (k, v) = drbg.state();
+    assert_eq!((hex(&k).as_str(), hex(&v).as_str()), DRBG_MIXED_STATE);
 }
 
 // ---------------------------------------------------------------------------

@@ -980,25 +980,23 @@ impl GroupKeyServer {
             let bundles = out.messages.into_iter().flat_map(|m| m.bundles).collect();
             vec![packet(Recipients::Group, code, changed, bundles)]
         };
-        let signatures = {
-            let _s = self.obs.span("sign");
-            if matches!(self.config.auth, AuthPolicy::None) {
-                0 // skip body encoding entirely on the unauthenticated path
-            } else {
-                let bodies: Vec<Vec<u8>> = packets.iter().map(|p| p.encode_body()).collect();
-                let (tags, signatures) = self.compute_auth_tags(&bodies);
-                for (p, tag) in packets.iter_mut().zip(tags) {
-                    p.auth = tag;
-                }
-                signatures
-            }
+        // Each body is encoded once: signed as it is, then sent with its
+        // tag appended.
+        let bodies: Vec<Vec<u8>> = {
+            let _s = self.obs.span("body");
+            packets.iter().map(|p| p.encode_body()).collect()
         };
+        let (tags, signatures) = self.compute_auth_tags(&bodies);
+        for (p, tag) in packets.iter_mut().zip(tags) {
+            p.auth = tag;
+        }
         let encoded: Vec<Vec<u8>> = {
             let _s = self.obs.span("encode");
-            packets.iter().map(|p| p.encode()).collect()
+            packets.iter().zip(bodies).map(|(p, body)| p.encode_with_body(body)).collect()
         };
         let proc_ns = started.elapsed().as_nanos() as u64;
 
+        let _s = self.obs.span("account");
         let ops = out.ops;
         let at = kind.tag() as usize;
         self.metrics.requests[at].inc();
@@ -1033,35 +1031,46 @@ impl GroupKeyServer {
     /// bodies. Returns the tags (one per body, in body order) and the
     /// number of RSA signing operations performed. `SignBatch` performs a
     /// *single* RSA operation over the digest-tree root (that is its whole
-    /// point, §4).
+    /// point, §4). Hashing runs in the `digest` span, the private-key
+    /// operations in the `rsa` span.
     fn compute_auth_tags(&self, bodies: &[Vec<u8>]) -> (Vec<AuthTag>, u64) {
-        let digest = self.config.digest;
-        let key = || &self.rsa.as_ref().expect("policy requires key").private;
+        let alg = self.config.digest;
+        let sign = |digest: &[u8]| {
+            let key = &self.rsa.as_ref().expect("policy requires key").private;
+            key.sign_digest(alg, digest).expect("signing")
+        };
         match self.config.auth {
             AuthPolicy::None => (vec![AuthTag::None; bodies.len()], 0),
             AuthPolicy::Digest => {
-                (bodies.iter().map(|b| AuthTag::Digest(digest.hash(b))).collect(), 0)
+                let _s = self.obs.span("digest");
+                (bodies.iter().map(|b| AuthTag::Digest(alg.hash(b))).collect(), 0)
             }
             AuthPolicy::SignEach => {
-                let tags = bodies
-                    .iter()
-                    .map(|body| AuthTag::Signed {
-                        signature: key().sign(digest, body).expect("signing"),
-                    })
-                    .collect();
+                let digests: Vec<Vec<u8>> = {
+                    let _s = self.obs.span("digest");
+                    bodies.iter().map(|b| alg.hash(b)).collect()
+                };
+                let _s = self.obs.span("rsa");
+                let tags = digests.iter().map(|d| AuthTag::Signed { signature: sign(d) }).collect();
                 (tags, bodies.len() as u64)
             }
             AuthPolicy::SignBatch => {
                 if bodies.is_empty() {
                     return (Vec::new(), 0);
                 }
-                let refs: Vec<&[u8]> = bodies.iter().map(|b| b.as_slice()).collect();
-                let batch = merkle::sign_batch(key(), digest, &refs).expect("batch signing");
-                let tags = batch
-                    .paths
+                let (root, paths) = {
+                    let _s = self.obs.span("digest");
+                    let refs: Vec<&[u8]> = bodies.iter().map(|b| b.as_slice()).collect();
+                    merkle::digest_tree(alg, &refs)
+                };
+                let root_signature = {
+                    let _s = self.obs.span("rsa");
+                    sign(&root)
+                };
+                let tags = paths
                     .into_iter()
                     .map(|path| AuthTag::MerkleSigned {
-                        root_signature: batch.root_signature.clone(),
+                        root_signature: root_signature.clone(),
                         path,
                     })
                     .collect();
@@ -1182,6 +1191,42 @@ mod tests {
         assert_eq!(roots.len(), 1, "single signature shared by the batch");
         let rec = s.stats().records().last().unwrap();
         assert_eq!(rec.signatures, 1);
+    }
+
+    /// `finish` encodes each body once, signs it and appends the tag: the
+    /// datagrams must equal each finished packet's own `encode()`, for
+    /// every strategy, auth policy and kind of operation.
+    #[test]
+    fn datagrams_equal_each_packets_own_encoding() {
+        let auths =
+            [AuthPolicy::None, AuthPolicy::Digest, AuthPolicy::SignEach, AuthPolicy::SignBatch];
+        for strategy in Strategy::EVERY {
+            for auth in auths {
+                let mut s = server(auth, strategy);
+                populate(&mut s, 8);
+                let mut ops = vec![
+                    s.handle_join(UserId(100)).unwrap(),
+                    s.handle_leave(UserId(3)).unwrap(),
+                    s.refresh_group_key().unwrap(),
+                ];
+                let rekey = RekeyPolicy::Batched { interval_ms: 100, max_pending: 1000 };
+                let config = ServerConfig { rekey, ..s.config().clone() };
+                let mut b = GroupKeyServer::new(config, AccessControl::AllowAll);
+                populate_batched(&mut b, 8, 0);
+                b.handle_join(UserId(100)).unwrap();
+                b.handle_leave(UserId(3)).unwrap();
+                ops.push(b.flush(100).unwrap().unwrap());
+                for op in ops {
+                    let kind = op.packets.first().map(|p| p.op);
+                    assert!(kind.is_some(), "{strategy:?}/{auth:?}: no packet");
+                    let own: Vec<Vec<u8>> = op.packets.iter().map(|p| p.encode()).collect();
+                    assert_eq!(op.encoded, own, "{strategy:?}/{auth:?}/{kind:?}");
+                    for (p, datagram) in op.packets.iter().zip(&op.encoded) {
+                        assert_eq!(&RekeyPacket::decode(datagram).unwrap().0, p);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -179,6 +179,14 @@ impl RekeyPacket {
         out
     }
 
+    /// [`encode`](Self::encode) for a sender that already holds this
+    /// packet's [`encode_body`](Self::encode_body) — it encoded the body
+    /// to sign it: appends the auth tag to `body`.
+    pub fn encode_with_body(&self, mut body: Vec<u8>) -> Vec<u8> {
+        encode_auth(&mut body, &self.auth);
+        body
+    }
+
     /// Decode a packet, returning it together with the length of its body
     /// prefix (callers re-digest `bytes[..body_len]` to verify the tag).
     pub fn decode(bytes: &[u8]) -> Result<(Self, usize), WireError> {

@@ -4,7 +4,7 @@
 //!
 //! Every layer of the stack reports to one cloneable [`Obs`] handle:
 //! the request handlers time their phases with nested spans
-//! (`op.join.sign`, `op.leave.encrypt`), the durability store counts
+//! (`op.join.rsa`, `op.leave.encrypt`), the durability store counts
 //! WAL appends and times fsyncs, and the recovery path records how many
 //! log records it replayed — a number that must reconcile with the
 //! appends the first life observed.
