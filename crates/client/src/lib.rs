@@ -32,17 +32,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod apply;
 pub mod fleet;
+#[cfg(test)]
+mod reference;
 
 use kg_core::ids::{KeyLabel, KeyRef, KeyVersion, UserId};
-use kg_core::merkle;
 use kg_core::rekey::KeyCipher;
 use kg_crypto::rsa::{HashAlg, RsaPublicKey};
 use kg_crypto::SymmetricKey;
-use kg_obs::{Counter, Histogram, Obs, ObsEvent};
-use kg_wire::{AuthTag, RekeyPacket, WireError};
+use kg_obs::{Counter, Histogram, Obs};
+use kg_wire::WireError;
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// How strictly the client checks rekey message authenticity.
 #[derive(Debug, Clone)]
@@ -231,167 +232,6 @@ impl Client {
     pub fn last_interval(&self) -> u64 {
         self.last_interval
     }
-
-    /// Apply one encoded rekey packet, atomically.
-    ///
-    /// A packet may carry a derivation code and a work list of
-    /// `(new_ref, from)` links (`Strategy::Derived` joins and refreshes):
-    /// for every link whose `from` key this client holds (exact label
-    /// *and* version — the derivation chains from the committed
-    /// pre-interval keyset, never from a key staged this interval), the
-    /// replacement is recomputed locally via
-    /// [`kg_core::derive::derive_key`]. Its shipped bundles are then
-    /// decrypted to a fixed point against the staged view: a bundle may be
-    /// decryptable only under a key another bundle (or a derivation) of
-    /// this packet delivers, as in a group-oriented leave. Bundles not
-    /// addressed to this client are skipped.
-    ///
-    /// Application is all-or-nothing: new keys are staged in a side map
-    /// and only merged into the key store once every reachable bundle
-    /// decrypted cleanly. A decryption failure, a bad authenticity tag, or
-    /// a stale interval (older than one already applied) leaves the
-    /// keyset and the rekey counters untouched. An equal interval is
-    /// accepted — an operation may span several packets, and a redelivery
-    /// finds nothing newer to install.
-    pub fn apply(&mut self, bytes: &[u8]) -> Result<ProcessSummary, ClientError> {
-        let t0 = self.obs.is_enabled().then(Instant::now);
-        let (packet, body_len) = RekeyPacket::decode(bytes)?;
-        self.verify_auth(&packet.auth, &bytes[..body_len])?;
-        if packet.interval < self.last_interval {
-            self.stale_rejections.inc();
-            self.obs.event(ObsEvent::StaleInterval {
-                packet: packet.interval,
-                current: self.last_interval,
-            });
-            return Err(ClientError::StaleInterval {
-                packet: packet.interval,
-                current: self.last_interval,
-            });
-        }
-
-        let mut staged: BTreeMap<KeyLabel, (KeyVersion, SymmetricKey)> = BTreeMap::new();
-        let mut summary = ProcessSummary::default();
-        let key_len = self.cipher.key_len();
-
-        // Pass 1 — derivation. Links only ever chain from pre-interval
-        // keys (a split-created node derives from the displaced member's
-        // individual key, not from anything new), so the lookup goes to
-        // the committed keyset, not the staged view.
-        for link in &packet.changed {
-            let Some((version, key)) = self.keys.get(&link.from.label) else { continue };
-            if *version != link.from.version || !self.is_newer(&staged, link.new_ref) {
-                continue;
-            }
-            let new_key = kg_core::derive::derive_key(
-                key,
-                &packet.code,
-                link.new_ref.label,
-                link.new_ref.version,
-                key_len,
-            );
-            staged.insert(link.new_ref.label, (link.new_ref.version, new_key));
-            summary.keys_installed += 1;
-        }
-
-        // Pass 2 — shipped bundles, decrypted to a fixed point against
-        // staged ∪ committed.
-        let mut done = vec![false; packet.bundles.len()];
-        loop {
-            let mut progress = false;
-            for (i, bundle) in packet.bundles.iter().enumerate() {
-                if done[i] {
-                    continue;
-                }
-                let holder = staged
-                    .get(&bundle.encrypted_with.label)
-                    .or_else(|| self.keys.get(&bundle.encrypted_with.label));
-                let Some((version, key)) = holder else { continue };
-                if *version != bundle.encrypted_with.version {
-                    continue;
-                }
-                let plain = self
-                    .cipher
-                    .decrypt(key, &bundle.iv, &bundle.ciphertext)
-                    .map_err(|_| ClientError::DecryptFailed(bundle.encrypted_with))?;
-                if plain.len() != bundle.targets.len() * key_len {
-                    return Err(ClientError::DecryptFailed(bundle.encrypted_with));
-                }
-                for (target, material) in bundle.targets.iter().zip(plain.chunks(key_len)) {
-                    if self.is_newer(&staged, *target) {
-                        staged.insert(
-                            target.label,
-                            (target.version, SymmetricKey::from_bytes(material)),
-                        );
-                        summary.keys_installed += 1;
-                    }
-                }
-                summary.bundles_decrypted += 1;
-                done[i] = true;
-                progress = true;
-            }
-            if !progress {
-                break;
-            }
-        }
-
-        // Commit: every bundle we could reach decrypted cleanly.
-        self.keys.extend(staged);
-        self.last_interval = packet.interval;
-        summary.bundles_skipped = done.iter().filter(|&&d| !d).count() as u64;
-        self.stats.rekey_msgs += 1;
-        self.stats.rekey_bytes += bytes.len() as u64;
-        self.stats.key_changes += summary.keys_installed;
-        if let Some(t0) = t0 {
-            self.apply_us.record(t0.elapsed().as_micros() as u64);
-        }
-        Ok(summary)
-    }
-
-    /// Whether `r` is newer than what this client holds at `r.label`,
-    /// counting keys staged by the packet being applied.
-    fn is_newer(&self, staged: &BTreeMap<KeyLabel, (KeyVersion, SymmetricKey)>, r: KeyRef) -> bool {
-        staged
-            .get(&r.label)
-            .or_else(|| self.keys.get(&r.label))
-            .is_none_or(|(held, _)| r.version > *held)
-    }
-
-    fn verify_auth(&mut self, auth: &AuthTag, body: &[u8]) -> Result<(), ClientError> {
-        match (&self.verify, auth) {
-            (VerifyPolicy::Opportunistic, AuthTag::None) => Ok(()),
-            (VerifyPolicy::Opportunistic | VerifyPolicy::RequireDigest(_), AuthTag::Digest(d)) => {
-                // The digest algorithm is inferred from its length.
-                let alg = match d.len() {
-                    16 => HashAlg::Md5,
-                    20 => HashAlg::Sha1,
-                    32 => HashAlg::Sha256,
-                    _ => return Err(ClientError::AuthFailed),
-                };
-                if alg.hash(body) == *d {
-                    Ok(())
-                } else {
-                    Err(ClientError::AuthFailed)
-                }
-            }
-            (VerifyPolicy::RequireDigest(_), AuthTag::None) => Err(ClientError::AuthFailed),
-            (VerifyPolicy::RequireSignature { alg, key }, AuthTag::Signed { signature }) => {
-                self.stats.verifications += 1;
-                key.verify(*alg, body, signature).map_err(|_| ClientError::AuthFailed)
-            }
-            (
-                VerifyPolicy::RequireSignature { alg, key },
-                AuthTag::MerkleSigned { root_signature, path },
-            ) => {
-                self.stats.verifications += 1;
-                merkle::verify_message(key, *alg, body, path, root_signature)
-                    .map_err(|_| ClientError::AuthFailed)
-            }
-            (VerifyPolicy::RequireSignature { .. }, _) => Err(ClientError::AuthFailed),
-            // Opportunistic accepts signed packets it cannot check (no key).
-            (VerifyPolicy::Opportunistic, _) => Ok(()),
-            (VerifyPolicy::RequireDigest(_), _) => Ok(()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -399,6 +239,7 @@ mod tests {
     use super::*;
     use kg_core::rekey::Strategy;
     use kg_server::{AccessControl, AuthPolicy, GroupKeyServer, ServerConfig};
+    use kg_wire::{AuthTag, RekeyPacket};
 
     /// Build a server + synchronized clients, delivering every packet to
     /// every client (group-oriented style over-delivery is harmless: a

@@ -20,7 +20,7 @@
 //! them to members verbatim, so the client-side packet formats (and their
 //! authenticity tags) are untouched by sharding.
 
-use crate::codec::{get_bytes, get_count, get_u32, get_u64, get_u8, put_bytes};
+use crate::codec::{get_bytes, get_count, get_str, get_u32, get_u64, get_u8, put_bytes};
 use crate::message::ControlMessage;
 use crate::telemetry::{get_span, put_span, TelemetrySnapshot};
 use crate::WireError;
@@ -346,14 +346,7 @@ impl ClusterEnvelope {
             },
             9 => ClusterBody::Telemetry { snapshot: TelemetrySnapshot::decode_from(&mut buf)? },
             10 => ClusterBody::MetricsRequest { format: get_u8(&mut buf)? },
-            11 => {
-                let bytes = get_bytes(&mut buf)?;
-                let text = String::from_utf8(bytes).map_err(|e| {
-                    let at = e.utf8_error().valid_up_to();
-                    WireError::BadTag { context: "metrics report utf-8", tag: e.as_bytes()[at] }
-                })?;
-                ClusterBody::MetricsReport { text }
-            }
+            11 => ClusterBody::MetricsReport { text: get_str(&mut buf, "metrics report utf-8")? },
             12 => ClusterBody::TraceRequest { trace_id: get_u64(&mut buf)? },
             13 => {
                 let trace_id = get_u64(&mut buf)?;

@@ -6,7 +6,7 @@
 //! strings carry a `u32` length prefix; collections a `u32` count.
 
 use crate::WireError;
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
 /// Maximum length accepted for any single byte-string field (1 MiB) —
 /// bounds allocation when decoding hostile input.
@@ -22,42 +22,60 @@ pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.put_slice(bytes);
 }
 
-/// Read a length-prefixed byte string.
-pub fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, WireError> {
+/// Split the next `len` bytes off the front of `buf`.
+pub fn get_slice<'a>(buf: &mut &'a [u8], len: usize) -> Result<&'a [u8], WireError> {
+    let (head, tail) = buf.split_at_checked(len).ok_or(WireError::Truncated)?;
+    *buf = tail;
+    Ok(head)
+}
+
+/// Read a length-prefixed byte string in place, bounded by
+/// [`MAX_FIELD_LEN`].
+pub fn get_field<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], WireError> {
     let len = get_u32(buf)? as usize;
     if len > MAX_FIELD_LEN {
         return Err(WireError::FieldTooLong { len, max: MAX_FIELD_LEN });
     }
-    if buf.remaining() < len {
-        return Err(WireError::Truncated);
+    get_slice(buf, len)
+}
+
+/// Read a length-prefixed byte string.
+pub fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, WireError> {
+    get_field(buf).map(<[u8]>::to_vec)
+}
+
+/// Read a length-prefixed UTF-8 string; invalid UTF-8 is a
+/// [`WireError::BadTag`] for `context`, carrying the first bad byte.
+pub fn get_str(buf: &mut &[u8], context: &'static str) -> Result<String, WireError> {
+    let field = get_field(buf)?;
+    match std::str::from_utf8(field) {
+        Ok(s) => Ok(s.to_owned()),
+        Err(e) => {
+            let tag = field.get(e.valid_up_to()).copied().unwrap_or_default();
+            Err(WireError::BadTag { context, tag })
+        }
     }
-    let mut v = vec![0u8; len];
-    buf.copy_to_slice(&mut v);
-    Ok(v)
 }
 
 /// Read a `u8`.
 pub fn get_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
-    if buf.remaining() < 1 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u8())
+    let (&v, tail) = buf.split_first().ok_or(WireError::Truncated)?;
+    *buf = tail;
+    Ok(v)
 }
 
 /// Read a big-endian `u32`.
 pub fn get_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u32())
+    let (v, tail) = buf.split_first_chunk().ok_or(WireError::Truncated)?;
+    *buf = tail;
+    Ok(u32::from_be_bytes(*v))
 }
 
 /// Read a big-endian `u64`.
 pub fn get_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
-    if buf.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u64())
+    let (v, tail) = buf.split_first_chunk().ok_or(WireError::Truncated)?;
+    *buf = tail;
+    Ok(u64::from_be_bytes(*v))
 }
 
 /// Read a collection count, bounded by [`MAX_COUNT`].

@@ -12,6 +12,8 @@
 //! harness are the true encoded sizes produced here.
 
 #![forbid(unsafe_code)]
+// Every byte here can come off the network: no panics outside tests.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing))]
 #![warn(missing_docs)]
 
 pub mod cluster;
@@ -22,7 +24,10 @@ pub mod telemetry;
 pub use cluster::{
     ClusterBody, ClusterEnvelope, GroupId, ShardId, CLUSTER_MAGIC, CLUSTER_VERSION, ROUTER_SHARD,
 };
-pub use message::{AuthTag, ControlMessage, OpKind, RekeyPacket, REKEY_MAGIC, REKEY_VERSION};
+pub use message::{
+    AuthTag, BundleView, Bundles, ControlMessage, KeyRefs, OpKind, RekeyPacket, RekeyView,
+    REKEY_MAGIC, REKEY_VERSION,
+};
 pub use telemetry::TelemetrySnapshot;
 
 use std::fmt;

@@ -7,7 +7,9 @@
 //! deterministic binary codec, so that the byte counts the benchmark
 //! harness reports are real wire sizes, not estimates.
 
-use crate::codec::{get_bytes, get_count, get_u32, get_u64, get_u8, put_bytes};
+use crate::codec::{
+    get_bytes, get_count, get_field, get_slice, get_u32, get_u64, get_u8, put_bytes,
+};
 use crate::WireError;
 use bytes::BufMut;
 use kg_core::derive::DerivedLink;
@@ -188,8 +190,50 @@ impl RekeyPacket {
     }
 
     /// Decode a packet, returning it together with the length of its body
-    /// prefix (callers re-digest `bytes[..body_len]` to verify the tag).
+    /// prefix (callers re-digest `bytes[..body_len]` to verify the tag):
+    /// [`RekeyView::parse`], copied out.
     pub fn decode(bytes: &[u8]) -> Result<(Self, usize), WireError> {
+        let view = RekeyView::parse(bytes)?;
+        let body_len = view.body.len();
+        Ok((view.into_packet(), body_len))
+    }
+}
+
+/// A rekey packet parsed in place: the one parser of the rekey format.
+///
+/// [`RekeyView::parse`] walks the datagram once and validates all of it —
+/// magic and version, every tag and flag, [`MAX_COUNT`](crate::codec::MAX_COUNT) and
+/// [`MAX_FIELD_LEN`](crate::codec::MAX_FIELD_LEN), the one encoding of the
+/// derive section, truncation and trailing bytes. The derivation code,
+/// work list and bundles stay slices of the datagram; only the
+/// authenticity tag is copied out. A member that opens one or two of a
+/// group-oriented leave's bundles reads the others' headers and skips
+/// them without allocating.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RekeyView<'a> {
+    /// See [`RekeyPacket::interval`].
+    pub interval: u64,
+    /// See [`RekeyPacket::op`].
+    pub op: OpKind,
+    /// See [`RekeyPacket::timestamp_ms`].
+    pub timestamp_ms: u64,
+    /// See [`RekeyPacket::recipients`].
+    pub recipients: Recipients,
+    /// Derivation code (empty when nothing is derived).
+    pub code: &'a [u8],
+    /// The body: the prefix of the datagram the authenticity tag covers.
+    pub body: &'a [u8],
+    /// Integrity/authenticity tag.
+    pub auth: AuthTag,
+    /// Derivation work list, root-first: `(new_ref, from)` pairs.
+    links: &'a [[[u8; 16]; 2]],
+    /// The bundles section, already validated.
+    bundles: Bundles<'a>,
+}
+
+impl<'a> RekeyView<'a> {
+    /// Parse and validate a whole datagram.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, WireError> {
         let mut buf = bytes;
         match get_u8(&mut buf)? {
             REKEY_MAGIC => {}
@@ -204,41 +248,145 @@ impl RekeyPacket {
         let op = OpKind::from_tag(op).ok_or(WireError::BadTag { context: "op kind", tag: op })?;
         let timestamp_ms = get_u64(&mut buf)?;
         let recipients = decode_recipients(&mut buf)?;
-        let (code, changed) = match get_u8(&mut buf)? {
-            0 => (Vec::new(), Vec::new()),
+        let (code, links): (&[u8], &[[[u8; 16]; 2]]) = match get_u8(&mut buf)? {
+            0 => (&[], &[]),
             1 => {
-                let code = get_bytes(&mut buf)?;
+                let code = get_field(&mut buf)?;
                 let n = get_count(&mut buf)?;
-                let mut changed = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let new_ref = decode_keyref(&mut buf)?;
-                    let from = decode_keyref(&mut buf)?;
-                    changed.push(DerivedLink { new_ref, from });
-                }
-                if code.is_empty() && changed.is_empty() {
+                let links = get_refs(&mut buf, 2 * n)?.as_chunks().0;
+                if code.is_empty() && links.is_empty() {
                     // Not what `encode` writes for an empty work list;
                     // accepting it would give one packet two encodings.
                     return Err(WireError::BadTag { context: "empty derive section", tag: 1 });
                 }
-                (code, changed)
+                (code, links)
             }
             t => return Err(WireError::BadTag { context: "derive flag", tag: t }),
         };
-        let n = get_count(&mut buf)?;
-        let mut bundles = Vec::with_capacity(n);
-        for _ in 0..n {
-            bundles.push(decode_bundle(&mut buf)?);
+        let left = get_count(&mut buf)?;
+        let bundles_at = buf;
+        for _ in 0..left {
+            BundleView::parse(&mut buf)?;
         }
-        let body_len = bytes.len() - buf.len();
+        let bundles = Bundles { buf: consumed(bundles_at, buf), left };
+        let body = consumed(bytes, buf);
         let auth = decode_auth(&mut buf)?;
         if !buf.is_empty() {
             return Err(WireError::TrailingBytes(buf.len()));
         }
-        Ok((
-            RekeyPacket { interval, op, timestamp_ms, recipients, code, changed, bundles, auth },
-            body_len,
-        ))
+        Ok(RekeyView { interval, op, timestamp_ms, recipients, code, body, auth, links, bundles })
     }
+
+    /// The derivation work list, root-first.
+    pub fn links(&self) -> impl ExactSizeIterator<Item = DerivedLink> + 'a {
+        self.links
+            .iter()
+            .map(|[new_ref, from]| DerivedLink { new_ref: key_ref(new_ref), from: key_ref(from) })
+    }
+
+    /// The shipped bundles, in packet order.
+    pub fn bundles(&self) -> Bundles<'a> {
+        self.bundles.clone()
+    }
+
+    /// Copy the packet out into owned form.
+    pub fn into_packet(self) -> RekeyPacket {
+        let changed = self.links().collect();
+        let bundles = self.bundles().map(|b| b.to_bundle()).collect();
+        RekeyPacket {
+            interval: self.interval,
+            op: self.op,
+            timestamp_ms: self.timestamp_ms,
+            recipients: self.recipients,
+            code: self.code.to_vec(),
+            changed,
+            bundles,
+            auth: self.auth,
+        }
+    }
+}
+
+/// One bundle of a [`RekeyView`]: a [`KeyBundle`] read in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BundleView<'a> {
+    /// References of the new keys inside the ciphertext, in plaintext order.
+    pub targets: KeyRefs<'a>,
+    /// Reference of the key the bundle is encrypted under.
+    pub encrypted_with: KeyRef,
+    /// CBC initialization vector.
+    pub iv: &'a [u8],
+    /// The ciphertext.
+    pub ciphertext: &'a [u8],
+}
+
+impl<'a> BundleView<'a> {
+    fn parse(buf: &mut &'a [u8]) -> Result<Self, WireError> {
+        let n = get_count(buf)?;
+        let targets = KeyRefs(get_refs(buf, n)?);
+        let encrypted_with = get_keyref(buf)?;
+        let iv = get_field(buf)?;
+        let ciphertext = get_field(buf)?;
+        Ok(BundleView { targets, encrypted_with, iv, ciphertext })
+    }
+
+    /// Copy the bundle out into owned form.
+    pub fn to_bundle(&self) -> KeyBundle {
+        KeyBundle {
+            targets: self.targets.iter().collect(),
+            encrypted_with: self.encrypted_with,
+            iv: self.iv.to_vec(),
+            ciphertext: self.ciphertext.to_vec(),
+        }
+    }
+}
+
+/// The bundles of a [`RekeyView`], read in place, in packet order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Bundles<'a> {
+    buf: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Iterator for Bundles<'a> {
+    type Item = BundleView<'a>;
+
+    fn next(&mut self) -> Option<BundleView<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        // `RekeyView::parse` validated every bundle, so this succeeds.
+        BundleView::parse(&mut self.buf).ok()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Bundles<'_> {}
+
+/// Key references read in place: 16 bytes each, label then version.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyRefs<'a>(&'a [[u8; 16]]);
+
+impl<'a> KeyRefs<'a> {
+    /// Number of references.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The references, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = KeyRef> + 'a {
+        self.0.iter().map(key_ref)
+    }
+}
+
+/// The prefix of `before` that reading up to `after` consumed.
+fn consumed<'a>(before: &'a [u8], after: &[u8]) -> &'a [u8] {
+    before.get(..before.len() - after.len()).unwrap_or_default()
 }
 
 /// Control-plane messages between clients and the server.
@@ -361,8 +509,20 @@ fn encode_keyref(out: &mut Vec<u8>, r: &KeyRef) {
     out.put_u64(r.version.0);
 }
 
-fn decode_keyref(buf: &mut &[u8]) -> Result<KeyRef, WireError> {
-    Ok(KeyRef::new(KeyLabel(get_u64(buf)?), KeyVersion(get_u64(buf)?)))
+fn key_ref(raw: &[u8; 16]) -> KeyRef {
+    let v = u128::from_be_bytes(*raw);
+    KeyRef::new(KeyLabel((v >> 64) as u64), KeyVersion(v as u64))
+}
+
+fn get_keyref(buf: &mut &[u8]) -> Result<KeyRef, WireError> {
+    let (raw, tail) = buf.split_first_chunk().ok_or(WireError::Truncated)?;
+    *buf = tail;
+    Ok(key_ref(raw))
+}
+
+/// `n` key references, in place.
+fn get_refs<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [[u8; 16]], WireError> {
+    Ok(get_slice(buf, 16 * n)?.as_chunks().0)
 }
 
 fn encode_recipients(out: &mut Vec<u8>, r: &Recipients) {
@@ -405,18 +565,6 @@ fn encode_bundle(out: &mut Vec<u8>, b: &KeyBundle) {
     encode_keyref(out, &b.encrypted_with);
     put_bytes(out, &b.iv);
     put_bytes(out, &b.ciphertext);
-}
-
-fn decode_bundle(buf: &mut &[u8]) -> Result<KeyBundle, WireError> {
-    let n = get_count(buf)?;
-    let mut targets = Vec::with_capacity(n);
-    for _ in 0..n {
-        targets.push(decode_keyref(buf)?);
-    }
-    let encrypted_with = decode_keyref(buf)?;
-    let iv = get_bytes(buf)?;
-    let ciphertext = get_bytes(buf)?;
-    Ok(KeyBundle { targets, encrypted_with, iv, ciphertext })
 }
 
 fn encode_auth(out: &mut Vec<u8>, auth: &AuthTag) {
@@ -548,6 +696,25 @@ mod tests {
                 assert_eq!(decoded, pkt);
                 assert_eq!(&bytes[..body_len], pkt.encode_body().as_slice());
             }
+        }
+    }
+
+    #[test]
+    fn view_borrows_every_field_from_the_datagram() {
+        for pkt in [shipped_packet(AuthTag::None), derived_packet(AuthTag::None)] {
+            let bytes = pkt.encode();
+            let inside = |s: &[u8]| {
+                let (outer, inner) = (bytes.as_ptr_range(), s.as_ptr_range());
+                outer.start <= inner.start && inner.end <= outer.end
+            };
+            let view = RekeyView::parse(&bytes).unwrap();
+            assert!(inside(view.body) && (view.code.is_empty() || inside(view.code)));
+            assert_eq!(view.bundles().len(), pkt.bundles.len());
+            for (b, owned) in view.bundles().zip(&pkt.bundles) {
+                assert!(inside(b.iv) && inside(b.ciphertext));
+                assert_eq!(b.to_bundle(), *owned);
+            }
+            assert_eq!(view.links().collect::<Vec<_>>(), pkt.changed);
         }
     }
 

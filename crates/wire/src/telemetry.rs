@@ -16,7 +16,7 @@
 //! of the crate: hostile input produces typed errors, never panics or
 //! unbounded allocation.
 
-use crate::codec::{get_bytes, get_count, get_u64, get_u8, put_bytes};
+use crate::codec::{get_count, get_str, get_u64, get_u8, put_bytes};
 use crate::WireError;
 use bytes::BufMut;
 use kg_obs::{HistogramSnapshot, TraceSpan};
@@ -42,16 +42,11 @@ pub struct TelemetrySnapshot {
     pub spans: Vec<TraceSpan>,
 }
 
+/// Error context for a name or span path that is not UTF-8.
+const UTF8: &str = "telemetry utf-8 string";
+
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_bytes(out, s.as_bytes());
-}
-
-fn get_str(buf: &mut &[u8]) -> Result<String, WireError> {
-    let bytes = get_bytes(buf)?;
-    String::from_utf8(bytes).map_err(|e| {
-        let at = e.utf8_error().valid_up_to();
-        WireError::BadTag { context: "telemetry utf-8 string", tag: e.as_bytes()[at] }
-    })
 }
 
 /// Append one encoded [`TraceSpan`].
@@ -72,7 +67,7 @@ pub(crate) fn get_span(buf: &mut &[u8]) -> Result<TraceSpan, WireError> {
         span_id: get_u64(buf)?,
         parent_span: get_u64(buf)?,
         hop: get_u8(buf)?,
-        path: get_str(buf)?,
+        path: get_str(buf, UTF8)?,
         start_us: get_u64(buf)?,
         end_us: get_u64(buf)?,
     })
@@ -129,17 +124,17 @@ impl TelemetrySnapshot {
         let n = get_count(buf)?;
         let mut counters = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            counters.push((get_str(buf)?, get_u64(buf)?));
+            counters.push((get_str(buf, UTF8)?, get_u64(buf)?));
         }
         let n = get_count(buf)?;
         let mut gauges = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            gauges.push((get_str(buf)?, get_u64(buf)? as i64));
+            gauges.push((get_str(buf, UTF8)?, get_u64(buf)? as i64));
         }
         let n = get_count(buf)?;
         let mut hists = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            hists.push((get_str(buf)?, get_hist(buf)?));
+            hists.push((get_str(buf, UTF8)?, get_hist(buf)?));
         }
         let n = get_count(buf)?;
         let mut spans = Vec::with_capacity(n.min(1024));

@@ -14,8 +14,8 @@ use kg_core::merkle::{AuthPath, Side};
 use kg_core::rekey::{KeyBundle, Recipients};
 use kg_obs::{HistogramSnapshot, TraceContext, TraceSpan};
 use kg_wire::{
-    AuthTag, ClusterBody, ClusterEnvelope, ControlMessage, GroupId, OpKind, RekeyPacket, ShardId,
-    TelemetrySnapshot, WireError, REKEY_VERSION,
+    AuthTag, ClusterBody, ClusterEnvelope, ControlMessage, GroupId, OpKind, RekeyPacket, RekeyView,
+    ShardId, TelemetrySnapshot, WireError, REKEY_VERSION,
 };
 
 const ALL_OPS: [OpKind; 4] = [OpKind::Join, OpKind::Leave, OpKind::Batch, OpKind::Refresh];
@@ -121,6 +121,7 @@ fn every_rekey_packet_variant_roundtrips() {
         let (decoded, body_len) = RekeyPacket::decode(&bytes).expect("valid encoding");
         assert_eq!(decoded, pkt);
         assert_eq!(&bytes[..body_len], pkt.encode_body().as_slice());
+        view_agrees_with_decode(&bytes);
     }
 }
 
@@ -322,6 +323,25 @@ fn every_cluster_envelope_variant_roundtrips() {
     }
 }
 
+/// [`RekeyView::parse`] accepts exactly what [`RekeyPacket::decode`]
+/// accepts, and in place it reads the same packet: every bundle and link
+/// comes back out of the datagram, and the body it hands the verifier is
+/// the canonical body encoding.
+fn view_agrees_with_decode(bytes: &[u8]) {
+    let view = RekeyView::parse(bytes);
+    let (pkt, body_len) = match RekeyPacket::decode(bytes) {
+        Ok(decoded) => decoded,
+        Err(e) => return assert_eq!(view, Err(e)),
+    };
+    let view = view.expect("the view parses what decode accepts");
+    assert_eq!(view.body, &bytes[..body_len]);
+    assert_eq!(view.body, pkt.encode_body().as_slice());
+    assert_eq!(view.code, pkt.code.as_slice());
+    assert_eq!(view.links().collect::<Vec<_>>(), pkt.changed);
+    assert_eq!(view.bundles().len(), pkt.bundles.len());
+    assert_eq!(view.bundles().map(|b| b.to_bundle()).collect::<Vec<_>>(), pkt.bundles);
+}
+
 /// Every strict prefix of a valid frame must decode to an error. The
 /// encodings are deterministic with no optional trailing fields, so a
 /// truncated frame can never be mistaken for a complete one.
@@ -331,6 +351,7 @@ fn truncation_always_errors_never_panics() {
         let bytes = pkt.encode();
         for cut in 0..bytes.len() {
             assert!(RekeyPacket::decode(&bytes[..cut]).is_err(), "cut {cut} of {pkt:?}");
+            assert!(RekeyView::parse(&bytes[..cut]).is_err(), "cut {cut} of {pkt:?}");
         }
     }
     for msg in all_control_messages() {
@@ -364,6 +385,7 @@ fn bit_flips_never_misparse_or_panic() {
         for pos in 0..bytes.len() * 8 {
             let mut flipped = bytes.clone();
             flipped[pos / 8] ^= 1 << (pos % 8);
+            view_agrees_with_decode(&flipped);
             if let Ok((decoded, _)) = RekeyPacket::decode(&flipped) {
                 assert_eq!(decoded.encode(), flipped, "bit {pos} of {pkt:?}");
             }
@@ -604,12 +626,14 @@ fn fuzz_cluster_envelope(f: &mut Fuzz) -> ClusterEnvelope {
 }
 
 proptest::proptest! {
-    /// Random byte soup never panics any decoder, and anything that does
-    /// decode re-encodes to exactly the input (no silent misparses).
+    /// Random byte soup never panics any decoder or the in-place rekey
+    /// view, and anything that does decode re-encodes to exactly the
+    /// input (no silent misparses).
     /// Buffers up to 2 KiB reach the interior length-prefixed fields
     /// that short garbage can't.
     #[test]
     fn random_garbage_never_misparses(data in proptest::collection::vec(0u8.., 0..2048)) {
+        view_agrees_with_decode(&data);
         if let Ok((pkt, _)) = RekeyPacket::decode(&data) {
             proptest::prop_assert_eq!(pkt.encode(), data.clone());
             // encode ∘ decode is idempotent: a second trip is a fixed point.
@@ -671,7 +695,8 @@ proptest::proptest! {
     }
 
     /// Mutations of *valid* frames — spliced garbage windows, random
-    /// truncation, appended tails — never panic a decoder and never
+    /// truncation, appended tails — never panic a decoder (or the
+    /// in-place rekey view, which must agree with it) and never
     /// silently misparse: whatever still decodes re-encodes to exactly
     /// the mutated bytes. Seeding from valid frames drives the fuzz
     /// deeper into the decoders than raw garbage can reach.
@@ -705,6 +730,7 @@ proptest::proptest! {
             }
         }
         for bytes in &frames {
+            view_agrees_with_decode(bytes);
             if let Ok((pkt, _)) = RekeyPacket::decode(bytes) {
                 proptest::prop_assert_eq!(pkt.encode(), bytes.clone());
             }
