@@ -60,7 +60,7 @@ pub struct LedgerRow {
     pub bytes: u64,
     /// Key-tree nodes whose keys changed (fresh keys generated).
     pub nodes_touched: u64,
-    /// Encryption-cache hits (stored-ciphertext reuse, Figures 6/8).
+    /// Stored ciphertexts resent (stored-ciphertext reuse, Figures 6/8).
     pub cache_hits: u64,
 }
 

@@ -10,9 +10,12 @@
 //!
 //! The same allocator checks secrecy hygiene: while an apply runs, every
 //! block freed (or moved by `realloc`) is scanned for the key material
-//! that apply installs. A plaintext buffer freed without a wipe trips it.
+//! that apply installs. A plaintext buffer freed without a wipe trips it,
+//! and so does one freed on the error path: a packet whose bundles have
+//! their last ciphertext block flipped decrypts, under the right key, to
+//! real key bytes followed by bad padding.
 
-use kg_client::{Client, VerifyPolicy};
+use kg_client::{Client, ClientError, ProcessSummary, VerifyPolicy};
 use kg_core::ids::UserId;
 use kg_core::rekey::{Recipients, Strategy};
 use kg_crypto::SymmetricKey;
@@ -85,12 +88,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Apply `bytes` to `client`, returning the allocations it made and
-/// whether a freed block still held a key it installed.
-fn measured_apply(client: &mut Client, bytes: &[u8]) -> (u64, bool) {
-    // A dry run on a copy names the keys this apply installs.
+/// Apply `bytes` to `client`, returning the result, the allocations it
+/// made and whether a freed block still held a key that applying the
+/// `intact` packet installs.
+fn measured_apply(
+    client: &mut Client,
+    intact: &[u8],
+    bytes: &[u8],
+) -> (Result<ProcessSummary, ClientError>, u64, bool) {
+    // A dry run on a copy names the keys the intact packet installs.
     let mut dry = client.clone();
-    dry.apply(bytes).expect("member applies the packet");
+    dry.apply(intact).expect("member applies the packet");
     let before = client.keyset();
     let installed: Vec<SymmetricKey> =
         dry.keyset().into_iter().filter(|e| !before.contains(e)).map(|(_, k)| k).collect();
@@ -108,9 +116,9 @@ fn measured_apply(client: &mut Client, bytes: &[u8]) -> (u64, bool) {
     let result = client.apply(bytes);
     TRACKING.with(|t| t.set(false));
 
-    result.expect("member applies the packet");
-    assert_eq!(client.keyset(), dry.keyset());
-    (ALLOCS.with(Cell::get), LEAKED.with(Cell::get))
+    let expected = if result.is_ok() { dry.keyset() } else { before };
+    assert_eq!(client.keyset(), expected);
+    (result, ALLOCS.with(Cell::get), LEAKED.with(Cell::get))
 }
 
 /// The packet every member receives (group-oriented: one multicast).
@@ -162,7 +170,8 @@ fn leave_apply_allocates_no_more_than_join_apply() {
         ] {
             let group = group_packet(&op.encoded);
             for c in members.iter_mut() {
-                let (allocs, leaked) = measured_apply(c, group);
+                let (result, allocs, leaked) = measured_apply(c, group, group);
+                result.expect("member applies the packet");
                 assert!(!leaked, "{:?} freed installed key material un-wiped", c.user());
                 let tally = if joining { &mut join } else { &mut leave };
                 tally.0 += allocs;
@@ -186,4 +195,78 @@ fn leave_apply_allocates_no_more_than_join_apply() {
         "a leave apply allocates {leave_mean:.1} blocks against a join's {join_mean:.1}: \
          skipped bundles are being materialised"
     );
+}
+
+/// `packet` with one bit flipped in the last ciphertext block of every
+/// bundle.
+fn flip_last_blocks(packet: &[u8]) -> Vec<u8> {
+    let view = RekeyView::parse(packet).expect("valid packet");
+    let ends: Vec<usize> = view
+        .bundles()
+        .map(|b| b.ciphertext.as_ptr() as usize - packet.as_ptr() as usize + b.ciphertext.len())
+        .collect();
+    let mut bytes = packet.to_vec();
+    for end in ends {
+        bytes[end - 1] ^= 0x01;
+    }
+    bytes
+}
+
+/// A member that applies a corrupted packet with the right keys fails
+/// with nothing installed, and frees no block that still holds a key the
+/// intact packet would have installed. No authenticator is on, so the
+/// corruption reaches decryption.
+#[test]
+fn corrupted_packet_apply_frees_no_key_material() {
+    let config = ServerConfig::builder()
+        .strategy(Strategy::GroupOriented)
+        .auth(AuthPolicy::None)
+        .seed(11)
+        .build()
+        .expect("valid config");
+    let mut server = GroupKeyServer::new(config, AccessControl::AllowAll);
+    let mut members: Vec<Client> = Vec::new();
+    for u in 0..64u64 {
+        let op = server.handle_join(UserId(u)).expect("join");
+        let g = &op.grants[0];
+        let mut c = Client::new(g.user, server.config().cipher, VerifyPolicy::Opportunistic);
+        c.install_grant(g.individual_key.clone(), g.leaf_label, &g.path_labels);
+        members.push(c);
+        for bytes in &op.encoded {
+            for c in members.iter_mut() {
+                c.apply(bytes).expect("member applies the packet");
+            }
+        }
+    }
+    let mut refused = 0;
+    for i in 0..8u64 {
+        for op in [
+            server.handle_leave(UserId(i * 7)).expect("leave"),
+            server.handle_join(UserId(1_000 + i)).expect("join"),
+        ] {
+            members.retain(|c| server.is_member(c.user()));
+            let group = group_packet(&op.encoded);
+            let corrupted = flip_last_blocks(group);
+            for c in members.iter_mut() {
+                let (result, _, leaked) = measured_apply(c, group, &corrupted);
+                assert!(
+                    !leaked,
+                    "{:?} freed the plaintext of a corrupted bundle un-wiped",
+                    c.user()
+                );
+                assert!(matches!(result, Err(ClientError::DecryptFailed(_))), "{result:?}");
+                refused += 1;
+                c.apply(group).expect("member applies the intact packet");
+            }
+            for bytes in op.encoded.iter().filter(|b| b.as_slice() != group) {
+                for c in members.iter_mut() {
+                    let _ = c.apply(bytes);
+                }
+            }
+        }
+    }
+    assert!(refused > 0);
+    for c in &members {
+        assert_eq!(c.group_key().expect("member").1, server.tree().group_key().1);
+    }
 }

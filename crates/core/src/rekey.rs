@@ -172,13 +172,13 @@ pub struct OpCounts {
     pub key_encryptions: u64,
     /// Fresh keys generated.
     pub keys_generated: u64,
-    /// Bundle requests served from the per-operation encryption cache
-    /// (no IV drawn, no ciphertext produced, not counted in
-    /// `key_encryptions`) — the stored-ciphertext reuse of Figures 6/8,
-    /// made explicit.
+    /// Stored ciphertexts sent again in a later message of the same
+    /// operation (no IV drawn, no ciphertext produced, not counted in
+    /// `key_encryptions`): the stored-ciphertext reuse of Figures 6/8,
+    /// which only the key-oriented constructions make.
     pub cache_hits: u64,
-    /// Bundle requests that actually sealed a ciphertext. `cache_misses`
-    /// is the number of distinct ciphertexts the operation produced.
+    /// Ciphertexts sealed: the number of distinct ciphertexts the
+    /// operation produced.
     pub cache_misses: u64,
 }
 
@@ -341,75 +341,50 @@ impl<'a> IvStream<'a> {
     }
 }
 
-/// Per-operation encryption cache, keyed by `(encrypting key ref, target
-/// refs, payload bytes)`. The encrypting ref includes the key *version*,
-/// so a key change is an automatic invalidation. Its scope is one rekey
-/// operation (one join/leave/refresh, or one whole batch interval), so
-/// overlapping key-covers within an interval never seal the same
-/// (encrypting-key, payload) pair twice.
-type BundleCache = BTreeMap<(KeyRef, Vec<KeyRef>, Vec<u8>), KeyBundle>;
-
-/// Produces the ciphertext bundles of one rekey operation.
+/// Seals the bundles of one rekey operation: each [`seal`](Self::seal)
+/// draws one IV from the operation's [`IvStream`] and encrypts.
 ///
-/// The construction functions below describe *which* bundles an operation
-/// needs and in *what order*; the sealer draws the IV and encrypts.
-///
-/// * Requesting the same `(encrypting_ref, targets, payload)` triple twice
-///   within one sealer's lifetime returns the *same* bundle — same IV,
-///   same ciphertext — without drawing from the IV stream or
-///   re-encrypting, and counts a cache hit instead of new
-///   `key_encryptions`. Constructions rely on this for the paper's
-///   stored-ciphertext reuse (Figures 6/8).
-/// * A first-time request draws exactly one IV from the [`IvStream`].
-///   Construction order is deterministic (see
-///   [`crate::batch::BatchEvent::key_cover`]), so the IV assignment — and
-///   therefore every output byte — is a function of the event alone.
+/// The sealer remembers nothing it sealed. The paper's stored-ciphertext
+/// reuse (Figures 6 and 8) is written in the two constructions that send
+/// one ciphertext in several messages, the key-oriented join and batch:
+/// each keeps the [`KeyBundle`] it sealed and clones it into the later
+/// messages, counting one `cache_hits` per clone. Construction order is
+/// deterministic (see [`crate::batch::BatchEvent::key_cover`]), so the IV
+/// assignment, and with it every output byte, is a function of the event
+/// alone.
 struct Sealer<'a> {
     cipher: KeyCipher,
     ivs: IvStream<'a>,
-    cache: BundleCache,
 }
 
 impl<'a> Sealer<'a> {
     fn new(cipher: KeyCipher, ivs: &'a mut dyn KeySource) -> Self {
-        let ivs = IvStream::new(ivs, cipher.block_len());
-        Sealer { cipher, ivs, cache: BundleCache::new() }
+        Sealer { cipher, ivs: IvStream::new(ivs, cipher.block_len()) }
     }
 
-    /// The bundle carrying `targets` sealed under `encrypting_key`,
-    /// counting the work performed (or the cache hit) into `ops`.
-    fn bundle(
+    /// `targets` sealed under `encrypting_key`, counted into `ops`. The
+    /// concatenated plaintext lives in one buffer of exact capacity, so it
+    /// is never reallocated, and it is wiped when the seal returns.
+    fn seal(
         &mut self,
         ops: &mut OpCounts,
         encrypting_ref: KeyRef,
         encrypting_key: &SymmetricKey,
         targets: &[(KeyRef, &SymmetricKey)],
     ) -> KeyBundle {
-        use std::collections::btree_map::Entry;
-        let mut payload = Vec::with_capacity(targets.len() * 8);
+        ops.cache_misses += 1;
+        ops.key_encryptions += targets.len() as u64;
+        let mut plain = Vec::with_capacity(targets.iter().map(|(_, k)| k.len()).sum());
         for (_, key) in targets {
-            payload.extend_from_slice(key.material());
+            plain.extend_from_slice(key.material());
         }
-        let target_refs: Vec<KeyRef> = targets.iter().map(|(r, _)| *r).collect();
-        match self.cache.entry((encrypting_ref, target_refs, payload)) {
-            Entry::Occupied(e) => {
-                ops.cache_hits += 1;
-                e.get().clone()
-            }
-            Entry::Vacant(e) => {
-                ops.cache_misses += 1;
-                ops.key_encryptions += targets.len() as u64;
-                let (_, target_refs, plain) = e.key();
-                let iv = self.ivs.next_iv();
-                let ciphertext = self.cipher.encrypt(encrypting_key, &iv, plain);
-                let bundle = KeyBundle {
-                    targets: target_refs.clone(),
-                    encrypted_with: encrypting_ref,
-                    iv,
-                    ciphertext,
-                };
-                e.insert(bundle).clone()
-            }
+        let plain = SymmetricKey::new(plain);
+        let iv = self.ivs.next_iv();
+        KeyBundle {
+            targets: targets.iter().map(|(r, _)| *r).collect(),
+            encrypted_with: encrypting_ref,
+            ciphertext: self.cipher.encrypt(encrypting_key, &iv, plain.material()),
+            iv,
         }
     }
 }
@@ -454,10 +429,10 @@ fn build_join(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> R
             None => Recipients::Group, // a refresh: everyone holds the old root key
         }
     };
-    // {K'_l}_{K_l}; requested again, it is the stored ciphertext.
+    // {K'_l}_{K_l}.
     let single = |sealer: &mut Sealer<'_>, ops: &mut OpCounts, l: usize| {
         let t = [(path[l].new_ref, &path[l].new_key)];
-        sealer.bundle(ops, path[l].old_ref, &path[l].old_key, &t)
+        sealer.seal(ops, path[l].old_ref, &path[l].old_key, &t)
     };
 
     match strategy {
@@ -466,19 +441,19 @@ fn build_join(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> R
             for i in 0..path.len() {
                 let targets: Vec<(KeyRef, &SymmetricKey)> =
                     path[..=i].iter().map(|p| (p.new_ref, &p.new_key)).collect();
-                let b = sealer.bundle(&mut ops, path[i].old_ref, &path[i].old_key, &targets);
+                let b = sealer.seal(&mut ops, path[i].old_ref, &path[i].old_key, &targets);
                 messages.push(RekeyMessage { recipients: class(i), bundles: vec![b] });
             }
         }
         Strategy::KeyOriented => {
-            // Each new key encrypted once under its old key; the
-            // ciphertexts are shared across the per-class messages
-            // (Figure 6's combined form). Message i carries
-            // {K'_0}_{K_0} … {K'_i}_{K_i}; repeats are cache hits, so
-            // single l draws its IV at first occurrence — path order.
+            // Each new key encrypted once under its old key and stored;
+            // message i carries {K'_0}_{K_0} … {K'_i}_{K_i}, the i stored
+            // ones resent (Figure 6's combined form). Sealed in path order.
+            let mut stored = Vec::with_capacity(path.len());
             for i in 0..path.len() {
-                let bundles = (0..=i).map(|l| single(sealer, &mut ops, l)).collect();
-                messages.push(RekeyMessage { recipients: class(i), bundles });
+                stored.push(single(sealer, &mut ops, i));
+                ops.cache_hits += i as u64;
+                messages.push(RekeyMessage { recipients: class(i), bundles: stored.clone() });
             }
         }
         Strategy::GroupOriented => {
@@ -505,7 +480,7 @@ fn unicast_joiners(
 ) {
     for j in &ev.joins {
         let targets: Vec<(KeyRef, &SymmetricKey)> = j.path.iter().map(|(r, k)| (*r, k)).collect();
-        let b = sealer.bundle(ops, j.leaf_ref, &j.leaf_key, &targets);
+        let b = sealer.seal(ops, j.leaf_ref, &j.leaf_key, &targets);
         messages.push(RekeyMessage { recipients: Recipients::User(j.user), bundles: vec![b] });
     }
 }
@@ -522,13 +497,11 @@ fn unicast_joiners(
 /// by a surviving child's key); joiners learn only post-batch keys, via
 /// their unicast.
 ///
-/// Bundle-request order follows [`BatchEvent::key_cover`]: marked nodes
-/// root-first (BFS), children in the recorded child order. For the
-/// key-oriented strategy the marked-child chain ciphertexts are sealed
-/// first in that cover order (fixing their IVs once, as the
-/// stored-ciphertext optimization requires); the per-subgroup messages
-/// then re-request them as cache hits. Joiner unicasts come last, in
-/// event order.
+/// Seal order follows [`BatchEvent::key_cover`]: marked nodes root-first
+/// (BFS), children in the recorded child order. For the key-oriented
+/// strategy the marked-child chain ciphertexts are sealed first in that
+/// cover order and stored; the per-subgroup messages then resend them.
+/// Joiner unicasts come last, in event order.
 fn build_batch(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> RekeyOutput {
     let mut ops = OpCounts { keys_generated: ev.marked.len() as u64, ..OpCounts::default() };
     let mut messages = Vec::new();
@@ -558,7 +531,7 @@ fn build_batch(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> 
             let mut bundles = Vec::new();
             for (m, c) in ev.key_cover() {
                 if c.joiner.is_none() {
-                    bundles.push(sealer.bundle(
+                    bundles.push(sealer.seal(
                         &mut ops,
                         c.key_ref,
                         &c.key,
@@ -569,38 +542,30 @@ fn build_batch(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> 
             messages.push(RekeyMessage { recipients: Recipients::Group, bundles });
         }
         Strategy::KeyOriented => {
-            // Seal the chain ciphertexts {K'_x}_{K'_y} (marked child y
-            // of marked x) first, in cover order; the per-subgroup
-            // messages below re-request them as cache hits, so each is
-            // encrypted (and counted) exactly once — the batched
-            // analogue of Figure 8's stored-ciphertext optimization.
-            // `chain_src[y]` remembers the request triple so the walk
-            // re-issues it identically.
-            let mut chain_src: BTreeMap<KeyLabel, (KeyRef, &SymmetricKey)> = BTreeMap::new();
-            for (m, c) in ev.key_cover() {
-                if c.marked {
-                    let _ = sealer.bundle(&mut ops, c.key_ref, &c.key, &[(m.new_ref, &m.new_key)]);
-                    chain_src.insert(c.label, (c.key_ref, &c.key));
-                }
+            // Seal each chain ciphertext {K'_x}_{K'_y} (marked child y of
+            // marked x) once, in cover order, and store it by y's label:
+            // the batched analogue of Figure 8's stored ciphertexts.
+            let mut links: BTreeMap<KeyLabel, KeyBundle> = BTreeMap::new();
+            for (m, c) in ev.key_cover().filter(|(_, c)| c.marked) {
+                links.insert(
+                    c.label,
+                    sealer.seal(&mut ops, c.key_ref, &c.key, &[(m.new_ref, &m.new_key)]),
+                );
             }
             // For each unmarked, non-joiner child y of marked x:
-            // M = {K'_x}_{K_y}, {K'_p(x)}_{K'_x}, … up to the root.
+            // M = {K'_x}_{K_y}, then the stored {K'_p(x)}_{K'_x}, … up to
+            // the root.
             for (m, c) in ev.key_cover() {
                 if c.marked || c.joiner.is_some() {
                     continue;
                 }
-                let head = sealer.bundle(&mut ops, c.key_ref, &c.key, &[(m.new_ref, &m.new_key)]);
-                let mut bundles = vec![head];
+                let mut bundles =
+                    vec![sealer.seal(&mut ops, c.key_ref, &c.key, &[(m.new_ref, &m.new_key)])];
                 let mut cur = m.label;
-                while let Some(&(link_ref, link_key)) = chain_src.get(&cur) {
-                    let parent = &ev.marked[by_label[&parent_of[&cur]]];
-                    bundles.push(sealer.bundle(
-                        &mut ops,
-                        link_ref,
-                        link_key,
-                        &[(parent.new_ref, &parent.new_key)],
-                    ));
-                    cur = parent.label;
+                while let Some(link) = links.get(&cur) {
+                    ops.cache_hits += 1;
+                    bundles.push(link.clone());
+                    cur = parent_of[&cur];
                 }
                 messages.push(RekeyMessage { recipients: Recipients::Subgroup(c.label), bundles });
             }
@@ -633,7 +598,7 @@ fn build_batch(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> 
                     targets.push((node.new_ref, &node.new_key));
                     cur = parent_of.get(&label).copied();
                 }
-                let b = sealer.bundle(&mut ops, c.key_ref, &c.key, &targets);
+                let b = sealer.seal(&mut ops, c.key_ref, &c.key, &targets);
                 messages.push(RekeyMessage {
                     recipients: Recipients::Subgroup(c.label),
                     bundles: vec![b],
@@ -648,7 +613,7 @@ fn build_batch(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> 
 
 /// Context for materializing rekey messages: cipher choice plus the IV
 /// source. Every operation runs its construction function against a fresh
-/// `Sealer` (one IV stream and one encryption cache per operation).
+/// `Sealer` (one IV stream per operation).
 pub struct Rekeyer<'a> {
     cipher: KeyCipher,
     ivs: &'a mut dyn KeySource,
@@ -802,9 +767,9 @@ mod tests {
         }
     }
 
-    /// The encryption cache's accounting: hits are the stored-ciphertext
-    /// reuses of Figures 6/8 (key-oriented chains), misses are the
-    /// distinct ciphertexts, and hits never consume IVs or encryptions.
+    /// The reuse accounting: hits are the stored ciphertexts resent, as in
+    /// Figures 6/8 (key-oriented chains), misses are the distinct
+    /// ciphertexts, and hits never consume IVs or encryptions.
     #[test]
     fn cache_accounting_matches_stored_ciphertext_reuse() {
         let (mut tree, mut src) = figure5_tree();
@@ -817,7 +782,7 @@ mod tests {
         let out = rk.batch(&ev, Strategy::KeyOriented);
         // Key-oriented leave re-sends the chain links {K'_{l}}K'_{l+1}
         // in every message below their level: an unchanged child at level
-        // i repeats i links, all served from the cache.
+        // i repeats i links, each a stored ciphertext resent.
         let expected_hits: u64 = (ev.marked.iter().enumerate())
             .map(|(i, m)| (m.children.iter().filter(|c| !c.marked).count() * i) as u64)
             .sum();
@@ -1291,6 +1256,460 @@ mod tests {
                     batch_multi < per_op_multi,
                     "{strategy:?}: batched {batch_multi} vs per-op {per_op_multi} multicasts"
                 );
+            }
+        }
+    }
+}
+
+/// The parent design, kept as a test oracle: a sealer with a
+/// per-operation bundle cache keyed by (encrypting ref, target refs,
+/// plaintext key bytes), which the constructions re-request to reuse a
+/// ciphertext. The cacheless constructions above must give an equal
+/// [`RekeyOutput`] and leave the IV source in the same state.
+#[cfg(test)]
+mod reference {
+    use super::{BatchEvent, KeyLabel, KeyRef, KeySource, Strategy, SymmetricKey};
+    use super::{IvStream, KeyBundle, KeyCipher, OpCounts, Recipients, RekeyMessage, RekeyOutput};
+    use std::collections::BTreeMap;
+
+    /// [`super::Rekeyer::join`] as the parent built it.
+    pub(super) fn join(
+        cipher: KeyCipher,
+        ivs: &mut dyn KeySource,
+        ev: &BatchEvent,
+        strategy: Strategy,
+    ) -> RekeyOutput {
+        build_join(&mut Sealer::new(cipher, ivs), ev, strategy)
+    }
+
+    /// [`super::Rekeyer::batch`] as the parent built it.
+    pub(super) fn batch(
+        cipher: KeyCipher,
+        ivs: &mut dyn KeySource,
+        ev: &BatchEvent,
+        strategy: Strategy,
+    ) -> RekeyOutput {
+        build_batch(&mut Sealer::new(cipher, ivs), ev, strategy)
+    }
+
+    /// Per-operation encryption cache, keyed by `(encrypting key ref, target
+    /// refs, payload bytes)`. The encrypting ref includes the key *version*,
+    /// so a key change is an automatic invalidation. Its scope is one rekey
+    /// operation (one join/leave/refresh, or one whole batch interval), so
+    /// overlapping key-covers within an interval never seal the same
+    /// (encrypting-key, payload) pair twice.
+    type BundleCache = BTreeMap<(KeyRef, Vec<KeyRef>, Vec<u8>), KeyBundle>;
+
+    /// Produces the ciphertext bundles of one rekey operation.
+    ///
+    /// The construction functions below describe *which* bundles an operation
+    /// needs and in *what order*; the sealer draws the IV and encrypts.
+    ///
+    /// * Requesting the same `(encrypting_ref, targets, payload)` triple twice
+    ///   within one sealer's lifetime returns the *same* bundle — same IV,
+    ///   same ciphertext — without drawing from the IV stream or
+    ///   re-encrypting, and counts a cache hit instead of new
+    ///   `key_encryptions`. Constructions rely on this for the paper's
+    ///   stored-ciphertext reuse (Figures 6/8).
+    /// * A first-time request draws exactly one IV from the [`IvStream`].
+    ///   Construction order is deterministic (see
+    ///   [`crate::batch::BatchEvent::key_cover`]), so the IV assignment — and
+    ///   therefore every output byte — is a function of the event alone.
+    struct Sealer<'a> {
+        cipher: KeyCipher,
+        ivs: IvStream<'a>,
+        cache: BundleCache,
+    }
+
+    impl<'a> Sealer<'a> {
+        fn new(cipher: KeyCipher, ivs: &'a mut dyn KeySource) -> Self {
+            let ivs = IvStream::new(ivs, cipher.block_len());
+            Sealer { cipher, ivs, cache: BundleCache::new() }
+        }
+
+        /// The bundle carrying `targets` sealed under `encrypting_key`,
+        /// counting the work performed (or the cache hit) into `ops`.
+        fn bundle(
+            &mut self,
+            ops: &mut OpCounts,
+            encrypting_ref: KeyRef,
+            encrypting_key: &SymmetricKey,
+            targets: &[(KeyRef, &SymmetricKey)],
+        ) -> KeyBundle {
+            use std::collections::btree_map::Entry;
+            let mut payload = Vec::with_capacity(targets.len() * 8);
+            for (_, key) in targets {
+                payload.extend_from_slice(key.material());
+            }
+            let target_refs: Vec<KeyRef> = targets.iter().map(|(r, _)| *r).collect();
+            match self.cache.entry((encrypting_ref, target_refs, payload)) {
+                Entry::Occupied(e) => {
+                    ops.cache_hits += 1;
+                    e.get().clone()
+                }
+                Entry::Vacant(e) => {
+                    ops.cache_misses += 1;
+                    ops.key_encryptions += targets.len() as u64;
+                    let (_, target_refs, plain) = e.key();
+                    let iv = self.ivs.next_iv();
+                    let ciphertext = self.cipher.encrypt(encrypting_key, &iv, plain);
+                    let bundle = KeyBundle {
+                        targets: target_refs.clone(),
+                        encrypted_with: encrypting_ref,
+                        iv,
+                        ciphertext,
+                    };
+                    e.insert(bundle).clone()
+                }
+            }
+        }
+    }
+
+    /// The paper's join protocol (§3.3, Figures 6 and 7): each new key
+    /// `K'_i` encrypted under the key it replaces, `K_i`, which exactly the
+    /// node's previous holders have. The event must be one whose replaced keys
+    /// form a single chain x_0 … x_j from the root and in which nobody left —
+    /// a single join, or a group-key refresh (the root alone, no joiner: every
+    /// strategy then sends the one message `{K'_0}_{K_0}` to the group).
+    ///
+    /// The users holding old `K_i` but not `K_{i+1}` form one recipient class,
+    /// `userset(x_i) − userset(y)` where `y` is x_i's one child on the chain:
+    /// x_{i+1}, or below x_j the joiner's leaf. Under [`Strategy::Derived`]
+    /// current members recompute the chain from the published code
+    /// ([`crate::derive::derive_key`]), so only the joiner's unicast is sealed:
+    /// one seal regardless of tree height, and `keys_generated` counts 0.
+    ///
+    /// Bundle-request order (hence IV-draw order) is deterministic: per-path
+    /// bundles root-first, then the joiner unicast last.
+    ///
+    /// # Panics
+    /// Panics when the event has a departure (a key a departed member holds
+    /// must never protect a new one) or is not a single chain.
+    fn build_join(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> RekeyOutput {
+        assert!(ev.departed.is_empty(), "old keys may not protect new ones after a leave");
+        assert!(ev.joins.len() <= 1, "the join protocol serves one joiner");
+        let path = &ev.marked; // root-first: x_0 … x_j
+        let mut ops = OpCounts { keys_generated: path.len() as u64, ..OpCounts::default() };
+        let mut messages = Vec::new();
+        // x_i's previous holders that are not below its child on the chain.
+        let class = |i: usize| {
+            let next = path.get(i + 1).map(|p| p.label);
+            let mut on_chain = path[i].children.iter().filter(|c| c.marked || c.joiner.is_some());
+            let below = on_chain.next().map(|c| c.label);
+            assert!(
+                on_chain.next().is_none() && (next.is_none() || next == below),
+                "replaced keys do not form a single chain"
+            );
+            match below {
+                Some(exclude) => Recipients::SubgroupExcept { include: path[i].label, exclude },
+                None => Recipients::Group, // a refresh: everyone holds the old root key
+            }
+        };
+        // {K'_l}_{K_l}; requested again, it is the stored ciphertext.
+        let single = |sealer: &mut Sealer<'_>, ops: &mut OpCounts, l: usize| {
+            let t = [(path[l].new_ref, &path[l].new_key)];
+            sealer.bundle(ops, path[l].old_ref, &path[l].old_key, &t)
+        };
+
+        match strategy {
+            Strategy::UserOriented => {
+                // Class i gets {K'_0 … K'_i} under old K_i.
+                for i in 0..path.len() {
+                    let targets: Vec<(KeyRef, &SymmetricKey)> =
+                        path[..=i].iter().map(|p| (p.new_ref, &p.new_key)).collect();
+                    let b = sealer.bundle(&mut ops, path[i].old_ref, &path[i].old_key, &targets);
+                    messages.push(RekeyMessage { recipients: class(i), bundles: vec![b] });
+                }
+            }
+            Strategy::KeyOriented => {
+                // Each new key encrypted once under its old key; the
+                // ciphertexts are shared across the per-class messages
+                // (Figure 6's combined form). Message i carries
+                // {K'_0}_{K_0} … {K'_i}_{K_i}; repeats are cache hits, so
+                // single l draws its IV at first occurrence — path order.
+                for i in 0..path.len() {
+                    let bundles = (0..=i).map(|l| single(sealer, &mut ops, l)).collect();
+                    messages.push(RekeyMessage { recipients: class(i), bundles });
+                }
+            }
+            Strategy::GroupOriented => {
+                // One multicast with every {K'_i}_{K_i}.
+                if !path.is_empty() {
+                    let bundles = (0..path.len()).map(|l| single(sealer, &mut ops, l)).collect();
+                    messages.push(RekeyMessage { recipients: Recipients::Group, bundles });
+                }
+            }
+            Strategy::Derived => ops.keys_generated = 0,
+        }
+
+        unicast_joiners(sealer, &mut ops, ev, &mut messages);
+        RekeyOutput { messages, ops }
+    }
+
+    /// What every construction does for a joiner, last and in event order: its
+    /// full new path, root-first, in one unicast under its individual key.
+    fn unicast_joiners(
+        sealer: &mut Sealer<'_>,
+        ops: &mut OpCounts,
+        ev: &BatchEvent,
+        messages: &mut Vec<RekeyMessage>,
+    ) {
+        for j in &ev.joins {
+            let targets: Vec<(KeyRef, &SymmetricKey)> =
+                j.path.iter().map(|(r, k)| (*r, k)).collect();
+            let b = sealer.bundle(ops, j.leaf_ref, &j.leaf_key, &targets);
+            messages.push(RekeyMessage { recipients: Recipients::User(j.user), bundles: vec![b] });
+        }
+    }
+
+    /// Construct one batch interval's consolidated rekey messages: the natural
+    /// batched generalization of the paper's leave protocol. For every marked
+    /// node `x` and every child `y` that is not a freshly joined leaf, the new
+    /// key `K'_x` is distributed encrypted under `y`'s post-batch key (`y`'s
+    /// *new* key when `y` is itself marked — clients resolve the resulting
+    /// decryption order with their usual fixed-point pass).
+    ///
+    /// Every current member learns exactly the new keys on its path;
+    /// departed members can decrypt none of them (each ciphertext is keyed
+    /// by a surviving child's key); joiners learn only post-batch keys, via
+    /// their unicast.
+    ///
+    /// Bundle-request order follows [`BatchEvent::key_cover`]: marked nodes
+    /// root-first (BFS), children in the recorded child order. For the
+    /// key-oriented strategy the marked-child chain ciphertexts are sealed
+    /// first in that cover order (fixing their IVs once, as the
+    /// stored-ciphertext optimization requires); the per-subgroup messages
+    /// then re-request them as cache hits. Joiner unicasts come last, in
+    /// event order.
+    fn build_batch(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> RekeyOutput {
+        let mut ops = OpCounts { keys_generated: ev.marked.len() as u64, ..OpCounts::default() };
+        let mut messages = Vec::new();
+        if ev.marked.is_empty() {
+            // Group emptied: nothing to distribute.
+            return RekeyOutput { messages, ops };
+        }
+
+        // Parent links among marked nodes, from the children lists:
+        // `parent_of[y] = x` iff marked y is a child of marked x. Walking
+        // parent_of from any marked node reaches the root (index 0).
+        let by_label: BTreeMap<KeyLabel, usize> =
+            ev.marked.iter().enumerate().map(|(i, m)| (m.label, i)).collect();
+        let mut parent_of: BTreeMap<KeyLabel, KeyLabel> = BTreeMap::new();
+        for m in &ev.marked {
+            for c in &m.children {
+                if c.marked {
+                    parent_of.insert(c.label, m.label);
+                }
+            }
+        }
+
+        match strategy {
+            Strategy::GroupOriented => {
+                // One multicast carrying {K'_x}_{K_y} for every marked x
+                // and every non-joiner child y (new K_y when y is marked).
+                let mut bundles = Vec::new();
+                for (m, c) in ev.key_cover() {
+                    if c.joiner.is_none() {
+                        bundles.push(sealer.bundle(
+                            &mut ops,
+                            c.key_ref,
+                            &c.key,
+                            &[(m.new_ref, &m.new_key)],
+                        ));
+                    }
+                }
+                messages.push(RekeyMessage { recipients: Recipients::Group, bundles });
+            }
+            Strategy::KeyOriented => {
+                // Seal the chain ciphertexts {K'_x}_{K'_y} (marked child y
+                // of marked x) first, in cover order; the per-subgroup
+                // messages below re-request them as cache hits, so each is
+                // encrypted (and counted) exactly once — the batched
+                // analogue of Figure 8's stored-ciphertext optimization.
+                // `chain_src[y]` remembers the request triple so the walk
+                // re-issues it identically.
+                let mut chain_src: BTreeMap<KeyLabel, (KeyRef, &SymmetricKey)> = BTreeMap::new();
+                for (m, c) in ev.key_cover() {
+                    if c.marked {
+                        let _ =
+                            sealer.bundle(&mut ops, c.key_ref, &c.key, &[(m.new_ref, &m.new_key)]);
+                        chain_src.insert(c.label, (c.key_ref, &c.key));
+                    }
+                }
+                // For each unmarked, non-joiner child y of marked x:
+                // M = {K'_x}_{K_y}, {K'_p(x)}_{K'_x}, … up to the root.
+                for (m, c) in ev.key_cover() {
+                    if c.marked || c.joiner.is_some() {
+                        continue;
+                    }
+                    let head =
+                        sealer.bundle(&mut ops, c.key_ref, &c.key, &[(m.new_ref, &m.new_key)]);
+                    let mut bundles = vec![head];
+                    let mut cur = m.label;
+                    while let Some(&(link_ref, link_key)) = chain_src.get(&cur) {
+                        let parent = &ev.marked[by_label[&parent_of[&cur]]];
+                        bundles.push(sealer.bundle(
+                            &mut ops,
+                            link_ref,
+                            link_key,
+                            &[(parent.new_ref, &parent.new_key)],
+                        ));
+                        cur = parent.label;
+                    }
+                    messages
+                        .push(RekeyMessage { recipients: Recipients::Subgroup(c.label), bundles });
+                }
+            }
+            Strategy::Derived => {
+                // Client-derived interval: the event must come from a
+                // leave-free `NewKeyMode::Derived` interval, whose marked
+                // keys every current member recomputes locally from the
+                // published derivation code. Nothing is shipped to them —
+                // the server's keys came from the KDF, not the generator —
+                // so only the joiner unicasts below are sealed. Intervals
+                // containing leaves use `Strategy::shipped_fallback()`
+                // instead (forward secrecy: departed members could run the
+                // public derivation too).
+                ops.keys_generated = 0;
+            }
+            Strategy::UserOriented => {
+                // For each unmarked, non-joiner child y of marked x: one
+                // tailored message carrying every new key on x's path to
+                // the root in a single bundle under K_y — smallest
+                // per-client payload, most server encryptions.
+                for (m, c) in ev.key_cover() {
+                    if c.marked || c.joiner.is_some() {
+                        continue;
+                    }
+                    let mut targets: Vec<(KeyRef, &SymmetricKey)> = Vec::new();
+                    let mut cur = Some(m.label);
+                    while let Some(label) = cur {
+                        let node = &ev.marked[by_label[&label]];
+                        targets.push((node.new_ref, &node.new_key));
+                        cur = parent_of.get(&label).copied();
+                    }
+                    let b = sealer.bundle(&mut ops, c.key_ref, &c.key, &targets);
+                    messages.push(RekeyMessage {
+                        recipients: Recipients::Subgroup(c.label),
+                        bundles: vec![b],
+                    });
+                }
+            }
+        }
+
+        unicast_joiners(sealer, &mut ops, ev, &mut messages);
+        RekeyOutput { messages, ops }
+    }
+
+    mod tests {
+        use super::super::Rekeyer;
+        use super::*;
+        use crate::ids::UserId;
+        use crate::tree::KeyTree;
+        use kg_crypto::drbg::HmacDrbg;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// One IV source per strategy for each side, carried across the
+        /// whole schedule as a server's is.
+        struct Sides {
+            new: Vec<HmacDrbg>,
+            old: Vec<HmacDrbg>,
+        }
+
+        /// Both designs on `ev` under every strategy: equal messages and
+        /// counts, and IV sources in the same state afterwards. `join`
+        /// also runs the join construction.
+        fn agree(cipher: KeyCipher, sides: &mut Sides, ev: &BatchEvent, totals: &mut OpCounts) {
+            let join = ev.departed.is_empty() && ev.joins.len() <= 1;
+            for (i, strategy) in Strategy::EVERY.into_iter().enumerate() {
+                for as_join in [false, true].into_iter().filter(|&j| !j || join) {
+                    let (a, b) = (&mut sides.new[i], &mut sides.old[i]);
+                    let (new, old) = if as_join {
+                        (
+                            Rekeyer::new(cipher, a).join(ev, strategy),
+                            super::join(cipher, b, ev, strategy),
+                        )
+                    } else {
+                        let old = super::batch(cipher, b, ev, strategy);
+                        (Rekeyer::new(cipher, a).batch(ev, strategy), old)
+                    };
+                    assert_eq!(new.messages, old.messages, "{strategy:?}, join {as_join}");
+                    assert_eq!(new.ops, old.ops, "{strategy:?}, join {as_join}");
+                    assert_eq!(a.clone().generate(32), b.clone().generate(32), "IV source state");
+                    totals.cache_hits += new.ops.cache_hits;
+                    totals.cache_misses += new.ops.cache_misses;
+                }
+            }
+        }
+
+        fn run(seed: u64, degree: usize, totals: &mut OpCounts) {
+            let mut rng = StdRng::seed_from_u64(seed ^ degree as u64);
+            let cipher =
+                if rng.gen_bool(0.25) { KeyCipher::TripleDesCbc } else { KeyCipher::DesCbc };
+            let len = cipher.key_len();
+            let mut src = HmacDrbg::from_seed(seed);
+            let mut tree = KeyTree::new(degree, len, &mut src);
+            let sides = |s: u64| (0..4).map(|i| HmacDrbg::from_seed(s + i)).collect::<Vec<_>>();
+            let mut sides = Sides { new: sides(seed), old: sides(seed) };
+            let mut next = 0u64;
+            for _ in 0..rng.gen_range(1..40) {
+                let ev = tree.join(UserId(next), src.generate_key(len), &mut src).unwrap();
+                next += 1;
+                agree(cipher, &mut sides, &ev, totals);
+            }
+            for _ in 0..12 {
+                let members: Vec<UserId> = tree.members().collect();
+                let pick = |rng: &mut StdRng| members[rng.gen_range(0..members.len())];
+                let ev = match rng.gen_range(0..4) {
+                    0 => {
+                        next += 1;
+                        tree.join(UserId(next), src.generate_key(len), &mut src).unwrap()
+                    }
+                    1 if !members.is_empty() => tree.leave(pick(&mut rng), &mut src).unwrap(),
+                    2 => tree.refresh_group_key(&mut src),
+                    _ => {
+                        let mut leaves: Vec<UserId> = Vec::new();
+                        for _ in 0..rng.gen_range(0..5).min(members.len()) {
+                            let u = pick(&mut rng);
+                            if !leaves.contains(&u) {
+                                leaves.push(u);
+                            }
+                        }
+                        let mut joins = Vec::new();
+                        for _ in 0..rng.gen_range(0..5) {
+                            next += 1;
+                            joins.push((UserId(next), src.generate_key(len)));
+                        }
+                        // Now and then a leaver rejoins in the same interval.
+                        if let Some(&u) = leaves.first().filter(|_| rng.gen_bool(0.3)) {
+                            joins.push((u, src.generate_key(len)));
+                        }
+                        tree.apply_batch(&joins, &leaves, &mut src).unwrap()
+                    }
+                };
+                agree(cipher, &mut sides, &ev, totals);
+            }
+        }
+
+        proptest::proptest! {
+            #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+            /// The cacheless constructions and the cached reference give
+            /// equal outputs (every message, recipient, bundle byte and
+            /// all four counts) and advance the IV source equally, on
+            /// random trees at d = 2, 3, 4 and 16 under random joins,
+            /// leaves, refreshes and mixed intervals, for every strategy
+            /// through `Rekeyer::batch` and, on the events it accepts,
+            /// `Rekeyer::join`.
+            #[test]
+            fn cacheless_constructions_match_the_cached_reference(seed in 0u64..) {
+                let mut totals = OpCounts::default();
+                for degree in [2, 3, 4, 16] {
+                    run(seed, degree, &mut totals);
+                }
+                // Stored ciphertexts were resent, not only sealed.
+                proptest::prop_assert!(totals.cache_hits > 0 && totals.cache_misses > 0);
             }
         }
     }

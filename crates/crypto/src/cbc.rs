@@ -92,10 +92,15 @@ impl<C: BlockCipher> CbcCipher<C> {
             xor_into(block, if start == 0 { iv } else { &earlier[start - bs..] });
         }
         let pad = *data.last().expect("nonempty") as usize;
-        if pad == 0 || pad > bs || data.len() < pad {
-            return Err(CryptoError::BadPadding);
-        }
-        if data[data.len() - pad..].iter().any(|&b| b as usize != pad) {
+        let padded = pad != 0
+            && pad <= bs
+            && data.len() >= pad
+            && data[data.len() - pad..].iter().all(|&b| b as usize == pad);
+        if !padded {
+            // Under the right key with a tampered last block, every
+            // earlier block is real plaintext: wipe it before the free.
+            data.fill(0);
+            std::hint::black_box(&data);
             return Err(CryptoError::BadPadding);
         }
         data.truncate(data.len() - pad);

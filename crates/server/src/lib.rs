@@ -291,8 +291,9 @@ impl ServerMetrics {
             requests: KIND_NAMES.map(|kind| obs.counter_with("kg_requests_total", "kind", kind)),
             encryptions: obs.counter("kg_encryptions_total"),
             signatures: obs.counter("kg_signatures_total"),
-            // The sealer's encryption cache. The `kg_par_` prefix is
-            // historical; the canonical benchmark reads this name.
+            // Stored ciphertexts resent (hit) and ciphertexts sealed
+            // (miss), from `OpCounts`. The name stays because the frozen
+            // canonical benchmark reads it.
             cache_hits: obs.counter_with("kg_par_cache_total", "result", "hit"),
             cache_misses: obs.counter_with("kg_par_cache_total", "result", "miss"),
         }
