@@ -70,7 +70,8 @@ const STEP_US: u64 = 25;
 /// operations the requests start are more than the 500 µs jitter window
 /// apart, so one operation's packets never overtake the last one's: the
 /// client refuses the older interval, and a member that misses one has no
-/// way back (no repair plane yet).
+/// way back (no repair plane yet). [`Fault::Unspaced`] drops the spacing,
+/// and `an_overtaken_interval_strands_a_member` pins what then goes wrong.
 const SPACING_US: u64 = 1_000;
 
 /// Virtual time an interval may take to settle before the run fails.
@@ -111,6 +112,11 @@ enum Step {
 enum Fault {
     /// Duplication 0.2 and 50–500 µs jitter, for the whole run.
     Duplicate,
+    /// The requests of a burst go out back to back instead of
+    /// [`SPACING_US`] apart, so a batching server can flush two intervals
+    /// within the jitter window and their packets arrive reordered (used
+    /// to pin the stranded-member defect below).
+    Unspaced,
     /// The server crashes as soon as step `at`'s request has reached it
     /// (queued on a batching server), or before the next step when step
     /// `at` sent none, and recovers from its store.
@@ -189,7 +195,7 @@ impl Scenario {
             .faults
             .iter()
             .filter_map(|&f| match f {
-                Fault::Duplicate => Some(f),
+                Fault::Duplicate | Fault::Unspaced => Some(f),
                 Fault::Crash { at } => Some(Fault::Crash { at: shift(at) }),
                 Fault::Replay { of, .. } if range.contains(&of) => None,
                 Fault::Replay { of, at } => Some(Fault::Replay { of: shift(of), at: shift(at) }),
@@ -463,7 +469,8 @@ impl World {
         // overtake it. A planned crash strikes as soon as the request has
         // reached the server.
         let last_of_burst = matches!(s.schedule.get(i + 1), None | Some(Step::Tick));
-        let spacing = if last_of_burst { 0 } else { SPACING_US };
+        let unspaced = last_of_burst || s.faults.contains(&Fault::Unspaced);
+        let spacing = if unspaced { 0 } else { SPACING_US };
         let start = self.net.now_us();
         self.handled.clear();
         loop {
@@ -539,9 +546,6 @@ impl World {
         let now_ms = self.net.now_us() / 1_000;
         let server = self.server.as_mut().expect("server is up");
         for ev in server.tick(&mut self.net, now_ms) {
-            if std::env::var("SIMDBG").is_ok() {
-                eprintln!("t={} {:?}", self.net.now_us(), ev);
-            }
             if let ServerEvent::Queued(u) | ServerEvent::Left(u) | ServerEvent::Rejected(u, _) = ev
             {
                 self.handled.insert(u);
@@ -562,9 +566,6 @@ impl World {
             }
         }
         for ev in self.fleet.pump(&mut self.net) {
-            if std::env::var("SIMDBG").is_ok() {
-                eprintln!("t={} {:?}", self.net.now_us(), ev);
-            }
             match ev {
                 FleetEvent::JoinAcked(u) => self.answered(u, true),
                 FleetEvent::LeaveAcked(u) => self.answered(u, false),
@@ -818,4 +819,36 @@ fn a_late_duplicate_join_request_readmits_a_departed_member() {
     assert_eq!(minimal.schedule.first(), Some(&Step::Join));
     assert!(minimal.schedule.iter().any(|s| matches!(s, Step::Leave(_))));
     assert!(minimal.schedule.len() <= 3, "{minimal}");
+}
+
+/// The open stranded-member defect, pinned: a client commits a packet's
+/// interval even when it could open nothing in it, so a member whose next
+/// interval's packet overtakes the current one's refuses the current one
+/// as `StaleInterval` and never converges. The other scenarios space a
+/// burst's requests past the jitter window and so never meet it; with
+/// [`Fault::Unspaced`] the seed-1009 derived run strands a member on its
+/// first burst of joins. The delta-debugger shrinks the run to the minimal
+/// pair and prints it; spaced, that pair settles. Once a member can
+/// recover a missed interval, every member converges whether or not the
+/// burst is spaced, and this test turns into that invariant.
+#[test]
+fn an_overtaken_interval_strands_a_member() {
+    let mut base = Scenario::generate(1009, Strategy::Derived, Mode::Immediate);
+    base.faults.push(Fault::Unspaced);
+    let stranded = |s: &Scenario| run(s).is_err_and(|e| e.contains("never settled"));
+    assert!(stranded(&base), "{base}");
+    let minimal = shrink(&base, stranded);
+    eprintln!("minimal stranding pair:\n{minimal}");
+    // Replayed by hand, the run refuses an interval as stale on its way.
+    let mut w = World::new(&minimal).expect("world");
+    let end = (0..=minimal.schedule.len()).try_for_each(|i| w.step(&minimal, i));
+    assert!(end.is_err_and(|e| e.contains("never settled")), "{minimal}");
+    assert!(w.report.stale > 0, "{minimal}");
+    // A few joins in one burst, reordered by the jitter.
+    assert_eq!(minimal.faults, [Fault::Duplicate, Fault::Unspaced]);
+    assert!(minimal.schedule.iter().all(|&s| s == Step::Join), "{minimal}");
+    assert!(minimal.schedule.len() <= 3, "{minimal}");
+    let mut spaced = minimal.clone();
+    spaced.faults.retain(|&f| f != Fault::Unspaced);
+    assert!(run(&spaced).is_ok(), "{spaced}");
 }
