@@ -219,9 +219,11 @@ impl KeyTree {
     /// leaves are accounted for (so a user may leave and rejoin in one
     /// interval), and on any validation error the tree is unchanged.
     ///
-    /// `source` supplies the key every allocated node is created with and,
-    /// under [`NewKeyMode::Fresh`], the replacement keys, so shipped and
-    /// derived intervals consume it identically per node allocated.
+    /// Under [`NewKeyMode::Fresh`] `source` supplies the replacement keys,
+    /// one per marked node, root-first; a derived interval draws nothing
+    /// from it. A created node holds a key that is already known, never a
+    /// drawn one: a joiner's leaf its individual key, a split-created
+    /// interior the displaced member's individual key.
     ///
     /// # Panics
     /// Panics on a derived interval that contains a leave (forward
@@ -233,6 +235,9 @@ impl KeyTree {
         source: &mut dyn KeySource,
         mode: NewKeyMode<'_>,
     ) -> Result<BatchEvent, TreeError> {
+        // The server alone picks the mode, and it derives only an operation
+        // without a leave (any other takes the shipped fallback); no
+        // datagram reaches this with a derived mode and a leave.
         assert!(
             matches!(mode, NewKeyMode::Fresh) || leaves.is_empty(),
             "derived intervals must be leave-free (forward secrecy)"
@@ -254,9 +259,10 @@ impl KeyTree {
         // Every interval replaces the group key.
         let mut touched: BTreeSet<NodeId> = BTreeSet::from([self.root]);
         let mut vacated: Vec<NodeId> = Vec::new();
-        // For nodes created by leaf splits: the displaced member's
-        // individual key, the only key the node's one previous holder has.
-        let mut fresh_from: BTreeMap<NodeId, (KeyRef, SymmetricKey)> = BTreeMap::new();
+        // For nodes created by leaf splits: the reference of the displaced
+        // member's individual key, which the node holds until it is
+        // rekeyed below (its one previous holder knows it by that name).
+        let mut fresh_from: BTreeMap<NodeId, KeyRef> = BTreeMap::new();
 
         // ---- 1. Detach departing leaves. ----
         for &u in leaves {
@@ -287,12 +293,12 @@ impl KeyTree {
                     JoinSlot::SplitLeaf(leaf_id) => {
                         // A fresh interior node takes the leaf's position
                         // and adopts the displaced leaf.
-                        let (displaced_ref, displaced_key) = {
+                        let (displaced_ref, displaced_key, parent) = {
                             let l = self.node(leaf_id);
-                            (KeyRef::new(l.label, l.version), l.key.clone())
+                            let parent = l.parent.expect("leaf has a parent");
+                            (KeyRef::new(l.label, l.version), l.key.clone(), parent)
                         };
-                        let parent = self.node(leaf_id).parent.expect("leaf has a parent");
-                        let fresh = self.alloc(source, Some(parent), None);
+                        let fresh = self.alloc(displaced_key, Some(parent), None);
                         let pos = self
                             .node(parent)
                             .children
@@ -302,13 +308,12 @@ impl KeyTree {
                         self.node_mut(parent).children[pos] = fresh;
                         self.node_mut(fresh).children.push(leaf_id);
                         self.node_mut(leaf_id).parent = Some(fresh);
-                        fresh_from.insert(fresh, (displaced_ref, displaced_key));
+                        fresh_from.insert(fresh, displaced_ref);
                         fresh
                     }
                 },
             };
-            let leaf = self.alloc(source, Some(joining_point), Some(u));
-            self.node_mut(leaf).key = individual_key.clone();
+            let leaf = self.alloc(individual_key.clone(), Some(joining_point), Some(u));
             self.node_mut(joining_point).children.push(leaf);
             self.users.insert(u, leaf);
             self.refresh_summaries(joining_point);
@@ -373,24 +378,20 @@ impl KeyTree {
             let key_len = self.key_len;
             let split_from = fresh_from.remove(&id);
             let node = self.node_mut(id);
+            let old_ref = split_from.unwrap_or(KeyRef::new(node.label, node.version));
             let new_ref = KeyRef::new(node.label, node.version.next());
-            let from_key = split_from.as_ref().map_or(&node.key, |(_, key)| key);
             let new_key = match mode {
                 NewKeyMode::Fresh => source.generate_key(key_len),
                 NewKeyMode::Derived(code) => crate::derive::derive_key(
-                    from_key,
+                    &node.key,
                     code,
                     new_ref.label,
                     new_ref.version,
                     key_len,
                 ),
             };
-            let own = (
-                KeyRef::new(node.label, node.version),
-                std::mem::replace(&mut node.key, new_key.clone()),
-            );
+            let old_key = std::mem::replace(&mut node.key, new_key.clone());
             node.version = new_ref.version;
-            let (old_ref, old_key) = split_from.unwrap_or(own);
             // Children are filled in once every marked child holds its new key.
             let children = Vec::new();
             marked.push(MarkedNode {
@@ -751,6 +752,50 @@ mod tests {
             let m = ev.marked.iter().find(|m| m.new_ref == l.new_ref).unwrap();
             let want = crate::derive::derive_key(ik, &code, l.new_ref.label, l.new_ref.version, 8);
             assert_eq!(m.new_key, want);
+        }
+    }
+
+    /// A key source that counts the keys drawn from it.
+    struct Counting(HmacDrbg, usize);
+
+    impl KeySource for Counting {
+        fn generate(&mut self, len: usize) -> Vec<u8> {
+            self.1 += 1;
+            self.0.generate(len)
+        }
+    }
+
+    /// Every key an operation draws is one the tree keeps: a new tree draws
+    /// its root's key, a join, leave or refresh one key per marked node, and
+    /// a derived join none. A joiner's leaf holds the individual key it was
+    /// given and a split-created node the displaced member's, so neither
+    /// costs a draw.
+    #[test]
+    fn an_operation_draws_one_key_per_marked_node() {
+        for degree in [2, 3, 4, u32::MAX as usize] {
+            let mut keys = Counting(HmacDrbg::from_seed(0xC0), 0);
+            let mut tree = KeyTree::new(degree, 8, &mut keys);
+            assert_eq!(keys.1, 1, "degree {degree}: the root's key");
+            let individual = |u: u64| SymmetricKey::new(u.to_be_bytes().to_vec());
+            let code = [0x11u8; 16];
+            for u in 0..24 {
+                keys.1 = 0;
+                let ev = tree.join(UserId(u), individual(u), &mut keys).unwrap();
+                assert_eq!(keys.1, ev.marked.len(), "degree {degree}: join of {u}");
+                keys.1 = 0;
+                let joiner = [(UserId(100 + u), individual(100 + u))];
+                tree.apply_interval(&joiner, &[], &mut keys, NewKeyMode::Derived(&code)).unwrap();
+                assert_eq!(keys.1, 0, "degree {degree}: derived join of {}", 100 + u);
+            }
+            for u in 0..20 {
+                keys.1 = 0;
+                let ev = tree.leave(UserId(u), &mut keys).unwrap();
+                assert_eq!(keys.1, ev.marked.len(), "degree {degree}: leave of {u}");
+                keys.1 = 0;
+                let ev = tree.refresh_group_key(&mut keys);
+                assert_eq!((keys.1, ev.marked.len()), (1, 1), "degree {degree}: refresh");
+            }
+            tree.check_invariants();
         }
     }
 

@@ -395,6 +395,8 @@ impl<'a> Sealer<'a> {
 /// form a single chain x_0 … x_j from the root and in which nobody left —
 /// a single join, or a group-key refresh (the root alone, no joiner: every
 /// strategy then sends the one message `{K'_0}_{K_0}` to the group).
+/// A first join into an empty group is the joiner's unicast alone
+/// (Figure 2): nobody held the old root key.
 ///
 /// The users holding old `K_i` but not `K_{i+1}` form one recipient class,
 /// `userset(x_i) − userset(y)` where `y` is x_i's one child on the chain:
@@ -410,16 +412,22 @@ impl<'a> Sealer<'a> {
 /// Panics when the event has a departure (a key a departed member holds
 /// must never protect a new one) or is not a single chain.
 fn build_join(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> RekeyOutput {
+    // Servers pass only a join's or a refresh's event, which marks one
+    // chain; no datagram picks the construction.
     assert!(ev.departed.is_empty(), "old keys may not protect new ones after a leave");
     assert!(ev.joins.len() <= 1, "the join protocol serves one joiner");
-    let path = &ev.marked; // root-first: x_0 … x_j
-    let mut ops = OpCounts { keys_generated: path.len() as u64, ..OpCounts::default() };
+    let mut ops = OpCounts { keys_generated: ev.marked.len() as u64, ..OpCounts::default() };
+    // Root-first: x_0 … x_j; none when the group was empty.
+    let nobody_held =
+        (ev.marked.first()).is_some_and(|root| root.children.iter().all(|c| c.joiner.is_some()));
+    let path = if nobody_held { &ev.marked[..0] } else { &ev.marked[..] };
     let mut messages = Vec::new();
     // x_i's previous holders that are not below its child on the chain.
     let class = |i: usize| {
         let next = path.get(i + 1).map(|p| p.label);
         let mut on_chain = path[i].children.iter().filter(|c| c.marked || c.joiner.is_some());
         let below = on_chain.next().map(|c| c.label);
+        // One chain by construction (see above).
         assert!(
             on_chain.next().is_none() && (next.is_none() || next == below),
             "replaced keys do not form a single chain"
@@ -539,7 +547,10 @@ fn build_batch(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> 
                     ));
                 }
             }
-            messages.push(RekeyMessage { recipients: Recipients::Group, bundles });
+            // None when every child is a joiner (into an empty group).
+            if !bundles.is_empty() {
+                messages.push(RekeyMessage { recipients: Recipients::Group, bundles });
+            }
         }
         Strategy::KeyOriented => {
             // Seal each chain ciphertext {K'_x}_{K'_y} (marked child y of
@@ -1388,8 +1399,11 @@ mod reference {
     fn build_join(sealer: &mut Sealer<'_>, ev: &BatchEvent, strategy: Strategy) -> RekeyOutput {
         assert!(ev.departed.is_empty(), "old keys may not protect new ones after a leave");
         assert!(ev.joins.len() <= 1, "the join protocol serves one joiner");
-        let path = &ev.marked; // root-first: x_0 … x_j
-        let mut ops = OpCounts { keys_generated: path.len() as u64, ..OpCounts::default() };
+        let mut ops = OpCounts { keys_generated: ev.marked.len() as u64, ..OpCounts::default() };
+        // Root-first: x_0 … x_j; empty when nobody held the old root key.
+        let nobody_held = (ev.marked.first())
+            .is_some_and(|root| root.children.iter().all(|c| c.joiner.is_some()));
+        let path = if nobody_held { &ev.marked[..0] } else { &ev.marked[..] };
         let mut messages = Vec::new();
         // x_i's previous holders that are not below its child on the chain.
         let class = |i: usize| {
@@ -1518,7 +1532,9 @@ mod reference {
                         ));
                     }
                 }
-                messages.push(RekeyMessage { recipients: Recipients::Group, bundles });
+                if !bundles.is_empty() {
+                    messages.push(RekeyMessage { recipients: Recipients::Group, bundles });
+                }
             }
             Strategy::KeyOriented => {
                 // Seal the chain ciphertexts {K'_x}_{K'_y} (marked child y

@@ -132,12 +132,10 @@ impl KeyTree {
     /// star: every member's leaf hangs off the root.
     ///
     /// # Panics
-    /// Panics if `degree < 2` (a unary "tree" cannot host subgroups),
-    /// `degree > u32::MAX` (a snapshot stores it in 32 bits) or
+    /// Panics if `degree < 2` (a unary "tree" cannot host subgroups) or
     /// `key_len == 0`.
     pub fn new(degree: usize, key_len: usize, source: &mut dyn KeySource) -> Self {
         assert!(degree >= 2, "key tree degree must be at least 2");
-        assert!(u32::try_from(degree).is_ok(), "key tree degree must fit in 32 bits");
         assert!(key_len > 0, "key length must be positive");
         let mut tree = KeyTree {
             degree,
@@ -148,8 +146,7 @@ impl KeyTree {
             users: BTreeMap::new(),
             next_label: 0,
         };
-        let root = tree.alloc(source, None, None);
-        tree.root = root;
+        tree.root = tree.alloc(source.generate_key(key_len), None, None);
         tree
     }
 
@@ -282,16 +279,18 @@ impl KeyTree {
         self.nodes[id].as_mut().expect("live node")
     }
 
+    /// A new node under the next label, holding `key` (no key is drawn
+    /// here: a node costs a draw only when it is rekeyed).
     pub(crate) fn alloc(
         &mut self,
-        source: &mut dyn KeySource,
+        key: SymmetricKey,
         parent: Option<NodeId>,
         user: Option<UserId>,
     ) -> NodeId {
         let node = Node {
             label: KeyLabel(self.next_label),
             version: KeyVersion::default(),
-            key: source.generate_key(self.key_len),
+            key,
             parent,
             children: Vec::new(),
             user,
@@ -466,6 +465,9 @@ impl KeyTree {
         while let Some(&id) = order.get(next) {
             next += 1;
             let node = self.node(id);
+            if node.children.len() > self.degree {
+                return Err("node wider than the degree");
+            }
             if let Some(u) = node.user {
                 if !node.children.is_empty() {
                     return Err("user leaf with children");
@@ -1044,8 +1046,8 @@ mod tests {
                             .unwrap();
                     }
                     15 => {
-                        tree = crate::serial::decode_tree(&crate::serial::encode_tree(&tree))
-                            .unwrap();
+                        let encoded = crate::serial::encode_tree(&tree);
+                        tree = crate::serial::decode_tree(&encoded, degree, 8).unwrap();
                     }
                     _ => {}
                 }

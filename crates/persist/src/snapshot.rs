@@ -4,12 +4,17 @@
 //! "KGSS" | version u32 | epoch u64 | body | crc32(everything before) u32
 //! ```
 //!
-//! The body captures everything the server needs to resume: the encoded
-//! key tree (see `kg_core::serial`), both DRBG working states, the next
-//! sequence number, the ACL, accumulated statistics, and the batch
+//! The body captures everything the server needs to resume: the next
+//! sequence number, both DRBG working states, the encoded key tree (see
+//! `kg_core::serial`), the ACL, accumulated statistics, and the batch
 //! scheduler queue. `kg-persist` stays server-agnostic by mirroring the
 //! server's state in plain data types here; the server converts in both
 //! directions.
+//!
+//! Nothing here repeats the replay contract, which the WAL header beside
+//! the snapshot holds once: no seed, a tree without its degree or key
+//! length (the server decodes it under the header's), and a queue section
+//! that every server writes, empty when it rekeys per request.
 //!
 //! Snapshots are written atomically (temp file + rename), so a reader
 //! never observes a half-written snapshot — a crash during the write
@@ -26,7 +31,7 @@ use bytes::BufMut;
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"KGSS";
 
 /// Snapshot format version written by this crate.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Bound on any embedded blob (the encoded tree dominates; 1 GiB is far
 /// beyond the millions-of-users scale and merely stops a corrupt length
@@ -62,8 +67,9 @@ pub struct StatRecord {
     pub signatures: u64,
 }
 
-/// Mirror of the batch scheduler's queue and interval clock.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Mirror of the batch scheduler's queue and interval clock (all empty and
+/// zero for a server that rekeys per request).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedulerSnapshot {
     /// Queued joins with their individual-key material, in arrival order.
     pub joins: Vec<(UserId, Vec<u8>)>,
@@ -78,9 +84,6 @@ pub struct SchedulerSnapshot {
 /// A full server checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
-    /// The DRBG seed the server was created with (cross-checked against
-    /// the WAL header at recovery).
-    pub seed: u64,
     /// Next rekey-packet sequence number.
     pub seq: u64,
     /// Key-generation DRBG working state `(K, V)`.
@@ -93,8 +96,8 @@ pub struct Snapshot {
     pub acl: AclSnapshot,
     /// Accumulated per-operation statistics.
     pub stats: Vec<StatRecord>,
-    /// Batch scheduler state (`None` for immediate-mode servers).
-    pub scheduler: Option<SchedulerSnapshot>,
+    /// Batch scheduler state.
+    pub scheduler: SchedulerSnapshot,
     /// SHA-256 digest of the group key at snapshot time.
     pub root_digest: [u8; 32],
 }
@@ -143,7 +146,6 @@ impl Snapshot {
         out.extend_from_slice(SNAPSHOT_MAGIC);
         out.put_u32(SNAPSHOT_VERSION);
         out.put_u64(epoch);
-        out.put_u64(self.seed);
         out.put_u64(self.seq);
         out.extend_from_slice(&self.keygen.0);
         out.extend_from_slice(&self.keygen.1);
@@ -172,23 +174,18 @@ impl Snapshot {
             out.put_u64(rec.encryptions);
             out.put_u64(rec.signatures);
         }
-        match &self.scheduler {
-            None => out.put_u8(0),
-            Some(s) => {
-                out.put_u8(1);
-                out.put_u64(s.joins.len() as u64);
-                for (u, key) in &s.joins {
-                    out.put_u64(u.0);
-                    put_blob(&mut out, key);
-                }
-                out.put_u64(s.leaves.len() as u64);
-                for u in &s.leaves {
-                    out.put_u64(u.0);
-                }
-                out.put_u64(s.last_flush_ms);
-                out.put_u64(s.intervals_flushed);
-            }
+        let s = &self.scheduler;
+        out.put_u64(s.joins.len() as u64);
+        for (u, key) in &s.joins {
+            out.put_u64(u.0);
+            put_blob(&mut out, key);
         }
+        out.put_u64(s.leaves.len() as u64);
+        for u in &s.leaves {
+            out.put_u64(u.0);
+        }
+        out.put_u64(s.last_flush_ms);
+        out.put_u64(s.intervals_flushed);
         out.extend_from_slice(&self.root_digest);
         let crc = crc32(&out);
         out.put_u32(crc);
@@ -218,7 +215,6 @@ impl Snapshot {
             return Err(PersistError::Corrupt("snapshot version"));
         }
         let epoch = get_u64(&mut buf).map_err(|_| PersistError::Corrupt("snapshot header"))?;
-        let seed = get_u64(&mut buf).map_err(|_| PersistError::Corrupt("snapshot header"))?;
         let seq = get_u64(&mut buf).map_err(|_| PersistError::Corrupt("snapshot header"))?;
         let keygen = (get_array32(&mut buf)?, get_array32(&mut buf)?);
         let ivs = (get_array32(&mut buf)?, get_array32(&mut buf)?);
@@ -254,32 +250,26 @@ impl Snapshot {
             stats.push(StatRecord { kind, requests, msg_sizes, proc_ns, encryptions, signatures });
         }
         let corrupt = |_| PersistError::Corrupt("snapshot scheduler");
-        let scheduler = match get_u8(&mut buf).map_err(corrupt)? {
-            0 => None,
-            1 => {
-                let n_joins = get_snapshot_count(&mut buf)?;
-                let mut joins = Vec::with_capacity(n_joins.min(1 << 16));
-                for _ in 0..n_joins {
-                    let u = UserId(get_u64(&mut buf).map_err(corrupt)?);
-                    let key = get_blob(&mut buf)?;
-                    joins.push((u, key));
-                }
-                let n_leaves = get_snapshot_count(&mut buf)?;
-                let mut leaves = Vec::with_capacity(n_leaves.min(1 << 16));
-                for _ in 0..n_leaves {
-                    leaves.push(UserId(get_u64(&mut buf).map_err(corrupt)?));
-                }
-                let last_flush_ms = get_u64(&mut buf).map_err(corrupt)?;
-                let intervals_flushed = get_u64(&mut buf).map_err(corrupt)?;
-                Some(SchedulerSnapshot { joins, leaves, last_flush_ms, intervals_flushed })
-            }
-            _ => return Err(PersistError::Corrupt("snapshot scheduler tag")),
-        };
+        let n_joins = get_snapshot_count(&mut buf)?;
+        let mut joins = Vec::with_capacity(n_joins.min(1 << 16));
+        for _ in 0..n_joins {
+            let u = UserId(get_u64(&mut buf).map_err(corrupt)?);
+            let key = get_blob(&mut buf)?;
+            joins.push((u, key));
+        }
+        let n_leaves = get_snapshot_count(&mut buf)?;
+        let mut leaves = Vec::with_capacity(n_leaves.min(1 << 16));
+        for _ in 0..n_leaves {
+            leaves.push(UserId(get_u64(&mut buf).map_err(corrupt)?));
+        }
+        let last_flush_ms = get_u64(&mut buf).map_err(corrupt)?;
+        let intervals_flushed = get_u64(&mut buf).map_err(corrupt)?;
+        let scheduler = SchedulerSnapshot { joins, leaves, last_flush_ms, intervals_flushed };
         let root_digest = get_array32(&mut buf)?;
         if !buf.is_empty() {
             return Err(PersistError::Corrupt("snapshot trailing bytes"));
         }
-        let snap = Snapshot { seed, seq, keygen, ivs, tree, acl, stats, scheduler, root_digest };
+        let snap = Snapshot { seq, keygen, ivs, tree, acl, stats, scheduler, root_digest };
         Ok((snap, epoch))
     }
 }
@@ -290,7 +280,6 @@ mod tests {
 
     fn sample() -> Snapshot {
         Snapshot {
-            seed: 7,
             seq: 99,
             keygen: ([1u8; 32], [2u8; 32]),
             ivs: ([3u8; 32], [4u8; 32]),
@@ -304,12 +293,12 @@ mod tests {
                 encryptions: 31,
                 signatures: 1,
             }],
-            scheduler: Some(SchedulerSnapshot {
+            scheduler: SchedulerSnapshot {
                 joins: vec![(UserId(42), vec![9u8; 8])],
                 leaves: vec![UserId(3)],
                 last_flush_ms: 1_234,
                 intervals_flushed: 17,
-            }),
+            },
             root_digest: [0xCD; 32],
         }
     }
@@ -326,14 +315,13 @@ mod tests {
     #[test]
     fn roundtrip_minimal() {
         let snap = Snapshot {
-            seed: 0,
             seq: 0,
             keygen: ([0u8; 32], [0u8; 32]),
             ivs: ([0u8; 32], [0u8; 32]),
             tree: Vec::new(),
             acl: AclSnapshot::AllowAll,
             stats: Vec::new(),
-            scheduler: None,
+            scheduler: SchedulerSnapshot::default(),
             root_digest: [0u8; 32],
         };
         let bytes = snap.encode(0);

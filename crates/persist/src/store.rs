@@ -368,16 +368,15 @@ mod tests {
         recovered.ops.iter().map(|(op, _)| *op).collect()
     }
 
-    fn dummy_snapshot(seed: u64, seq: u64) -> Snapshot {
+    fn dummy_snapshot(seq: u64) -> Snapshot {
         Snapshot {
-            seed,
             seq,
             keygen: ([1u8; 32], [2u8; 32]),
             ivs: ([3u8; 32], [4u8; 32]),
             tree: vec![7u8; 64],
             acl: AclSnapshot::AllowAll,
             stats: Vec::new(),
-            scheduler: None,
+            scheduler: Default::default(),
             root_digest: digest(9),
         }
     }
@@ -448,7 +447,7 @@ mod tests {
         for i in 0..5 {
             p.append(&WalOp::Join(UserId(i)), &digest(i as u8)).unwrap();
         }
-        p.install_snapshot(&dummy_snapshot(8, 5)).unwrap();
+        p.install_snapshot(&dummy_snapshot(5)).unwrap();
         assert_eq!(p.epoch(), 1);
         assert_eq!(p.ops_since_snapshot(), 0);
         p.append(&WalOp::Leave(UserId(0)), &digest(100)).unwrap();
@@ -479,7 +478,7 @@ mod tests {
             p.append(&WalOp::Join(UserId(i)), &digest(0)).unwrap();
         }
         assert!(p.should_snapshot());
-        p.install_snapshot(&dummy_snapshot(0, 3)).unwrap();
+        p.install_snapshot(&dummy_snapshot(3)).unwrap();
         assert!(!p.should_snapshot());
         drop(p);
         let _ = std::fs::remove_dir_all(&dir);
@@ -516,11 +515,11 @@ mod tests {
         let dir = scratch();
         let mut p = Persistence::create(&dir, CONTRACT, PersistConfig::default()).unwrap();
         p.append(&WalOp::Join(UserId(1)), &digest(1)).unwrap();
-        p.install_snapshot(&dummy_snapshot(5, 1)).unwrap();
+        p.install_snapshot(&dummy_snapshot(1)).unwrap();
         p.append(&WalOp::Join(UserId(2)), &digest(2)).unwrap();
         p.sync().unwrap();
         KILL_BEFORE_WAL_HEADER.set(true);
-        let killed = p.install_snapshot(&dummy_snapshot(5, 2));
+        let killed = p.install_snapshot(&dummy_snapshot(2));
         KILL_BEFORE_WAL_HEADER.set(false);
         assert!(killed.is_err());
         drop(p);
@@ -529,7 +528,7 @@ mod tests {
         assert_eq!(recovered.epoch, 1);
         assert_eq!(recovered.snapshot.as_ref().map(|s| s.seq), Some(1));
         assert_eq!(ops(&recovered), [WalOp::Join(UserId(2))]);
-        p.install_snapshot(&dummy_snapshot(5, 2)).unwrap();
+        p.install_snapshot(&dummy_snapshot(2)).unwrap();
         drop(p);
         let (_, recovered) = Persistence::recover(&dir, PersistConfig::default()).unwrap();
         assert_eq!((recovered.epoch, recovered.ops.len()), (2, 0));

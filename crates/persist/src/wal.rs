@@ -37,8 +37,9 @@ use std::io::Read;
 /// Magic bytes opening every WAL file.
 pub const WAL_MAGIC: &[u8; 4] = b"KGWL";
 
-/// WAL format version written by this crate.
-pub const WAL_VERSION: u32 = 2;
+/// WAL format version written by this crate (3: version 2's records, which
+/// replay now draws other keys for).
+pub const WAL_VERSION: u32 = 3;
 
 /// Largest record payload accepted when reading (an op plus digest is a
 /// few dozen bytes; anything huge is corruption, not data).
@@ -335,7 +336,7 @@ mod tests {
     /// Any other version is refused by number, whatever follows it.
     #[test]
     fn other_versions_are_refused_by_number() {
-        for version in [0, 1, 3, u32::MAX] {
+        for version in [0, 1, 2, u32::MAX] {
             let mut file = sample_log();
             file[4..8].copy_from_slice(&version.to_be_bytes());
             match read_wal(&file[..8]) {

@@ -296,13 +296,12 @@ impl ServerConfig {
 
     /// Check the range invariants every construction path shares
     /// ([`Self::from_spec`] and [`ServerConfigBuilder::build`]):
-    /// `2 <= degree <= u32::MAX` (a degree-1 "tree" is a chain with no
-    /// fanout; a snapshot stores the degree in 32 bits),
+    /// `degree >= 2` (a degree-1 "tree" is a chain with no fanout),
     /// `rsa-bits >= 512` and even (the modulus is built from two
     /// half-size primes; odd or tiny sizes cannot), and batched-mode
     /// knobs `>= 1` (a zero interval or depth would flush every tick).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.degree < 2 || u32::try_from(self.degree).is_err() {
+        if self.degree < 2 {
             return Err(ConfigError::bad("degree", self.degree));
         }
         if self.rsa_bits < 512 || !self.rsa_bits.is_multiple_of(2) {
@@ -550,12 +549,7 @@ mod tests {
             ServerConfig::from_spec("degree = 1"),
             Err(ConfigError::BadValue { key: "degree", .. })
         ));
-        // A snapshot stores the degree in 32 bits.
-        assert!(matches!(
-            ServerConfig::from_spec("degree = 4294967296"),
-            Err(ConfigError::BadValue { key: "degree", .. })
-        ));
-        assert!(ServerConfig::from_spec("degree = 4294967295").is_ok());
+        assert!(ServerConfig::from_spec("degree = 4294967296").is_ok());
         assert!(matches!(
             ServerConfig::from_spec("auth = sometimes"),
             Err(ConfigError::BadValue { key: "auth", .. })

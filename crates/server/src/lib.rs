@@ -124,8 +124,7 @@ pub enum RecoverError {
     /// the digest the pre-crash server recorded with it, so recovery did
     /// not converge.
     DigestMismatch,
-    /// The log header or snapshot is malformed, or the snapshot does not
-    /// match its log header.
+    /// The log header or snapshot is malformed.
     Corrupt(&'static str),
 }
 
@@ -468,7 +467,7 @@ impl GroupKeyServer {
         }
         let mut server = match &recovered.snapshot {
             None => Self::new(config, acl),
-            Some(snap) => Self::from_snapshot(config, &header, snap)?,
+            Some(snap) => Self::from_snapshot(config, snap)?,
         };
         // Prove convergence record by record: the snapshot's tree, and the
         // tree after each replayed op, must hash to the digest the
@@ -500,22 +499,13 @@ impl GroupKeyServer {
         Ok(server)
     }
 
-    /// Rebuild in-memory state from a snapshot (no log replay yet). The
-    /// snapshot must agree with `header`, the replay contract of the log
-    /// written beside it.
-    fn from_snapshot(
-        config: ServerConfig,
-        header: &ServerConfig,
-        snap: &Snapshot,
-    ) -> Result<Self, RecoverError> {
-        let tree = serial::decode_tree(&snap.tree).map_err(RecoverError::Tree)?;
-        if snap.seed != header.seed
-            || tree.degree() != header.degree
-            || tree.key_len() != header.key_len()
-            || snap.scheduler.is_some() != header.rekey.batch_policy().is_some()
-        {
-            return Err(RecoverError::Corrupt("snapshot does not match its wal header"));
-        }
+    /// Rebuild in-memory state from a snapshot (no log replay yet).
+    /// `config` already agrees with the log header's replay contract, the
+    /// one copy of it, so the tree decodes under its degree and key length
+    /// and the queue is restored exactly when it batches.
+    fn from_snapshot(config: ServerConfig, snap: &Snapshot) -> Result<Self, RecoverError> {
+        let tree = serial::decode_tree(&snap.tree, config.degree, config.key_len())
+            .map_err(RecoverError::Tree)?;
         let acl = match &snap.acl {
             AclSnapshot::AllowAll => AccessControl::AllowAll,
             AclSnapshot::AllowList(users) => AccessControl::allow_list(users.iter().copied()),
@@ -535,16 +525,16 @@ impl GroupKeyServer {
                 })
             })
             .collect::<Result<Vec<_>, RecoverError>>()?;
-        let scheduler =
-            snap.scheduler.as_ref().zip(config.rekey.batch_policy()).map(|(s, policy)| {
-                BatchScheduler::restore(
-                    policy,
-                    s.joins.iter().map(|(u, k)| (*u, SymmetricKey::from_bytes(k))).collect(),
-                    s.leaves.clone(),
-                    s.last_flush_ms,
-                    s.intervals_flushed,
-                )
-            });
+        let s = &snap.scheduler;
+        let scheduler = config.rekey.batch_policy().map(|policy| {
+            BatchScheduler::restore(
+                policy,
+                s.joins.iter().map(|(u, k)| (*u, SymmetricKey::from_bytes(k))).collect(),
+                s.leaves.clone(),
+                s.last_flush_ms,
+                s.intervals_flushed,
+            )
+        });
         // Everything a snapshot does not carry is what a fresh server has:
         // the RSA keypair in particular is derived from the seed
         // independently of the DRBG streams, so it is regenerated rather
@@ -576,7 +566,6 @@ impl GroupKeyServer {
     /// Capture the full server state as a snapshot.
     fn build_snapshot(&self) -> Snapshot {
         Snapshot {
-            seed: self.config.seed,
             seq: self.seq,
             keygen: self.keygen.state(),
             ivs: self.ivs.state(),
@@ -600,12 +589,16 @@ impl GroupKeyServer {
                     signatures: r.signatures,
                 })
                 .collect(),
-            scheduler: self.scheduler.as_ref().map(|s| SchedulerSnapshot {
-                joins: s.pending_joins().iter().map(|(u, k)| (*u, k.material().to_vec())).collect(),
-                leaves: s.pending_leaves().to_vec(),
-                last_flush_ms: s.last_flush_ms(),
-                intervals_flushed: s.intervals_flushed(),
-            }),
+            scheduler: (self.scheduler.as_ref())
+                .map(|s| SchedulerSnapshot {
+                    joins: (s.pending_joins().iter())
+                        .map(|(u, k)| (*u, k.material().to_vec()))
+                        .collect(),
+                    leaves: s.pending_leaves().to_vec(),
+                    last_flush_ms: s.last_flush_ms(),
+                    intervals_flushed: s.intervals_flushed(),
+                })
+                .unwrap_or_default(),
             root_digest: serial::root_digest(&self.tree),
         }
     }
@@ -1820,38 +1813,6 @@ mod tests {
         let a = r.handle_join(UserId(0)).unwrap();
         let b = control.handle_join(UserId(0)).unwrap();
         assert_eq!(a.encoded, b.encoded);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A snapshot is checked against the log header beside it: a header
-    /// rewritten to name another degree passes the configuration check
-    /// (the configuration says the same) but not the snapshot's.
-    #[test]
-    fn snapshot_that_disagrees_with_its_header_is_corrupt() {
-        let dir = scratch_dir();
-        let config = ServerConfig::default();
-        let mut s = GroupKeyServer::with_persistence(
-            config.clone(),
-            AccessControl::AllowAll,
-            &dir,
-            persist_config(),
-        )
-        .unwrap();
-        s.handle_join(UserId(1)).unwrap();
-        s.force_snapshot().unwrap();
-        drop(s);
-        let other = ServerConfig { degree: 8, ..config };
-        let contract = contract_bytes(&other);
-        let mut header = b"KGWL".to_vec();
-        header.extend(2u32.to_be_bytes());
-        header.extend(1u64.to_be_bytes());
-        header.extend((contract.len() as u32).to_be_bytes());
-        header.extend(contract);
-        std::fs::write(dir.join("wal-1.kgl"), header).unwrap();
-        assert!(matches!(
-            GroupKeyServer::recover(other, AccessControl::AllowAll, &dir, persist_config()),
-            Err(RecoverError::Corrupt("snapshot does not match its wal header"))
-        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

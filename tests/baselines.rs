@@ -263,24 +263,37 @@ fn star_membership_errors() {
     assert!(star.keyset(UserId(42)).is_none());
 }
 
-/// The first join into an empty star still seals `{K'_root}_{K_root}`, for
-/// a multicast nobody but the joiner receives: 2 encryptions where Figure 2
-/// needs 1. Kept on purpose, because every pinned bundle digest includes
-/// that seal's IV draw.
+/// Figure 2: the first join into an empty group sends the new group key
+/// to the joiner alone, one encryption, under every shipped strategy, at
+/// the star and in trees of degree 2 and 4. Nobody held the old root key,
+/// so nothing is sealed under it. The first interval into an empty group
+/// (as many joiners as the root takes) likewise sends only the joiners'
+/// unicasts.
 #[test]
-fn star_first_join_seals_the_root_for_nobody() {
-    for strategy in Strategy::ALL {
-        let mut src = HmacDrbg::from_seed(27);
-        let mut ivs = HmacDrbg::from_seed(28);
-        let mut star = star_of(0, &mut src);
-        let ik = src.generate_key(8);
-        let ev = star.join(UserId(1), ik, &mut src).unwrap();
-        let out = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs).join(&ev, strategy);
-        assert_eq!(out.ops.key_encryptions, 2, "{strategy:?}");
-        assert_eq!(out.messages.len(), 2, "{strategy:?}");
-        assert_eq!(out.messages[1].recipients, Recipients::User(UserId(1)));
-        // The root-key message reaches no member besides the joiner.
-        let reached = star.resolve(&out.messages[0].recipients);
-        assert!(reached.iter().all(|&u| u == UserId(1)), "{strategy:?}: {reached:?}");
+fn first_join_into_an_empty_group_is_figure_2() {
+    for degree in [STAR, 2, 4] {
+        for strategy in Strategy::ALL {
+            let cell = format!("degree {degree}, {strategy:?}");
+            let mut src = HmacDrbg::from_seed(27);
+            let mut ivs = HmacDrbg::from_seed(28);
+            let mut tree = KeyTree::new(degree, 8, &mut src);
+            let ik = src.generate_key(8);
+            let ev = tree.join(UserId(1), ik, &mut src).unwrap();
+            let out = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs).join(&ev, strategy);
+            assert_eq!(out.ops.key_encryptions, 1, "{cell}");
+            assert_eq!(out.messages.len(), 1, "{cell}");
+            assert_eq!(out.messages[0].recipients, Recipients::User(UserId(1)), "{cell}");
+
+            let mut tree = KeyTree::new(degree, 8, &mut src);
+            let joins: Vec<(UserId, SymmetricKey)> =
+                (0..degree.min(3) as u64).map(|i| (UserId(i), src.generate_key(8))).collect();
+            let ev = tree.apply_batch(&joins, &[], &mut src).unwrap();
+            let out = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs).batch(&ev, strategy);
+            let to: Vec<&Recipients> = out.messages.iter().map(|m| &m.recipients).collect();
+            let unicasts: Vec<Recipients> =
+                joins.iter().map(|&(u, _)| Recipients::User(u)).collect();
+            assert_eq!(to, unicasts.iter().collect::<Vec<_>>(), "{cell}");
+            assert_eq!(out.ops.key_encryptions, joins.len() as u64, "{cell}");
+        }
     }
 }

@@ -430,6 +430,52 @@ fn version_1_stores_fail_closed_with_a_typed_error() {
     }
 }
 
+/// Stores written before a created tree node stopped drawing a throw-away
+/// key (WAL version 2, snapshot version 1, whose snapshot repeated the seed,
+/// degree and key length of the log header's replay contract) would replay
+/// into other keys. They fail closed at the log header, before the snapshot
+/// or any record is decoded, and are left byte-identical. The three
+/// fixtures were written by that code: an immediate store with only a log,
+/// a derived one, and a batched one holding a snapshot with a queue and a
+/// log tail.
+#[test]
+fn version_2_stores_fail_closed_at_the_log_header() {
+    let base = ServerConfig { auth: AuthPolicy::None, seed: 0xD16E, ..ServerConfig::default() };
+    let fixtures = [
+        ("immediate", base.clone()),
+        ("derived", ServerConfig { strategy: Strategy::Derived, ..base.clone() }),
+        (
+            "batched",
+            ServerConfig {
+                rekey: RekeyPolicy::Batched { interval_ms: 100, max_pending: 64 },
+                ..base.clone()
+            },
+        ),
+    ];
+    for (name, config) in fixtures {
+        let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("tests/fixtures/store-v2-{name}"));
+        let dir = scratch_dir(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        for file in std::fs::read_dir(&fixture).unwrap() {
+            let path = file.unwrap().path();
+            std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+        }
+        let before = store_files(&dir);
+        let result = GroupKeyServer::recover(config, AccessControl::AllowAll, &dir, pcfg());
+        assert!(
+            matches!(
+                result,
+                Err(RecoverError::Persist(PersistError::UnsupportedVersion { found: 2 }))
+            ),
+            "{name}: {:?}",
+            result.err()
+        );
+        assert_eq!(store_files(&dir), before, "{name}: the store is untouched");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// What a store holds when it is reopened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Held {
