@@ -12,6 +12,9 @@
 //! [`ClusterBody::RekeyUsers`]; the router resolves them to member
 //! endpoints, so the node needs no membership directory at all.
 
+// Everything here runs on datagrams off the network, so nothing outside
+// the tests may panic on them.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing))]
 use crate::map::group_seed;
 use bytes::Bytes;
 use kg_core::ids::UserId;
@@ -24,6 +27,7 @@ use kg_server::{
     AccessControl, Delivery, GroupKeyServer, ProcessedOp, RecoverError, RequestError, ServerConfig,
 };
 use kg_wire::{ClusterBody, ClusterEnvelope, ControlMessage, GroupId, ShardId, TelemetrySnapshot};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -280,22 +284,23 @@ impl ShardNode {
     }
 
     fn ensure_group(&mut self, group: GroupId) -> Result<&mut GroupKeyServer, RequestError> {
-        if !self.groups.contains_key(&group) {
-            let cfg = self.config.slice_config(group);
-            let mut server = match self.config.slice_dir(group) {
-                None => GroupKeyServer::new(cfg, self.config.acl.clone()),
-                Some(dir) => GroupKeyServer::with_persistence(
-                    cfg,
-                    self.config.acl.clone(),
-                    dir,
-                    self.config.persist,
-                )
-                .map_err(|e| RequestError::Persist(e.to_string()))?,
-            };
-            server.attach_obs(self.obs.clone());
-            self.groups.insert(group, server);
-        }
-        Ok(self.groups.get_mut(&group).expect("inserted above"))
+        let slot = match self.groups.entry(group) {
+            Entry::Occupied(hosted) => return Ok(hosted.into_mut()),
+            Entry::Vacant(slot) => slot,
+        };
+        let cfg = self.config.slice_config(group);
+        let mut server = match self.config.slice_dir(group) {
+            None => GroupKeyServer::new(cfg, self.config.acl.clone()),
+            Some(dir) => GroupKeyServer::with_persistence(
+                cfg,
+                self.config.acl.clone(),
+                dir,
+                self.config.persist,
+            )
+            .map_err(|e| RequestError::Persist(e.to_string()))?,
+        };
+        server.attach_obs(self.obs.clone());
+        Ok(slot.insert(server))
     }
 
     fn send<T: Transport>(&self, net: &mut T, group: GroupId, body: ClusterBody) {
@@ -464,7 +469,8 @@ impl ShardNode {
     ) {
         let groups: Vec<GroupId> = self.groups.keys().copied().collect();
         for group in groups {
-            let flushed = self.groups.get_mut(&group).expect("listed above").shutdown(now_ms);
+            let Some(server) = self.groups.get_mut(&group) else { continue };
+            let flushed = server.shutdown(now_ms);
             self.deliver_interval(net, group, flushed, events);
         }
         let members = self.member_total();
@@ -601,7 +607,8 @@ impl ShardNode {
         let mut events = self.poll(net);
         let groups: Vec<GroupId> = self.groups.keys().copied().collect();
         for group in groups {
-            let flushed = self.groups.get_mut(&group).expect("listed above").tick(now_ms);
+            let Some(server) = self.groups.get_mut(&group) else { continue };
+            let flushed = server.tick(now_ms);
             self.deliver_interval(net, group, flushed, &mut events);
         }
         if let Some(interval) = self.config.telemetry_interval_ms {

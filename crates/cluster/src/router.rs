@@ -33,6 +33,9 @@
 //! over the authenticated unicast admission exchange, and the loopback
 //! demo relays it in the clear (see DESIGN.md §4e for the caveat).
 
+// Everything here runs on datagrams off the network, so nothing outside
+// the tests may panic on them.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing))]
 use bytes::Bytes;
 use kg_core::ids::UserId;
 use kg_net::{EndpointId, MulticastAddr, Transport, MAX_UDP_PAYLOAD};

@@ -9,6 +9,9 @@
 //! multicast for `Recipients::Group`, subgroup delivery for the
 //! subtree-scoped messages, unicast for the joiner.
 
+// Everything here runs on datagrams off the network, so nothing outside
+// the tests may panic on them.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing))]
 use crate::{Delivery, GroupKeyServer, JoinGrant, ProcessedOp, RequestError};
 use bytes::Bytes;
 use kg_core::ids::UserId;
@@ -191,6 +194,15 @@ impl NetServer {
         let mut events = self.poll(net);
         let flushed = self.inner.shutdown(now_ms);
         self.deliver_interval(net, flushed, &mut events);
+        events
+    }
+
+    /// [`GroupKeyServer::refresh_group_key`], delivered like an interval
+    /// (a failed WAL append surfaces as [`ServerEvent::FlushFailed`]).
+    pub fn refresh<T: Transport>(&mut self, net: &mut T) -> Vec<ServerEvent> {
+        let mut events = Vec::new();
+        let refreshed = self.inner.refresh_group_key().map(Some);
+        self.deliver_interval(net, refreshed, &mut events);
         events
     }
 
@@ -449,6 +461,51 @@ mod tests {
         net.run_until_quiet();
         for ep in eps {
             assert!(net.pending(ep) >= 1);
+        }
+    }
+
+    /// A refresh through the networked server reaches every member: each
+    /// one's endpoint gets a frame that opens, under the old group key it
+    /// holds, to the server's new group key, under every strategy.
+    #[test]
+    fn refresh_delivers_the_new_group_key_to_every_member() {
+        for strategy in kg_core::rekey::Strategy::EVERY {
+            let mut net = SimNetwork::new(NetConfig::default());
+            let config = ServerConfig { strategy, ..ServerConfig::default() };
+            let server = GroupKeyServer::new(config, AccessControl::AllowAll);
+            let mut ns = NetServer::new(server, &mut net);
+            let eps: Vec<EndpointId> =
+                (0..6).map(|u| join(&mut net, &mut ns, UserId(u)).0).collect();
+            for &ep in &eps {
+                while net.recv(ep).is_some() {}
+            }
+            let (_, old_key) = ns.inner().tree().group_key();
+            let events = ns.refresh(&mut net);
+            assert!(matches!(events[..], [ServerEvent::Flushed { joined: 0, left: 0, .. }]));
+            net.run_until_quiet();
+            let (new_ref, new_key) = ns.inner().tree().group_key();
+            let cipher = ns.inner().config().cipher;
+            for &ep in &eps {
+                let dg = net.recv(ep).expect("the refresh reached the member");
+                let (packet, _) = kg_wire::RekeyPacket::decode(&dg.payload).unwrap();
+                assert_eq!(packet.op, kg_wire::OpKind::Refresh);
+                let opened = match packet.bundles.first() {
+                    Some(b) => cipher.decrypt(&old_key, &b.iv, &b.ciphertext).unwrap(),
+                    None => {
+                        let (label, version) = (new_ref.label, new_ref.version);
+                        let derived = kg_core::derive::derive_key(
+                            &old_key,
+                            &packet.code,
+                            label,
+                            version,
+                            old_key.len(),
+                        );
+                        derived.material().to_vec()
+                    }
+                };
+                assert_eq!(opened, new_key.material(), "{strategy:?}");
+                assert!(net.recv(ep).is_none(), "{strategy:?}: one frame per member");
+            }
         }
     }
 

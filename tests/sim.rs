@@ -40,13 +40,13 @@ use bytes::Bytes;
 use keygraphs::client::fleet::{ClientFleet, FleetEvent};
 use keygraphs::client::{Client, ClientError, VerifyPolicy};
 use keygraphs::core::ids::{KeyRef, UserId};
-use keygraphs::core::rekey::{Recipients, Strategy};
+use keygraphs::core::rekey::Strategy;
 use keygraphs::core::serial::root_digest;
 use keygraphs::crypto::SymmetricKey;
 use keygraphs::net::{Datagram, EndpointId, MulticastAddr, NetConfig, SimNetwork, Transport};
 use keygraphs::persist::PersistConfig;
 use keygraphs::server::net::{leave_authenticator, NetServer, ServerEvent};
-use keygraphs::server::{AccessControl, AuthPolicy, Delivery, GroupKeyServer, ServerConfig};
+use keygraphs::server::{AccessControl, AuthPolicy, GroupKeyServer, ServerConfig};
 use keygraphs::wire::{ControlMessage, RekeyPacket};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -495,17 +495,10 @@ impl World {
         if server.inner().pending_requests() > 0 || server.inner().group_size() == 0 {
             return Ok(());
         }
-        let op = server.inner_mut().refresh_group_key().map_err(|e| e.to_string())?;
-        let (from, group) = (server.endpoint(), server.group_addr());
-        for d in op.delivery() {
-            match d {
-                Delivery::Frame(Recipients::Group, bytes) => {
-                    self.net.send_multicast(from, group, Bytes::copy_from_slice(bytes))
-                }
-                other => return Err(format!("a refresh delivers only to the group: {other:?}")),
-            }
+        match &server.refresh(&mut self.net)[..] {
+            [ServerEvent::Flushed { joined: 0, left: 0, .. }] => Ok(()),
+            other => Err(format!("refresh: {other:?}")),
         }
-        Ok(())
     }
 
     /// Drop the server with its store kept, crash its endpoint, recover
