@@ -1,19 +1,18 @@
 //! Cluster-scale benchmark: an in-process sharded deployment driven to
 //! seven-figure membership.
 //!
-//! Everything runs on the deterministic [`kg_net::SimNetwork`] — the
-//! measurement is the cluster's own work (request routing, per-slice
-//! batch rekeying, grant/rekey relay), not socket syscalls. Members share
-//! one driver endpoint so the harness does not spend the benchmark
-//! allocating a million inboxes; the router's directory and multicast
-//! bookkeeping still see every member individually.
+//! Everything runs on the deterministic [`kg_net::SimNetwork`], so each
+//! count (members, intervals, requests, encryptions per shard) is a
+//! function of the configuration and the seed. Members share one driver
+//! endpoint so the harness does not allocate a million inboxes; the
+//! router's directory and multicast bookkeeping still see every member
+//! individually.
 
-use kg_cluster::{aggregate_counter_values, ShardMap, SimCluster};
+use kg_cluster::{ShardMap, SimCluster};
 use kg_core::ids::UserId;
 use kg_net::NetConfig;
 use kg_server::{AccessControl, ServerConfig};
 use kg_wire::GroupId;
-use std::time::Instant;
 
 /// Knobs for [`run_cluster_scale`].
 #[derive(Debug, Clone)]
@@ -32,8 +31,7 @@ pub struct ClusterBenchConfig {
     pub seed: u64,
 }
 
-/// Per-shard load figures, from the shard's own obs registry and its
-/// admin stats report.
+/// Per-shard load figures, from the shard's admin stats report.
 #[derive(Debug, Clone)]
 pub struct ShardLoad {
     /// Shard id.
@@ -46,31 +44,17 @@ pub struct ShardLoad {
     pub requests: u64,
     /// Key encryptions performed.
     pub encryptions: u64,
-    /// Full counter snapshot (rendered name → value).
-    pub counters: Vec<(String, u64)>,
 }
 
 /// Everything [`run_cluster_scale`] measures.
 #[derive(Debug, Clone)]
 pub struct ClusterScaleResult {
-    /// The configuration measured.
-    pub config: ClusterBenchConfig,
-    /// Wall-clock seconds building the full membership.
-    pub build_secs: f64,
-    /// Admissions per wall-clock second during the build.
-    pub joins_per_sec: f64,
-    /// Wall-clock seconds for the churn phase.
-    pub churn_secs: f64,
     /// Members resident at the end (build − churn leaves + churn joins).
     pub total_members: u64,
     /// Router directory size at the end.
     pub directory_len: usize,
     /// Per-shard load, in shard order.
     pub shards: Vec<ShardLoad>,
-    /// Per-shard counters summed into one cluster-wide view.
-    pub aggregated: Vec<(String, u64)>,
-    /// The router's own counters (routed/relayed totals).
-    pub router_counters: Vec<(String, u64)>,
     /// Members reported by the aggregated shutdown ack.
     pub shutdown_members: u64,
     /// WAL tail reported by the shutdown ack (0: nothing to replay).
@@ -80,7 +64,7 @@ pub struct ClusterScaleResult {
 const INTERVAL_MS: u64 = 100;
 
 /// Build a spanned group to `members` across `shards` shard nodes, churn
-/// it, collect per-shard and aggregated load, and shut the cluster down.
+/// it, collect per-shard load, and shut the cluster down.
 pub fn run_cluster_scale(config: &ClusterBenchConfig) -> ClusterScaleResult {
     let group = GroupId(1);
     let map = ShardMap::new(config.shards).with_span(group, config.span);
@@ -101,7 +85,6 @@ pub fn run_cluster_scale(config: &ClusterBenchConfig) -> ClusterScaleResult {
     let mut now_ms = 0u64;
 
     // Build phase: `chunk` joins per interval.
-    let start = Instant::now();
     let mut next_user = 1u64;
     while next_user <= config.members {
         let end = (next_user + config.chunk - 1).min(config.members);
@@ -111,13 +94,11 @@ pub fn run_cluster_scale(config: &ClusterBenchConfig) -> ClusterScaleResult {
         next_user = end + 1;
         now_ms += INTERVAL_MS;
         cluster.tick(now_ms);
-        // Keep the event backlog from becoming the thing measured.
+        // Keep the event backlog from growing with the membership.
         cluster.take_events();
     }
-    let build_secs = start.elapsed().as_secs_f64();
 
     // Churn phase: leave the first `churn` members, admit replacements.
-    let start = Instant::now();
     for u in 1..=config.churn {
         cluster.leave(group, UserId(u));
     }
@@ -127,10 +108,8 @@ pub fn run_cluster_scale(config: &ClusterBenchConfig) -> ClusterScaleResult {
     now_ms += INTERVAL_MS;
     cluster.tick(now_ms);
     cluster.take_events();
-    let churn_secs = start.elapsed().as_secs_f64();
 
-    // Collect per-shard stats through the admin plane, and raw counters
-    // straight from each node's registry.
+    // Collect per-shard stats through the admin plane.
     cluster.request_stats();
     cluster.settle();
     let reports = cluster.take_admin_replies();
@@ -144,34 +123,12 @@ pub fn run_cluster_scale(config: &ClusterBenchConfig) -> ClusterScaleResult {
         });
         let (members, intervals, requests, encryptions) =
             report.unwrap_or((node.member_total(), 0, 0, 0));
-        shards.push(ShardLoad {
-            shard: node.shard().0,
-            members,
-            intervals,
-            requests,
-            encryptions,
-            counters: node.obs().counter_values(),
-        });
+        shards.push(ShardLoad { shard: node.shard().0, members, intervals, requests, encryptions });
     }
-    let snapshots: Vec<Vec<(String, u64)>> = shards.iter().map(|s| s.counters.clone()).collect();
-    let aggregated = aggregate_counter_values(snapshots.iter());
-    let router_counters = cluster.router.obs().counter_values();
     let total_members = cluster.group_size(group) as u64;
     let directory_len = cluster.router.directory_len();
 
     let (shutdown_members, shutdown_wal_tail) = cluster.shutdown();
 
-    ClusterScaleResult {
-        config: config.clone(),
-        build_secs,
-        joins_per_sec: config.members as f64 / build_secs.max(1e-9),
-        churn_secs,
-        total_members,
-        directory_len,
-        shards,
-        aggregated,
-        router_counters,
-        shutdown_members,
-        shutdown_wal_tail,
-    }
+    ClusterScaleResult { total_members, directory_len, shards, shutdown_members, shutdown_wal_tail }
 }

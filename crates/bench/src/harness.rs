@@ -33,13 +33,6 @@ pub struct ExperimentConfig {
     pub seeds: Vec<u64>,
 }
 
-impl ExperimentConfig {
-    /// The paper's baseline configuration for a given (n, strategy).
-    pub fn paper(n: usize, strategy: Strategy, auth: AuthPolicy) -> Self {
-        ExperimentConfig { n, degree: 4, strategy, auth, ops: 1000, seeds: SEEDS.to_vec() }
-    }
-}
-
 /// Client-side aggregates for one op kind.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClientSide {
@@ -54,8 +47,6 @@ pub struct ClientSide {
 /// Everything one experiment produces.
 #[derive(Debug, Clone)]
 pub struct ExperimentResult {
-    /// The configuration that was run.
-    pub config: ExperimentConfig,
     /// Server aggregate over joins only.
     pub join: Aggregate,
     /// Server aggregate over leaves only.
@@ -94,7 +85,6 @@ pub fn run(config: &ExperimentConfig) -> ExperimentResult {
         ca.push(client.2);
     }
     ExperimentResult {
-        config: config.clone(),
         join: mean_agg(&join_aggs),
         leave: mean_agg(&leave_aggs),
         all: mean_agg(&all_aggs),
@@ -315,8 +305,6 @@ impl RekeyCosts {
 /// Result of one batched-vs-per-operation comparison.
 #[derive(Debug, Clone)]
 pub struct BatchComparison {
-    /// The configuration that was run.
-    pub config: BatchConfig,
     /// Costs of rekeying after every request (the paper's base protocol).
     pub per_op: RekeyCosts,
     /// Costs of periodic batch rekeying at the configured batch size.
@@ -358,7 +346,7 @@ pub fn run_batch_comparison(config: &BatchConfig) -> BatchComparison {
         c.flushes /= k;
         c.bytes /= k;
     }
-    BatchComparison { config: config.clone(), per_op, batched }
+    BatchComparison { per_op, batched }
 }
 
 /// Total rekey costs of `workload` on one server, rekeying after every
@@ -418,343 +406,6 @@ fn rekey_costs(
         .aggregate(None)
         .map_or(0.0, |all| (all.encryptions_ave * all.ops as f64).round());
     costs
-}
-
-/// One row of the WAL-overhead comparison: the same churn workload run
-/// with persistence off and with each fsync policy.
-#[derive(Debug, Clone)]
-pub struct WalOverheadRow {
-    /// Human-readable policy name (`none` is the in-memory baseline).
-    pub policy: String,
-    /// Wall-clock time for the measured churn phase, in milliseconds.
-    pub elapsed_ms: f64,
-    /// Measured requests per second.
-    pub ops_per_sec: f64,
-    /// Bytes appended to the write-ahead log (0 for the baseline).
-    pub wal_bytes: u64,
-    /// Elapsed time relative to the in-memory baseline (1.0 = no cost).
-    pub slowdown: f64,
-}
-
-/// One point of the recovery-time curve: crash after a log of the given
-/// length, measure the time to rebuild the server from disk.
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryPoint {
-    /// Records in the write-ahead log at the crash.
-    pub wal_ops: usize,
-    /// Bytes in the write-ahead log at the crash.
-    pub wal_bytes: u64,
-    /// Wall-clock recovery time (load + replay + digest check), ms.
-    pub recover_ms: f64,
-}
-
-fn persist_scratch_dir(tag: &str) -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("kg-bench-{tag}-{}-{n}", std::process::id()))
-}
-
-fn churn(server: &mut GroupKeyServer, workload: &Workload) {
-    for req in &workload.requests {
-        match *req {
-            Request::Join(u) => {
-                server.handle_join(u).expect("join");
-            }
-            Request::Leave(u) => {
-                server.handle_leave(u).expect("leave");
-            }
-        }
-    }
-}
-
-/// Measure WAL overhead: run the same workload (initial group of `n`,
-/// then `ops` join/leave requests) with persistence off and under each
-/// fsync policy, timing only the measured churn phase. Snapshotting is
-/// disabled so the numbers isolate the log-append cost.
-pub fn run_persist_overhead(n: usize, ops: usize, seed: u64) -> Vec<WalOverheadRow> {
-    let workload = Workload::generate(n, ops, seed);
-    let config =
-        ServerConfig::builder().auth(AuthPolicy::None).seed(seed).build().expect("valid config");
-    let no_snapshots = |fsync| kg_persist::PersistConfig {
-        fsync,
-        snapshot_every_ops: u64::MAX,
-        snapshot_max_bytes: u64::MAX,
-    };
-
-    let mut rows = Vec::new();
-    let base_ms = {
-        let mut server = GroupKeyServer::new(config.clone(), AccessControl::AllowAll);
-        for &u in &workload.initial {
-            server.handle_join(u).expect("initial join");
-        }
-        let start = std::time::Instant::now();
-        churn(&mut server, &workload);
-        start.elapsed().as_secs_f64() * 1e3
-    };
-    rows.push(WalOverheadRow {
-        policy: "none".into(),
-        elapsed_ms: base_ms,
-        ops_per_sec: ops as f64 / (base_ms / 1e3).max(1e-9),
-        wal_bytes: 0,
-        slowdown: 1.0,
-    });
-
-    for (fsync, name) in [
-        (kg_persist::FsyncPolicy::EveryRecord, "every-record"),
-        (kg_persist::FsyncPolicy::EveryN(32), "every-32"),
-        (kg_persist::FsyncPolicy::IntervalMs(50), "interval-50ms"),
-    ] {
-        let dir = persist_scratch_dir("overhead");
-        let mut server = GroupKeyServer::with_persistence(
-            config.clone(),
-            AccessControl::AllowAll,
-            &dir,
-            no_snapshots(fsync),
-        )
-        .expect("create store");
-        for &u in &workload.initial {
-            server.handle_join(u).expect("initial join");
-        }
-        let start = std::time::Instant::now();
-        churn(&mut server, &workload);
-        server.sync_persistence().expect("final sync");
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        let wal_bytes = server.persistence().expect("persistent").wal_len();
-        rows.push(WalOverheadRow {
-            policy: name.into(),
-            elapsed_ms: ms,
-            ops_per_sec: ops as f64 / (ms / 1e3).max(1e-9),
-            wal_bytes,
-            slowdown: ms / base_ms.max(1e-9),
-        });
-        drop(server);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    rows
-}
-
-/// Measure time-to-recover as a function of log length: for each entry of
-/// `churn_ops`, build a persisted server (initial group of `n`, then that
-/// many requests, snapshots disabled so the whole history replays), crash
-/// it, and time [`GroupKeyServer::recover`].
-pub fn run_recovery_curve(n: usize, churn_ops: &[usize], seed: u64) -> Vec<RecoveryPoint> {
-    let config =
-        ServerConfig::builder().auth(AuthPolicy::None).seed(seed).build().expect("valid config");
-    let pcfg = kg_persist::PersistConfig {
-        fsync: kg_persist::FsyncPolicy::EveryN(4096),
-        snapshot_every_ops: u64::MAX,
-        snapshot_max_bytes: u64::MAX,
-    };
-    churn_ops
-        .iter()
-        .map(|&ops| {
-            let workload = Workload::generate(n, ops, seed);
-            let dir = persist_scratch_dir("recovery");
-            let mut server = GroupKeyServer::with_persistence(
-                config.clone(),
-                AccessControl::AllowAll,
-                &dir,
-                pcfg,
-            )
-            .expect("create store");
-            for &u in &workload.initial {
-                server.handle_join(u).expect("initial join");
-            }
-            churn(&mut server, &workload);
-            server.sync_persistence().expect("final sync");
-            let wal_bytes = server.persistence().expect("persistent").wal_len();
-            drop(server); // crash
-
-            let start = std::time::Instant::now();
-            let recovered =
-                GroupKeyServer::recover(config.clone(), AccessControl::AllowAll, &dir, pcfg)
-                    .expect("recover");
-            let recover_ms = start.elapsed().as_secs_f64() * 1e3;
-            drop(recovered);
-            let _ = std::fs::remove_dir_all(&dir);
-            RecoveryPoint { wal_ops: n + ops, wal_bytes, recover_ms }
-        })
-        .collect()
-}
-
-/// Result of the observability-overhead measurement: the same churn
-/// workload timed with a disabled [`kg_obs::Obs`] handle (the baseline)
-/// and with a fully enabled one (spans, counters, timeline).
-#[derive(Debug, Clone)]
-pub struct ObsOverhead {
-    /// Median-of-`repeats` churn time with observability off, ms.
-    pub baseline_ms: f64,
-    /// Median-of-`repeats` churn time with observability on, ms.
-    pub observed_ms: f64,
-    /// `(observed / baseline − 1) × 100` — the acceptance target is < 5.
-    pub overhead_pct: f64,
-    /// `kg_requests_total` summed over the join/leave families after one
-    /// observed run (should equal the request count).
-    pub requests_total: u64,
-    /// `kg_encryptions_total` after one observed run.
-    pub encryptions_total: u64,
-    /// Join-handler span distribution (`kg_span_us{span="op.join"}`).
-    pub join_span: kg_obs::HistogramSnapshot,
-    /// Leave-handler span distribution (`kg_span_us{span="op.leave"}`).
-    pub leave_span: kg_obs::HistogramSnapshot,
-    /// Events recorded on the timeline during the observed run.
-    pub timeline_total: u64,
-    /// Lines in the Prometheus exposition (a cheap "exporter works and
-    /// has content" check for the JSON artifact).
-    pub prometheus_lines: usize,
-}
-
-/// Measure the cost of the `kg-obs` layer: run the same workload
-/// (initial group of `n`, then `ops` join/leave requests) `repeats`
-/// times under a disabled handle and `repeats` times under an enabled
-/// one, interleaved, and compare the *median* pass time of each. The
-/// median rather than the mean or minimum because scheduling noise on a
-/// shared host arrives as sustained spikes: a spike long enough to
-/// cover half the interleaved passes would have to last the whole
-/// measurement.
-pub fn run_obs_overhead(n: usize, ops: usize, seed: u64, repeats: usize) -> ObsOverhead {
-    use kg_obs::{Obs, ObsConfig};
-    let workload = Workload::generate(n, ops, seed);
-    let config =
-        ServerConfig::builder().auth(AuthPolicy::None).seed(seed).build().expect("valid config");
-
-    let run_once = |obs: Obs| -> (f64, Obs) {
-        let mut server = GroupKeyServer::new(config.clone(), AccessControl::AllowAll);
-        for &u in &workload.initial {
-            server.handle_join(u).expect("initial join");
-        }
-        server.reset_stats();
-        server.attach_obs(obs);
-        let start = std::time::Instant::now();
-        churn(&mut server, &workload);
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        (ms, server.obs().clone())
-    };
-
-    // One untimed pass per mode warms caches (and absorbs any load spike
-    // left over from whoever launched us) before measurement starts.
-    let _ = run_once(Obs::disabled());
-    let _ = run_once(Obs::new(ObsConfig::default()));
-
-    let median = |samples: &mut Vec<f64>| -> f64 {
-        samples.sort_by(|a, b| a.total_cmp(b));
-        samples[samples.len() / 2]
-    };
-    let mut baseline = Vec::new();
-    let mut observed = Vec::new();
-    let mut last_obs = Obs::disabled();
-    for _ in 0..repeats.max(1) {
-        let (b, _) = run_once(Obs::disabled());
-        baseline.push(b);
-        let (o, obs) = run_once(Obs::new(ObsConfig::default()));
-        observed.push(o);
-        last_obs = obs;
-    }
-    let baseline_ms = median(&mut baseline);
-    let observed_ms = median(&mut observed);
-
-    let requests_total = last_obs.counter_with("kg_requests_total", "kind", "join").get()
-        + last_obs.counter_with("kg_requests_total", "kind", "leave").get();
-    ObsOverhead {
-        baseline_ms,
-        observed_ms,
-        overhead_pct: (observed_ms / baseline_ms.max(1e-9) - 1.0) * 100.0,
-        requests_total,
-        encryptions_total: last_obs.counter("kg_encryptions_total").get(),
-        join_span: last_obs.span_snapshot("op.join"),
-        leave_span: last_obs.span_snapshot("op.leave"),
-        timeline_total: last_obs.timeline_total(),
-        prometheus_lines: last_obs.render_prometheus().lines().count(),
-    }
-}
-
-/// Result of the counter/WAL reconciliation run: one persisted server
-/// lifetime, a crash, and an observed recovery, with every independent
-/// account of "how many operations happened" read back.
-#[derive(Debug, Clone)]
-pub struct ObsReconcile {
-    /// Operations the first lifetime performed (initial joins + churn).
-    pub expected_ops: u64,
-    /// `WalAppend` timeline events recorded during the first lifetime
-    /// (cumulative kind count — survives ring eviction).
-    pub wal_append_events: u64,
-    /// `kg_requests_total` over the join/leave families, first lifetime.
-    pub requests_counter: u64,
-    /// Records pushed into `ServerStats` during the first lifetime.
-    pub stats_records: u64,
-    /// `kg_replayed_records_total` as reported by the recovered server's
-    /// fresh handle (equals the WAL records replayed from disk).
-    pub records_replayed: u64,
-    /// Whether the recovery emitted exactly one `Recovered` event.
-    pub recovered_event_seen: bool,
-}
-
-impl ObsReconcile {
-    /// True when every account agrees on the operation count.
-    pub fn consistent(&self) -> bool {
-        self.wal_append_events == self.expected_ops
-            && self.requests_counter == self.expected_ops
-            && self.stats_records == self.expected_ops
-            && self.records_replayed == self.expected_ops
-            && self.recovered_event_seen
-    }
-}
-
-/// Reconcile the observability layer against the durability layer: run a
-/// persisted, observed server (initial group of `n`, then `ops`
-/// requests, snapshots off so the whole history stays in the log),
-/// crash it, recover with a fresh handle, and read back every count
-/// that should equal `n + ops`.
-pub fn run_obs_reconcile(n: usize, ops: usize, seed: u64) -> ObsReconcile {
-    use kg_obs::{Obs, ObsConfig};
-    let workload = Workload::generate(n, ops, seed);
-    let config =
-        ServerConfig::builder().auth(AuthPolicy::None).seed(seed).build().expect("valid config");
-    let pcfg = kg_persist::PersistConfig {
-        fsync: kg_persist::FsyncPolicy::EveryN(1024),
-        snapshot_every_ops: u64::MAX,
-        snapshot_max_bytes: u64::MAX,
-    };
-    let dir = persist_scratch_dir("obs-reconcile");
-
-    let obs = Obs::new(ObsConfig::default());
-    let mut server =
-        GroupKeyServer::with_persistence(config.clone(), AccessControl::AllowAll, &dir, pcfg)
-            .expect("create store");
-    server.attach_obs(obs.clone());
-    for &u in &workload.initial {
-        server.handle_join(u).expect("initial join");
-    }
-    churn(&mut server, &workload);
-    server.sync_persistence().expect("final sync");
-    let stats_records = server.stats().records_pushed();
-    drop(server); // crash
-
-    let wal_append_events = obs.event_kind_counts().get("wal_append").copied().unwrap_or(0);
-    let requests_counter = obs.counter_with("kg_requests_total", "kind", "join").get()
-        + obs.counter_with("kg_requests_total", "kind", "leave").get();
-
-    let recovery_obs = Obs::new(ObsConfig::default());
-    let recovered = GroupKeyServer::recover_observed(
-        config,
-        AccessControl::AllowAll,
-        &dir,
-        pcfg,
-        recovery_obs.clone(),
-    )
-    .expect("recover");
-    drop(recovered);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    ObsReconcile {
-        expected_ops: (n + ops) as u64,
-        wal_append_events,
-        requests_counter,
-        stats_records,
-        records_replayed: recovery_obs.counter("kg_replayed_records_total").get(),
-        recovered_event_seen: recovery_obs.event_kind_counts().get("recovered").copied() == Some(1),
-    }
 }
 
 /// Simple fixed-width text table builder for the report binary.

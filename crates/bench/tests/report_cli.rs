@@ -6,10 +6,11 @@ use std::process::Command;
 #[test]
 fn unknown_artifact_name_is_rejected() {
     // `par` and `hybrid` were artifacts until the worker pool and the §7
-    // hybrid rekeying were removed.
-    for bogus in ["par", "hybrid", "tabel1"] {
+    // hybrid rekeying were removed; `persist` and `obs` timed things and
+    // went with `--quick` when the report became counts at one size.
+    for bogus in ["par", "hybrid", "persist", "obs", "--quick", "tabel1"] {
         let out = Command::new(env!("CARGO_BIN_EXE_report"))
-            .args(["--quick", "table1", bogus])
+            .args(["table1", bogus])
             .output()
             .expect("spawn report");
         assert_eq!(out.status.code(), Some(2), "{bogus}: exit code");

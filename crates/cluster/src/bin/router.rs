@@ -11,7 +11,7 @@
 //!
 //! `--flight-recorder PATH` writes the telemetry flight-recorder dump
 //! (merged metrics, recent raw snapshots, timeline tail) on shutdown
-//! and on panic; `--no-trace` disables per-request distributed traces.
+//! and on panic.
 
 use kg_cluster::{Router, RouterEvent, ShardMap};
 use kg_net::{EndpointId, Transport, UdpTransport};
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: kgc-router --bind ADDR --shards N \
 [--peer SHARD=ADDR ...] [--span GROUP=SPAN ...] [--default-group G] \
-[--flight-recorder PATH] [--no-trace] [--quiet]";
+[--flight-recorder PATH] [--quiet]";
 
 fn fail(msg: &str) -> ! {
     eprintln!("kgc-router: {msg}\n{USAGE}");
@@ -44,7 +44,6 @@ fn main() {
     let mut spans: Vec<(u32, u16)> = Vec::new();
     let mut default_group: Option<u32> = None;
     let mut flight_recorder: Option<PathBuf> = None;
-    let mut no_trace = false;
     let mut quiet = false;
 
     let mut args = std::env::args().skip(1);
@@ -74,7 +73,6 @@ fn main() {
             "--flight-recorder" => {
                 flight_recorder = Some(PathBuf::from(value("--flight-recorder")))
             }
-            "--no-trace" => no_trace = true,
             "--quiet" => quiet = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -105,9 +103,6 @@ fn main() {
     }
     if let Some(g) = default_group {
         router.set_default_group(GroupId(g));
-    }
-    if no_trace {
-        router.set_tracing(false);
     }
     // Flight recorder: keep the latest dump in shared memory, refreshed
     // about once a second; a panic writes the last refresh before the

@@ -136,7 +136,9 @@ pub enum RouterEvent {
         /// Span records in the reply.
         spans: usize,
     },
-    /// An inbound datagram was neither a control message nor an envelope.
+    /// An inbound datagram was neither a control message nor an envelope,
+    /// or it carried shard-plane traffic from an endpoint other than the
+    /// one registered for the shard it names.
     BadDatagram {
         /// Claimed sender.
         from: EndpointId,
@@ -159,9 +161,6 @@ pub struct Router {
     /// Lazily allocated slice multicast addresses.
     slice_addrs: BTreeMap<(GroupId, ShardId), MulticastAddr>,
     obs: Obs,
-    /// Whether a distributed trace is allocated per client request.
-    /// On by default; the bench turns it off to measure the overhead.
-    tracing: bool,
     /// Monotone counter behind trace-id allocation.
     next_trace: u64,
     /// Merged node telemetry and the cross-process trace store.
@@ -192,7 +191,6 @@ impl Router {
             directory: BTreeMap::new(),
             slice_addrs: BTreeMap::new(),
             obs,
-            tracing: true,
             next_trace: 0,
             merger: TelemetryMerger::default(),
             harvested_seq: 0,
@@ -232,13 +230,6 @@ impl Router {
     /// The group raw (non-envelope) client requests are routed to.
     pub fn set_default_group(&mut self, group: GroupId) {
         self.default_group = group;
-    }
-
-    /// Enable or disable per-request distributed tracing (on by
-    /// default). Disabled, no trace context is allocated or stamped and
-    /// the request path matches the pre-telemetry router byte for byte.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
     }
 
     /// The merged telemetry view (for in-process drivers; remote admins
@@ -303,14 +294,8 @@ impl Router {
     ) -> RouterEvent {
         // Adopt the sender's trace if the envelope carried one;
         // otherwise this is the ingress, so allocate a fresh root.
-        let _trace = match inbound {
-            Some(ctx) => Some(self.obs.trace_scope(ctx)),
-            None if self.tracing => {
-                let id = self.alloc_trace_id();
-                Some(self.obs.trace_scope(TraceContext::root(id)))
-            }
-            None => None,
-        };
+        let ctx = inbound.unwrap_or_else(|| TraceContext::root(self.alloc_trace_id()));
+        let _trace = self.obs.trace_scope(ctx);
         let _recv = self.obs.span("router.recv");
         let _relay = self.obs.span("relay");
         let user = match &msg {
@@ -349,6 +334,14 @@ impl Router {
             ClusterBody::Control(
                 msg @ (ControlMessage::JoinRequest { .. } | ControlMessage::LeaveRequest { .. }),
             ) => Some(self.forward_request(net, group, msg, from, ctx)),
+
+            // Shard-plane traffic is acted on only from the endpoint
+            // registered for the shard it names, so a datagram from
+            // anywhere else adds no per-shard state.
+            body if is_shard_plane(&body) && self.shards.get(&shard) != Some(&from) => {
+                self.obs.counter("kg_cluster_unregistered_total").inc();
+                Some(RouterEvent::BadDatagram { from })
+            }
 
             body => {
                 // Mark this hop of the trace (if the frame carried one)
@@ -593,6 +586,22 @@ impl Router {
         }
         events
     }
+}
+
+/// Whether only a shard node sends `body`: an ack, a grant, a rekey
+/// bundle, a shutdown ack, a stats report or a telemetry push. (Requests
+/// are matched before this is asked.)
+fn is_shard_plane(body: &ClusterBody) -> bool {
+    matches!(
+        body,
+        ClusterBody::Control(_)
+            | ClusterBody::Grant { .. }
+            | ClusterBody::RekeyGroup { .. }
+            | ClusterBody::RekeyUsers { .. }
+            | ClusterBody::ShutdownAck { .. }
+            | ClusterBody::StatsReport { .. }
+            | ClusterBody::Telemetry { .. }
+    )
 }
 
 /// Truncate rendered report text to the transport frame budget (UTF-8

@@ -101,12 +101,14 @@ pub struct TraceStore {
     /// Trace ids in first-seen order, for eviction.
     order: VecDeque<u64>,
     capacity: usize,
+    /// Traces dropped to stay within `capacity`.
+    evicted: u64,
 }
 
 impl TraceStore {
     /// An empty store retaining at most `capacity` traces.
     pub fn new(capacity: usize) -> Self {
-        TraceStore { by_trace: BTreeMap::new(), order: VecDeque::new(), capacity }
+        TraceStore { by_trace: BTreeMap::new(), order: VecDeque::new(), capacity, evicted: 0 }
     }
 
     /// Traces currently retained.
@@ -117,6 +119,11 @@ impl TraceStore {
     /// Whether the store holds no traces.
     pub fn is_empty(&self) -> bool {
         self.by_trace.is_empty()
+    }
+
+    /// Traces evicted, oldest first, to stay within the capacity.
+    pub fn evicted(&self) -> u64 {
+        self.evicted
     }
 
     /// Add span records (from any process; duplicates collapse).
@@ -152,6 +159,7 @@ impl TraceStore {
         while self.order.len() > self.capacity {
             if let Some(old) = self.order.pop_front() {
                 self.by_trace.remove(&old);
+                self.evicted += 1;
             }
         }
     }
@@ -345,6 +353,7 @@ impl TelemetryMerger {
         }
         let _ = writeln!(out, "kg_cluster_shard_skew_pct {}", self.skew_pct());
         let _ = writeln!(out, "kg_cluster_traces_stored {}", self.traces.len());
+        let _ = writeln!(out, "kg_cluster_traces_evicted_total {}", self.traces.evicted());
         out
     }
 
@@ -525,13 +534,13 @@ mod tests {
         assert_eq!(store.latest_stitched().unwrap().trace_id, 1);
         // Capacity 2: a third trace evicts the oldest.
         store.ingest([span(3, 40, 0, 0, "router.recv")]);
-        assert_eq!(store.len(), 2);
+        assert_eq!((store.len(), store.evicted()), (2, 1));
         assert!(store.get(1).is_none());
         assert!(store.latest_stitched().is_none());
         // A rootless fragment (no hop-0 span held) neither creates an
         // entry nor evicts one; a late fragment for a held trace lands.
         store.ingest([span(4, 50, 0, 1, "node.parse")]);
-        assert_eq!(store.len(), 2);
+        assert_eq!((store.len(), store.evicted()), (2, 1));
         assert!(store.get(4).is_none());
         store.ingest([span(3, 41, 40, 1, "node.parse")]);
         assert_eq!(store.latest_stitched().unwrap().trace_id, 3);

@@ -490,6 +490,67 @@ fn telemetry_merges_and_traces_stitch() {
     assert!(dump.contains("\"snapshots\""), "flight recorder captured pushes:\n{dump}");
 }
 
+/// Shard-plane bodies (acks, grants, rekeys, shutdown acks, stats and
+/// telemetry) are acted on only from the endpoint registered for the
+/// shard they name: a member endpoint naming a thousand shards that do
+/// not exist adds no per-shard state, and its forged rekey reaches nobody.
+#[test]
+fn shard_plane_traffic_from_an_unregistered_endpoint_adds_no_state() {
+    let g = GroupId(2);
+    let mut cluster =
+        SimCluster::new(ShardMap::new(2), template(3, false), AccessControl::AllowAll, lan(), None);
+    cluster.enable_telemetry(50);
+    for u in 1..=4 {
+        cluster.join(g, UserId(u));
+    }
+    cluster.settle();
+    cluster.tick(100);
+    cluster.settle();
+    cluster.take_events();
+    let shards = |c: &SimCluster| -> Vec<ShardId> {
+        c.router.merger().shard_health().into_iter().map(|(s, _, _)| s).collect()
+    };
+    assert_eq!(shards(&cluster), [ShardId(0), ShardId(1)]);
+    let rekeys =
+        |c: &SimCluster| -> Vec<u64> { (1..=4).map(|u| c.traffic(g, UserId(u)).rekeys).collect() };
+    let rekeys_before = rekeys(&cluster);
+    let counter = |c: &SimCluster, name: &str| -> u64 {
+        c.router.obs().counter_values().into_iter().find(|(n, _)| n == name).map_or(0, |(_, v)| v)
+    };
+    let multicasts_before = counter(&cluster, "kg_cluster_rekey_multicast_total");
+
+    let forger = cluster.client_endpoint(g, UserId(1));
+    let router = cluster.router.endpoint();
+    for shard in 100..1_100u16 {
+        let snapshot = kg_wire::TelemetrySnapshot {
+            seq: 1,
+            at_us: 0,
+            counters: vec![("kg_requests_total{kind=\"join\"}".into(), 1)],
+            gauges: Vec::new(),
+            hists: Vec::new(),
+            spans: Vec::new(),
+        };
+        let env = ClusterEnvelope::new(ShardId(shard), g, ClusterBody::Telemetry { snapshot });
+        cluster.net.send_unicast(forger, router, Bytes::from(env.encode()));
+    }
+    let forged =
+        ClusterEnvelope::new(ShardId(0), g, ClusterBody::RekeyGroup { payload: vec![7; 64] });
+    cluster.net.send_unicast(forger, router, Bytes::from(forged.encode()));
+    cluster.settle();
+
+    assert_eq!(shards(&cluster), [ShardId(0), ShardId(1)], "the merger holds registered shards");
+    assert_eq!(counter(&cluster, "kg_cluster_rekey_multicast_total"), multicasts_before);
+    assert_eq!(rekeys(&cluster), rekeys_before, "nothing was multicast");
+    assert_eq!(counter(&cluster, "kg_cluster_unregistered_total"), 1_001);
+    assert!(
+        cluster.router.obs().counter_values().iter().all(|(n, _)| !n.contains("shard=\"100\"")),
+        "no series for an unregistered shard"
+    );
+    let (_, events) = cluster.take_events();
+    assert_eq!(events.len(), 1_001);
+    assert!(events.iter().all(|e| *e == kg_cluster::RouterEvent::BadDatagram { from: forger }));
+}
+
 #[test]
 fn clean_shutdown_leaves_zero_wal_tail() {
     let g = GroupId(1);

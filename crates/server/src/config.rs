@@ -7,7 +7,6 @@
 //! simple `key = value` format with exactly those knobs.
 
 use crate::scheduler::BatchPolicy;
-use crate::stats::ServerStats;
 use kg_core::rekey::{KeyCipher, Strategy};
 use kg_crypto::rsa::HashAlg;
 use std::fmt;
@@ -144,10 +143,6 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Immediate (per-operation) or batched (periodic) rekeying.
     pub rekey: RekeyPolicy,
-    /// Per-op stat records retained: a window of the newest (default
-    /// [`ServerStats::DEFAULT_RECORD_CAP`]). Older records are evicted;
-    /// aggregates still cover everything since the last reset.
-    pub stats_record_cap: usize,
 }
 
 impl Default for ServerConfig {
@@ -163,7 +158,6 @@ impl Default for ServerConfig {
             rsa_bits: 512,
             seed: 0,
             rekey: RekeyPolicy::Immediate,
-            stats_record_cap: ServerStats::DEFAULT_RECORD_CAP,
         }
     }
 }
@@ -219,7 +213,6 @@ impl ServerConfig {
     /// rekey    = batched      # immediate | batched
     /// batch-interval-ms  = 1000
     /// batch-max-pending  = 64
-    /// stats-record-cap   = 4096   # retained per-op records (default: 1024)
     /// ```
     ///
     /// The two `batch-*` knobs only take effect with `rekey = batched`
@@ -269,10 +262,6 @@ impl ServerConfig {
                         // starve the batching the knob exists to buy.
                         return Err(ConfigError::bad("batch-interval-ms", value));
                     }
-                }
-                "stats-record-cap" => {
-                    cfg.stats_record_cap =
-                        value.parse().map_err(|_| ConfigError::bad("stats-record-cap", value))?;
                 }
                 "batch-max-pending" => {
                     batch.max_pending =
@@ -342,7 +331,6 @@ impl ServerConfig {
             let _ = writeln!(s, "batch-interval-ms = {interval_ms}");
             let _ = writeln!(s, "batch-max-pending = {max_pending}");
         }
-        let _ = writeln!(s, "stats-record-cap  = {}", self.stats_record_cap);
         s
     }
 
@@ -438,12 +426,6 @@ impl ServerConfigBuilder {
     /// Set the rekey policy directly (for policies carried in variables).
     pub fn rekey(mut self, rekey: RekeyPolicy) -> Self {
         self.cfg.rekey = rekey;
-        self
-    }
-
-    /// Per-op stat records retained.
-    pub fn stats_record_cap(mut self, cap: usize) -> Self {
-        self.cfg.stats_record_cap = cap;
         self
     }
 
@@ -604,12 +586,10 @@ mod tests {
             .rsa_bits(1024)
             .seed(99)
             .batched(250, 16)
-            .stats_record_cap(128)
             .build()
             .unwrap();
         assert_eq!(c.strategy, Strategy::Derived);
         assert_eq!(c.rekey, RekeyPolicy::Batched { interval_ms: 250, max_pending: 16 });
-        assert_eq!(c.stats_record_cap, 128);
 
         assert_eq!(ServerConfig::builder().build().unwrap(), ServerConfig::default());
         assert_eq!(
@@ -681,7 +661,6 @@ mod tests {
                 .rsa_bits(768)
                 .seed(123)
                 .batched(50, 9)
-                .stats_record_cap(7)
                 .build()
                 .unwrap(),
         ] {
@@ -698,10 +677,12 @@ mod tests {
             ServerConfig::from_spec("seed = entropy"),
             Err(ConfigError::BadValue { key: "seed", .. })
         ));
-        assert!(matches!(
-            ServerConfig::from_spec("stats-record-cap = lots"),
-            Err(ConfigError::BadValue { key: "stats-record-cap", .. })
-        ));
+        // The per-op record window is the constant
+        // `ServerStats::DEFAULT_RECORD_CAP`; its old spec key is refused.
+        assert_eq!(
+            ServerConfig::from_spec("stats-record-cap = 8"),
+            Err(ConfigError::UnknownKey("stats-record-cap".into()))
+        );
     }
 
     mod prop {
@@ -721,7 +702,6 @@ mod tests {
                 batched in any::<bool>(),
                 interval_ms in 1u64..100_000,
                 max_pending in 1usize..10_000,
-                cap in 0usize..100_000,
             ) {
                 let strategy = kg_core::rekey::Strategy::EVERY[strategy_ix];
                 let cipher = [KeyCipher::DesCbc, KeyCipher::TripleDesCbc][cipher_ix];
@@ -739,8 +719,7 @@ mod tests {
                     .digest(digest)
                     .auth(auth)
                     .rsa_bits(rsa_halfwords * 2)
-                    .seed(seed)
-                    .stats_record_cap(cap);
+                    .seed(seed);
                 b = if batched { b.batched(interval_ms, max_pending) } else { b.immediate() };
                 let cfg = b.build().unwrap();
                 let reparsed = ServerConfig::from_spec(&cfg.to_spec()).unwrap();

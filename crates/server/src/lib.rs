@@ -358,7 +358,7 @@ impl GroupKeyServer {
         });
         let tree = KeyTree::new(config.degree, config.key_len(), &mut keygen);
         let scheduler = config.rekey.batch_policy().map(|p| BatchScheduler::new(p, 0));
-        let stats = ServerStats::with_record_cap(config.stats_record_cap);
+        let stats = ServerStats::default();
         GroupKeyServer {
             config,
             acl,
@@ -425,8 +425,8 @@ impl GroupKeyServer {
     /// header when the store was created: `seed`, `degree`, `cipher`,
     /// `strategy` and `rekey` (immediate or batched). Any difference fails
     /// with [`RecoverError::ConfigMismatch`] before anything is replayed.
-    /// The batch interval and depth, `auth`, `digest`, `rsa-bits` and
-    /// `stats-record-cap` may change across a restart. Once a snapshot
+    /// The batch interval and depth, `auth`, `digest` and `rsa-bits` may
+    /// change across a restart. Once a snapshot
     /// exists its ACL takes precedence over `acl`. Recovery is
     /// deterministic: the snapshot carries both DRBG working states, so
     /// replayed ops regenerate byte-identical keys.
@@ -1667,9 +1667,9 @@ mod tests {
 
     #[test]
     fn snapshot_carries_exactly_the_retained_record_window() {
-        const WINDOW: usize = 8;
+        const WINDOW: usize = ServerStats::DEFAULT_RECORD_CAP;
         let dir = scratch_dir();
-        let config = ServerConfig::builder().stats_record_cap(WINDOW).build().unwrap();
+        let config = ServerConfig::default();
         let mut s = GroupKeyServer::with_persistence(
             config.clone(),
             AccessControl::AllowAll,

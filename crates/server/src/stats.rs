@@ -10,8 +10,8 @@
 //! [`aggregate`](ServerStats::aggregate) is O(1) in the number of
 //! records and covers every record pushed, while the records themselves
 //! are a bounded window of the newest
-//! ([`DEFAULT_RECORD_CAP`](ServerStats::DEFAULT_RECORD_CAP) unless
-//! [`ServerStats::with_record_cap`] says otherwise) — a server's memory
+//! ([`DEFAULT_RECORD_CAP`](ServerStats::DEFAULT_RECORD_CAP) for a
+//! server's sink) — a server's memory
 //! must not grow with the requests it has served. The floating-point sums
 //! are accumulated in insertion order, so the derived means equal a
 //! sequential walk over every record bit for bit.
@@ -174,8 +174,7 @@ impl Default for ServerStats {
 }
 
 impl ServerStats {
-    /// Records retained unless the configuration's `stats-record-cap`
-    /// overrides it.
+    /// Records a server retains.
     pub const DEFAULT_RECORD_CAP: usize = 1024;
 
     /// A sink that retains at most `cap` records (0 retains none).

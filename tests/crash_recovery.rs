@@ -570,7 +570,7 @@ fn a_changed_replay_setting_is_refused_by_the_log_header() {
 
 /// The settings outside the replay contract change nothing replay builds,
 /// so they may change across a restart: the batch interval and depth,
-/// `auth`, `digest`, `rsa-bits` and `stats-record-cap`.
+/// `auth`, `digest` and `rsa-bits`.
 #[test]
 fn settings_outside_the_replay_contract_may_change_across_a_restart() {
     let wrote = ServerConfig {
@@ -591,7 +591,6 @@ fn settings_outside_the_replay_contract_may_change_across_a_restart() {
         ServerConfig { auth: AuthPolicy::Digest, ..wrote.clone() },
         ServerConfig { digest: HashAlg::Sha256, ..wrote.clone() },
         ServerConfig { rsa_bits: 768, ..wrote.clone() },
-        ServerConfig { stats_record_cap: 3, ..wrote.clone() },
     ];
     for reads in changed {
         for held in HELD {

@@ -1,6 +1,7 @@
 //! End-to-end observability reconciliation: after a random sequence of
-//! enqueued joins, leaves, and interval flushes — interrupted by a
-//! crash — every independent account of "what happened" must agree:
+//! joins, leaves, and interval flushes — enqueued on a batching server or
+//! rekeyed on arrival on an immediate one, and interrupted by a crash —
+//! every independent account of "what happened" must agree:
 //! the test's own ledger, the metrics registry, the cumulative event
 //! timeline, the `ServerStats` record stream, and the write-ahead log
 //! on disk (read back by replaying it).
@@ -24,13 +25,13 @@ fn scratch_dir() -> PathBuf {
     std::env::temp_dir().join(format!("kg-obs-reconcile-{}-{n}", std::process::id()))
 }
 
-fn batched_config(seed: u64) -> ServerConfig {
-    ServerConfig {
-        auth: AuthPolicy::None,
-        seed,
-        rekey: RekeyPolicy::Batched { interval_ms: u64::MAX / 4, max_pending: usize::MAX },
-        ..ServerConfig::default()
-    }
+fn config(seed: u64, batched: bool) -> ServerConfig {
+    let rekey = if batched {
+        RekeyPolicy::Batched { interval_ms: u64::MAX / 4, max_pending: usize::MAX }
+    } else {
+        RekeyPolicy::Immediate
+    };
+    ServerConfig { auth: AuthPolicy::None, seed, rekey, ..ServerConfig::default() }
 }
 
 /// Snapshots off so the full history stays in one log and the replay
@@ -46,8 +47,8 @@ fn pcfg() -> PersistConfig {
 
 /// What the test itself observed — the account everything else must
 /// match.
-#[derive(Default)]
 struct Ledger {
+    batched: bool,
     joins_ok: u64,
     leaves_ok: u64,
     flush_calls: u64,
@@ -55,12 +56,19 @@ struct Ledger {
 }
 
 impl Ledger {
+    fn new(batched: bool) -> Self {
+        Ledger { batched, joins_ok: 0, leaves_ok: 0, flush_calls: 0, nonempty_flushes: 0 }
+    }
+
+    /// Every accepted request is logged, and on a batching server every
+    /// flush too (it resets the interval clock); an immediate server's
+    /// flush is a no-op that logs nothing.
     fn wal_appends(&self) -> u64 {
-        self.joins_ok + self.leaves_ok + self.flush_calls
+        self.joins_ok + self.leaves_ok + if self.batched { self.flush_calls } else { 0 }
     }
 }
 
-/// One scripted op: 0 = enqueue join, 1 = enqueue leave, 2 = flush.
+/// One scripted op: 0 = join, 1 = leave, 2 = flush.
 fn apply(server: &mut GroupKeyServer, ledger: &mut Ledger, now_ms: &mut u64, op: (u8, u64)) {
     match op.0 {
         0 => {
@@ -86,6 +94,19 @@ fn apply(server: &mut GroupKeyServer, ledger: &mut Ledger, now_ms: &mut u64, op:
 fn check_life(obs: &Obs, ledger: &Ledger, stats_records: u64, label: &str) {
     let kinds = obs.event_kind_counts();
     let count = |k: &str| kinds.get(k).copied().unwrap_or(0);
+    let requests = |kind: &str| obs.counter_with("kg_requests_total", "kind", kind).get();
+    assert_eq!(count("wal_append"), ledger.wal_appends(), "{label}: WalAppend events");
+    if !ledger.batched {
+        // Each accepted request is one operation: one event, one request
+        // count and one stats record, and nothing is ever flushed.
+        assert_eq!(count("join"), ledger.joins_ok, "{label}: join events");
+        assert_eq!(count("leave"), ledger.leaves_ok, "{label}: leave events");
+        assert_eq!(count("flush"), 0, "{label}: Flush events");
+        assert_eq!(requests("join"), ledger.joins_ok, "{label}: join request counter");
+        assert_eq!(requests("leave"), ledger.leaves_ok, "{label}: leave request counter");
+        assert_eq!(stats_records, ledger.joins_ok + ledger.leaves_ok, "{label}: ServerStats");
+        return;
+    }
     assert_eq!(count("enqueue_join"), ledger.joins_ok, "{label}: enqueue_join events");
     // A leave that cancels a still-queued join surfaces as a collapse
     // instead of an enqueue; together they account for every accepted
@@ -95,30 +116,27 @@ fn check_life(obs: &Obs, ledger: &Ledger, stats_records: u64, label: &str) {
         ledger.leaves_ok,
         "{label}: leave-side events"
     );
-    assert_eq!(count("wal_append"), ledger.wal_appends(), "{label}: WalAppend events");
     assert_eq!(count("flush"), ledger.nonempty_flushes, "{label}: Flush events");
-    assert_eq!(
-        obs.counter_with("kg_requests_total", "kind", "batch").get(),
-        ledger.nonempty_flushes,
-        "{label}: batch request counter"
-    );
+    assert_eq!(requests("batch"), ledger.nonempty_flushes, "{label}: batch request counter");
     assert_eq!(stats_records, ledger.nonempty_flushes, "{label}: ServerStats records");
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random join/leave/flush script, a crash at a random point, a
-    /// second observed life, and a final replay-only recovery. All five
-    /// accounts must reconcile at every stage.
+    /// Random join/leave/flush script on a batching or an immediate
+    /// server, a crash at a random point, a second observed life, and a
+    /// final replay-only recovery. All five accounts must reconcile at
+    /// every stage.
     #[test]
     fn every_account_agrees(
         seed in 0u64..1_000,
+        batched in any::<bool>(),
         script in proptest::collection::vec((0u8..3, 0u64..16), 8..48),
         crash_at in 4usize..8,
     ) {
         let dir = scratch_dir();
-        let config = batched_config(seed);
+        let config = config(seed, batched);
         let crash_at = crash_at.min(script.len());
         let mut now_ms = 0u64;
 
@@ -128,7 +146,7 @@ proptest! {
             config.clone(), AccessControl::AllowAll, &dir, pcfg(),
         ).expect("create persistent server");
         server.attach_obs(obs1.clone());
-        let mut ledger1 = Ledger::default();
+        let mut ledger1 = Ledger::new(batched);
         for &op in &script[..crash_at] {
             apply(&mut server, &mut ledger1, &mut now_ms, op);
         }
@@ -156,14 +174,16 @@ proptest! {
             server.stats().records_pushed(), stats1,
             "replay reconstructs the same stats stream"
         );
-        prop_assert_eq!(
-            obs2.counter_with("kg_requests_total", "kind", "batch").get(), 0,
-            "replayed flushes must not count as new requests"
-        );
+        for kind in ["join", "leave", "batch"] {
+            prop_assert_eq!(
+                obs2.counter_with("kg_requests_total", "kind", kind).get(), 0,
+                "replayed operations must not count as new requests"
+            );
+        }
 
         // Run the rest of the script observed, ending with a flush so
         // nothing is left queued.
-        let mut ledger2 = Ledger::default();
+        let mut ledger2 = Ledger::new(batched);
         for &op in &script[crash_at..] {
             apply(&mut server, &mut ledger2, &mut now_ms, op);
         }
