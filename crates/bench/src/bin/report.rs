@@ -186,9 +186,8 @@ fn table2() {
     // The star's Figures 4 and 2: one member leaves the n-member star, and
     // a newcomer joins the n−1 left behind.
     let mut src = HmacDrbg::from_seed(2);
-    let mut ivs = HmacDrbg::from_seed(3);
     let mut star = grown_tree(STAR, n, &mut src);
-    let mut rekeyer = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+    let rekeyer = Rekeyer::new(KeyCipher::des_cbc(), 1);
     let ev = star.leave(UserId(0), &mut src).unwrap();
     let star_leave = rekeyer.batch(&ev, Strategy::GroupOriented).ops.key_encryptions;
     let ik = src.generate_key(8);

@@ -431,7 +431,10 @@ mod tests {
         let (mut server, mut clients) = build(Strategy::GroupOriented, AuthPolicy::Digest, 4);
         let op = server.handle_join(UserId(99)).unwrap();
         let mut bytes = op.encoded[0].clone();
-        bytes[9] ^= 0x80; // flip a body bit; digest no longer matches
+        // Flip a bit of the body's last ciphertext byte; the digest no
+        // longer matches.
+        let body_len = kg_wire::RekeyView::parse(&bytes).unwrap().body.len();
+        bytes[body_len - 1] ^= 0x80;
         assert_eq!(clients[0].apply(&bytes).unwrap_err(), ClientError::AuthFailed);
     }
 
@@ -771,7 +774,6 @@ mod tests {
         let bad = kg_core::rekey::KeyBundle {
             targets: vec![KeyRef::new(KeyLabel(2), KeyVersion(1))],
             encrypted_with: KeyRef::new(KeyLabel(5), KeyVersion(0)),
-            iv: vec![0; 8],
             ciphertext: vec![0xEE; 9],
         };
         let before = c.keyset();
@@ -791,13 +793,13 @@ mod tests {
         // v1 — the fixed point must see the staged derived key.
         let root1 = kg_core::derive::derive_key(&ik, &code, KeyLabel(0), KeyVersion(1), 8);
         let payload = SymmetricKey::from_bytes(&[0x77; 8]);
-        let iv = vec![3u8; 8];
-        let ct = cipher.encrypt(&root1, &iv, payload.material());
+        let target = KeyRef::new(KeyLabel(3), KeyVersion(1));
+        // Sealed for interval 1, the packet's.
+        let nonce = kg_core::rekey::bundle_nonce(1, [target]);
         let msg = kg_core::rekey::KeyBundle {
-            targets: vec![KeyRef::new(KeyLabel(3), KeyVersion(1))],
+            targets: vec![target],
             encrypted_with: KeyRef::new(KeyLabel(0), KeyVersion(1)),
-            iv,
-            ciphertext: ct,
+            ciphertext: cipher.seal(&root1, &nonce, payload.material()),
         };
         let links = vec![kg_core::derive::DerivedLink {
             new_ref: KeyRef::new(KeyLabel(0), KeyVersion(1)),

@@ -5,6 +5,7 @@
 
 use crate::{Client, ClientError, ProcessSummary};
 use kg_core::ids::{KeyLabel, KeyRef, KeyVersion};
+use kg_core::rekey::bundle_nonce;
 use kg_crypto::SymmetricKey;
 use kg_wire::RekeyPacket;
 use std::collections::BTreeMap;
@@ -57,9 +58,10 @@ fn apply(c: &mut Client, bytes: &[u8]) -> Result<ProcessSummary, ClientError> {
             if *version != bundle.encrypted_with.version {
                 continue;
             }
+            let nonce = bundle_nonce(packet.interval, bundle.targets.iter().copied());
             let plain = c
                 .cipher
-                .decrypt(key, &bundle.iv, &bundle.ciphertext)
+                .open(key, &nonce, &bundle.ciphertext)
                 .map_err(|_| ClientError::DecryptFailed(bundle.encrypted_with))?;
             if plain.len() != bundle.targets.len() * key_len {
                 return Err(ClientError::DecryptFailed(bundle.encrypted_with));
@@ -131,16 +133,20 @@ mod tests {
         }
     }
 
-    /// A corrupted copy of a valid packet: one bit of a bundle's IV or
-    /// ciphertext flipped, or the datagram truncated.
+    /// A corrupted copy of a valid packet: the datagram truncated, one bit
+    /// of a bundle's ciphertext flipped, or the interval every IV is
+    /// derived from moved by one (a member then derives other IVs).
     fn corrupt(rng: &mut StdRng, bytes: &[u8]) -> Vec<u8> {
         let (mut pkt, _) = RekeyPacket::decode(bytes).expect("server packets decode");
         if rng.gen_bool(0.3) || pkt.bundles.is_empty() {
             return bytes[..rng.gen_range(0..bytes.len())].to_vec();
         }
+        if rng.gen_bool(0.3) {
+            pkt.interval ^= 1;
+            return pkt.encode();
+        }
         let i = rng.gen_range(0..pkt.bundles.len());
-        let b = &mut pkt.bundles[i];
-        let field = if rng.gen_bool(0.5) { &mut b.iv } else { &mut b.ciphertext };
+        let field = &mut pkt.bundles[i].ciphertext;
         let bit = rng.gen_range(0..field.len() * 8);
         field[bit / 8] ^= 1 << (bit % 8);
         pkt.encode()
@@ -319,8 +325,8 @@ mod tests {
         /// `Result`, summary, keyset, interval and counters — on every
         /// packet of random schedules under every strategy, immediate
         /// and batched, unauthenticated, digested and Merkle-signed, with
-        /// IV and ciphertext bit flips, truncations, duplicates and stale
-        /// replays mixed in.
+        /// ciphertext bit flips, moved intervals (so wrongly derived IVs),
+        /// truncations, duplicates and stale replays mixed in.
         #[test]
         fn in_place_apply_matches_the_owned_reference(seed in 0u64..) {
             let mut seen = BTreeMap::new();

@@ -17,7 +17,7 @@
 
 use kg_client::{Client, ClientError, ProcessSummary, VerifyPolicy};
 use kg_core::ids::UserId;
-use kg_core::rekey::{Recipients, Strategy};
+use kg_core::rekey::{bundle_nonce, Recipients, Strategy};
 use kg_crypto::SymmetricKey;
 use kg_server::{AccessControl, AuthPolicy, GroupKeyServer, ServerConfig};
 use kg_wire::RekeyView;
@@ -195,6 +195,34 @@ fn leave_apply_allocates_no_more_than_join_apply() {
         "a leave apply allocates {leave_mean:.1} blocks against a join's {join_mean:.1}: \
          skipped bundles are being materialised"
     );
+}
+
+/// A member derives the nonce of each bundle it opens from the packet it
+/// parsed; that step allocates nothing, whether it runs for the bundle or
+/// two a member opens or for every bundle of a packet.
+#[test]
+fn deriving_bundle_nonces_allocates_nothing() {
+    let config = ServerConfig::builder()
+        .strategy(Strategy::GroupOriented)
+        .seed(3)
+        .build()
+        .expect("valid config");
+    let mut server = GroupKeyServer::new(config, AccessControl::AllowAll);
+    for u in 0..64 {
+        server.handle_join(UserId(u)).expect("join");
+    }
+    let op = server.handle_leave(UserId(17)).expect("leave");
+    let view = RekeyView::parse(group_packet(&op.encoded)).expect("valid packet");
+    assert!(view.bundles().len() > 4);
+    ALLOCS.with(|a| a.set(0));
+    TRACKING.with(|t| t.set(true));
+    let mut last = [0u8; 8];
+    for b in view.bundles() {
+        last = bundle_nonce(view.interval, b.targets.iter());
+    }
+    TRACKING.with(|t| t.set(false));
+    assert_eq!(ALLOCS.with(Cell::get), 0, "nonce derivation allocated");
+    assert_ne!(last, [0; 8]);
 }
 
 /// `packet` with one bit flipped in the last ciphertext block of every

@@ -145,10 +145,9 @@ impl BatchEvent {
     /// sequences, on every platform and run.
     ///
     /// The rekey builders consume the cover in exactly this order, so
-    /// the order fixes the IV stream: each edge's first sealing draws
-    /// the next IV. Crash-recovery replay and the pinned bundle-digest
-    /// test both depend on this being a total order, not an
-    /// implementation accident.
+    /// the order fixes the order of seals within a packet. Crash-recovery
+    /// replay and the pinned bundle-digest test both depend on this being
+    /// a total order, not an implementation accident.
     pub fn key_cover(&self) -> impl Iterator<Item = (&MarkedNode, &BatchChild)> {
         self.marked.iter().flat_map(|m| m.children.iter().map(move |c| (m, c)))
     }
@@ -910,8 +909,7 @@ mod tests {
                 proptest::prop_assert!(!held.contains(&c.key_ref));
             }
             for strategy in crate::rekey::Strategy::ALL {
-                let mut ivs = HmacDrbg::from_seed(1);
-                let out = crate::rekey::Rekeyer::new(crate::rekey::KeyCipher::des_cbc(), &mut ivs)
+                let out = crate::rekey::Rekeyer::new(crate::rekey::KeyCipher::des_cbc(), 1)
                     .batch(&ev, strategy);
                 for b in out.messages.iter().flat_map(|m| &m.bundles) {
                     proptest::prop_assert!(!held.contains(&b.encrypted_with));

@@ -38,7 +38,6 @@
 //! use kg_crypto::KeySource;
 //!
 //! let mut keys = HmacDrbg::from_seed(1);
-//! let mut ivs = HmacDrbg::from_seed(2);
 //! let mut tree = KeyTree::new(4, 8, &mut keys);
 //!
 //! // Admit nine users. Each join replaces the keys from the joining point
@@ -47,7 +46,8 @@
 //! for i in 0..9 {
 //!     let individual = keys.generate_key(8);
 //!     let event = tree.join(UserId(i), individual, &mut keys).unwrap();
-//!     let mut rekeyer = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+//!     // Each operation is numbered; its bundles' IVs derive from it.
+//!     let rekeyer = Rekeyer::new(KeyCipher::des_cbc(), i + 1);
 //!     let out = rekeyer.join(&event, Strategy::GroupOriented);
 //!     // One multicast (none when nobody held the old keys), one unicast.
 //!     assert_eq!(out.messages.len(), if i == 0 { 1 } else { 2 });
@@ -56,14 +56,13 @@
 //! // One leave: the whole path to the root is replaced, and §3.4 tells
 //! // each new key under the keys of the node's children.
 //! let event = tree.leave(UserId(3), &mut keys).unwrap();
-//! let mut rekeyer = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
-//! let out = rekeyer.batch(&event, Strategy::GroupOriented);
+//! let out = Rekeyer::new(KeyCipher::des_cbc(), 10).batch(&event, Strategy::GroupOriented);
 //! assert_eq!(out.messages.len(), 1); // single multicast
 //!
 //! // A whole interval is the same event and the same construction.
 //! let joiner = (UserId(9), keys.generate_key(8));
 //! let event = tree.apply_batch(&[joiner], &[UserId(0), UserId(5)], &mut keys).unwrap();
-//! let out = rekeyer.batch(&event, Strategy::GroupOriented);
+//! let out = Rekeyer::new(KeyCipher::des_cbc(), 11).batch(&event, Strategy::GroupOriented);
 //! assert_eq!(out.messages.len(), 2); // one multicast, the joiner's unicast
 //! ```
 

@@ -104,13 +104,14 @@ impl KeySource for Recording {
 /// Build and drop `ev`'s output under every strategy (and through the
 /// join construction where `join` says the event is one it accepts),
 /// returning the blocks freed with a key still in them.
-fn leaks(ev: &BatchEvent, join: bool, ivs: &mut HmacDrbg) -> u64 {
+fn leaks(ev: &BatchEvent, join: bool, interval: &mut u64) -> u64 {
+    *interval += 1;
     let mut total = 0;
     for strategy in Strategy::EVERY {
         for as_join in [false, true].into_iter().filter(|&j| !j || join) {
             LEAKS.with(|l| l.set(0));
             TRACKING.with(|t| t.set(true));
-            let mut rk = Rekeyer::new(KeyCipher::des_cbc(), ivs);
+            let rk = Rekeyer::new(KeyCipher::des_cbc(), *interval);
             let out = if as_join { rk.join(ev, strategy) } else { rk.batch(ev, strategy) };
             drop(out);
             TRACKING.with(|t| t.set(false));
@@ -123,23 +124,23 @@ fn leaks(ev: &BatchEvent, join: bool, ivs: &mut HmacDrbg) -> u64 {
 #[test]
 fn rekey_construction_frees_no_key_material() {
     let mut src = Recording(HmacDrbg::from_seed(0x5EA1));
-    let mut ivs = HmacDrbg::from_seed(0x1705);
+    let mut interval = 0;
     let mut tree = KeyTree::new(4, 8, &mut src);
     let mut leaked = 0;
     for u in 0..48 {
         let ik = src.generate_key(8);
         let ev = tree.join(UserId(u), ik, &mut src).expect("join");
-        leaked += leaks(&ev, true, &mut ivs);
+        leaked += leaks(&ev, true, &mut interval);
     }
     for i in 0..6u64 {
         let ev = tree.leave(UserId(i * 7), &mut src).expect("leave");
-        leaked += leaks(&ev, false, &mut ivs);
+        leaked += leaks(&ev, false, &mut interval);
         let ev = tree.refresh_group_key(&mut src);
-        leaked += leaks(&ev, true, &mut ivs);
+        leaked += leaks(&ev, true, &mut interval);
         let joins: Vec<_> =
             (0..3).map(|j| (UserId(100 + 3 * i + j), src.generate_key(8))).collect();
         let ev = tree.apply_batch(&joins, &[UserId(i * 7 + 1), UserId(i * 7 + 3)], &mut src);
-        leaked += leaks(&ev.expect("mixed interval"), false, &mut ivs);
+        leaked += leaks(&ev.expect("mixed interval"), false, &mut interval);
     }
     assert_eq!(leaked, 0, "blocks freed while still holding a key the tree was given");
 }

@@ -229,8 +229,9 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
         /// Random draw sequences, each holding the sizes the server draws —
-        /// a key (8), a derivation code (16), `IvStream` chunks of 8, 32
-        /// and 128 DES IVs (64, 256, 1,024) — at random positions, with
+        /// a key (8), a derivation code (16), chunks of 8, 32 and 128 DES
+        /// IVs as rekey IVs were once drawn (64, 256, 1,024) — at random
+        /// positions, with
         /// `from_state` round trips at random points: the same bytes and
         /// the same `state()` as the reference after every draw.
         #[test]

@@ -40,8 +40,27 @@ impl Md5 {
     pub fn oneshot(data: &[u8]) -> [u8; 16] {
         let mut h = Md5::new();
         h.update(data);
-        let v = Digest::finalize(h);
-        v.try_into().expect("md5 outputs 16 bytes")
+        h.finish()
+    }
+
+    /// [`Digest::finalize`] into a fixed array, allocating nothing.
+    pub fn finish(mut self) -> [u8; 16] {
+        // 0x80, zeros, and the 64-bit length (little-endian), written into
+        // the last block (or two, when fewer than nine bytes of it are free).
+        let mut block = self.buffer;
+        block[self.buffered] = 0x80;
+        block[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
+        }
+        block[56..].copy_from_slice(&self.total_len.wrapping_mul(8).to_le_bytes());
+        self.compress(&block);
+        let mut out = [0u8; 16];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        out
     }
 
     fn compress(&mut self, block: &[u8]) {
@@ -114,23 +133,8 @@ impl Digest for Md5 {
         self.buffered = data.len();
     }
 
-    fn finalize(mut self) -> Vec<u8> {
-        // 0x80, zeros, and the 64-bit length (little-endian), written into
-        // the last block (or two, when fewer than nine bytes of it are free).
-        let mut block = self.buffer;
-        block[self.buffered] = 0x80;
-        block[self.buffered + 1..].fill(0);
-        if self.buffered >= 56 {
-            self.compress(&block);
-            block = [0u8; 64];
-        }
-        block[56..].copy_from_slice(&self.total_len.wrapping_mul(8).to_le_bytes());
-        self.compress(&block);
-        let mut out = Vec::with_capacity(16);
-        for word in self.state {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
-        out
+    fn finalize(self) -> Vec<u8> {
+        self.finish().to_vec()
     }
 }
 

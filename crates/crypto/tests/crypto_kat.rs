@@ -244,7 +244,8 @@ const DRBG_SEED_1_FIRST_64: &str = "63874537429702556009a5cb14f3154321aa42bea097
                                     4fa54bf4f1508acf4bb840709b96c97619108b305d21deae04127f1d3a47dc4b";
 
 /// Draw sizes cycled through by the mixed-draw golden: a key, a
-/// derivation code, `IvStream` chunks of 8, 32 and 128 DES IVs, and
+/// derivation code, chunks of 8, 32 and 128 DES IVs (as rekey IVs were
+/// once drawn), and
 /// lengths either side of one HMAC block.
 const DRBG_MIXED_LENS: [usize; 11] = [8, 16, 64, 256, 1024, 0, 1, 31, 32, 33, 100];
 

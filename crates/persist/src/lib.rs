@@ -14,7 +14,7 @@
 //!   replay can prove convergence. The header pins, once, the writer's
 //!   *replay contract*: opaque bytes naming the settings that decide what
 //!   a record does when replayed.
-//! * [`snapshot`] — atomic full checkpoints (key tree, DRBG states, ACL,
+//! * [`snapshot`] — atomic full checkpoints (key tree, key DRBG state, ACL,
 //!   stats, batch queue), written temp-file-then-rename.
 //! * [`store`] — the epoch-paired directory layout tying the two
 //!   together: taking a snapshot rotates to a fresh WAL (also written
@@ -47,10 +47,10 @@ pub enum PersistError {
     /// On-disk data failed validation; the payload names the first
     /// structure that did.
     Corrupt(&'static str),
-    /// The log was written in a format version this crate does not read.
-    /// Nothing in the store was changed.
+    /// The log or the snapshot was written in a format version this crate
+    /// does not read. Nothing in the store was changed.
     UnsupportedVersion {
-        /// The version found in the log header.
+        /// The version found in the log header or the snapshot header.
         found: u32,
     },
 }
@@ -62,8 +62,10 @@ impl fmt::Display for PersistError {
             PersistError::Corrupt(what) => write!(f, "persisted state corrupt: {what}"),
             PersistError::UnsupportedVersion { found } => write!(
                 f,
-                "wal format version {found} is not supported (this build reads version {})",
-                wal::WAL_VERSION
+                "store format version {found} is not supported (this build reads wal \
+                 version {} and snapshot version {})",
+                wal::WAL_VERSION,
+                snapshot::SNAPSHOT_VERSION
             ),
         }
     }

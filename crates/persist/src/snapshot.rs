@@ -5,7 +5,7 @@
 //! ```
 //!
 //! The body captures everything the server needs to resume: the next
-//! sequence number, both DRBG working states, the encoded key tree (see
+//! sequence number, the key DRBG's working state, the encoded key tree (see
 //! `kg_core::serial`), the ACL, accumulated statistics, and the batch
 //! scheduler queue. `kg-persist` stays server-agnostic by mirroring the
 //! server's state in plain data types here; the server converts in both
@@ -15,6 +15,11 @@
 //! the snapshot holds once: no seed, a tree without its degree or key
 //! length (the server decodes it under the header's), and a queue section
 //! that every server writes, empty when it rekeys per request.
+//!
+//! Version 3 dropped version 2's second DRBG state, the IV stream's: a
+//! rekey bundle's IV is derived from its interval and targets, so nothing
+//! is drawn for it. A snapshot of any other version fails with
+//! [`PersistError::UnsupportedVersion`].
 //!
 //! Snapshots are written atomically (temp file + rename), so a reader
 //! never observes a half-written snapshot — a crash during the write
@@ -31,7 +36,7 @@ use bytes::BufMut;
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"KGSS";
 
 /// Snapshot format version written by this crate.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Bound on any embedded blob (the encoded tree dominates; 1 GiB is far
 /// beyond the millions-of-users scale and merely stops a corrupt length
@@ -88,8 +93,6 @@ pub struct Snapshot {
     pub seq: u64,
     /// Key-generation DRBG working state `(K, V)`.
     pub keygen: ([u8; 32], [u8; 32]),
-    /// IV-generation DRBG working state `(K, V)`.
-    pub ivs: ([u8; 32], [u8; 32]),
     /// The key tree, encoded by `kg_core::serial::encode_tree`.
     pub tree: Vec<u8>,
     /// Admission policy.
@@ -149,8 +152,6 @@ impl Snapshot {
         out.put_u64(self.seq);
         out.extend_from_slice(&self.keygen.0);
         out.extend_from_slice(&self.keygen.1);
-        out.extend_from_slice(&self.ivs.0);
-        out.extend_from_slice(&self.ivs.1);
         put_blob(&mut out, &self.tree);
         match &self.acl {
             AclSnapshot::AllowAll => out.put_u8(0),
@@ -212,12 +213,11 @@ impl Snapshot {
         }
         let version = get_u32(&mut buf).map_err(|_| PersistError::Corrupt("snapshot header"))?;
         if version != SNAPSHOT_VERSION {
-            return Err(PersistError::Corrupt("snapshot version"));
+            return Err(PersistError::UnsupportedVersion { found: version });
         }
         let epoch = get_u64(&mut buf).map_err(|_| PersistError::Corrupt("snapshot header"))?;
         let seq = get_u64(&mut buf).map_err(|_| PersistError::Corrupt("snapshot header"))?;
         let keygen = (get_array32(&mut buf)?, get_array32(&mut buf)?);
-        let ivs = (get_array32(&mut buf)?, get_array32(&mut buf)?);
         let tree = get_blob(&mut buf)?;
         let acl = match get_u8(&mut buf).map_err(|_| PersistError::Corrupt("snapshot acl"))? {
             0 => AclSnapshot::AllowAll,
@@ -269,7 +269,7 @@ impl Snapshot {
         if !buf.is_empty() {
             return Err(PersistError::Corrupt("snapshot trailing bytes"));
         }
-        let snap = Snapshot { seq, keygen, ivs, tree, acl, stats, scheduler, root_digest };
+        let snap = Snapshot { seq, keygen, tree, acl, stats, scheduler, root_digest };
         Ok((snap, epoch))
     }
 }
@@ -282,7 +282,6 @@ mod tests {
         Snapshot {
             seq: 99,
             keygen: ([1u8; 32], [2u8; 32]),
-            ivs: ([3u8; 32], [4u8; 32]),
             tree: vec![0xAB; 300],
             acl: AclSnapshot::AllowList(vec![UserId(1), UserId(5), UserId(9)]),
             stats: vec![StatRecord {
@@ -317,7 +316,6 @@ mod tests {
         let snap = Snapshot {
             seq: 0,
             keygen: ([0u8; 32], [0u8; 32]),
-            ivs: ([0u8; 32], [0u8; 32]),
             tree: Vec::new(),
             acl: AclSnapshot::AllowAll,
             stats: Vec::new(),
@@ -328,6 +326,22 @@ mod tests {
         let (decoded, epoch) = Snapshot::decode(&bytes).unwrap();
         assert_eq!(epoch, 0);
         assert_eq!(decoded, snap);
+    }
+
+    /// Another version, its CRC intact, is a typed error naming it.
+    #[test]
+    fn other_versions_fail_closed_with_a_typed_error() {
+        for version in [1u32, 2, 4] {
+            let mut bytes = sample().encode(1);
+            bytes[4..8].copy_from_slice(&version.to_be_bytes());
+            let body = bytes.len() - 4;
+            let crc = crc32(&bytes[..body]);
+            bytes[body..].copy_from_slice(&crc.to_be_bytes());
+            assert!(matches!(
+                Snapshot::decode(&bytes),
+                Err(PersistError::UnsupportedVersion { found }) if found == version
+            ));
+        }
     }
 
     #[test]

@@ -372,7 +372,6 @@ mod tests {
         Snapshot {
             seq,
             keygen: ([1u8; 32], [2u8; 32]),
-            ivs: ([3u8; 32], [4u8; 32]),
             tree: vec![7u8; 64],
             acl: AclSnapshot::AllowAll,
             stats: Vec::new(),

@@ -250,7 +250,6 @@ pub struct GroupKeyServer {
     acl: AccessControl,
     tree: KeyTree,
     keygen: HmacDrbg,
-    ivs: HmacDrbg,
     rsa: Option<RsaKeyPair>,
     seq: u64,
     stats: ServerStats,
@@ -351,7 +350,6 @@ impl GroupKeyServer {
     /// path).
     pub fn new(config: ServerConfig, acl: AccessControl) -> Self {
         let mut keygen = HmacDrbg::from_seed(config.seed ^ 0x6b67_5f6b_6579_7321);
-        let ivs = HmacDrbg::from_seed(config.seed ^ 0x6976_5f73_6565_6421);
         let rsa = config.auth.needs_signature_key().then(|| {
             let mut rng = StdRng::seed_from_u64(config.seed ^ 0x7273_615f_6b65_7921);
             RsaKeyPair::generate(config.rsa_bits, &mut rng).expect("RSA key generation")
@@ -364,7 +362,6 @@ impl GroupKeyServer {
             acl,
             tree,
             keygen,
-            ivs,
             rsa,
             seq: 0,
             stats,
@@ -428,7 +425,7 @@ impl GroupKeyServer {
     /// The batch interval and depth, `auth`, `digest` and `rsa-bits` may
     /// change across a restart. Once a snapshot
     /// exists its ACL takes precedence over `acl`. Recovery is
-    /// deterministic: the snapshot carries both DRBG working states, so
+    /// deterministic: the snapshot carries the key DRBG's working state, so
     /// replayed ops regenerate byte-identical keys.
     pub fn recover(
         config: ServerConfig,
@@ -537,12 +534,11 @@ impl GroupKeyServer {
         });
         // Everything a snapshot does not carry is what a fresh server has:
         // the RSA keypair in particular is derived from the seed
-        // independently of the DRBG streams, so it is regenerated rather
+        // independently of the key DRBG, so it is regenerated rather
         // than persisted.
         let mut server = Self::new(config, acl);
         server.tree = tree;
         server.keygen = HmacDrbg::from_state(snap.keygen.0, snap.keygen.1);
-        server.ivs = HmacDrbg::from_state(snap.ivs.0, snap.ivs.1);
         server.seq = snap.seq;
         server.scheduler = scheduler;
         for r in records {
@@ -568,7 +564,6 @@ impl GroupKeyServer {
         Snapshot {
             seq: self.seq,
             keygen: self.keygen.state(),
-            ivs: self.ivs.state(),
             tree: serial::encode_tree(&self.tree),
             acl: match &self.acl {
                 AccessControl::AllowAll => AclSnapshot::AllowAll,
@@ -731,12 +726,17 @@ impl GroupKeyServer {
         if self.tree.is_member(user) && !leaving {
             return Err(RequestError::Tree(TreeError::AlreadyMember(user)));
         }
+        // Per request, the operation's span opens before the individual key
+        // is drawn, so a traced join accounts for the draw; the key is drawn
+        // first either way.
+        let op_span = self.scheduler.is_none().then(|| self.op_span(OpKind::Join));
         let individual_key = self.keygen.generate_key(self.config.key_len());
         if let Some(sched) = self.scheduler.as_mut() {
             sched.enqueue_join(user, individual_key);
             return self.queued(WalOp::Join(user));
         }
         let op = self.rekey(OpKind::Join, &[(user, individual_key)], &[])?;
+        drop(op_span);
         self.obs.event(ObsEvent::Join { user: user.0 });
         self.log_op(WalOp::Join(user))?;
         Ok(op)
@@ -757,7 +757,9 @@ impl GroupKeyServer {
         // Forward secrecy forbids deriving post-leave keys from pre-leave
         // ones, so derived mode ships a leave's fresh keys exactly like its
         // shipped fallback (no code, no worklist).
+        let op_span = self.op_span(OpKind::Leave);
         let op = self.rekey(OpKind::Leave, &[], &[user])?;
+        drop(op_span);
         self.obs.event(ObsEvent::Leave { user: user.0 });
         self.log_op(WalOp::Leave(user))?;
         Ok(op)
@@ -793,8 +795,10 @@ impl GroupKeyServer {
     pub fn refresh_group_key(&mut self) -> Result<ProcessedOp, RequestError> {
         // The rotation happens (and consumes its keygen output, keeping
         // replay deterministic) even when there is nobody to tell; an
-        // empty group gets no packet and consumes no IVs.
+        // empty group gets no packet.
+        let op_span = self.op_span(OpKind::Refresh);
         let op = self.rekey(OpKind::Refresh, &[], &[])?;
+        drop(op_span);
         self.obs.event(ObsEvent::Refresh);
         self.log_op(WalOp::Refresh)?;
         Ok(op)
@@ -830,7 +834,10 @@ impl GroupKeyServer {
         let Some(sched) = self.scheduler.as_mut() else { return Ok(None) };
         let op = match sched.take(now_ms) {
             None => None,
-            Some(pending) => Some(self.rekey(OpKind::Batch, &pending.joins, &pending.leaves)?),
+            Some(pending) => {
+                let _op_span = self.op_span(OpKind::Batch);
+                Some(self.rekey(OpKind::Batch, &pending.joins, &pending.leaves)?)
+            }
         };
         self.log_op(WalOp::Flush { now_ms })?;
         Ok(op)
@@ -874,13 +881,14 @@ impl GroupKeyServer {
     /// A join or refresh is told the paper's join way (§3.3: the new key
     /// under the key it replaces); a leave or batch interval the leave way
     /// (§3.4: the new key under each child's key).
+    ///
+    /// The caller holds the operation's [`op_span`](Self::op_span).
     fn rekey(
         &mut self,
         kind: OpKind,
         joins: &[(UserId, SymmetricKey)],
         leaves: &[UserId],
     ) -> Result<ProcessedOp, RequestError> {
-        let _op_span = self.obs.span(OP_SPANS[kind.tag() as usize]);
         let started = Instant::now();
         let strategy = if leaves.is_empty() {
             self.config.strategy
@@ -896,7 +904,9 @@ impl GroupKeyServer {
         };
         let out = {
             let _s = self.obs.span("encrypt");
-            let mut rekeyer = Rekeyer::new(self.config.cipher, &mut self.ivs);
+            // `finish` numbers the operation `seq + 1`; its bundles' IVs
+            // derive from that interval.
+            let rekeyer = Rekeyer::new(self.config.cipher, self.seq + 1);
             match kind {
                 OpKind::Join | OpKind::Refresh => rekeyer.join(&event, strategy),
                 OpKind::Leave | OpKind::Batch => rekeyer.batch(&event, strategy),
@@ -924,6 +934,12 @@ impl GroupKeyServer {
             })
             .collect();
         Ok(ProcessedOp { grants, departed, ..op })
+    }
+
+    /// The span one operation of `kind` runs in (`op.join`, …), opened by
+    /// each request entry around its [`rekey`](Self::rekey).
+    fn op_span(&self, kind: OpKind) -> kg_obs::Span {
+        self.obs.span(OP_SPANS[kind.tag() as usize])
     }
 
     /// The common tail of every operation — join, leave, refresh, batch

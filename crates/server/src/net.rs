@@ -490,7 +490,13 @@ mod tests {
                 let (packet, _) = kg_wire::RekeyPacket::decode(&dg.payload).unwrap();
                 assert_eq!(packet.op, kg_wire::OpKind::Refresh);
                 let opened = match packet.bundles.first() {
-                    Some(b) => cipher.decrypt(&old_key, &b.iv, &b.ciphertext).unwrap(),
+                    Some(b) => {
+                        let nonce = kg_core::rekey::bundle_nonce(
+                            packet.interval,
+                            b.targets.iter().copied(),
+                        );
+                        cipher.open(&old_key, &nonce, &b.ciphertext).unwrap()
+                    }
                     None => {
                         let (label, version) = (new_ref.label, new_ref.version);
                         let derived = kg_core::derive::derive_key(

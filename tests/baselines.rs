@@ -8,12 +8,18 @@
 
 use keygraphs::core::ids::{KeyLabel, KeyRef, UserId};
 use keygraphs::core::keygraph::KeyGraph;
-use keygraphs::core::rekey::{KeyCipher, Recipients, Rekeyer, Strategy};
+use keygraphs::core::rekey::{bundle_nonce, KeyBundle, KeyCipher, Recipients, Rekeyer, Strategy};
 use keygraphs::core::tree::{KeyTree, TreeError};
 use keygraphs::crypto::drbg::HmacDrbg;
-use keygraphs::crypto::{KeySource, SymmetricKey};
+use keygraphs::crypto::{CryptoError, KeySource, SymmetricKey};
 use keygraphs::iolus::IolusSystem;
 use std::collections::BTreeSet;
+
+/// A member's opening of `b`, sealed in the operation numbered `interval`.
+fn open(key: &SymmetricKey, interval: u64, b: &KeyBundle) -> Result<Vec<u8>, CryptoError> {
+    let nonce = bundle_nonce(interval, b.targets.iter().copied());
+    KeyCipher::des_cbc().open(key, &nonce, &b.ciphertext)
+}
 
 /// A degree no group reaches: the key tree is a star.
 const STAR: usize = u32::MAX as usize;
@@ -34,12 +40,12 @@ fn design_space_orderings_hold() {
     // leave costs order: tree << star; complete = 0 but with 2^n keys.
     let n = 128u64;
     let mut src = HmacDrbg::from_seed(1);
-    let mut ivs = HmacDrbg::from_seed(2);
+    let interval = 2;
 
     // Star.
     let mut star = star_of(n, &mut src);
     let ev = star.leave(UserId(0), &mut src).unwrap();
-    let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+    let rk = Rekeyer::new(KeyCipher::des_cbc(), interval);
     let star_cost = rk.batch(&ev, Strategy::GroupOriented).ops.key_encryptions;
     assert_eq!(star_cost, n - 1);
 
@@ -50,7 +56,7 @@ fn design_space_orderings_hold() {
         tree.join(UserId(i), ik, &mut src).unwrap();
     }
     let ev = tree.leave(UserId(0), &mut src).unwrap();
-    let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+    let rk = Rekeyer::new(KeyCipher::des_cbc(), interval);
     let tree_cost = rk.batch(&ev, Strategy::GroupOriented).ops.key_encryptions;
 
     assert!(tree_cost < star_cost / 4, "tree {tree_cost} vs star {star_cost}");
@@ -71,7 +77,7 @@ fn iolus_and_tree_secure_the_same_workload() {
     // Same churn against both systems; both must keep evicted members out,
     // by their respective mechanisms.
     let mut src = HmacDrbg::from_seed(3);
-    let mut ivs = HmacDrbg::from_seed(4);
+    let interval = 4;
 
     let mut tree = KeyTree::new(4, 8, &mut src);
     let mut iolus = IolusSystem::new(2, 4, 16, KeyCipher::des_cbc(), &mut src);
@@ -89,7 +95,7 @@ fn iolus_and_tree_secure_the_same_workload() {
     let victim_subgroup_key = iolus.subgroup_key(victim_home);
 
     let ev = tree.leave(victim, &mut src).unwrap();
-    let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+    let rk = Rekeyer::new(KeyCipher::des_cbc(), interval);
     let _ = rk.batch(&ev, Strategy::GroupOriented);
     iolus.leave(victim, &mut src).unwrap();
 
@@ -115,10 +121,10 @@ fn star_recipients_are_exactly_the_survivors() {
         let survivors: Vec<UserId> = (0..n).filter(|&i| i != 4).map(UserId).collect();
         for strategy in Strategy::ALL {
             let mut src = HmacDrbg::from_seed(5);
-            let mut ivs = HmacDrbg::from_seed(6);
+            let interval = 6;
             let mut star = star_of(n, &mut src);
             let ev = star.leave(UserId(4), &mut src).unwrap();
-            let out = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs).batch(&ev, strategy);
+            let out = Rekeyer::new(KeyCipher::des_cbc(), interval).batch(&ev, strategy);
             assert_eq!(out.ops.key_encryptions, n - 1, "{strategy:?} n={n}");
             let mut recipients: Vec<UserId> = if strategy == Strategy::GroupOriented {
                 // One multicast; each survivor opens its own bundle.
@@ -166,12 +172,12 @@ fn star_join_is_figure_2() {
     for strategy in Strategy::ALL {
         for n in [8u64, 128] {
             let mut src = HmacDrbg::from_seed(21);
-            let mut ivs = HmacDrbg::from_seed(22);
+            let interval = 22;
             let mut star = star_of(n, &mut src);
             let (old_ref, old_gk) = star.group_key();
             let ik = src.generate_key(8);
             let ev = star.join(UserId(n), ik.clone(), &mut src).unwrap();
-            let out = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs).join(&ev, strategy);
+            let out = Rekeyer::new(KeyCipher::des_cbc(), interval).join(&ev, strategy);
             assert_eq!(out.ops.key_encryptions, 2, "{strategy:?} n={n}");
             assert_eq!(out.messages.len(), 2, "{strategy:?} n={n}");
             assert_eq!(star.height(), 2);
@@ -181,7 +187,7 @@ fn star_join_is_figure_2() {
                     .find(|b| b.encrypted_with == under)
                     .expect("a bundle under that key");
                 assert_eq!(b.targets, vec![new_ref]);
-                KeyCipher::des_cbc().decrypt(key, &b.iv, &b.ciphertext).unwrap()
+                open(key, interval, b).unwrap()
             };
             // Old members open it with the old group key…
             assert_eq!(opens(&old_gk, old_ref), new_gk.material());
@@ -201,11 +207,11 @@ fn star_join_is_figure_2() {
 #[test]
 fn star_leaver_opens_nothing_and_survivors_open_their_own() {
     let mut src = HmacDrbg::from_seed(26);
-    let mut ivs = HmacDrbg::from_seed(27);
+    let interval = 27;
     let mut star = star_of(4, &mut src);
     let before: Vec<_> = (0..4).map(|i| star.keyset(UserId(i)).unwrap()).collect();
     let ev = star.leave(UserId(0), &mut src).unwrap();
-    let out = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs).batch(&ev, Strategy::UserOriented);
+    let out = Rekeyer::new(KeyCipher::des_cbc(), interval).batch(&ev, Strategy::UserOriented);
     let (_, new_gk) = star.group_key();
     let bundles: Vec<_> = out.messages.iter().flat_map(|m| &m.bundles).collect();
     // The leaver holds its individual key and the old group key; neither
@@ -213,7 +219,7 @@ fn star_leaver_opens_nothing_and_survivors_open_their_own() {
     for (held_ref, held) in &before[0] {
         for b in &bundles {
             assert_ne!(b.encrypted_with, *held_ref);
-            if let Ok(plain) = KeyCipher::des_cbc().decrypt(held, &b.iv, &b.ciphertext) {
+            if let Ok(plain) = open(held, interval, b) {
                 assert_ne!(plain, new_gk.material());
             }
         }
@@ -226,7 +232,7 @@ fn star_leaver_opens_nothing_and_survivors_open_their_own() {
             .unwrap();
         assert_eq!(msg.bundles[0].encrypted_with, *leaf_ref);
         let b = &msg.bundles[0];
-        let plain = KeyCipher::des_cbc().decrypt(leaf_key, &b.iv, &b.ciphertext).unwrap();
+        let plain = open(leaf_key, interval, b).unwrap();
         assert_eq!(plain, new_gk.material());
     }
 }
@@ -275,11 +281,11 @@ fn first_join_into_an_empty_group_is_figure_2() {
         for strategy in Strategy::ALL {
             let cell = format!("degree {degree}, {strategy:?}");
             let mut src = HmacDrbg::from_seed(27);
-            let mut ivs = HmacDrbg::from_seed(28);
+            let interval = 28;
             let mut tree = KeyTree::new(degree, 8, &mut src);
             let ik = src.generate_key(8);
             let ev = tree.join(UserId(1), ik, &mut src).unwrap();
-            let out = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs).join(&ev, strategy);
+            let out = Rekeyer::new(KeyCipher::des_cbc(), interval).join(&ev, strategy);
             assert_eq!(out.ops.key_encryptions, 1, "{cell}");
             assert_eq!(out.messages.len(), 1, "{cell}");
             assert_eq!(out.messages[0].recipients, Recipients::User(UserId(1)), "{cell}");
@@ -288,7 +294,7 @@ fn first_join_into_an_empty_group_is_figure_2() {
             let joins: Vec<(UserId, SymmetricKey)> =
                 (0..degree.min(3) as u64).map(|i| (UserId(i), src.generate_key(8))).collect();
             let ev = tree.apply_batch(&joins, &[], &mut src).unwrap();
-            let out = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs).batch(&ev, strategy);
+            let out = Rekeyer::new(KeyCipher::des_cbc(), interval).batch(&ev, strategy);
             let to: Vec<&Recipients> = out.messages.iter().map(|m| &m.recipients).collect();
             let unicasts: Vec<Recipients> =
                 joins.iter().map(|&(u, _)| Recipients::User(u)).collect();

@@ -51,8 +51,8 @@ fn table2_server_join_cost_exact_on_full_trees() {
         tree.leave(UserId(0), &mut src).unwrap();
         let ik = src.generate_key(8);
         let ev = tree.join(UserId(999), ik, &mut src).unwrap();
-        let mut ivs = HmacDrbg::from_seed(1);
-        let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+        let interval = 1;
+        let rk = Rekeyer::new(KeyCipher::des_cbc(), interval);
         let out = rk.join(&ev, Strategy::KeyOriented);
         assert_eq!(out.ops.key_encryptions, 2 * (h - 1), "d={d}: join cost 2(h-1)");
     }
@@ -65,8 +65,8 @@ fn table2_server_leave_cost_exact_on_full_trees() {
         let (mut tree, mut src) = full_tree(n, d);
         let h = cost::tree_height(n, d as u64);
         let ev = tree.leave(UserId(n - 1), &mut src).unwrap();
-        let mut ivs = HmacDrbg::from_seed(2);
-        let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+        let interval = 2;
+        let rk = Rekeyer::new(KeyCipher::des_cbc(), interval);
         let out = rk.batch(&ev, Strategy::GroupOriented);
         // Leaving point drops to d−1 children and contracts only at d=2;
         // at d≥3 cost is exactly d(h−1) − 1 + ... : the leaving level has
@@ -93,7 +93,7 @@ fn table2_server_leave_cost_exact_on_full_trees() {
 fn star_costs_scale_linearly() {
     // The star is a key tree whose degree no group reaches.
     let mut src = HmacDrbg::from_seed(3);
-    let mut ivs = HmacDrbg::from_seed(4);
+    let interval = 4;
     for n in [8u64, 32, 128] {
         let mut star = KeyTree::new(u32::MAX as usize, 8, &mut src);
         for i in 0..n {
@@ -103,7 +103,7 @@ fn star_costs_scale_linearly() {
         assert_eq!(star.key_count() as u64, cost::server_total_keys(GraphClass::Star, n, 0));
         assert_eq!(star.height() as u64, cost::keys_per_user(GraphClass::Star, n, 0));
         let ev = star.leave(UserId(0), &mut src).unwrap();
-        let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+        let rk = Rekeyer::new(KeyCipher::des_cbc(), interval);
         let out = rk.batch(&ev, Strategy::GroupOriented);
         assert_eq!(out.ops.key_encryptions, n - 1, "star leave is Θ(n)");
     }
@@ -116,8 +116,8 @@ fn tree_beats_star_beyond_small_n() {
     for n in [32u64, 256, 1024] {
         let (mut tree, mut src) = full_tree(n, 4);
         let ev = tree.leave(UserId(n / 2), &mut src).unwrap();
-        let mut ivs = HmacDrbg::from_seed(5);
-        let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+        let interval = 5;
+        let rk = Rekeyer::new(KeyCipher::des_cbc(), interval);
         let tree_cost = rk.batch(&ev, Strategy::GroupOriented).ops.key_encryptions;
         let star_cost = n - 1;
         assert!(tree_cost * 2 < star_cost, "n={n}: tree {tree_cost} vs star {star_cost}");
@@ -135,12 +135,12 @@ fn average_cost_tracks_table3_under_churn() {
     let d = 4usize;
     let n = 256u64;
     let (mut tree, mut src) = full_tree(n, d);
-    let mut ivs = HmacDrbg::from_seed(6);
+    let interval = 6;
     let mut total_enc = 0u64;
     let ops = 100u64;
     let mut next = n;
     for i in 0..ops {
-        let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+        let rk = Rekeyer::new(KeyCipher::des_cbc(), interval);
         if i % 2 == 0 {
             let ik = src.generate_key(8);
             let ev = tree.join(UserId(next), ik, &mut src).unwrap();
@@ -180,8 +180,8 @@ fn message_count_formulas_hold_on_full_trees() {
     let h = cost::tree_height(n, d as u64);
     // Leave from a full tree.
     let ev = tree.leave(UserId(n - 1), &mut src).unwrap();
-    let mut ivs = HmacDrbg::from_seed(8);
-    let mut rk = Rekeyer::new(KeyCipher::des_cbc(), &mut ivs);
+    let interval = 8;
+    let rk = Rekeyer::new(KeyCipher::des_cbc(), interval);
     let user_msgs = rk.batch(&ev, Strategy::UserOriented).messages.len() as u64;
     let key_msgs = rk.batch(&ev, Strategy::KeyOriented).messages.len() as u64;
     let group_msgs = rk.batch(&ev, Strategy::GroupOriented).messages.len() as u64;

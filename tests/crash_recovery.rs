@@ -453,14 +453,7 @@ fn version_2_stores_fail_closed_at_the_log_header() {
         ),
     ];
     for (name, config) in fixtures {
-        let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join(format!("tests/fixtures/store-v2-{name}"));
-        let dir = scratch_dir(name);
-        std::fs::create_dir_all(&dir).unwrap();
-        for file in std::fs::read_dir(&fixture).unwrap() {
-            let path = file.unwrap().path();
-            std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
-        }
+        let dir = fixture_store(&format!("store-v2-{name}"));
         let before = store_files(&dir);
         let result = GroupKeyServer::recover(config, AccessControl::AllowAll, &dir, pcfg());
         assert!(
@@ -474,6 +467,69 @@ fn version_2_stores_fail_closed_at_the_log_header() {
         assert_eq!(store_files(&dir), before, "{name}: the store is untouched");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Copy the fixture store `name` into a scratch directory.
+fn fixture_store(name: &str) -> PathBuf {
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
+    let dir = scratch_dir(name);
+    std::fs::create_dir_all(&dir).unwrap();
+    for file in std::fs::read_dir(&fixture).unwrap() {
+        let path = file.unwrap().path();
+        std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+    }
+    dir
+}
+
+/// Stores written while the snapshot still carried the IV stream's DRBG
+/// state (WAL version 3, snapshot version 2) and that hold a snapshot fail
+/// closed with a typed error naming the snapshot's version, and are left
+/// byte-identical. The two fixtures were written by that code, seed
+/// 0xD16E, auth none: an immediate store (six joins, the snapshot, then a
+/// leave and a join) and a batched one (an interval, a snapshot holding a
+/// queued join and leave, a second interval and a queued join).
+#[test]
+fn snapshot_version_2_stores_fail_closed_with_a_typed_error() {
+    let base = ServerConfig { auth: AuthPolicy::None, seed: 0xD16E, ..ServerConfig::default() };
+    let batched = ServerConfig {
+        rekey: RekeyPolicy::Batched { interval_ms: 100, max_pending: 64 },
+        ..base.clone()
+    };
+    for (name, config) in
+        [("store-v3-snapshot-immediate", base), ("store-v3-snapshot-batched", batched)]
+    {
+        let dir = fixture_store(name);
+        let before = store_files(&dir);
+        let result = GroupKeyServer::recover(config, AccessControl::AllowAll, &dir, pcfg());
+        assert!(
+            matches!(
+                result,
+                Err(RecoverError::Persist(PersistError::UnsupportedVersion { found: 2 }))
+            ),
+            "{name}: {:?}",
+            result.err()
+        );
+        assert_eq!(store_files(&dir), before, "{name}: the store is untouched");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A store of the same code that holds only a log (six joins, two leaves
+/// and a refresh) has nothing in the old snapshot format: it recovers,
+/// every record's root digest agreeing, to the tree that code built. The
+/// key stream never fed the IVs, so dropping the IV stream moves no key.
+#[test]
+fn log_only_stores_of_snapshot_version_2_recover_to_the_same_keys() {
+    let config = ServerConfig { auth: AuthPolicy::None, seed: 0xD16E, ..ServerConfig::default() };
+    let dir = fixture_store("store-v3-immediate");
+    let recovered = GroupKeyServer::recover(config, AccessControl::AllowAll, &dir, pcfg())
+        .expect("a log-only store recovers");
+    assert_eq!(recovered.group_size(), 4);
+    let digest: String = root_digest(recovered.tree()).iter().map(|b| format!("{b:02x}")).collect();
+    // The root digest the writing server printed after its last request.
+    assert_eq!(digest, "322d2e79725473a0380a414c0f43a92538651bd9da8ef31e799761f0b329d985");
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// What a store holds when it is reopened.

@@ -19,7 +19,7 @@
 //!   (used to pin the re-admission defect below).
 //!
 //! After every interval (each `Tick`, and the end of the schedule) the
-//! runner checks two invariants:
+//! runner checks three invariants:
 //!
 //! * **(a) convergence,** in inclusion form: each live member's live
 //!   labels are exactly its path in the paper's §2 key graph,
@@ -30,6 +30,11 @@
 //! * **(b) derivation-closure secrecy over the wiretap of the whole run,**
 //!   crash included: a departed member that replays every recorded rekey
 //!   packet, alone or all in order, reaches no key the tree holds.
+//! * **(n) one nonce per key,** over the same wiretap: no two bundles share
+//!   (`encrypted_with`, N), N being the nonce their IV E_K(N) is derived
+//!   from, unless the two are the same bundle byte for byte (a duplicate,
+//!   a redelivery, or a stored ciphertext resent). A repeated IV under one
+//!   key with another plaintext is what the IV construction must rule out.
 //!
 //! When a scenario fails, a small delta-debugger ([`shrink`]) drops
 //! schedule steps and faults while the failure persists and prints the
@@ -40,14 +45,14 @@ use bytes::Bytes;
 use keygraphs::client::fleet::{ClientFleet, FleetEvent};
 use keygraphs::client::{Client, ClientError, VerifyPolicy};
 use keygraphs::core::ids::{KeyRef, UserId};
-use keygraphs::core::rekey::Strategy;
+use keygraphs::core::rekey::{bundle_nonce, KeyBundle, Strategy, NONCE_LEN};
 use keygraphs::core::serial::root_digest;
 use keygraphs::crypto::SymmetricKey;
 use keygraphs::net::{Datagram, EndpointId, MulticastAddr, NetConfig, SimNetwork, Transport};
 use keygraphs::persist::PersistConfig;
 use keygraphs::server::net::{leave_authenticator, NetServer, ServerEvent};
 use keygraphs::server::{AccessControl, AuthPolicy, GroupKeyServer, ServerConfig};
-use keygraphs::wire::{ControlMessage, RekeyPacket};
+use keygraphs::wire::{ControlMessage, RekeyPacket, RekeyView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -225,6 +230,10 @@ struct Report {
     /// Requests queued at a crash, summed: crashes that struck mid-interval
     /// recovered them from the log.
     queued_at_crash: u64,
+    /// Distinct (key, nonce) pairs in the wiretap.
+    nonces: u64,
+    /// Recorded bundles that repeated an earlier one byte for byte.
+    resent_bundles: u64,
 }
 
 impl std::ops::AddAssign for Report {
@@ -236,6 +245,8 @@ impl std::ops::AddAssign for Report {
         self.crashes += r.crashes;
         self.full_flushes += r.full_flushes;
         self.queued_at_crash += r.queued_at_crash;
+        self.nonces += r.nonces;
+        self.resent_bundles += r.resent_bundles;
     }
 }
 
@@ -344,6 +355,10 @@ struct World {
     /// Members whose join was answered, in join order.
     present: Vec<UserId>,
     ghosts: Vec<Ghost>,
+    /// Every bundle in the wiretap by (key, nonce), and how many recorded
+    /// packets have been read into it.
+    nonces: BTreeMap<(KeyRef, [u8; NONCE_LEN]), KeyBundle>,
+    nonces_seen: usize,
     /// The request datagram each step sent, for replays.
     sent: BTreeMap<usize, (EndpointId, Bytes)>,
     burst: Vec<Request>,
@@ -399,6 +414,8 @@ impl World {
             fleet,
             present: Vec::new(),
             ghosts: Vec::new(),
+            nonces: BTreeMap::new(),
+            nonces_seen: 0,
             sent: BTreeMap::new(),
             burst: Vec::new(),
             handled: BTreeSet::new(),
@@ -603,7 +620,8 @@ impl World {
             if self.burst.iter().all(|r| r.answered) && self.converged() {
                 self.burst.clear();
                 self.report.intervals += 1;
-                return self.check_secrecy();
+                self.check_secrecy()?;
+                return self.check_nonces();
             }
         }
         let open: Vec<_> = self.burst.iter().filter(|r| !r.answered).map(|r| r.user).collect();
@@ -669,6 +687,35 @@ impl World {
                 ));
             }
         }
+        Ok(())
+    }
+
+    /// Invariant (n): every bundle recorded since the last check, keyed by
+    /// the key it is sealed under and the nonce of its packet's interval
+    /// and its targets, is the first bundle with that key or equal to it.
+    fn check_nonces(&mut self) -> Outcome {
+        for bytes in &self.net.tap[self.nonces_seen..] {
+            let packet = RekeyView::parse(bytes).map_err(|e| format!("recorded packet: {e}"))?;
+            for b in packet.bundles() {
+                let nonce = bundle_nonce(packet.interval, b.targets.iter());
+                let bundle = b.to_bundle();
+                match self.nonces.get(&(b.encrypted_with, nonce)) {
+                    None => {
+                        self.nonces.insert((b.encrypted_with, nonce), bundle);
+                        self.report.nonces += 1;
+                    }
+                    Some(first) if *first == bundle => self.report.resent_bundles += 1,
+                    Some(first) => {
+                        return Err(format!(
+                            "two bundles under {:?} share nonce {nonce:02x?} (interval {}): \
+                             {first:?} and {bundle:?}",
+                            b.encrypted_with, packet.interval
+                        ))
+                    }
+                }
+            }
+        }
+        self.nonces_seen = self.net.tap.len();
         Ok(())
     }
 }
@@ -765,6 +812,8 @@ fn every_strategy_converges_and_keeps_secrecy_under_faults() {
     let r = run_all(list);
     assert_eq!(r.crashes, n as u64, "every scenario crashed and recovered once");
     assert!(r.full_flushes > 0);
+    // Invariant (n) saw resends, not only first seals.
+    assert!(r.nonces > 0 && r.resent_bundles > 0);
     eprintln!("{n} scenarios in {:.1?}: {r:?}", t0.elapsed());
 }
 
